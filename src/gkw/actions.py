@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import (GeneralizedSection, VectorField, euler_field,
-                       exterior_derivative, interior_product,
-                       standard_symplectic_form)
+                       interior_product, standard_symplectic_form)
 from .poly import QI, QI_HALF, QI_I, ComplexPolynomial
 
 
@@ -185,18 +184,6 @@ class MomentMapPoly:
     @property
     def is_real(self):
         return all(p.is_zero for p in self.h)
-
-    def complex_component(self, a):
-        return self.f[a], self.h[a]
-
-    def f_values(self, z) -> np.ndarray:
-        return np.array([p.evaluate(z).real for p in self.f])
-
-    def df_forms(self):
-        return [exterior_derivative(p) for p in self.f]
-
-    def dh_forms(self):
-        return [exterior_derivative(p) for p in self.h]
 
 
 def moment_from_hamiltonian_identity(fields) -> MomentMapPoly:

@@ -55,14 +55,18 @@ def _fit_deformation_scale(make_scenario, t0=Fraction(1)) -> Fraction:
     """Deterministic halving from t0 until the deformed pair validates
     (A_eps invertibility and full pair validity) at every probe sample,
     drawn from several seeds; one extra halving provides headroom for
-    samples more extreme than any probe."""
+    samples more extreme than any probe.  The probe points do not depend
+    on t, so each round is sampled once, when first needed."""
+    rounds = {}
 
     def valid_at_probes(t):
         scen = make_scenario(t)
         try:
             for round_ in range(PROBE_ROUNDS):
-                batch = sample_level_set(scen, PROBE_COUNT, PROBE_SEED + round_)
-                for z in batch.points:
+                if round_ not in rounds:
+                    rounds[round_] = sample_level_set(scen, PROBE_COUNT,
+                                                      PROBE_SEED + round_).points
+                for z in rounds[round_]:
                     scen.recipe.pair_at(z)
         except ValidationError:
             return False
@@ -492,11 +496,13 @@ def _invariant_gm_perp_sections(scenario):
     return secs
 
 
-def closure_families(case: CatalogCase):
+def closure_families(case: CatalogCase, pair_at=None):
     """Closure section families for a catalog case: a df-perp family whose
     brackets must stay perpendicular to the level set and inside the first
     eigenbundle, an invariant family perpendicular to the orbit directions,
-    and (for deformed cases) a frame family of the deformed eigenbundle."""
+    and (for deformed cases) a frame family of the deformed eigenbundle.
+
+    ``pair_at`` supplies the pointwise pairs (default: the recipe's)."""
     from .calculus import GeneralizedSection, standard_symplectic_form
     from .pipeline import (ClosureFamily, df_contraction_is_zero,
                            gm_pairing_is_zero)
@@ -531,6 +537,7 @@ def closure_families(case: CatalogCase):
             name="invariant-gM-perp", sections=_invariant_gm_perp_sections(scen),
             symbolic_check=gm_pairing_is_zero(scen.action)))
         return fams
+    pair_at = pair_at or recipe.pair_at
     omega = standard_symplectic_form(n)
     if isinstance(scen.action, TorusAction):
         Xs = _torus_df_perp_fields(scen)
@@ -541,14 +548,14 @@ def closure_families(case: CatalogCase):
     fams.append(ClosureFamily(
         name="df-perp+L1", sections=secs,
         symbolic_check=df_contraction_is_zero(scen.moment),
-        structure_at=lambda z: scen.recipe.pair_at(z).J1))
+        structure_at=lambda z: pair_at(z).J1))
     fams.append(ClosureFamily(
         name="invariant-gM-perp", sections=_invariant_gm_perp_sections(scen),
         symbolic_check=gm_pairing_is_zero(scen.action)))
     if isinstance(recipe, DeformedKahlerRecipe) and not recipe.eps.is_zero:
         fams.append(ClosureFamily(
             name="deformed-L2", sections=recipe.upstairs_sections(),
-            structure_at=lambda z: scen.recipe.pair_at(z).J2, max_pairs=4))
+            structure_at=lambda z: pair_at(z).J2, max_pairs=4))
     return fams
 
 

@@ -13,20 +13,30 @@ Phi = 1/2 sum w_j |z_j|^2 with the counterclockwise rotation field.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
+def _frozen(T: np.ndarray) -> np.ndarray:
+    T.setflags(write=False)
+    return T
+
+
+@lru_cache(maxsize=None)
 def tangent_frame_matrix(n: int) -> np.ndarray:
-    """Columns: real coordinates of d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n."""
+    """Columns: real coordinates of d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n.
+    Built once per n and returned read-only, like the other frame matrices."""
     T = np.zeros((2 * n, 2 * n), dtype=complex)
     for q in range(n):
         T[2 * q, q] = 0.5
         T[2 * q + 1, q] = -0.5j
         T[2 * q, n + q] = 0.5
         T[2 * q + 1, n + q] = 0.5j
-    return T
+    return _frozen(T)
 
 
+@lru_cache(maxsize=None)
 def covector_frame_matrix(n: int) -> np.ndarray:
     """Columns: real coordinates of dz_1..dz_n, dzbar_1..dzbar_n."""
     T = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -35,14 +45,15 @@ def covector_frame_matrix(n: int) -> np.ndarray:
         T[2 * q + 1, q] = 1.0j
         T[2 * q, n + q] = 1.0
         T[2 * q + 1, n + q] = -1.0j
-    return T
+    return _frozen(T)
 
 
+@lru_cache(maxsize=None)
 def section_frame_matrix(n: int) -> np.ndarray:
     T = np.zeros((4 * n, 4 * n), dtype=complex)
     T[:2 * n, :2 * n] = tangent_frame_matrix(n)
     T[2 * n:, 2 * n:] = covector_frame_matrix(n)
-    return T
+    return _frozen(T)
 
 
 def point_to_real(z) -> np.ndarray:
@@ -51,16 +62,6 @@ def point_to_real(z) -> np.ndarray:
     out[0::2] = z.real
     out[1::2] = z.imag
     return out
-
-
-def real_to_point(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x[0::2] + 1j * x[1::2]
-
-
-def complex_field_to_real_tangent(vel) -> np.ndarray:
-    """Real tangent coordinates of a holomorphic velocity vector in C^n."""
-    return point_to_real(vel)
 
 
 def omega_std_map(n: int) -> np.ndarray:
@@ -80,12 +81,6 @@ def complex_structure_std(n: int) -> np.ndarray:
     return J
 
 
-def vector_field_at(X, z) -> np.ndarray:
-    """Evaluate a symbolic VectorField into real-frame complex coordinates."""
-    n = X.n
-    return tangent_frame_matrix(n) @ X.evaluate(z)
-
-
 def one_form_at(a, z) -> np.ndarray:
     n = a.n
     return covector_frame_matrix(n) @ a.evaluate(z)
@@ -101,8 +96,6 @@ def two_form_map_at(w, z) -> np.ndarray:
     if w.degree != 2:
         raise ValueError("expected a 2-form")
     n = w.n
-    Tc = covector_frame_matrix(n)
-    Tt = tangent_frame_matrix(n)
     # z-frame contraction matrix: (iota_e_a w) over frame e_a
     Kz = np.zeros((2 * n, 2 * n), dtype=complex)
     for (i, j), p in w.comps.items():
@@ -110,7 +103,7 @@ def two_form_map_at(w, z) -> np.ndarray:
         Kz[j, i] += c
         Kz[i, j] -= c
     # iota_{Tt u} w = Tc Kz u for u in z-frame; real map = Tc Kz Tt^-1
-    M = Tc @ Kz @ np.linalg.inv(Tt)
+    M = covector_frame_matrix(n) @ Kz @ np.linalg.inv(tangent_frame_matrix(n))
     if np.linalg.norm(M.imag) > 1e-9 * max(1.0, np.linalg.norm(M.real)):
         return M
     return M.real

@@ -286,7 +286,7 @@ class LinearGC:
         J = S @ D @ np.linalg.inv(S)
         if np.linalg.norm(J.imag) > 1e-8 * max(1.0, np.linalg.norm(J.real)):
             raise ValidationError("reconstructed structure is not real")
-        return cls(J.real)
+        return cls(J.real.copy())
 
     def b_transform(self, B) -> "LinearGC":
         """e^B J e^-B for an antisymmetric map B: V -> V*; same type."""

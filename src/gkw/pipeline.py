@@ -5,26 +5,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
 from .calculus import (Form, GeneralizedSection, VectorField, exterior_derivative,
-                       interior_product, standard_symplectic_form)
+                       interior_product)
 from .deformation import DeformationBivector
 from .linear import (BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_field_matrix,
                      contraction_operator, deform_pair, eta, extract_bihermitian,
-                     numerical_rank, reduce_pair, subspace_intersection_dim)
+                     reduce_pair, subspace_intersection_dim)
 from .poly import QI, ComplexPolynomial
 
 FREENESS_TOL = 1e-8
 LEVEL_TOL = 1e-12
 P_ISOTROPY_TOL = 1e-9
+MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table row
 
 
 # -- structure recipes --------------------------------------------------------
+
+def _standard_pair(n: int) -> KahlerPairNum:
+    """(J_omega, J_J) of the flat structures on C^n, validated once."""
+    return KahlerPairNum(LinearGC.from_symplectic(frames.omega_std_map(n)),
+                         LinearGC.from_complex(frames.complex_structure_std(n)))
+
 
 class GenuineKahlerRecipe:
     """(J_omega, J_J) for the standard flat structures on C^n."""
@@ -33,11 +41,10 @@ class GenuineKahlerRecipe:
 
     def __init__(self, n: int):
         self.n = n
-        self._J1 = LinearGC.from_symplectic(frames.omega_std_map(n))
-        self._J2 = LinearGC.from_complex(frames.complex_structure_std(n))
+        self._pair = _standard_pair(n)
 
     def pair_at(self, z) -> KahlerPairNum:
-        return KahlerPairNum(self._J1, self._J2)
+        return self._pair
 
     def describe(self):
         return {"kind": self.kind, "n": self.n}
@@ -54,8 +61,7 @@ class DeformedKahlerRecipe:
         self.n = n
         self.eps = eps
         self.t = Fraction(t)
-        self._J1 = LinearGC.from_symplectic(frames.omega_std_map(n))
-        self._J2 = LinearGC.from_complex(frames.complex_structure_std(n))
+        self._base = _standard_pair(n)
         self._Tt = frames.tangent_frame_matrix(n)
         self._Tc = frames.covector_frame_matrix(n)
 
@@ -78,10 +84,9 @@ class DeformedKahlerRecipe:
         return contraction_operator(pairs, 2 * n)
 
     def pair_at(self, z) -> KahlerPairNum:
-        base = KahlerPairNum(self._J1, self._J2)
         if self.eps.is_zero:
-            return base
-        return deform_pair(base, self.contraction_at(z), float(self.t))
+            return self._base
+        return deform_pair(self._base, self.contraction_at(z), float(self.t))
 
     def upstairs_sections(self):
         """Polynomial frame sections of L_eps = {Y + t iota_Y eps : Y in L_J}."""
@@ -314,6 +319,16 @@ class Scenario:
     strata: tuple = ()
     doc: str = ""
 
+    @cached_property
+    def fields(self) -> list:
+        """The fundamental fields, one per Lie-algebra basis element."""
+        return [self.action.fundamental_field(a) for a in range(self.group_dims()[0])]
+
+    @cached_property
+    def dfs(self) -> list:
+        """d of the real moment-map components."""
+        return [exterior_derivative(f) for f in self.moment.f]
+
     def stratum_label(self, z) -> str:
         for s in self.strata:
             if s.classify(z):
@@ -377,6 +392,8 @@ class PolytopeSampler:
         lo = np.min(self.verts, axis=0)
         hi = np.max(self.verts, axis=0)
         self.bbox = (lo, hi)
+        self.facet_verts = {j: [[float(c) for c in v] for v in poly.facet_vertices(j)]
+                            for j in self.facet_strata.values()}
 
     def _interior_x(self, rng):
         lo, hi = self.bbox
@@ -387,7 +404,7 @@ class PolytopeSampler:
         raise ValidationError("polytope rejection sampling failed")
 
     def _facet_x(self, rng, j):
-        verts = [[float(c) for c in v] for v in self.poly.facet_vertices(j)]
+        verts = self.facet_verts[j]
         if len(verts) < 2:
             raise ValidationError(f"facet {j} has no interior")
         t = 0.15 + 0.7 * rng.random()
@@ -469,9 +486,7 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     n = scenario.n
     level = np.array([float(x) for x in scenario.level])
-    fields = [scenario.action.fundamental_field(a)
-              for a in range(scenario.group_dims()[0])]
-    dfs = [exterior_derivative(f) for f in scenario.moment.f]
+    fields, dfs = scenario.fields, scenario.dfs
 
     quotas = []
     named = [s.label for s in scenario.strata]
@@ -520,6 +535,26 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     return SampleBatch(points, labels, rejected)
 
 
+def pairs_once(recipe, points):
+    """Build ``recipe.pair_at`` once at each point; return the lookup
+    z -> pair over those points.  At a point whose pair failed validation
+    the lookup raises that ValidationError, each time it is asked."""
+    built = {}
+    for z in points:
+        try:
+            pair = recipe.pair_at(z)
+        except ValidationError as exc:
+            pair = exc
+        built[np.asarray(z, dtype=complex).tobytes()] = pair
+
+    def pair_at(z) -> KahlerPairNum:
+        pair = built[np.asarray(z, dtype=complex).tobytes()]
+        if isinstance(pair, ValidationError):
+            raise pair
+        return pair
+    return pair_at
+
+
 # -- quotients ------------------------------------------------------------------
 
 @dataclass
@@ -538,14 +573,13 @@ class QuotientFrame:
     diagnostics: dict
 
 
-def quotient_at_point(scenario: Scenario, z, label=None) -> QuotientFrame:
+def quotient_at_point(scenario: Scenario, z, label=None, pair=None) -> QuotientFrame:
+    """The quotient at z of ``pair`` (by default the recipe's pair at z)."""
     n = scenario.n
-    pair = scenario.recipe.pair_at(z)
-    k = scenario.group_dims()[0]
-    fields = [scenario.action.fundamental_field(a) for a in range(k)]
-    Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in fields])
-    dfs = [exterior_derivative(f) for f in scenario.moment.f]
-    DF = np.column_stack([frames.one_form_at(df, z).real for df in dfs])
+    if pair is None:
+        pair = scenario.recipe.pair_at(z)
+    Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in scenario.fields])
+    DF = np.column_stack([frames.one_form_at(df, z).real for df in scenario.dfs])
     # moment condition J1(xi_M) = df
     lift = np.vstack([Q, np.zeros_like(Q)])
     expect = np.vstack([np.zeros_like(DF), DF])
@@ -584,6 +618,7 @@ class TypeTableRow:
     type_j2_up: int
     indeterminate: bool
     diagnostics: dict
+    pair_quot: KahlerPairNum
 
 
 @dataclass
@@ -591,39 +626,26 @@ class TypeTable:
     rows: list
     scenario_name: str
 
-    def strata_types(self):
-        out = {}
-        for r in self.rows:
-            out.setdefault(r.stratum, set()).add((r.type_j1, r.type_j2))
-        return out
 
+def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None) -> TypeTable:
+    """The quotient at each sample, one row per point in point-id order.
 
-def type_table(scenario: Scenario, count=20, seed=7, workers=4) -> TypeTable:
-    """Per-point quotients run concurrently (they are independent pure
-    computations); rows are assembled in point-id order regardless of
-    completion order."""
-    from concurrent.futures import ThreadPoolExecutor
-    batch = sample_level_set(scenario, count, seed)
-
-    def job(arg):
-        i, z, lab = arg
-        return i, lab, quotient_at_point(scenario, z, lab)
-
-    args = [(i, z, lab) for i, (z, lab) in enumerate(zip(batch.points, batch.labels))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, args))
-    else:
-        results = [job(a) for a in args]
+    A caller that has already sampled the level set and built the pairs
+    passes them as ``batch`` and ``pair_at`` (then ``count`` and ``seed``
+    are not used)."""
+    if batch is None:
+        batch = sample_level_set(scenario, count, seed)
+    pair_at = pair_at or scenario.recipe.pair_at
     rows = []
-    for i, lab, qf in sorted(results, key=lambda r: r[0]):
+    for i, (z, lab) in enumerate(zip(batch.points, batch.labels)):
+        qf = quotient_at_point(scenario, z, lab, pair=pair_at(z))
         rows.append(TypeTableRow(
             point_id=i, stratum=lab,
             type_j1=qf.type_j1, type_j2=qf.type_j2,
             dim_k_cap_piL2=qf.dim_k_cap_piL2,
             type_j1_up=qf.type_j1_up, type_j2_up=qf.type_j2_up,
             indeterminate=not qf.gap_ok,
-            diagnostics=qf.diagnostics))
+            diagnostics=qf.diagnostics, pair_quot=qf.pair_quot))
     return TypeTable(rows, scenario.name)
 
 
@@ -646,44 +668,6 @@ def verify_type_formula(scenario: Scenario, table: TypeTable):
     return results
 
 
-# -- closure tests ----------------------------------------------------------------
-
-def bracket_in_df_perp(s1, s2, moment: MomentMapPoly):
-    """Exact check iota_{[X,Y]} df^xi = 0 for sections of df-perp."""
-    from .calculus import courant_bracket
-    br = courant_bracket(s1, s2)
-    residuals = []
-    for f in moment.f:
-        df = exterior_derivative(f)
-        contr = interior_product(br.vec, df).comps.get((), None)
-        residuals.append(contr is None or contr.is_zero)
-    return br, all(residuals)
-
-
-def closure_test(scenario: Scenario, section_pairs, samples, check):
-    """Symbolic Courant brackets plus pointwise eigenbundle membership.
-
-    check(bracket, sample) -> residual; rows report max residual per pair.
-    """
-    from .calculus import courant_bracket
-    rows = []
-    for (s1, s2) in section_pairs:
-        br = courant_bracket(s1, s2)
-        res = max((check(br, z) for z in samples), default=0.0)
-        rows.append({"residual": float(res), "pass": bool(res < 1e-9)})
-    return rows
-
-
-def membership_check_factory(scenario, which="L1"):
-    """Residual of a bracket section in the pointwise eigenbundle."""
-    def check(br, z):
-        pair = scenario.recipe.pair_at(z)
-        J = pair.J1 if which == "L1" else pair.J2
-        L = J.eigenbundle()
-        return L.residual(frames.section_at(br, z))
-    return check
-
-
 # -- bi-Hermitian ------------------------------------------------------------------
 
 @dataclass
@@ -696,13 +680,18 @@ class QuotientBiHermitian:
 
 def quotient_bihermitian(scenario: Scenario, z) -> QuotientBiHermitian:
     qf = quotient_at_point(scenario, z)
-    data = extract_bihermitian(qf.pair_quot)
+    return bihermitian_of(qf.pair_quot, qf.type_j1, qf.type_j2)
+
+
+def bihermitian_of(pair_quot: KahlerPairNum, type_j1, type_j2) -> QuotientBiHermitian:
+    """Bi-Hermitian data of an already computed quotient pair."""
+    data = extract_bihermitian(pair_quot)
     ok, checks = data.validate()
     checks["valid"] = ok
     return QuotientBiHermitian(
         data=data,
         distinct=data.distinct(),
-        even_type=(qf.type_j1 % 2 == 0) or (qf.type_j2 % 2 == 0),
+        even_type=(type_j1 % 2 == 0) or (type_j2 % 2 == 0),
         checks=checks)
 
 
@@ -722,6 +711,14 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
     fields = [action.fundamental_field(a) for a in range(k)]
     dfs = [exterior_derivative(f) for f in moment.f]
     dhs = [exterior_derivative(h) for h in moment.h]
+    contractions = []
+    if invariance:
+        for a in range(k):
+            for b in range(k):
+                for comp in (dfs[b], dhs[b]):
+                    val = interior_product(fields[a].vec, comp).comps.get((), None)
+                    if val is not None:
+                        contractions.append(val)
     rows = []
     for idx, z in enumerate(samples):
         J = structure_at(z)
@@ -735,14 +732,8 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
                          - 1j * frames.one_form_at(dfs[a], z))
             worst = max(worst, L.residual(w))
         inv = 0.0
-        if invariance:
-            for a in range(k):
-                for b in range(k):
-                    for comp in (dfs[b], dhs[b]):
-                        c = interior_product(fields[a].vec, comp)
-                        val = c.comps.get((), None)
-                        if val is not None:
-                            inv = max(inv, abs(val.evaluate(z)))
+        for val in contractions:
+            inv = max(inv, abs(val.evaluate(z)))
         rows.append({"sample": idx, "membership": float(worst),
                      "invariance": float(inv),
                      "pass": bool(worst < tol and inv < tol)})

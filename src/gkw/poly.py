@@ -97,7 +97,7 @@ class ComplexPolynomial:
     nonzero QI coefficients.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_program")
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -237,23 +237,39 @@ class ComplexPolynomial:
                 terms.pop(e2, None)
         return ComplexPolynomial(self.n, terms)
 
-    def is_holomorphic(self) -> bool:
-        return all(all(x == 0 for x in e[self.n:]) for e in self.terms)
-
     # -- evaluation / substitution ------------------------------------------
-    def evaluate(self, z) -> complex:
-        """Evaluate at a point z in C^n (floating arithmetic)."""
-        if len(z) != self.n:
-            raise ValueError(f"point has {len(z)} coordinates, polynomial has n={self.n}")
-        zb = [complex(w).conjugate() for w in z]
-        total = 0j
+    def _compile(self):
+        """The coordinates used (q < n: z_q, q >= n: zbar_{q-n}) and, per term,
+        the complex coefficient and nonzero factors (slot in those, power)."""
+        n = self.n
+        slots = {}
+        terms = []
         for e, c in self.terms.items():
-            val = c.to_complex()
-            for j in range(self.n):
-                if e[j]:
-                    val *= complex(z[j]) ** e[j]
-                if e[self.n + j]:
-                    val *= zb[j] ** e[self.n + j]
+            factors = []
+            for j in range(n):
+                for q in (j, n + j):
+                    if e[q]:
+                        factors.append((slots.setdefault(q, len(slots)), e[q]))
+            terms.append((c.to_complex(), tuple(factors)))
+        return tuple(slots), tuple(terms)
+
+    def evaluate(self, z) -> complex:
+        """Evaluate at a point z in C^n (floating arithmetic).
+
+        Terms are summed, and each term's factors multiplied, in a fixed
+        order, so a value depends only on the polynomial and the point."""
+        n = self.n
+        if len(z) != n:
+            raise ValueError(f"point has {len(z)} coordinates, polynomial has n={n}")
+        try:
+            coords, terms = self._program
+        except AttributeError:
+            coords, terms = self._program = self._compile()
+        vals = [complex(z[q]) if q < n else complex(z[q - n]).conjugate() for q in coords]
+        total = 0j
+        for val, factors in terms:
+            for slot, k in factors:
+                val *= vals[slot] ** k
             total += val
         return total
 

@@ -20,10 +20,11 @@ from .catalog import (CatalogCase, build_case, catalog_names, closure_families,
                       cpn_su2_invariance, torus_invariance, unitary_invariance)
 from .deformation import DeformationBivector
 from .linear import RANK_TOL, VALIDATION_TOL, ValidationError, rank_tolerance
-from .pipeline import (DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
-                       Scenario, Stratum, quotient_bihermitian, run_closure_families,
-                       sample_level_set, type_table, verify_moment_map,
-                       verify_type_formula)
+from .pipeline import (FREENESS_TOL, LEVEL_TOL, MOMENT_CONDITION_TOL, P_ISOTROPY_TOL,
+                       DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
+                       Scenario, Stratum, bihermitian_of, pairs_once,
+                       run_closure_families, sample_level_set, type_table,
+                       verify_moment_map, verify_type_formula)
 from .poly import QI, ComplexPolynomial
 
 CONVENTIONS = (
@@ -133,9 +134,9 @@ def _header(config: RunConfig, scenario=None):
         "tolerances": {
             "rank": config.tol,
             "validation": VALIDATION_TOL,
-            "isotropy": 1e-9,
-            "freeness": 1e-8,
-            "level": 1e-12,
+            "isotropy": P_ISOTROPY_TOL,
+            "freeness": FREENESS_TOL,
+            "level": LEVEL_TOL,
         },
         "conventions": CONVENTIONS,
     }
@@ -144,12 +145,12 @@ def _header(config: RunConfig, scenario=None):
     return h
 
 
-def _validation_section(scenario, batch):
+def _validation_section(batch, pair_at):
     rows = []
     ok = True
     for i, z in enumerate(batch.points):
         try:
-            pair = scenario.recipe.pair_at(z)
+            pair = pair_at(z)
             t1, g1 = pair.J1.type_with_gap()
             t2, g2 = pair.J2.type_with_gap()
             rows.append({"sample": i, "pass": True, "types_upstairs": [t1, t2],
@@ -160,8 +161,8 @@ def _validation_section(scenario, batch):
     return {"rows": rows, "pass": ok}
 
 
-def _moment_section(scenario, batch):
-    rows = verify_moment_map(lambda z: scenario.recipe.pair_at(z).J1,
+def _moment_section(scenario, batch, pair_at):
+    rows = verify_moment_map(lambda z: pair_at(z).J1,
                              scenario.action, scenario.moment, batch.points)
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
@@ -191,8 +192,8 @@ def _invariance_section(case: CatalogCase | None, scenario):
     return out
 
 
-def _table_section(scenario, config, expected=None, expected_up=None):
-    table = type_table(scenario, config.samples, config.seed)
+def _table_section(scenario, batch, pair_at, expected=None, expected_up=None):
+    table = type_table(scenario, batch=batch, pair_at=pair_at)
     rows = [{
         "point_id": r.point_id, "stratum": r.stratum,
         "type_j1": r.type_j1, "type_j2": r.type_j2,
@@ -202,7 +203,8 @@ def _table_section(scenario, config, expected=None, expected_up=None):
         "moment_condition": r.diagnostics["moment_condition"],
         "p_isotropy": r.diagnostics["p_isotropy"],
     } for r in table.rows]
-    ok = all(r["p_isotropy"] < 1e-9 and r["moment_condition"] < 1e-8 for r in rows)
+    ok = all(r["p_isotropy"] < P_ISOTROPY_TOL and r["moment_condition"] < MOMENT_CONDITION_TOL
+             for r in rows)
     expected_ok = True
     if expected:
         for r in table.rows:
@@ -225,28 +227,28 @@ def _formula_section(scenario, table):
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _closure_section(case, scenario, batch):
+def _closure_section(case, batch, pair_at):
     if case is None:
         return {"rows": [], "pass": True}
-    fams = closure_families(case)
+    fams = closure_families(case, pair_at)
     rows = run_closure_families(fams, batch.points[:6])
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _bihermitian_section(scenario, batch, expect_distinct=None):
+def _bihermitian_section(table, expect_distinct=None):
     rows = []
     ok = True
-    for i, z in enumerate(batch.points[:8]):
+    for r in table.rows[:8]:
         try:
-            qb = quotient_bihermitian(scenario, z)
-            row = {"sample": i, "stratum": scenario.stratum_label(z),
+            qb = bihermitian_of(r.pair_quot, r.type_j1, r.type_j2)
+            row = {"sample": r.point_id, "stratum": r.stratum,
                    "distinct": qb.distinct, "even_type": qb.even_type}
             row.update({k: (v if isinstance(v, bool) else float(v))
                         for k, v in qb.checks.items()})
             ok = ok and qb.checks["valid"]
             rows.append(row)
         except ValidationError as exc:
-            rows.append({"sample": i, "error": str(exc)})
+            rows.append({"sample": r.point_id, "error": str(exc)})
             ok = False
     section = {"rows": rows, "pass": ok}
     if expect_distinct is not None and rows:
@@ -290,25 +292,25 @@ def _run_inner(config: RunConfig) -> dict:
         raise ConfigError("need --case or --scenario")
 
     batch = sample_level_set(scenario, config.samples, config.seed)
+    pair_at = pairs_once(scenario.recipe, batch.points)
     sections = {}
-    sections["validation"] = _validation_section(scenario, batch)
-    sections["moment_map"] = _moment_section(scenario, batch)
+    sections["validation"] = _validation_section(batch, pair_at)
+    sections["moment_map"] = _moment_section(scenario, batch, pair_at)
     sections["maurer_cartan"] = _mc_section(scenario)
     sections["invariance"] = _invariance_section(case, scenario)
     indeterminate = False
     if config.command in ("deform", "reduce"):
         expected_up = case.expected_upstairs_j2 if case else None
-        table, sec = _table_section(scenario, config,
+        table, sec = _table_section(scenario, batch, pair_at,
                                     expected=(case.expected_strata if case and config.command == "reduce" else None),
                                     expected_up=expected_up)
         sections["type_table"] = sec
         indeterminate = sec["indeterminate_rows"]
         if config.command == "reduce":
             sections["type_formula"] = _formula_section(scenario, table)
-            sections["closure"] = _closure_section(case, scenario, batch)
+            sections["closure"] = _closure_section(case, batch, pair_at)
             sections["bihermitian"] = _bihermitian_section(
-                scenario, batch,
-                expect_distinct=case.expected_distinct if case else None)
+                table, expect_distinct=case.expected_distinct if case else None)
     overall = all(s.get("pass", True) for s in sections.values())
     exit_code = 0 if overall else 1
     if indeterminate:

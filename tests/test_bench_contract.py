@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps gkw functions by name.
+
+If one of those names disappears or stops being called, a traced benchmark
+run (``--trace 1``) breaks or silently reports zeros; these tests catch it.
+"""
+import importlib.util
+from pathlib import Path
+
+from gkw import linear, pipeline, report
+from gkw.report import RunConfig
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_and_uninstalls():
+    tr = _tracer_module()
+    originals = (pipeline.GenuineKahlerRecipe.__dict__["pair_at"],
+                 linear.LinearGC.__dict__["__post_init__"],
+                 pipeline.type_table, report.run)
+    tracer = tr.Tracer()
+    tr.install(tracer)      # raises if a wrapped name is gone
+    try:
+        assert pipeline.type_table is not originals[2]
+    finally:
+        tracer.uninstall()
+    assert (pipeline.GenuineKahlerRecipe.__dict__["pair_at"],
+            linear.LinearGC.__dict__["__post_init__"],
+            pipeline.type_table, report.run) == originals
+
+
+def test_traced_run_reaches_the_wrapped_layers():
+    tr = _tracer_module()
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        report.run(RunConfig(command="deform", case="kahler-c3", samples=3, seed=7))
+    finally:
+        tracer.uninstall()
+    calls = tr.analyse(tracer.spans())["calls"]
+    assert calls["report.run"] == 1
+    assert calls["pipeline.sample_level_set"] == 1
+    assert calls["pipeline.type_table"] == 1
+    assert calls["pipeline.quotient_at_point"] == 3
+    assert calls["pipeline.pair_at"] == 3
+    assert calls["linear.reduce_pair"] == 3
+    assert calls["linear.type_with_gap"] > 0

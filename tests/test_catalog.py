@@ -136,6 +136,15 @@ def test_deformation_scales_are_stored_fractions():
         assert isinstance(t, Fraction) and 0 < t <= 1
 
 
+@pytest.mark.parametrize("name, t", [
+    ("cpn-2", Fraction(1, 2)), ("cpn-3", Fraction(1, 2)), ("cpn-4", Fraction(1, 2)),
+    ("grassmann-1-3", Fraction(1, 2)), ("grassmann-2-3", Fraction(1, 2)),
+    ("toric-cp2", Fraction(1, 2)), ("toric-blowup1", Fraction(1, 2)),
+    ("hirzebruch-1", Fraction(1, 8)), ("hirzebruch-2", Fraction(1, 32))])
+def test_fitted_deformation_scales(name, t):
+    assert build_case(name).scenario.recipe.t == t
+
+
 def test_realified_hyperkahler_maps_df_to_minus_field():
     # the consistent version of the realified identity: J'_1 df = -X, i.e.
     # J'_1(X) = df, on the level set

@@ -39,6 +39,19 @@ def test_json_roundtrip_and_determinism():
     assert doc["sections"]["type_table"]["pass"] is True
 
 
+def test_header_echoes_the_tolerances_in_force():
+    from gkw import linear, pipeline
+    rep = run(RunConfig(command="verify", case="kahler-c3", samples=2))
+    tols = rep["header"]["tolerances"]
+    assert tols == {"rank": linear.RANK_TOL, "validation": linear.VALIDATION_TOL,
+                    "isotropy": pipeline.P_ISOTROPY_TOL,
+                    "freeness": pipeline.FREENESS_TOL, "level": pipeline.LEVEL_TOL}
+    # the same objects, not copies of their values
+    assert tols["isotropy"] is pipeline.P_ISOTROPY_TOL
+    assert tols["freeness"] is pipeline.FREENESS_TOL
+    assert tols["level"] is pipeline.LEVEL_TOL
+
+
 def test_seed_changes_output():
     a = emit(run(RunConfig(command="reduce", case="kahler-c3", samples=4,
                            seed=1, fmt="json")), "json")

@@ -7,9 +7,10 @@ import pytest
 from gkw import frames
 from gkw.catalog import build_case, closure_families
 from gkw.linear import ValidationError
-from gkw.pipeline import (quotient_at_point, quotient_bihermitian,
+from gkw.pipeline import (pairs_once, quotient_at_point, quotient_bihermitian,
                           run_closure_families, sample_level_set, type_table,
                           verify_type_formula)
+from gkw.report import RunConfig, run
 
 
 def test_sampling_level_freeness_and_quota():
@@ -127,3 +128,45 @@ def test_hyperkahler_scenario_types():
         assert (r.type_j1_up, r.type_j2_up) == (0, 0)
         assert r.dim_k_cap_piL2 == 1
     assert all(x["pass"] for x in verify_type_formula(case.scenario, tab))
+
+
+def _count_pair_at(monkeypatch, recipe, fail_at=None):
+    """Count the recipe's own pair_at calls; optionally fail at one point."""
+    real = type(recipe).pair_at
+    calls = []
+
+    def pair_at(self, z):
+        if self is recipe:
+            calls.append(z)
+            if fail_at is not None and np.array_equal(z, fail_at):
+                raise ValidationError("forced failure")
+        return real(self, z)
+    monkeypatch.setattr(type(recipe), "pair_at", pair_at)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cpn-2", "grassmann-2-3", "hyperkahler-flat"])
+def test_reduce_builds_each_pair_once(name, monkeypatch):
+    calls = _count_pair_at(monkeypatch, build_case(name).scenario.recipe)
+    rep = run(RunConfig(command="reduce", case=name, samples=8, seed=7))
+    assert len(rep["sections"]["type_table"]["rows"]) == 8
+    assert len(rep["sections"]["bihermitian"]["rows"]) == 8
+    assert len(calls) == 8
+
+
+def test_failed_pair_is_an_error_row_then_raises_again(monkeypatch):
+    from gkw.report import _validation_section
+    case = build_case("cpn-2")
+    batch = sample_level_set(case.scenario, 4, 7)
+    bad = batch.points[1]
+    calls = _count_pair_at(monkeypatch, case.scenario.recipe, fail_at=bad)
+    pair_at = pairs_once(case.scenario.recipe, batch.points)
+    sec = _validation_section(batch, pair_at)
+    assert [r["pass"] for r in sec["rows"]] == [True, False, True, True]
+    assert sec["rows"][1]["error"] == "forced failure"
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="forced failure"):
+            pair_at(bad)
+    assert len(calls) == 4
+    with pytest.raises(ValidationError, match="forced failure"):
+        run(RunConfig(command="deform", case="cpn-2", samples=4, seed=7))

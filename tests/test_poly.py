@@ -74,6 +74,41 @@ def test_evaluate_matches_float_arithmetic():
     assert abs(p.evaluate(z) - want) < 1e-14
 
 
+def _evaluate_term_by_term(p, z):
+    """Reference evaluation: every coefficient converted at the call, every
+    factor of every term in the order z_1, zbar_1, z_2, zbar_2, ..."""
+    zb = [complex(w).conjugate() for w in z]
+    total = 0j
+    for e, c in p.terms.items():
+        val = c.to_complex()
+        for j in range(p.n):
+            if e[j]:
+                val *= complex(z[j]) ** e[j]
+            if e[p.n + j]:
+                val *= zb[j] ** e[p.n + j]
+        total += val
+    return total
+
+
+def _bits(c):
+    return c.real.hex(), c.imag.hex()
+
+
+coords = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_strategy(n=3, max_terms=5, max_deg=3),
+       st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=3))
+def test_compiled_evaluate_is_bit_identical_to_term_by_term(p, points):
+    for pt in points:
+        for z in (np.array(pt, dtype=complex), list(pt)):
+            got = p.evaluate(z)     # the first call compiles, later ones reuse
+            want = _evaluate_term_by_term(p, z)
+            assert got == want
+            assert _bits(got) == _bits(want)
+
+
 def test_substitute_linear_composes():
     n = 2
     p = (ComplexPolynomial.variable(n, 0)
