@@ -8,7 +8,7 @@ keys strictly increasing, so zero-testing is canonical.
 from __future__ import annotations
 
 from .calculus import (Form, GeneralizedSection, VectorField, _merge, _sort_with_sign,
-                       courant_bracket, interior_product, lie_bracket,
+                       exterior_derivative, interior_product, lie_bracket,
                        standard_symplectic_form)
 from .poly import QI, QI_HALF, ComplexPolynomial
 
@@ -111,8 +111,24 @@ class LMultivector:
                           for idx, p in sorted(self.terms.items()))
 
 
-def frame_section(n, a) -> GeneralizedSection:
-    return GeneralizedSection.frame(n, a)
+def _merge_signed(terms, idx, coeff, sign):
+    """terms += sign * coeff * e_idx, sorting idx; a repeated frame is zero."""
+    key, s = _sort_with_sign(idx)
+    if key is not None:
+        _merge(terms, key, coeff if s * sign > 0 else -coeff)
+
+
+def _leibniz(terms, n, f, g, a, b, rest, sign):
+    """terms += sign * f (pi(e_a)(g) e_b - <e_a, e_b> dg) ^ e_rest for frame
+    indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g."""
+    if a < 2 * n and _sort_with_sign((b,) + rest)[0] is not None:
+        dg = g.wirtinger(a % n, holomorphic=a < n)
+        if not dg.is_zero:
+            _merge_signed(terms, (b,) + rest, f * dg, sign)
+    if abs(a - b) == 2 * n and _sort_with_sign(rest)[0] is not None:
+        half = f * QI_HALF
+        for (c,), dg in exterior_derivative(g).comps.items():
+            _merge_signed(terms, (2 * n + c,) + rest, half * dg, -sign)
 
 
 def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
@@ -120,8 +136,21 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
     subbundle (the caller guarantees the factors lie in one).
 
     Degrees (p,q) -> p+q-1.  On (1,1) this is the Courant bracket; the
-    function cases are [Y, f] = pi(Y) f = -[f, Y].  Stored coefficients
-    ride on the first wedge factor of each term.
+    function cases are [Y, f] = pi(Y) f = -[f, Y].
+
+    A stored term f e_a0^...^e_a(p-1) carries its coefficient f on the first
+    wedge factor; the other factors are constant frame sections.  So in
+    [X_0^..^X_(p-1), Y_0^..^Y_(q-1)] = sum_ij (-1)^(i+j) [X_i, Y_j] ^ rest only
+    the brackets with i = 0 or j = 0 survive, and for constant frames the
+    Leibniz rule gives
+
+        [f e_a, g e_b] = f pi(e_a)(g) e_b - g pi(e_b)(f) e_a + <e_a, e_b>(g df - f dg),
+
+    with <e_v, e_(2n+v)> = 1/2 for v < 2n the only nonzero pairings.  Sorted
+    by the coefficient that is differentiated, the terms f e_A and g e_B give
+
+        sum_i (-1)^i f (pi(e_ai)(g) e_b0 - <e_ai, e_b0> dg) ^ e_(A - ai) ^ e_(B - b0)
+      - sum_j (-1)^j g (pi(e_bj)(f) e_a0 - <e_a0, e_bj> df) ^ e_(A - a0) ^ e_(B - bj).
     """
     n = A.n
     p, q = A.degree, B.degree
@@ -135,22 +164,16 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
             f = A.terms.get((), ComplexPolynomial.zero(n))
             return LMultivector.from_function(-B.as_section().vec.apply_to(f))
         raise ValueError("function brackets supported only against degree-1 multivectors")
-    out = LMultivector.zero(n, p + q - 1)
-    for idxA, cA in A.terms.items():
-        Xs = [frame_section(n, a) for a in idxA]
-        Xs[0] = Xs[0].scale(cA)
-        for idxB, cB in B.terms.items():
-            Ys = [frame_section(n, b) for b in idxB]
-            Ys[0] = Ys[0].scale(cB)
-            for i in range(p):
-                for j in range(q):
-                    br = courant_bracket(Xs[i], Ys[j])
-                    if br.is_zero:
-                        continue
-                    rest = [Xs[t] for t in range(p) if t != i] + [Ys[t] for t in range(q) if t != j]
-                    sign = (-1) ** (i + j)
-                    out = out + LMultivector.from_sections(n, sign, [br] + rest)
-    return out
+    terms = {}
+    for idxA, f in A.terms.items():
+        for idxB, g in B.terms.items():
+            for i, a in enumerate(idxA):
+                rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
+                _leibniz(terms, n, f, g, a, idxB[0], rest, (-1) ** i)
+            for j, b in enumerate(idxB):
+                rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
+                _leibniz(terms, n, g, f, b, idxA[0], rest, -(-1) ** j)
+    return LMultivector(n, p + q - 1, terms)
 
 
 class DeformationBivector:

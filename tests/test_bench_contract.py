@@ -51,3 +51,21 @@ def test_traced_run_reaches_the_wrapped_layers():
     assert calls["pipeline.pair_at"] == 3
     assert calls["linear.reduce_pair"] == 3
     assert calls["linear.type_with_gap"] > 0
+
+
+def test_traced_maurer_cartan_reaches_schouten_bracket():
+    # an inlined bracket would leave deformation.schouten_bracket.self_s at 0
+    from gkw.catalog import build_case
+    eps = build_case("cpn-2").scenario.recipe.eps
+    tr = _tracer_module()
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        eps.maurer_cartan_residual()
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    names = {s[0]: s[2] for s in spans}
+    brackets = [s for s in spans if s[2] == "deformation.schouten_bracket"]
+    assert len(brackets) == 1
+    assert names[brackets[0][1]] == "deformation.maurer_cartan_residual"

@@ -9,8 +9,8 @@ from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import rand_lbar_section, rand_poly
-from naive_calculus import naive_schouten
+from generators import rand_lbar_section, rand_poly, rand_section
+from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
 
 
@@ -81,6 +81,47 @@ def test_schouten_oracle_equivalence_50_seeded():
         raw_b = [(to_raw(c), [section_to_raw(s) for s in fs]) for c, fs in decs_b]
         want = naive_schouten(raw_a, raw_b, n)
         assert {k: to_raw(p) for k, p in got.terms.items()} == want
+
+
+def _frame_decomposables(M):
+    """M's stored terms as the oracle's decomposables: each coefficient on
+    the first of its constant frame sections."""
+    n = M.n
+    return [(to_raw(c), [section_to_raw(GeneralizedSection.frame(n, a)) for a in idx])
+            for idx, c in M.terms.items()]
+
+
+def _random_multivector(rng, n, degree):
+    """c * s_1 ^ ... ^ s_k for general (non-isotropic) random sections."""
+    return LMultivector.from_sections(n, rand_poly(rng, n, 1, 1),
+                                      [rand_section(rng, n, 1) for _ in range(degree)])
+
+
+def _pairs_first_factor(A, B):
+    """Whether some term pair reaches <e_a, e_b> != 0 in the frame Leibniz
+    rule: a frame of one term against the first frame of the other."""
+    two_n = 2 * A.n
+    return any(abs(a - idxB[0]) == two_n or abs(idxA[0] - b) == two_n
+               for idxA in A.terms for idxB in B.terms
+               for a in idxA for b in idxB)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (2, 2), (1, 3), (3, 2)])
+def test_schouten_oracle_general_sections(p, q):
+    # general sections pair nontrivially, so the <e_a, e_b>(g df - f dg)
+    # part of the frame Leibniz rule runs; the catalog deformations lie in
+    # an isotropic bundle and never reach it
+    rng = np.random.default_rng(100 * p + q)
+    n = 2
+    paired = False
+    for _ in range(3):
+        A = _random_multivector(rng, n, p)
+        B = _random_multivector(rng, n, q)
+        paired = paired or _pairs_first_factor(A, B)
+        got = schouten_bracket(A, B)
+        want = naive_schouten(_frame_decomposables(A), _frame_decomposables(B), n)
+        assert {k: to_raw(c) for k, c in got.terms.items()} == want
+    assert paired
 
 
 # -- deformation bivectors ------------------------------------------------------
@@ -203,6 +244,63 @@ def test_maurer_cartan_toric_and_grassmann():
     for name in ("toric-cp2", "toric-blowup1", "grassmann-1-3", "grassmann-2-3"):
         case = build_case(name)
         assert case.scenario.recipe.eps.maurer_cartan_residual().is_zero, name
+
+
+def test_maurer_cartan_residual_matches_oracle():
+    # d_L eps term by term (dzbar_k ^ frames, coefficient dbar_k), plus half
+    # the oracle's bracket of eps's frame terms with themselves
+    rng = np.random.default_rng(2024)
+    n = 3
+    Y = VectorField(n, {0: rand_poly(rng, n, 2, 1), 2: rand_poly(rng, n, 2, 1)})
+    Z = VectorField(n, {1: rand_poly(rng, n, 2, 1), 2: rand_poly(rng, n, 2, 1)})
+    eps = DeformationBivector.from_vector_fields(Y, Z)
+    m = eps.to_multivector()
+    want = {}
+    for key, c in naive_schouten(_frame_decomposables(m), _frame_decomposables(m), n).items():
+        want[key] = p_scale(c, (Fraction(1, 2), Fraction(0)))
+    for idx, c in m.terms.items():
+        frames = [section_to_raw(GeneralizedSection.frame(n, a)) for a in idx]
+        for k in range(n):
+            dzbar = section_to_raw(GeneralizedSection.frame(n, 3 * n + k))
+            dc = p_diff(to_raw(c), n + k)
+            for key, poly in expand_decomposable(dc, [dzbar] + frames, n).items():
+                total = p_add(want.get(key, {}), poly)
+                if total:
+                    want[key] = total
+                else:
+                    want.pop(key, None)
+    got = eps.maurer_cartan_residual()
+    assert not got.is_zero
+    assert {k: to_raw(c) for k, c in got.terms.items()} == want
+
+
+def _grassmannian_col0(n, m, control=False):
+    """The col0 deformation of the Gr(n, m) builder, without its t-fit:
+    eps from Y = sum_i c_i d/dz_i1 and Z = sum_i c_i d/dz_i2 with c_i = z_i0,
+    or with c_i = conj(z_i0) + z_i1 for the control."""
+    from gkw.actions import UnitaryAction
+    action = UnitaryAction(n, m)
+    N = action.ambient_n
+
+    def c(i):
+        z = ComplexPolynomial.variable
+        if control:
+            return z(N, action.flat(i, 0), conjugated=True) + z(N, action.flat(i, 1))
+        return z(N, action.flat(i, 0))
+    Y = VectorField(N, {action.flat(i, 1): c(i) for i in range(n)})
+    Z = VectorField(N, {action.flat(i, 2): c(i) for i in range(n)})
+    return DeformationBivector.from_vector_fields(Y, Z)
+
+
+@pytest.mark.parametrize("n, m", [(4, 6), (5, 6)])
+def test_maurer_cartan_large_grassmannian(n, m):
+    assert _grassmannian_col0(n, m).maurer_cartan_residual().is_zero
+
+
+def test_maurer_cartan_large_grassmannian_control():
+    # a bracket that returned zero without computing would pass the test above
+    residual = _grassmannian_col0(4, 6, control=True).maurer_cartan_residual()
+    assert len(residual.terms) == 120
 
 
 def test_lie_derivative_of_bivector():
