@@ -3,12 +3,16 @@
 Each case packages a Scenario with its expected quotient strata (used as
 golden values by the verification suite) and a short provenance note.
 The deformation scale is fixed at build time by deterministic halving from
-t = 1 until the deformed pair validates at every probe sample.
+t = 1 until the deformed pair validates at every probe sample.  Each round
+of probe samples is checked as one stack of deformed pairs
+(``DeformedKahlerRecipe.pairs_at``), with the decision a loop over its
+points would take.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
                        interior_product)
 from .deformation import DeformationBivector
-from .linear import ValidationError, b_field_matrix
+from .linear import ValidationError, b_conjugate
 from .pipeline import (ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
@@ -56,7 +60,12 @@ def _fit_deformation_scale(make_scenario, t0=Fraction(1)) -> Fraction:
     (A_eps invertibility and full pair validity) at every probe sample,
     drawn from several seeds; one extra halving provides headroom for
     samples more extreme than any probe.  The probe points do not depend
-    on t, so each round is sampled once, when first needed."""
+    on t, so each round is sampled once, when first needed.
+
+    A round is checked as one stack (``recipe.pairs_at``) and decided as a
+    loop over its points would decide: the earliest point that fails
+    decides; a ValidationError there rejects t, any other error (an
+    IndeterminateRankError) propagates, and later rounds are not drawn."""
     rounds = {}
 
     def valid_at_probes(t):
@@ -66,8 +75,9 @@ def _fit_deformation_scale(make_scenario, t0=Fraction(1)) -> Fraction:
                 if round_ not in rounds:
                     rounds[round_] = sample_level_set(scen, PROBE_COUNT,
                                                       PROBE_SEED + round_).points
-                for z in rounds[round_]:
-                    scen.recipe.pair_at(z)
+                for result in scen.recipe.pairs_at(rounds[round_]):
+                    if isinstance(result, Exception):
+                        raise result
         except ValidationError:
             return False
         return True
@@ -115,13 +125,13 @@ def build_cpn(N: int, t: Fraction | None = None) -> CatalogCase:
     moment = standard_moment_map(action)
     eps = _cpn_eps(n)
     strata = (Stratum("z0=0", lambda z: abs(z[0]) < 1e-10),)
+    sampler = ScalingSampler(moment, (1.0,), zero_sets={"z0=0": (0,)})
 
     def make(tv):
         return Scenario(
             name=f"cpn-{N}", n=n, recipe=DeformedKahlerRecipe(n, eps, tv),
             action=action, moment=moment, level=(Fraction(1),),
-            sampler=ScalingSampler(moment, (1.0,), zero_sets={"z0=0": (0,)}),
-            strata=strata)
+            sampler=sampler, strata=strata)
     t = Fraction(t) if t is not None else _fit_deformation_scale(make)
     scen = make(t)
     return CatalogCase(
@@ -172,13 +182,13 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
                       if e > 0 and k not in res.pair}
     strata = tuple(Stratum(lab, (lambda j: lambda z: abs(z[j]) < 1e-10)(j))
                    for lab, j in stratum_facets.items())
+    sampler = PolytopeSampler(sample_poly, facet_strata=stratum_facets)
 
     def make(tv):
         return Scenario(
             name=name, n=N, recipe=DeformedKahlerRecipe(N, eps, tv),
             action=action, moment=moment, level=level,
-            sampler=PolytopeSampler(sample_poly, facet_strata=stratum_facets),
-            strata=strata)
+            sampler=sampler, strata=strata)
     t = Fraction(t) if t is not None else _fit_deformation_scale(make)
     scen = make(t)
     k_dim = action.k
@@ -227,13 +237,13 @@ def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase
     eps = DeformationBivector.from_vector_fields(Y, Z)
     col0 = [action.flat(i, 0) for i in range(n)]
     strata = (Stratum("col0=0", lambda z: max(abs(z[q]) for q in col0) < 1e-10),)
+    sampler = FrameSampler(action, zero_cols={"col0=0": (0,)})
 
     def make(tv):
         return Scenario(
             name=f"grassmann-{n}-{m}", n=N, recipe=DeformedKahlerRecipe(N, eps, tv),
             action=action, moment=moment, level=level,
-            sampler=FrameSampler(action, zero_cols={"col0=0": (0,)}),
-            strata=strata)
+            sampler=sampler, strata=strata)
     t = Fraction(t) if t is not None else _fit_deformation_scale(make)
     scen = make(t)
     k_dim = n * n
@@ -316,10 +326,8 @@ def hyperkahler_pair():
         J[4:, :4] = M
         return J
 
-    eK = b_field_matrix(K4, 4)
-    eKm = b_field_matrix(-K4, 4)
-    J1 = eK @ jom(I4 - J4) @ eKm
-    J2 = eKm @ jom(I4 + J4) @ eK
+    J1 = b_conjugate(jom(I4 - J4), K4)
+    J2 = b_conjugate(jom(I4 + J4), -K4)
     return J1, J2, (I4, J4, K4), X, mus
 
 
@@ -377,9 +385,6 @@ _BUILDERS = {
 
 def catalog_names():
     return sorted(_BUILDERS)
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

@@ -4,10 +4,16 @@ Everything lives on W = V + V* with V = R^m in the fixed coordinate order
 (x_1, y_1, ..., x_{m/2}, y_{m/2}); the pairing is <X+a, Y+b> = (a(Y)+b(X))/2,
 extended bilinearly (not hermitianly) to the complexification.  Structures
 are stored as real 2m x 2m matrices; eigenbundle work happens in C^{2m}.
+
+The validation checks of a structure and of a pair act on the last two axes
+of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
+a single structure is checked as a stack of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,9 +28,6 @@ _TOLS = {"rank": RANK_TOL}
 
 def current_rank_tol() -> float:
     return _TOLS["rank"]
-
-
-from contextlib import contextmanager
 
 
 @contextmanager
@@ -46,10 +49,13 @@ class IndeterminateRankError(ValueError):
     """Singular values too close to the rank threshold to call."""
 
 
+@lru_cache(maxsize=None)
 def eta(m: int) -> np.ndarray:
+    """The pairing matrix on V + V* (dim V = m); built once per m, read-only."""
     E = np.zeros((2 * m, 2 * m))
     E[:m, m:] = np.eye(m) / 2
     E[m:, :m] = np.eye(m) / 2
+    E.setflags(write=False)
     return E
 
 
@@ -63,6 +69,40 @@ def pairing(w1, w2):
     return (w1[m:] @ w2[:m] + w2[m:] @ w1[:m]) / 2
 
 
+# The stacked checks below reduce with ndarray methods rather than the np.*
+# wrappers: on the small matrices checked one at a time, the wrappers'
+# Python overhead exceeds the arithmetic.
+
+def _threshold(s, tol):
+    """tol * max(1, smax) for singular values s (..., k) in descending
+    order, shaped (..., 1) to compare with s."""
+    return tol * np.maximum(1.0, s[..., :1])
+
+
+def _ranks(A, tol):
+    """(rank, gap_ok, s, threshold) of each matrix in the stack A."""
+    s = np.linalg.svd(A, compute_uv=False)
+    thr = _threshold(s, tol)
+    rank = (s > thr).sum(-1)
+    gap_ok = ~((s > thr / GAP_FACTOR) & (s < thr * GAP_FACTOR)).any(-1)
+    return rank, gap_ok, s, thr[..., 0]
+
+
+def _norm2(A):
+    """Spectral norm of each matrix in the stack A."""
+    return np.linalg.svd(A, compute_uv=False)[..., 0]
+
+
+def _fro(A):
+    """Frobenius norm of each real matrix in the stack A."""
+    return np.sqrt((A * A).sum(axis=(-2, -1)))
+
+
+def _indeterminate(s, thr) -> IndeterminateRankError:
+    return IndeterminateRankError(
+        f"rank indeterminate: singular values {s} vs threshold {thr:.3e}")
+
+
 def numerical_rank(A, tol=None, require_determinate=False):
     """Thresholded rank with a spectral-gap audit.
 
@@ -74,15 +114,10 @@ def numerical_rank(A, tol=None, require_determinate=False):
     A = np.asarray(A)
     if A.size == 0:
         return 0, True, np.zeros(0)
-    s = np.linalg.svd(A, compute_uv=False)
-    smax = s[0] if s.size and s[0] > 0 else 1.0
-    thr = tol * max(1.0, smax)
-    rank = int(np.sum(s > thr))
-    gap_ok = not np.any((s > thr / GAP_FACTOR) & (s < thr * GAP_FACTOR))
+    rank, gap_ok, s, thr = _ranks(A, tol)
     if require_determinate and not gap_ok:
-        raise IndeterminateRankError(
-            f"rank indeterminate: singular values {s} vs threshold {thr:.3e}")
-    return rank, gap_ok, s
+        raise _indeterminate(s, thr)
+    return int(rank), bool(gap_ok), s
 
 
 def orthonormal_columns(A, tol=None):
@@ -91,8 +126,15 @@ def orthonormal_columns(A, tol=None):
     if A.ndim != 2 or A.shape[1] == 0:
         return np.zeros((A.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :r]
+    return u[:, :int((s > _threshold(s, tol)).sum())]
+
+
+def _null_dims(A, tol):
+    """Full SVD factor vh of each matrix in the stack A and the dimension
+    of its numerical nullspace, spanned by the conjugates of the last rows
+    of vh."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    return vh, A.shape[-1] - (s > _threshold(s, tol)).sum(-1)
 
 
 def nullspace(A, tol=None):
@@ -100,10 +142,44 @@ def nullspace(A, tol=None):
     A = np.asarray(A, dtype=complex)
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(A, full_matrices=True)
-    s = np.concatenate([s, np.zeros(max(0, A.shape[1] - len(s)))])
-    r = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return vh[r:].conj().T
+    vh, dim = _null_dims(A, tol)
+    return vh[A.shape[1] - dim:].conj().T
+
+
+class _Outcomes:
+    """Per-row results of checks run on a stack: the rows still passing
+    every check so far, and for each row that failed the error its first
+    failed check raises when the row is checked on its own."""
+
+    def __init__(self, count: int):
+        self.alive = np.arange(count)
+        self.results = [None] * count
+
+    def reject(self, bad, error_at, *arrays):
+        """Record ``error_at(k)`` for each alive row k with ``bad[k]``, drop
+        those rows, and return ``arrays`` (aligned with the alive rows) cut
+        to the rows that stay."""
+        if not np.count_nonzero(bad):
+            return arrays
+        for k in np.flatnonzero(bad):
+            self.results[self.alive[k]] = error_at(k)
+        self.alive = self.alive[~bad]
+        return tuple(a[~bad] for a in arrays)
+
+    def raise_first(self):
+        """Raise the error of the first row that failed, if any."""
+        for r in self.results:
+            if isinstance(r, Exception):
+                raise r
+
+
+def _checked(cls, **fields):
+    """An instance of a frozen structure class whose checks already ran as
+    part of a stack."""
+    obj = object.__new__(cls)
+    for k, v in fields.items():
+        object.__setattr__(obj, k, v)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -193,37 +269,19 @@ class LinearGC:
         object.__setattr__(self, "J", J)
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
             raise ValidationError("J must be square of even dimension 2m")
-        m = J.shape[0] // 2
-        scale = max(1.0, float(np.linalg.norm(J, ord=2)) if J.size else 1.0)
-        r_sq = np.linalg.norm(J @ J + np.eye(2 * m)) / scale
-        E = eta(m)
-        r_orth = np.linalg.norm(J.T @ E @ J - E) / scale ** 2
-        if r_sq > self.tol or r_orth > self.tol:
-            raise ValidationError(
-                f"not a generalized complex structure: |J^2+I|={r_sq:.3e}, "
-                f"|J^T eta J - eta|={r_orth:.3e}")
-        L = self.eigenbundle()
-        if L.dim != m:
-            raise ValidationError(f"eigenbundle has dimension {L.dim}, expected {m}")
-        iso = np.abs(L.basis.T @ E @ L.basis).max()
-        if iso > ISOTROPY_TOL:
-            raise ValidationError(f"eigenbundle not isotropic: max pairing {iso:.3e}")
-        rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]))
-        if rank != 2 * m:
-            raise ValidationError("L cap conj(L) != 0")
+        out = _Outcomes(1)
+        _, Lh = _check_structures(J[None], out, self.tol)
+        out.raise_first()
+        object.__setattr__(self, "_L", ComplexSubspace(Lh[0].T))
 
     @property
     def m(self) -> int:
         return self.J.shape[0] // 2
 
     def eigenbundle(self) -> ComplexSubspace:
-        """The +i eigenspace L in the complexification."""
-        cached = getattr(self, "_L", None)
-        if cached is None:
-            J = self.J.astype(complex)
-            cached = ComplexSubspace(nullspace(J - 1j * np.eye(2 * self.m)))
-            object.__setattr__(self, "_L", cached)
-        return cached
+        """The +i eigenspace L in the complexification, found and checked
+        with the structure."""
+        return self._L
 
     def type_of(self) -> int:
         """Codimension of pi(L) in V_C; integer from a thresholded rank.
@@ -274,31 +332,17 @@ class LinearGC:
     def from_eigenbundle(cls, L: ComplexSubspace) -> "LinearGC":
         """Unique real structure with +i eigenspace L (L max isotropic,
         L cap conj(L) = 0)."""
-        d = L.ambient_dim
-        mm = d // 2
-        if L.dim != mm:
-            raise ValidationError("eigenbundle must be maximal")
-        S = np.hstack([L.basis, L.basis.conj()])
-        rank, _, _ = numerical_rank(S, require_determinate=True)
-        if rank != d:
-            raise ValidationError("L cap conj(L) != 0: no real structure")
-        D = np.diag([1j] * mm + [-1j] * mm)
-        J = S @ D @ np.linalg.inv(S)
-        if np.linalg.norm(J.imag) > 1e-8 * max(1.0, np.linalg.norm(J.real)):
-            raise ValidationError("reconstructed structure is not real")
-        return cls(J.real.copy())
+        out = _Outcomes(1)
+        (J,) = _real_structures(L.basis[None], np.array([L.dim]), out)
+        out.raise_first()
+        return cls(J[0])
 
     def b_transform(self, B) -> "LinearGC":
         """e^B J e^-B for an antisymmetric map B: V -> V*; same type."""
         B = np.asarray(B, dtype=float)
         if np.linalg.norm(B + B.T) > 1e-12 * max(1.0, np.linalg.norm(B)):
             raise ValidationError("B must be antisymmetric")
-        m = self.m
-        eB = np.eye(2 * m)
-        eB[m:, :m] = B
-        eBm = np.eye(2 * m)
-        eBm[m:, :m] = -B
-        return LinearGC(eB @ self.J @ eBm)
+        return LinearGC(b_conjugate(self.J, B))
 
     def product(self, other: "LinearGC") -> "LinearGC":
         """Block structure on V1 + V2 with interleaved V/V* blocks."""
@@ -318,10 +362,67 @@ class LinearGC:
         return self.J @ np.asarray(w)
 
 
+def _check_structures(J, out: _Outcomes, tol=VALIDATION_TOL):
+    """The checks of LinearGC on a stack J of real 2m x 2m matrices (the
+    rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality,
+    then the +i eigenbundle L = nullspace(J - i): its dimension, isotropy
+    and L cap conj(L) = 0.  Returns (J, Lh) for the rows that pass, with
+    the columns of Lh[k].T spanning L of row k."""
+    d = J.shape[-1]
+    m = d // 2
+    E = eta(m)
+    scale = np.maximum(1.0, _norm2(J))
+    r_sq = _fro(J @ J + np.eye(d)) / scale
+    r_orth = _fro(np.swapaxes(J, -1, -2) @ E @ J - E) / scale ** 2
+    (J,) = out.reject((r_sq > tol) | (r_orth > tol), lambda k: ValidationError(
+        f"not a generalized complex structure: |J^2+I|={r_sq[k]:.3e}, "
+        f"|J^T eta J - eta|={r_orth[k]:.3e}"), J)
+    vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), current_rank_tol())
+    (J, vh) = out.reject(dim != m, lambda k: ValidationError(
+        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, vh)
+    Lh = vh[:, m:, :].conj()
+    L = np.swapaxes(Lh, -1, -2)
+    iso = np.abs(Lh @ E @ L).max(axis=(-2, -1))
+    (J, Lh, L) = out.reject(iso > ISOTROPY_TOL, lambda k: ValidationError(
+        f"eigenbundle not isotropic: max pairing {iso[k]:.3e}"), J, Lh, L)
+    rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), current_rank_tol())
+    return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"),
+                      J, Lh)
+
+
+def _real_structures(B, dims, out: _Outcomes):
+    """The checks of LinearGC.from_eigenbundle on a stack B of bases
+    (2m x dims[k]) of candidate eigenbundles: L is maximal, [L, conj L] has
+    a determinate full rank and S diag(i, -i) S^-1 is real for S = [L,
+    conj L].  Returns (J,) for the rows that pass, real and contiguous."""
+    d = B.shape[-2]
+    mm = d // 2
+    (B,) = out.reject(dims != mm, lambda k: ValidationError("eigenbundle must be maximal"), B)
+    if not len(B):
+        return (np.zeros((0, d, d)),)
+    S = np.concatenate([B, B.conj()], axis=-1)
+    rank, gap_ok, s, thr = _ranks(S, current_rank_tol())
+    (S, rank) = out.reject(~gap_ok, lambda k: _indeterminate(s[k], thr[k]), S, rank)
+    (S,) = out.reject(rank != d, lambda k: ValidationError(
+        "L cap conj(L) != 0: no real structure"), S)
+    J = S @ np.diag([1j] * mm + [-1j] * mm) @ np.linalg.inv(S)
+    not_real = _fro(J.imag) > 1e-8 * np.maximum(1.0, _fro(J.real))
+    (J,) = out.reject(not_real, lambda k: ValidationError(
+        "reconstructed structure is not real"), J)
+    return (np.ascontiguousarray(J.real),)
+
+
 def b_field_matrix(B, m):
+    """e^B on V + V* (dim V = m) for a map B: V -> V*."""
     eB = np.eye(2 * m)
     eB[m:, :m] = np.asarray(B, dtype=float)
     return eB
+
+
+def b_conjugate(J, B) -> np.ndarray:
+    """e^B J e^-B: the B-field transform of a structure matrix J on V + V*."""
+    m = J.shape[0] // 2
+    return b_field_matrix(B, m) @ J @ b_field_matrix(-B, m)
 
 
 def restricted_projection_dim(J: LinearGC, R: ComplexSubspace) -> int:
@@ -348,22 +449,9 @@ class KahlerPairNum:
         J1, J2 = self.J1.J, self.J2.J
         if J1.shape != J2.shape:
             raise ValidationError("pair members act on different spaces")
-        m = self.m
-        scale = max(1.0, np.linalg.norm(J1, 2) * np.linalg.norm(J2, 2))
-        r_comm = np.linalg.norm(J1 @ J2 - J2 @ J1) / scale
-        if r_comm > 1e-9:
-            raise ValidationError(f"structures do not commute: residual {r_comm:.3e}")
-        G = self.G
-        gscale = max(1.0, np.linalg.norm(G, 2) ** 2) if G.size else 1.0
-        r_inv = np.linalg.norm(G @ G - np.eye(2 * m)) / gscale
-        E = eta(m)
-        r_orth = np.linalg.norm(G.T @ E @ G - E) / gscale
-        if r_inv > self.tol or r_orth > self.tol:
-            raise ValidationError(f"G fails metric identities: |G^2-I|={r_inv:.3e}")
-        Q = G.T @ E
-        ev_min = float(np.linalg.eigvalsh((Q + Q.T) / 2).min())
-        if ev_min <= 1e-10:
-            raise ValidationError(f"metric not positive definite: min eigenvalue {ev_min:.3e}")
+        out = _Outcomes(1)
+        _check_pairs(J1[None], J2[None], out, self.tol)
+        out.raise_first()
 
     @property
     def m(self):
@@ -375,6 +463,30 @@ class KahlerPairNum:
 
     def types(self):
         return self.J1.type_of(), self.J2.type_of()
+
+
+def _check_pairs(J1, J2, out: _Outcomes, tol, *carry):
+    """The checks of KahlerPairNum on stacks J1, J2 (the rows of ``out``
+    still alive), in order: J1 and J2 commute, G = -J1 J2 has G^2 = 1 and
+    is eta-orthogonal, and G^T eta is positive definite.  Returns the
+    ``carry`` arrays, aligned with the rows, cut to the rows that pass."""
+    d = J2.shape[-1]
+    E = eta(d // 2)
+    scale = np.maximum(1.0, _norm2(J1) * _norm2(J2))
+    r_comm = _fro(J1 @ J2 - J2 @ J1) / scale
+    (J1, J2, *carry) = out.reject(r_comm > 1e-9, lambda k: ValidationError(
+        f"structures do not commute: residual {r_comm[k]:.3e}"), J1, J2, *carry)
+    G = -J1 @ J2
+    GT = np.swapaxes(G, -1, -2)
+    gscale = np.maximum(1.0, _norm2(G) ** 2)
+    r_inv = _fro(G @ G - np.eye(d)) / gscale
+    r_orth = _fro(GT @ E @ G - E) / gscale
+    (GT, *carry) = out.reject((r_inv > tol) | (r_orth > tol), lambda k: ValidationError(
+        f"G fails metric identities: |G^2-I|={r_inv[k]:.3e}"), GT, *carry)
+    Q = GT @ E
+    ev_min = np.linalg.eigvalsh((Q + np.swapaxes(Q, -1, -2)) / 2).min(axis=-1)
+    return out.reject(ev_min <= 1e-10, lambda k: ValidationError(
+        f"metric not positive definite: min eigenvalue {ev_min[k]:.3e}"), *carry)
 
 
 # -- reduction ---------------------------------------------------------------
@@ -401,8 +513,7 @@ def _real_orthonormal(cols, tol=None):
     if cols.size == 0:
         return cols.reshape(cols.shape[0], 0)
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
-    return u[:, :r]
+    return u[:, :int((s > _threshold(s, tol)).sum())]
 
 
 def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
@@ -499,29 +610,64 @@ def reduce_pair(pair: KahlerPairNum, Q) -> tuple[KahlerPairNum, QuotientBasis]:
 
 def contraction_operator(pairs, m):
     """K with iota_W eps = K eta W for eps = sum of decomposables (a, b),
-    normalized iota_W(a^b) = 2<W,a> b - 2<W,b> a."""
+    normalized iota_W(a^b) = 2<W,a> b - 2<W,b> a.  Vectors with leading
+    axes give a stack of operators, one per point."""
     K = np.zeros((2 * m, 2 * m), dtype=complex)
     for a, b in pairs:
-        K += 2 * (np.outer(b, a) - np.outer(a, b))
+        K = K + 2 * (b[..., :, None] * a[..., None, :] - a[..., :, None] * b[..., None, :])
     return K
+
+
+def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
+    """The checks of deform_gcs on a stack K of contraction operators:
+    L_eps = L2 + t K eta L2 meets its conjugate only in 0 (with a clear
+    rank gap), then the real structure with eigenbundle L_eps and its
+    LinearGC checks.  Returns (J, Lh) for the rows that pass, as
+    _check_structures does."""
+    m = J2.m
+    L2 = J2.eigenbundle().basis
+    Leps = L2 + t * (K @ (eta(m) @ L2))
+    tol = current_rank_tol()
+    rank, gap_ok, _, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), tol)
+    (Leps,) = out.reject((rank != 2 * m) | ~gap_ok, lambda k: ValidationError(
+        f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0"), Leps)
+    u, s, _ = np.linalg.svd(Leps, full_matrices=False)
+    (J,) = _real_structures(u, (s > _threshold(s, tol)).sum(-1), out)
+    return _check_structures(J, out)
+
+
+def _structures(J, Lh) -> list:
+    """The LinearGC of each row that passed _check_structures."""
+    return [_checked(LinearGC, J=J[k].copy(), tol=VALIDATION_TOL,
+                     _L=ComplexSubspace(Lh[k].T)) for k in range(len(J))]
 
 
 def deform_gcs(J2: LinearGC, K: np.ndarray, t: float) -> LinearGC:
     """Structure with eigenbundle L_eps = {Y + t iota_Y eps : Y in L(J2)}."""
-    m = J2.m
-    E = eta(m)
-    L2 = J2.eigenbundle().basis
-    Leps = L2 + t * (K @ (E @ L2))
-    rank, gap_ok, _ = numerical_rank(np.hstack([Leps, Leps.conj()]))
-    if rank != 2 * m or not gap_ok:
-        raise ValidationError(
-            f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0")
-    return LinearGC.from_eigenbundle(ComplexSubspace.from_columns(Leps))
+    out = _Outcomes(1)
+    structures = _structures(*_deformed_structures(J2, np.asarray(K)[None], t, out))
+    out.raise_first()
+    return structures[0]
 
 
-def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float) -> KahlerPairNum:
-    """Deform J2 by t*eps while keeping J1; revalidates the pair."""
-    return KahlerPairNum(pair.J1, deform_gcs(pair.J2, K, t))
+def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
+    """Deform J2 by t*eps while keeping J1; revalidates the pair.
+
+    K is one contraction operator, or a stack (S, 4n, 4n) of them, one per
+    point.  A stack is checked in one pass and gives a list: per point the
+    validated pair, or the exception that the call with that point's
+    operator alone raises."""
+    K = np.asarray(K)
+    stack = K if K.ndim == 3 else K[None]
+    out = _Outcomes(len(stack))
+    J, Lh = _deformed_structures(pair.J2, stack, t, out)
+    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, VALIDATION_TOL, J, Lh)
+    for i, J2 in zip(out.alive, _structures(J, Lh)):
+        out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2, tol=VALIDATION_TOL)
+    if K.ndim == 3:
+        return out.results
+    out.raise_first()
+    return out.results[0]
 
 
 # -- bi-Hermitian extraction ---------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .calculus import (Form, GeneralizedSection, VectorField, exterior_derivativ
                        interior_product)
 from .deformation import DeformationBivector
 from .linear import (BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
-                     QuotientBasis, ValidationError, b_field_matrix,
+                     QuotientBasis, ValidationError, b_conjugate,
                      contraction_operator, deform_pair, eta, extract_bihermitian,
                      reduce_pair, subspace_intersection_dim)
 from .poly import QI, ComplexPolynomial
@@ -28,10 +28,22 @@ MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table ro
 
 # -- structure recipes --------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _standard_pair(n: int) -> KahlerPairNum:
-    """(J_omega, J_J) of the flat structures on C^n, validated once."""
-    return KahlerPairNum(LinearGC.from_symplectic(frames.omega_std_map(n)),
+    """(J_omega, J_J) of the flat structures on C^n, validated once per n.
+    Every recipe on C^n shares it, so its arrays are read-only."""
+    pair = KahlerPairNum(LinearGC.from_symplectic(frames.omega_std_map(n)),
                          LinearGC.from_complex(frames.complex_structure_std(n)))
+    for J in (pair.J1, pair.J2):
+        J.J.setflags(write=False)
+        J.eigenbundle().basis.setflags(write=False)
+    return pair
+
+
+def _b_shifted(pair: KahlerPairNum, B) -> KahlerPairNum:
+    """The pair conjugated by e^B for a map B: V -> V*."""
+    return KahlerPairNum(LinearGC(b_conjugate(pair.J1.J, B)),
+                         LinearGC(b_conjugate(pair.J2.J, B)))
 
 
 class GenuineKahlerRecipe:
@@ -65,28 +77,33 @@ class DeformedKahlerRecipe:
         self._Tt = frames.tangent_frame_matrix(n)
         self._Tc = frames.covector_frame_matrix(n)
 
-    def contraction_at(self, z) -> np.ndarray:
+    def contractions_at(self, points) -> np.ndarray:
+        """The contraction operators of eps at the points, stacked
+        (S, 4n, 4n); the coefficients are evaluated point by point."""
         n = self.n
-        hol, form = self.eps.evaluate(z)
         pairs = []
-        for (i, j), c in hol:
-            a = np.zeros(4 * n, dtype=complex)
-            b = np.zeros(4 * n, dtype=complex)
-            a[:2 * n] = self._Tt[:, i] * c
-            b[:2 * n] = self._Tt[:, j]
-            pairs.append((a, b))
-        for (i, j), c in form:
-            a = np.zeros(4 * n, dtype=complex)
-            b = np.zeros(4 * n, dtype=complex)
-            a[2 * n:] = self._Tc[:, n + i] * c
-            b[2 * n:] = self._Tc[:, n + j]
-            pairs.append((a, b))
+        for part, frame, shift, half in ((self.eps.hol, self._Tt, 0, slice(0, 2 * n)),
+                                         (self.eps.form, self._Tc, n, slice(2 * n, 4 * n))):
+            for (i, j), p in part.items():
+                c = np.array([p.evaluate(z) for z in points], dtype=complex)
+                a = np.zeros((len(c), 4 * n), dtype=complex)
+                b = np.zeros(4 * n, dtype=complex)
+                a[:, half] = frame[:, shift + i] * c[:, None]
+                b[half] = frame[:, shift + j]
+                pairs.append((a, b))
         return contraction_operator(pairs, 2 * n)
 
     def pair_at(self, z) -> KahlerPairNum:
         if self.eps.is_zero:
             return self._base
-        return deform_pair(self._base, self.contraction_at(z), float(self.t))
+        return deform_pair(self._base, self.contractions_at([z])[0], float(self.t))
+
+    def pairs_at(self, points) -> list:
+        """``pair_at`` at every point, checked as one stack: per point the
+        validated pair, or the exception ``pair_at`` raises there."""
+        if self.eps.is_zero:
+            return [self._base] * len(points)
+        return deform_pair(self._base, self.contractions_at(points), float(self.t))
 
     def upstairs_sections(self):
         """Polynomial frame sections of L_eps = {Y + t iota_Y eps : Y in L_J}."""
@@ -138,12 +155,7 @@ class BShiftedRecipe:
             raise ValueError("B must be closed")
 
     def pair_at(self, z) -> KahlerPairNum:
-        pair = self.base.pair_at(z)
-        Bm = frames.two_form_map_at(self.B, z)
-        eB = b_field_matrix(Bm, 2 * self.n)
-        eBm = b_field_matrix(-Bm, 2 * self.n)
-        return KahlerPairNum(LinearGC(eB @ pair.J1.J @ eBm),
-                             LinearGC(eB @ pair.J2.J @ eBm))
+        return _b_shifted(self.base.pair_at(z), frames.two_form_map_at(self.B, z))
 
     def describe(self):
         return {"kind": self.kind, "base": self.base.describe()}
@@ -259,12 +271,7 @@ class RealifiedRecipe:
         return np.real(out)
 
     def pair_at(self, z) -> KahlerPairNum:
-        pair = self.base.pair_at(z)
-        Bm = self.b_map_at(z)
-        eB = b_field_matrix(Bm, 2 * self.n)
-        eBm = b_field_matrix(-Bm, 2 * self.n)
-        return KahlerPairNum(LinearGC(eB @ pair.J1.J @ eBm),
-                             LinearGC(eB @ pair.J2.J @ eBm))
+        return _b_shifted(self.base.pair_at(z), self.b_map_at(z))
 
     def describe(self):
         return {"kind": self.kind, "base": self.base.describe()}
@@ -494,8 +501,6 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     for lab in named:
         quotas += [lab] * per
     quotas += [None] * (count - len(quotas))
-    if len(quotas) < count:
-        quotas += [None] * (count - len(quotas))
 
     points, labels, rejected = [], [], []
     for want in quotas:

@@ -69,3 +69,30 @@ def test_traced_maurer_cartan_reaches_schouten_bracket():
     brackets = [s for s in spans if s[2] == "deformation.schouten_bracket"]
     assert len(brackets) == 1
     assert names[brackets[0][1]] == "deformation.maurer_cartan_residual"
+
+
+def test_traced_build_reaches_deform_pair():
+    # the t-fit checks its probe rounds through linear.deform_pair; if it
+    # bypassed that name, linear.deform_pair.self_s would read 0
+    from gkw import catalog
+    catalog.build_case.cache_clear()
+    tr = _tracer_module()
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        catalog.build_case("cpn-2")
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    by_id = {s[0]: s for s in spans}
+
+    def under_build(span):
+        while span[1] in by_id:
+            span = by_id[span[1]]
+            if span[2] == "catalog.build_case":
+                return True
+        return False
+    deform = [s for s in spans if s[2] == "linear.deform_pair" and under_build(s)]
+    # cpn-2 passes at t = 1 and t = 1/2: one stacked call per probe round
+    assert len(deform) == 2 * catalog.PROBE_ROUNDS
+    assert not [s for s in spans if s[2] == "pipeline.pair_at" and under_build(s)]
