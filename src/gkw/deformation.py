@@ -10,7 +10,7 @@ from __future__ import annotations
 from .calculus import (Form, GeneralizedSection, VectorField, _merge, _sort_with_sign,
                        exterior_derivative, interior_product, lie_bracket,
                        standard_symplectic_form)
-from .poly import QI, QI_HALF, ComplexPolynomial
+from .poly import QI, QI_HALF, ComplexPolynomial, LinearSubstitution
 
 
 class LMultivector:
@@ -244,15 +244,18 @@ class DeformationBivector:
 
     def pullback_linear(self, A) -> "DeformationBivector":
         """Exact pullback along z -> A z (A invertible, QI entries):
-        coefficients substitute z -> Az, tangent frames transform by A^-1,
-        covector frames by conj(A).  Invariance <=> pullback == self."""
+        coefficients substitute z -> Az (all of them through one
+        substitution, which shares the powers of each coordinate's image),
+        tangent frames transform by A^-1, covector frames by conj(A).
+        Invariance <=> pullback == self."""
         from .exactlinalg import qi_matrix_inverse
         n = self.n
         Ainv = qi_matrix_inverse(A)
+        sub = LinearSubstitution(n, A)
         out_h = {}
         out_f = {}
         for (i, j), p in self.hol.items():
-            ps = p.substitute_linear(A)
+            ps = p.substitute_linear(sub)
             for a in range(n):
                 ca = QI.of(Ainv[a][i])
                 if not ca:
@@ -264,7 +267,7 @@ class DeformationBivector:
                     key = (a, b) if a < b else (b, a)
                     _merge(out_h, key, ps * (ca * cb) * (1 if a < b else -1))
         for (i, j), p in self.form.items():
-            ps = p.substitute_linear(A)
+            ps = p.substitute_linear(sub)
             for a in range(n):
                 ca = QI.of(A[i][a]).conjugate()
                 if not ca:

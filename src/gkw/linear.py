@@ -7,7 +7,10 @@ are stored as real 2m x 2m matrices; eigenbundle work happens in C^{2m}.
 
 The validation checks of a structure and of a pair act on the last two axes
 of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
-a single structure is checked as a stack of one.
+a single structure is checked as a stack of one.  A structure's type is
+decided once per rank threshold in force (``LinearGC.type_with_gap``), so a
+structure shared by many points or asked by several report sections costs
+one rank decision.
 """
 from __future__ import annotations
 
@@ -293,10 +296,14 @@ class LinearGC:
 
     def type_with_gap(self):
         """(type, gap_ok): the thresholded value plus the audit flag; used
-        by table builders that report borderline rows instead of raising."""
-        L = self.eigenbundle()
-        rank, gap_ok, _ = numerical_rank(L.basis[:self.m, :])
-        return self.m - rank, gap_ok
+        by table builders that report borderline rows instead of raising.
+        Decided once per structure and rank threshold in force."""
+        tol = current_rank_tol()
+        memo = self.__dict__.setdefault("_types", {})
+        if tol not in memo:
+            rank, gap_ok, _ = numerical_rank(self.eigenbundle().basis[:self.m, :], tol)
+            memo[tol] = (self.m - rank, gap_ok)
+        return memo[tol]
 
     # -- constructors -------------------------------------------------------
     @classmethod

@@ -1,5 +1,11 @@
 """End-to-end reduction: sample level sets, build P = g_M + df pointwise,
 reduce, verify type formulas and bracket closure, extract bi-Hermitian data.
+
+A run samples the level set once (the sampler keeps the fundamental-field
+frame Q and the moment-map differentials dF it checked at each accepted
+point) and builds each sample's structure pair once (``pairs_once``; a
+deformed recipe checks its pairs in stacks of at most ``PAIR_STACK_ROWS``
+points).  The quotient at each point reuses that pair, Q and dF.
 """
 from __future__ import annotations
 
@@ -24,6 +30,9 @@ FREENESS_TOL = 1e-8
 LEVEL_TOL = 1e-12
 P_ISOTROPY_TOL = 1e-9
 MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table row
+PAIR_STACK_ROWS = 16          # points per pairs_at stack in pairs_once: nearly
+                              # the speed of one stack for a whole run, with a
+                              # fraction of its transient memory
 
 
 # -- structure recipes --------------------------------------------------------
@@ -367,6 +376,8 @@ class SampleBatch:
     points: list
     labels: list
     rejected: list
+    Q: list       # per point: the fundamental-field frame, 2n x dim(G), real
+    DF: list      # per point: the moment-map differentials, 2n x dim(K), real
 
 
 class ScalingSampler:
@@ -502,7 +513,7 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
         quotas += [lab] * per
     quotas += [None] * (count - len(quotas))
 
-    points, labels, rejected = [], [], []
+    points, labels, rejected, Qs, DFs = [], [], [], [], []
     for want in quotas:
         accepted = None
         for attempt in range(400):
@@ -528,28 +539,43 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
             if want is not None and lab != want:
                 rejected.append((want, f"stratum mismatch: got {lab}"))
                 continue
-            accepted = (z, lab)
+            accepted = (z, lab, Q, DF)
             break
         if accepted is None:
             raise ValidationError(
                 f"sampling failed for stratum {want!r}: rejection rate too high")
         points.append(accepted[0])
         labels.append(accepted[1])
+        Qs.append(accepted[2])
+        DFs.append(accepted[3])
     if len(rejected) > 9 * count:
         raise ValidationError("rejection rate above 90%")
-    return SampleBatch(points, labels, rejected)
+    return SampleBatch(points, labels, rejected, Qs, DFs)
+
+
+def _pair_or_error(recipe, z):
+    try:
+        return recipe.pair_at(z)
+    except ValidationError as exc:
+        return exc
 
 
 def pairs_once(recipe, points):
-    """Build ``recipe.pair_at`` once at each point; return the lookup
-    z -> pair over those points.  At a point whose pair failed validation
-    the lookup raises that ValidationError, each time it is asked."""
+    """Build the recipe's pair once at each point; return the lookup
+    z -> pair over those points.  A recipe with ``pairs_at`` builds them in
+    stacks of at most PAIR_STACK_ROWS points, the same pairs ``pair_at``
+    builds one by one.  At a point whose pair failed validation the lookup
+    raises that ValidationError, each time it is asked; any other error
+    building a pair propagates."""
+    if hasattr(recipe, "pairs_at"):
+        pairs = [pair for i in range(0, len(points), PAIR_STACK_ROWS)
+                 for pair in recipe.pairs_at(points[i:i + PAIR_STACK_ROWS])]
+    else:
+        pairs = [_pair_or_error(recipe, z) for z in points]
     built = {}
-    for z in points:
-        try:
-            pair = recipe.pair_at(z)
-        except ValidationError as exc:
-            pair = exc
+    for z, pair in zip(points, pairs):
+        if isinstance(pair, Exception) and not isinstance(pair, ValidationError):
+            raise pair
         built[np.asarray(z, dtype=complex).tobytes()] = pair
 
     def pair_at(z) -> KahlerPairNum:
@@ -578,13 +604,17 @@ class QuotientFrame:
     diagnostics: dict
 
 
-def quotient_at_point(scenario: Scenario, z, label=None, pair=None) -> QuotientFrame:
-    """The quotient at z of ``pair`` (by default the recipe's pair at z)."""
+def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
+                      DF=None) -> QuotientFrame:
+    """The quotient at z of ``pair`` (by default the recipe's pair at z);
+    ``Q`` and ``DF`` are the sampler's frames at z when it has them."""
     n = scenario.n
     if pair is None:
         pair = scenario.recipe.pair_at(z)
-    Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in scenario.fields])
-    DF = np.column_stack([frames.one_form_at(df, z).real for df in scenario.dfs])
+    if Q is None:
+        Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in scenario.fields])
+    if DF is None:
+        DF = np.column_stack([frames.one_form_at(df, z).real for df in scenario.dfs])
     # moment condition J1(xi_M) = df
     lift = np.vstack([Q, np.zeros_like(Q)])
     expect = np.vstack([np.zeros_like(DF), DF])
@@ -642,8 +672,8 @@ def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None) -
         batch = sample_level_set(scenario, count, seed)
     pair_at = pair_at or scenario.recipe.pair_at
     rows = []
-    for i, (z, lab) in enumerate(zip(batch.points, batch.labels)):
-        qf = quotient_at_point(scenario, z, lab, pair=pair_at(z))
+    for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels, batch.Q, batch.DF)):
+        qf = quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF)
         rows.append(TypeTableRow(
             point_id=i, stratum=lab,
             type_j1=qf.type_j1, type_j2=qf.type_j2,

@@ -190,8 +190,9 @@ class ComplexPolynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):
@@ -274,33 +275,21 @@ class ComplexPolynomial:
         return total
 
     def substitute_linear(self, A) -> "ComplexPolynomial":
-        """Pull back through the exact linear map z -> A z (A: n x n of QI).
+        """Pull back through the exact linear map z -> A z (A: n x n of QI,
+        or a ``LinearSubstitution`` shared by several polynomials).
 
         zbar_i substitutes to conj(A)_i. zbar.  Used for group invariance.
         """
         n = self.n
-        zs = [ComplexPolynomial(n, {tuple((1 if t == k else 0) for t in range(2 * n)): QI_ONE})
-              for k in range(2 * n)]
-        new_z = []
-        new_zb = []
-        for i in range(n):
-            p = ComplexPolynomial.zero(n)
-            q = ComplexPolynomial.zero(n)
-            for j in range(n):
-                a = QI.of(A[i][j])
-                if a:
-                    p = p + zs[j] * a
-                    q = q + zs[n + j] * a.conjugate()
-            new_z.append(p)
-            new_zb.append(q)
+        sub = A if isinstance(A, LinearSubstitution) else LinearSubstitution(n, A)
         out = ComplexPolynomial.zero(n)
         for e, c in self.terms.items():
             term = ComplexPolynomial.const(n, c)
             for j in range(n):
                 if e[j]:
-                    term = term * new_z[j] ** e[j]
+                    term = term * sub.power(j, e[j])
                 if e[n + j]:
-                    term = term * new_zb[j] ** e[n + j]
+                    term = term * sub.power(n + j, e[n + j])
             out = out + term
         return out
 
@@ -318,3 +307,37 @@ class ComplexPolynomial:
                     mono.append(f"zb{j}" + (f"^{e[self.n + j]}" if e[self.n + j] > 1 else ""))
             bits.append(f"{c!r}*{'*'.join(mono)}" if mono else f"{c!r}")
         return " + ".join(bits)
+
+
+class LinearSubstitution:
+    """The substitution z -> A z (A: n x n of QI) on polynomials in n
+    variables.  The image of each coordinate (z_j -> (A z)_j, zbar_j ->
+    (conj(A) zbar)_j) is built once, and each power of an image the first
+    time a term asks for it; every polynomial pulled back through the same
+    instance shares them."""
+
+    def __init__(self, n: int, A):
+        zs = [ComplexPolynomial(n, {tuple((1 if t == k else 0) for t in range(2 * n)): QI_ONE})
+              for k in range(2 * n)]
+        new_z = []
+        new_zb = []
+        for i in range(n):
+            p = ComplexPolynomial.zero(n)
+            q = ComplexPolynomial.zero(n)
+            for j in range(n):
+                a = QI.of(A[i][j])
+                if a:
+                    p = p + zs[j] * a
+                    q = q + zs[n + j] * a.conjugate()
+            new_z.append(p)
+            new_zb.append(q)
+        self._images = new_z + new_zb
+        self._powers = {}
+
+    def power(self, q: int, k: int) -> ComplexPolynomial:
+        """The k-th power of the image of coordinate q (q < n: z_q, q >= n:
+        zbar_{q-n})."""
+        p = self._powers.get((q, k))
+        if p is None:
+            p = self._powers[(q, k)] = self._images[q] ** k
+        return p

@@ -1,10 +1,12 @@
 """CLI driver: determinism, exit codes, emission formats, scenario files."""
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gkw
 from gkw.cli import main
 from gkw.report import (CSV_HEADER, RunConfig, emit, run, scenario_from_dict,
                         scenario_to_dict)
@@ -127,13 +129,37 @@ def test_scenario_file_roundtrip(tmp_path, capsys):
     assert rep["sections"]["maurer_cartan"]["exact_zero"] is True
 
 
+def _subprocess_env():
+    """The environment with the imported gkw package importable, whether or
+    not it is installed."""
+    src = os.path.dirname(os.path.dirname(gkw.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "gkw.cli", "catalog",
                            "--format", "json"],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=_subprocess_env())
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert any(e["name"] == "hyperkahler-flat" for e in doc["sections"]["catalog"])
+
+
+def test_tol_run_after_a_default_run_matches_a_fresh_process(capsys):
+    # the flat structures are shared by every run in a process; at --tol 0.1
+    # each J1 rank lies within the gap factor of the threshold, so a type
+    # decision carried over from the default run would show
+    args = ["reduce", "--case", "kahler-c3", "--samples", "6", "--format", "json"]
+    run_cli(args, capsys)
+    code, out = run_cli(args + ["--tol", "0.1"], capsys)
+    fresh = subprocess.run([sys.executable, "-m", "gkw.cli", *args, "--tol", "0.1"],
+                           capture_output=True, text=True, timeout=600,
+                           env=_subprocess_env())
+    assert (fresh.returncode, fresh.stdout) == (code, out)
+    rows = json.loads(out)["sections"]["validation"]["rows"]
+    assert rows and not any(r["rank_gap_ok"] for r in rows)
 
 
 def test_exit_code_tolerance_indeterminacy(tmp_path, capsys):

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
+from gkw import linear
 from gkw.linear import (BiHermitianData, ComplexSubspace, IndeterminateRankError,
                         KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                         eta, extract_bihermitian, numerical_rank, pairing,
-                        reduce_gcs, reduce_pair, restricted_projection_dim,
-                        subspace_intersection_dim)
+                        rank_tolerance, reduce_gcs, reduce_pair,
+                        restricted_projection_dim, subspace_intersection_dim)
 
 from generators import (gl_conjugate, hk_block_pair, rand_antisym,
                         rand_compatible_kahler, rand_complex_structure, rand_gc,
@@ -391,3 +392,21 @@ def test_orientation_sign():
     assert orientation_sign(J) == orientation_sign(-J)   # m = 4: flip keeps it
     J1 = std_complex(1)
     assert orientation_sign(J1) != orientation_sign(-J1)  # m = 2: flip changes
+
+
+def test_type_is_decided_once_per_rank_threshold(monkeypatch):
+    # the top block of J_omega's eigenbundle has singular values 1/sqrt(2):
+    # clear of the default threshold, within the gap factor of 0.1
+    J = LinearGC.from_symplectic(std_omega_map(2))
+    calls = []
+    real = linear.numerical_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(linear, "numerical_rank", counting)
+    for _ in range(2):
+        assert J.type_with_gap() == (0, True)
+        with rank_tolerance(0.1):
+            assert J.type_with_gap() == (0, False)
+    assert len(calls) == 2

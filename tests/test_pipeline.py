@@ -130,28 +130,47 @@ def test_hyperkahler_scenario_types():
     assert all(x["pass"] for x in verify_type_formula(case.scenario, tab))
 
 
-def _count_pair_at(monkeypatch, recipe, fail_at=None):
-    """Count the recipe's own pair_at calls; optionally fail at one point."""
-    real = type(recipe).pair_at
-    calls = []
+def _count_pairs_built(monkeypatch, recipe, fail_at=None):
+    """The points at which the recipe builds a pair, one entry per pair: a
+    row of a ``pairs_at`` stack, or a ``pair_at`` call.  Optionally the
+    pair at one point fails validation."""
+    cls = type(recipe)
+    built = []
+
+    def forced(z):
+        return fail_at is not None and np.array_equal(z, fail_at)
+
+    real_pair_at = cls.pair_at
 
     def pair_at(self, z):
         if self is recipe:
-            calls.append(z)
-            if fail_at is not None and np.array_equal(z, fail_at):
+            built.append(z)
+            if forced(z):
                 raise ValidationError("forced failure")
-        return real(self, z)
-    monkeypatch.setattr(type(recipe), "pair_at", pair_at)
-    return calls
+        return real_pair_at(self, z)
+    monkeypatch.setattr(cls, "pair_at", pair_at)
+    if hasattr(cls, "pairs_at"):
+        real_pairs_at = cls.pairs_at
+
+        def pairs_at(self, points):
+            pairs = real_pairs_at(self, points)
+            if self is not recipe:
+                return pairs
+            built.extend(points)
+            return [ValidationError("forced failure") if forced(z) else pair
+                    for z, pair in zip(points, pairs)]
+        monkeypatch.setattr(cls, "pairs_at", pairs_at)
+    return built
 
 
 @pytest.mark.parametrize("name", ["cpn-2", "grassmann-2-3", "hyperkahler-flat"])
 def test_reduce_builds_each_pair_once(name, monkeypatch):
-    calls = _count_pair_at(monkeypatch, build_case(name).scenario.recipe)
+    built = _count_pairs_built(monkeypatch, build_case(name).scenario.recipe)
     rep = run(RunConfig(command="reduce", case=name, samples=8, seed=7))
     assert len(rep["sections"]["type_table"]["rows"]) == 8
     assert len(rep["sections"]["bihermitian"]["rows"]) == 8
-    assert len(calls) == 8
+    assert len(built) == 8
+    assert len({np.asarray(z).tobytes() for z in built}) == 8
 
 
 def test_failed_pair_is_an_error_row_then_raises_again(monkeypatch):
@@ -159,14 +178,33 @@ def test_failed_pair_is_an_error_row_then_raises_again(monkeypatch):
     case = build_case("cpn-2")
     batch = sample_level_set(case.scenario, 4, 7)
     bad = batch.points[1]
-    calls = _count_pair_at(monkeypatch, case.scenario.recipe, fail_at=bad)
+    built = _count_pairs_built(monkeypatch, case.scenario.recipe, fail_at=bad)
     pair_at = pairs_once(case.scenario.recipe, batch.points)
     sec = _validation_section(batch, pair_at)
     assert [r["pass"] for r in sec["rows"]] == [True, False, True, True]
     assert sec["rows"][1]["error"] == "forced failure"
+    raised = []
     for _ in range(2):
-        with pytest.raises(ValidationError, match="forced failure"):
+        with pytest.raises(ValidationError, match="forced failure") as info:
             pair_at(bad)
-    assert len(calls) == 4
+        raised.append(info.value)
+    assert raised[0] is raised[1]
+    assert len(built) == 4
     with pytest.raises(ValidationError, match="forced failure"):
         run(RunConfig(command="deform", case="cpn-2", samples=4, seed=7))
+
+
+@pytest.mark.parametrize("name", ["cpn-2", "grassmann-2-3", "toric-blowup1"])
+def test_sampler_frames_are_the_quotient_frames(name):
+    scen = build_case(name).scenario
+    batch = sample_level_set(scen, 6, 5)
+    n = scen.n
+    for z, lab, Q, DF in zip(batch.points, batch.labels, batch.Q, batch.DF):
+        assert np.array_equal(Q, np.column_stack(
+            [frames.section_at(s, z)[:2 * n].real for s in scen.fields]))
+        assert np.array_equal(DF, np.column_stack(
+            [frames.one_form_at(df, z).real for df in scen.dfs]))
+        given = quotient_at_point(scen, z, lab, Q=Q, DF=DF)
+        own = quotient_at_point(scen, z, lab)
+        assert given.diagnostics == own.diagnostics
+        assert np.array_equal(given.pair_quot.J2.J, own.pair_quot.J2.J)

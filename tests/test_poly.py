@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkw.poly import QI, ComplexPolynomial
+from gkw.poly import QI, ComplexPolynomial, LinearSubstitution
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 qis = st.builds(QI, fractions, fractions)
@@ -118,6 +118,28 @@ def test_substitute_linear_composes():
     z = np.array([0.4 + 0.1j, -0.3 + 0.9j])
     Az = np.array([z[1], -z[0]])
     assert abs(ps.evaluate(z) - p.evaluate(Az)) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly_strategy(n=2, max_terms=3, max_deg=2))
+def test_pow_is_repeated_multiplication(p):
+    want = ComplexPolynomial.one(p.n)
+    for k in range(7):
+        assert p ** k == want
+        want = want * p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(poly_strategy(n=2, max_terms=4, max_deg=3), min_size=1, max_size=4),
+       st.lists(qis, min_size=4, max_size=4))
+def test_shared_substitution_matches_one_per_polynomial(polys, entries):
+    A = [entries[:2], entries[2:]]
+    sub = LinearSubstitution(2, A)
+    for p in polys:
+        shared = p.substitute_linear(sub)
+        alone = p.substitute_linear(A)
+        assert shared == alone
+        assert list(shared.terms) == list(alone.terms)
 
 
 def test_qi_exactness_guard():

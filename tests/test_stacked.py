@@ -1,6 +1,6 @@
-"""Stacked checks of deformed pairs: ``DeformedKahlerRecipe.pairs_at`` and the
-deformation-scale fit that uses it, against per-point ``pair_at`` and the
-per-point fitting loop."""
+"""Stacked checks of deformed pairs: ``DeformedKahlerRecipe.pairs_at``, the
+deformation-scale fit and the run's ``pairs_once`` that use it, against
+per-point ``pair_at`` and the per-point fitting loop."""
 import dataclasses
 from fractions import Fraction
 
@@ -11,7 +11,8 @@ from gkw import catalog
 from gkw.catalog import PROBE_COUNT, PROBE_ROUNDS, PROBE_SEED, T_MIN, build_case
 from gkw.linear import (IndeterminateRankError, KahlerPairNum, ValidationError,
                         deform_pair, eta)
-from gkw.pipeline import DeformedKahlerRecipe, _standard_pair, sample_level_set
+from gkw.pipeline import (PAIR_STACK_ROWS, DeformedKahlerRecipe, _standard_pair,
+                          pairs_once, sample_level_set)
 
 DEFORMED = ["cpn-2", "cpn-3", "cpn-4", "grassmann-1-3", "grassmann-2-3",
             "toric-cp2", "toric-blowup1", "hirzebruch-1", "hirzebruch-2"]
@@ -96,6 +97,50 @@ def test_standard_pair_is_shared_and_read_only():
     for J in (pair.J1, pair.J2):
         assert not J.J.flags.writeable
         assert not J.eigenbundle().basis.flags.writeable
+
+
+# -- the stacked run -------------------------------------------------------------
+
+def _stack_sizes(monkeypatch):
+    sizes = []
+    real = DeformedKahlerRecipe.pairs_at
+
+    def pairs_at(self, points):
+        sizes.append(len(points))
+        return real(self, points)
+    monkeypatch.setattr(DeformedKahlerRecipe, "pairs_at", pairs_at)
+    return sizes
+
+
+@pytest.mark.parametrize("count", [17, 33])
+@pytest.mark.parametrize("name", DEFORMED)
+def test_pairs_once_matches_pair_at_across_stacks(monkeypatch, name, count):
+    scen = build_case(name).scenario
+    points = sample_level_set(scen, count, 7).points
+    sizes = _stack_sizes(monkeypatch)
+    pair_at = pairs_once(scen.recipe, points)
+    assert sizes == [PAIR_STACK_ROWS] * (count // PAIR_STACK_ROWS) + [count % PAIR_STACK_ROWS]
+    _assert_same_outcomes([pair_at(z) for z in points], _per_point(scen.recipe, points))
+
+
+def test_indeterminate_rank_in_a_stack_propagates_out_of_pairs_once(monkeypatch):
+    # a ValidationError in the first stack stays an error row; the
+    # IndeterminateRankError in the second stack is raised
+    scen = build_case("cpn-2").scenario
+    points = sample_level_set(scen, 2 * PAIR_STACK_ROWS, 7).points
+    forced = {points[3].tobytes(): ValidationError("forced failure"),
+              points[PAIR_STACK_ROWS + 2].tobytes(): IndeterminateRankError("forced failure")}
+    real = DeformedKahlerRecipe.pairs_at
+
+    def pairs_at(self, pts):
+        return [forced.get(z.tobytes(), r) for z, r in zip(pts, real(self, pts))]
+    monkeypatch.setattr(DeformedKahlerRecipe, "pairs_at", pairs_at)
+    with pytest.raises(IndeterminateRankError, match="forced failure"):
+        pairs_once(scen.recipe, points)
+    del forced[points[PAIR_STACK_ROWS + 2].tobytes()]
+    pair_at = pairs_once(scen.recipe, points)
+    with pytest.raises(ValidationError, match="forced failure"):
+        pair_at(points[3])
 
 
 # -- the deformation-scale fit -------------------------------------------------
