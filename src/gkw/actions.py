@@ -49,14 +49,6 @@ class TorusAction:
     def fundamental_fields(self):
         return [self.fundamental_field(a) for a in range(self.k)]
 
-    def group_element(self, thetas) -> np.ndarray:
-        """Diagonal torus element for angles theta_a (floats)."""
-        phases = np.zeros(self.n, dtype=complex)
-        for j in range(self.n):
-            ang = sum(th * self.weights[a][j] for a, th in enumerate(thetas))
-            phases[j] = np.exp(1j * ang)
-        return np.diag(phases)
-
 
 def unitary_lie_basis(n: int):
     """Elementary skew-Hermitian basis in fixed order:
@@ -222,20 +214,6 @@ def grassmannian_moment_map(action: UnitaryAction) -> MomentMapPoly:
     """Real components 1/2 tr(H_xi Z Z-dagger) per skew-Hermitian basis
     element xi = i H_xi; assembled so dmu^xi = iota_{xi_M} omega_std."""
     return moment_from_hamiltonian_identity(action.fundamental_fields())
-
-
-def grassmannian_matrix_polynomials(action: UnitaryAction):
-    """The Hermitian matrix Phi(Z) = Z Z-dagger as exact polynomials."""
-    N = action.ambient_n
-    out = [[ComplexPolynomial.zero(N) for _ in range(action.n)] for _ in range(action.n)]
-    for a in range(action.n):
-        for b in range(action.n):
-            p = ComplexPolynomial.zero(N)
-            for j in range(action.m):
-                p = p + (ComplexPolynomial.variable(N, action.flat(a, j))
-                         * ComplexPolynomial.variable(N, action.flat(b, j), conjugated=True))
-            out[a][b] = p
-    return out
 
 
 def central_level(action: UnitaryAction) -> np.ndarray:

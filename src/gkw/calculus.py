@@ -358,15 +358,6 @@ def y_poly(n, j):
     return (z - zb) * (QI_HALF * (-QI_I))
 
 
-def ddx_field(n, j):
-    return VectorField(n, {j: ComplexPolynomial.one(n), j + n: ComplexPolynomial.one(n)})
-
-
-def ddy_field(n, j):
-    return VectorField(n, {j: ComplexPolynomial.const(n, QI_I),
-                           j + n: ComplexPolynomial.const(n, -QI_I)})
-
-
 def dx_form(n, j):
     return Form(n, 1, {(j,): ComplexPolynomial.const(n, QI_HALF),
                        (j + n,): ComplexPolynomial.const(n, QI_HALF)})

@@ -22,11 +22,11 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
                        interior_product)
 from .deformation import DeformationBivector
-from .linear import ValidationError, b_conjugate
+from .linear import RANK_TOL, ValidationError, b_conjugate, rank_tolerance
 from .pipeline import (ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
-                       sample_level_set)
+                       sample_level_set, tangent_to_level)
 from .poly import QI, ComplexPolynomial
 from .polytope import (AlphaResult, PolytopeSpec, cp2_blowup1_polytope,
                        cp2_polytope, cp1xcp1_blowup4_polytope, find_alpha,
@@ -389,16 +389,20 @@ def catalog_names():
 
 @lru_cache(maxsize=None)
 def build_case(name: str) -> CatalogCase:
-    """Build a catalog case by name (cached; cases are immutable in use)."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    if name.startswith("hirzebruch-"):
-        try:
-            k = int(name.split("-", 1)[1])
-        except ValueError:
-            raise KeyError(name) from None
-        return build_hirzebruch(k)
-    raise KeyError(name)
+    """Build a catalog case by name (cached; cases are immutable in use).
+
+    A case is built under the default rank threshold, whatever threshold is
+    in force, so the cached case does not depend on the run that built it."""
+    with rank_tolerance(RANK_TOL):
+        if name in _BUILDERS:
+            return _BUILDERS[name]()
+        if name.startswith("hirzebruch-"):
+            try:
+                k = int(name.split("-", 1)[1])
+            except ValueError:
+                raise KeyError(name) from None
+            return build_hirzebruch(k)
+        raise KeyError(name)
 
 
 # -- closure section families ---------------------------------------------------
@@ -424,15 +428,7 @@ def constant_map_to_form(M, n):
 def _torus_df_perp_fields(scenario, limit=4):
     """Exact polynomial tangent fields annihilating every df^xi."""
     n = scenario.n
-    dfs = [exterior_derivative(f) for f in scenario.moment.f]
-
-    def admissible(X):
-        for df in dfs:
-            c = interior_product(X, df).comps.get((), None)
-            if c is not None and not c.is_zero:
-                return False
-        return True
-
+    admissible = tangent_to_level(scenario.moment)
     out = []
     for row in scenario.action.weights:
         for a in range(n):

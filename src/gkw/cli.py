@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .linear import IndeterminateRankError, ValidationError
+from .linear import RANK_TOL, IndeterminateRankError, ValidationError
 from .report import ConfigError, RunConfig, emit, run, run_sweep
 
 
@@ -23,7 +23,7 @@ def build_parser():
     p.add_argument("--scenario", help="scenario json file")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RANK_TOL)
     p.add_argument("--format", dest="fmt", choices=["json", "csv", "text"], default="text")
     p.add_argument("--out", help="write the report here instead of stdout")
     return p

@@ -56,14 +56,6 @@ def section_frame_matrix(n: int) -> np.ndarray:
     return _frozen(T)
 
 
-def point_to_real(z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros(2 * len(z))
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
 def omega_std_map(n: int) -> np.ndarray:
     """M: X -> iota_X omega_std as a real 2n x 2n matrix."""
     M = np.zeros((2 * n, 2 * n))

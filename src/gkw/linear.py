@@ -124,12 +124,21 @@ def numerical_rank(A, tol=None, require_determinate=False):
 
 
 def orthonormal_columns(A, tol=None):
+    """Orthonormal basis of the numerical column span of A: real for a real
+    A, complex otherwise."""
     tol = current_rank_tol() if tol is None else tol
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim != 2 or A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
+        return np.zeros((A.shape[0], 0), dtype=A.dtype)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     return u[:, :int((s > _threshold(s, tol)).sum())]
+
+
+def _real_span(X):
+    """Orthonormal real basis of the real span of the columns of X and of
+    their conjugates."""
+    return orthonormal_columns(np.hstack([X.real, X.imag]))
 
 
 def _null_dims(A, tol):
@@ -239,9 +248,6 @@ class ComplexSubspace:
 
     def add(self, other: "ComplexSubspace") -> "ComplexSubspace":
         return ComplexSubspace.from_columns(np.hstack([self.basis, other.basis]), self.tol)
-
-    def conjugated(self) -> "ComplexSubspace":
-        return ComplexSubspace(self.basis.conj(), self.tol)
 
     def projection_to_tangent(self) -> "ComplexSubspace":
         """pi(S): the V-block span (first half of the coordinates)."""
@@ -364,9 +370,6 @@ class LinearGC:
                 J[sl[2 * r], sl[2 * c]] = self.J[a[r], a[c]]
                 J[sl[2 * r + 1], sl[2 * c + 1]] = other.J[b[r], b[c]]
         return LinearGC(J)
-
-    def apply(self, w):
-        return self.J @ np.asarray(w)
 
 
 def _check_structures(J, out: _Outcomes, tol=VALIDATION_TOL):
@@ -514,22 +517,13 @@ class QuotientBasis:
     k: int                 # quotient V~ dimension
 
 
-def _real_orthonormal(cols, tol=None):
-    tol = current_rank_tol() if tol is None else tol
-    cols = np.asarray(cols, dtype=float)
-    if cols.size == 0:
-        return cols.reshape(cols.shape[0], 0)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, :int((s > _threshold(s, tol)).sum())]
-
-
 def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     """Build the representative basis for the quotient by P = Q + J1(Q).
 
     Preconditions (checked): Q < V real, J1(Q) < V*, P isotropic.
     """
     m = J1.m
-    Q = _real_orthonormal(np.asarray(Q, dtype=float))
+    Q = orthonormal_columns(np.asarray(Q, dtype=float))
     q = Q.shape[1]
     Wq = np.vstack([Q, np.zeros((m, q))])
     JWq = J1.J @ Wq
@@ -542,9 +536,8 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     if iso > ISOTROPY_TOL:
         raise ValidationError(f"P = Q + J(Q) is not isotropic: residual {iso:.3e}")
     # V0 = annihilator of J(Q) in V; complement of Q inside it
-    V0 = nullspace(JQ.T.astype(complex))
-    V0 = _real_orthonormal(np.hstack([V0.real, V0.imag]))
-    Vc = _real_orthonormal(V0 - Q @ (Q.T @ V0))
+    V0 = _real_span(nullspace(JQ.T.astype(complex)))
+    Vc = orthonormal_columns(V0 - Q @ (Q.T @ V0))
     k = Vc.shape[1]
     if k != m - 2 * q:
         raise ValidationError(f"quotient dimension {k} != m - 2q = {m - 2 * q}")
@@ -561,11 +554,13 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     return qb
 
 
-def _project_through(J, reps, qb: QuotientBasis):
-    """Map w in C-basis to J(rep(w)) expressed back in the C-basis mod P."""
+def _quotient_matrices(W, qb: QuotientBasis, *Js):
+    """Lift the C-basis to representatives in W, a complement of P inside
+    P-perp, then express each J's image of them back in the C-basis mod P."""
+    sol, *_ = np.linalg.lstsq(np.hstack([W, qb.P]), qb.C, rcond=None)
+    reps = W @ sol[:W.shape[1], :]
     CP = np.hstack([qb.C, qb.P])
-    sol, *_ = np.linalg.lstsq(CP, J @ reps, rcond=None)
-    return sol[:qb.C.shape[1], :]
+    return [np.linalg.lstsq(CP, J @ reps, rcond=None)[0][:qb.C.shape[1], :] for J in Js]
 
 
 def reduce_gcs(J: LinearGC, Q) -> tuple[LinearGC, QuotientBasis]:
@@ -577,15 +572,9 @@ def reduce_gcs(J: LinearGC, Q) -> tuple[LinearGC, QuotientBasis]:
     qb = quotient_basis(J, Q)
     if qb.k == J.m:
         return J, qb
-    E = eta(J.m)
-    Pperp = nullspace(qb.P.T.astype(complex) @ E)
-    Pperp = _real_orthonormal(np.hstack([Pperp.real, Pperp.imag]))
-    # representative of [c]: component of c in P-perp cap (euclidean P complement)
-    W0 = _real_orthonormal(Pperp - qb.P @ np.linalg.lstsq(qb.P, Pperp, rcond=None)[0])
-    WP = np.hstack([W0, qb.P])
-    sol, *_ = np.linalg.lstsq(WP, qb.C, rcond=None)
-    reps = W0 @ sol[:W0.shape[1], :]
-    Jq = _project_through(J.J, reps, qb)
+    Pperp = _real_span(nullspace(qb.P.T.astype(complex) @ eta(J.m)))
+    W0 = orthonormal_columns(Pperp - qb.P @ np.linalg.lstsq(qb.P, Pperp, rcond=None)[0])
+    (Jq,) = _quotient_matrices(W0, qb, J.J)
     return LinearGC(Jq), qb
 
 
@@ -596,21 +585,14 @@ def reduce_pair(pair: KahlerPairNum, Q) -> tuple[KahlerPairNum, QuotientBasis]:
     if qb.k == pair.m:
         return pair, qb
     E = eta(pair.m)
-    G = pair.G
-    GP = G @ qb.P
     What_a = nullspace(qb.P.T.astype(complex) @ E)
-    What_b = nullspace(GP.T.astype(complex) @ E)
-    What = ComplexSubspace(What_a).intersect(ComplexSubspace(What_b))
-    What_r = _real_orthonormal(np.hstack([What.basis.real, What.basis.imag]))
-    if What_r.shape[1] != 2 * qb.k:
+    What_b = nullspace((pair.G @ qb.P).T.astype(complex) @ E)
+    What = _real_span(ComplexSubspace(What_a).intersect(ComplexSubspace(What_b)).basis)
+    if What.shape[1] != 2 * qb.k:
         raise ValidationError(
-            f"W-hat has dimension {What_r.shape[1]}, expected {2 * qb.k}")
-    WP = np.hstack([What_r, qb.P])
-    sol, *_ = np.linalg.lstsq(WP, qb.C, rcond=None)
-    reps = What_r @ sol[:What_r.shape[1], :]
-    J1q = LinearGC(_project_through(pair.J1.J, reps, qb))
-    J2q = LinearGC(_project_through(pair.J2.J, reps, qb))
-    return KahlerPairNum(J1q, J2q), qb
+            f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")
+    J1q, J2q = _quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
+    return KahlerPairNum(LinearGC(J1q), LinearGC(J2q)), qb
 
 
 # -- deformation --------------------------------------------------------------
@@ -748,7 +730,7 @@ def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
         sel = np.abs(w - s) < 1e-8
         if int(sel.sum()) != m:
             raise ValidationError("metric eigenspace split failed tolerance")
-        Cb = _real_orthonormal(np.hstack([v[:, sel].real, v[:, sel].imag]))
+        Cb = _real_span(v[:, sel])
         if Cb.shape[1] != m:
             raise ValidationError("metric eigenspace split failed tolerance")
         top = Cb[:m, :]

@@ -5,7 +5,11 @@ A run samples the level set once (the sampler keeps the fundamental-field
 frame Q and the moment-map differentials dF it checked at each accepted
 point) and builds each sample's structure pair once (``pairs_once``; a
 deformed recipe checks its pairs in stacks of at most ``PAIR_STACK_ROWS``
-points).  The quotient at each point reuses that pair, Q and dF.
+points).  The quotient at each point reuses that pair, Q and dF, and is
+one ``QuotientRow``: the upstairs and quotient types, dim(k_M cap pi L2),
+the residual diagnostics, the quotient pair and its basis.  ``type_table``
+collects those rows, and the report's type-table, formula and bi-Hermitian
+sections read them directly.
 """
 from __future__ import annotations
 
@@ -338,7 +342,7 @@ class Scenario:
     @cached_property
     def fields(self) -> list:
         """The fundamental fields, one per Lie-algebra basis element."""
-        return [self.action.fundamental_field(a) for a in range(self.group_dims()[0])]
+        return self.action.fundamental_fields()
 
     @cached_property
     def dfs(self) -> list:
@@ -350,11 +354,6 @@ class Scenario:
             if s.classify(z):
                 return s.label
         return "generic"
-
-    def group_dims(self):
-        if isinstance(self.action, TorusAction):
-            return self.action.k, self.action.k
-        return self.action.dim_group, self.action.dim_group
 
     def describe(self):
         return {
@@ -589,25 +588,27 @@ def pairs_once(recipe, points):
 # -- quotients ------------------------------------------------------------------
 
 @dataclass
-class QuotientFrame:
-    point: np.ndarray
-    label: str
-    pair_up: KahlerPairNum
-    pair_quot: KahlerPairNum
-    qbasis: QuotientBasis
-    type_j1_up: int
-    type_j2_up: int
+class QuotientRow:
+    """The quotient at one sample: a row of the type table."""
+
+    point_id: int
+    stratum: str
     type_j1: int
     type_j2: int
     dim_k_cap_piL2: int
-    gap_ok: bool
+    type_j1_up: int
+    type_j2_up: int
+    indeterminate: bool
     diagnostics: dict
+    pair_quot: KahlerPairNum
+    qbasis: QuotientBasis
 
 
 def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
-                      DF=None) -> QuotientFrame:
+                      DF=None, point_id=0) -> QuotientRow:
     """The quotient at z of ``pair`` (by default the recipe's pair at z);
-    ``Q`` and ``DF`` are the sampler's frames at z when it has them."""
+    ``Q`` and ``DF`` are the sampler's frames at z when it has them, and
+    ``point_id`` numbers the row in its table."""
     n = scenario.n
     if pair is None:
         pair = scenario.recipe.pair_at(z)
@@ -631,29 +632,15 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     t2u, g2u = pair.J2.type_with_gap()
     t1q, g1q = pair_q.J1.type_with_gap()
     t2q, g2q = pair_q.J2.type_with_gap()
-    return QuotientFrame(
-        point=np.asarray(z, dtype=complex),
-        label=label if label is not None else scenario.stratum_label(z),
-        pair_up=pair, pair_quot=pair_q, qbasis=qb,
-        type_j1_up=t1u, type_j2_up=t2u,
+    return QuotientRow(
+        point_id=point_id,
+        stratum=label if label is not None else scenario.stratum_label(z),
         type_j1=t1q, type_j2=t2q,
         dim_k_cap_piL2=dim_int,
-        gap_ok=bool(gap_int and g1u and g2u and g1q and g2q),
-        diagnostics={"moment_condition": r_moment, "p_isotropy": r_iso})
-
-
-@dataclass
-class TypeTableRow:
-    point_id: int
-    stratum: str
-    type_j1: int
-    type_j2: int
-    dim_k_cap_piL2: int
-    type_j1_up: int
-    type_j2_up: int
-    indeterminate: bool
-    diagnostics: dict
-    pair_quot: KahlerPairNum
+        type_j1_up=t1u, type_j2_up=t2u,
+        indeterminate=not (gap_int and g1u and g2u and g1q and g2q),
+        diagnostics={"moment_condition": r_moment, "p_isotropy": r_iso},
+        pair_quot=pair_q, qbasis=qb)
 
 
 @dataclass
@@ -671,23 +658,17 @@ def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None) -
     if batch is None:
         batch = sample_level_set(scenario, count, seed)
     pair_at = pair_at or scenario.recipe.pair_at
-    rows = []
-    for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels, batch.Q, batch.DF)):
-        qf = quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF)
-        rows.append(TypeTableRow(
-            point_id=i, stratum=lab,
-            type_j1=qf.type_j1, type_j2=qf.type_j2,
-            dim_k_cap_piL2=qf.dim_k_cap_piL2,
-            type_j1_up=qf.type_j1_up, type_j2_up=qf.type_j2_up,
-            indeterminate=not qf.gap_ok,
-            diagnostics=qf.diagnostics, pair_quot=qf.pair_quot))
+    rows = [quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF, point_id=i)
+            for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels,
+                                                    batch.Q, batch.DF))]
     return TypeTable(rows, scenario.name)
 
 
 def verify_type_formula(scenario: Scenario, table: TypeTable):
     """Check type(J~2) = type(J2) - dim(G)/2 - dim(K)/2 + 2 dim(k_M cap pi L2)
-    row by row; both sides were computed independently."""
-    dim_g, dim_k = scenario.group_dims()
+    row by row; both sides were computed independently.  Here K = G, so
+    dim(G) = dim(K) = action.k."""
+    dim_g = dim_k = scenario.action.k
     results = []
     for r in table.rows:
         rhs2 = r.type_j2_up - (dim_g + dim_k) // 2 + 2 * r.dim_k_cap_piL2
@@ -714,8 +695,8 @@ class QuotientBiHermitian:
 
 
 def quotient_bihermitian(scenario: Scenario, z) -> QuotientBiHermitian:
-    qf = quotient_at_point(scenario, z)
-    return bihermitian_of(qf.pair_quot, qf.type_j1, qf.type_j2)
+    row = quotient_at_point(scenario, z)
+    return bihermitian_of(row.pair_quot, row.type_j1, row.type_j2)
 
 
 def bihermitian_of(pair_quot: KahlerPairNum, type_j1, type_j2) -> QuotientBiHermitian:
@@ -742,8 +723,8 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
     ``structure_at``: callable z -> LinearGC (the J1 the moment map pairs
     with).  Failures are rows, not exceptions.
     """
-    k = action.k if isinstance(action, TorusAction) else action.dim_group
-    fields = [action.fundamental_field(a) for a in range(k)]
+    k = action.k
+    fields = action.fundamental_fields()
     dfs = [exterior_derivative(f) for f in moment.f]
     dhs = [exterior_derivative(h) for h in moment.h]
     contractions = []
@@ -851,26 +832,32 @@ def run_closure_families(families, samples):
     return rows
 
 
-def df_contraction_is_zero(moment: MomentMapPoly):
-    """Exact check that the bracket stays perpendicular to the level set:
-    iota over its vector part kills every df^xi (and dh^xi)."""
-    dfs = [exterior_derivative(f) for f in moment.f]
-    dhs = [exterior_derivative(h) for h in moment.h if not h.is_zero]
+def tangent_to_level(moment: MomentMapPoly):
+    """Exact check that a vector field X is tangent to the level sets:
+    iota_X kills every df^xi (and dh^xi)."""
+    dfs = ([exterior_derivative(f) for f in moment.f]
+           + [exterior_derivative(h) for h in moment.h if not h.is_zero])
 
-    def check(br):
-        for df in dfs + dhs:
-            c = interior_product(br.vec, df).comps.get((), None)
+    def check(X):
+        for df in dfs:
+            c = interior_product(X, df).comps.get((), None)
             if c is not None and not c.is_zero:
                 return False
         return True
     return check
 
 
+def df_contraction_is_zero(moment: MomentMapPoly):
+    """Exact check that the bracket stays perpendicular to the level set:
+    its vector part is tangent to the level sets."""
+    tangent = tangent_to_level(moment)
+    return lambda br: tangent(br.vec)
+
+
 def gm_pairing_is_zero(action):
     """Exact check <bracket, xi_M> = 0 for every fundamental field."""
     from .calculus import pairing_poly
-    k = action.k if isinstance(action, TorusAction) else action.dim_group
-    fields = [action.fundamental_field(a) for a in range(k)]
+    fields = action.fundamental_fields()
 
     def check(br):
         return all(pairing_poly(br, f).is_zero for f in fields)

@@ -130,10 +130,6 @@ class ComplexPolynomial:
         exps[j + (n if conjugated else 0)] = 1
         return cls(n, {tuple(exps): QI_ONE})
 
-    @classmethod
-    def monomial(cls, n, coeff, z_exps, zbar_exps):
-        return cls(n, {tuple(z_exps) + tuple(zbar_exps): QI.of(coeff)})
-
     # -- ring operations ---------------------------------------------------
     def _check(self, other):
         if self.n != other.n:

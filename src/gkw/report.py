@@ -192,17 +192,14 @@ def _invariance_section(case: CatalogCase | None, scenario):
     return out
 
 
+TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
+                "type_j1_up", "type_j2_up", "indeterminate")
+
+
 def _table_section(scenario, batch, pair_at, expected=None, expected_up=None):
     table = type_table(scenario, batch=batch, pair_at=pair_at)
-    rows = [{
-        "point_id": r.point_id, "stratum": r.stratum,
-        "type_j1": r.type_j1, "type_j2": r.type_j2,
-        "dim_k_cap_piL2": r.dim_k_cap_piL2,
-        "type_j1_up": r.type_j1_up, "type_j2_up": r.type_j2_up,
-        "indeterminate": r.indeterminate,
-        "moment_condition": r.diagnostics["moment_condition"],
-        "p_isotropy": r.diagnostics["p_isotropy"],
-    } for r in table.rows]
+    rows = [{**{f: getattr(r, f) for f in TABLE_FIELDS}, **r.diagnostics}
+            for r in table.rows]
     ok = all(r["p_isotropy"] < P_ISOTROPY_TOL and r["moment_condition"] < MOMENT_CONDITION_TOL
              for r in rows)
     expected_ok = True
@@ -270,10 +267,8 @@ def run(config: RunConfig) -> dict:
         return {"header": _header(config), "sections": {"catalog": entries},
                 "pass": True, "exit_code": 0}
 
-    if config.tol != RANK_TOL:
-        with rank_tolerance(config.tol):
-            return _run_inner(config)
-    return _run_inner(config)
+    with rank_tolerance(config.tol):
+        return _run_inner(config)
 
 
 def _run_inner(config: RunConfig) -> dict:

@@ -5,7 +5,7 @@ import numpy as np
 
 from gkw.calculus import Form, GeneralizedSection, VectorField
 from gkw.linear import KahlerPairNum, LinearGC, b_field_matrix
-from gkw.poly import QI, ComplexPolynomial
+from gkw.poly import QI, QI_I, ComplexPolynomial
 
 
 def rand_qi(rng, den=4):
@@ -212,3 +212,34 @@ def rand_gc_with_admissible_q(rng, m, qdim=1):
         J = gl_conjugate(J, A)
         Q = A @ Q
     return J, Q
+
+
+def ddx_field(n, j):
+    return VectorField(n, {j: ComplexPolynomial.one(n), j + n: ComplexPolynomial.one(n)})
+
+
+def ddy_field(n, j):
+    return VectorField(n, {j: ComplexPolynomial.const(n, QI_I),
+                           j + n: ComplexPolynomial.const(n, -QI_I)})
+
+
+def point_to_real(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros(2 * len(z))
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out
+
+
+def grassmannian_matrix_polynomials(action):
+    """The Hermitian matrix Phi(Z) = Z Z-dagger as exact polynomials."""
+    N = action.ambient_n
+    out = [[ComplexPolynomial.zero(N) for _ in range(action.n)] for _ in range(action.n)]
+    for a in range(action.n):
+        for b in range(action.n):
+            p = ComplexPolynomial.zero(N)
+            for j in range(action.m):
+                p = p + (ComplexPolynomial.variable(N, action.flat(a, j))
+                         * ComplexPolynomial.variable(N, action.flat(b, j), conjugated=True))
+            out[a][b] = p
+    return out

@@ -27,9 +27,9 @@ from gkw.pipeline import (DeformedKahlerRecipe, quotient_bihermitian,
                           verify_moment_map, verify_type_formula)
 from gkw.poly import ComplexPolynomial
 
-from generators import (rand_antisym, rand_gc, rand_gc_with_admissible_q,
-                        rand_lbar_section, rand_pair_with_admissible_q,
-                        rand_section)
+from generators import (point_to_real, rand_antisym, rand_gc,
+                        rand_gc_with_admissible_q, rand_lbar_section,
+                        rand_pair_with_admissible_q, rand_section)
 from naive_calculus import naive_courant, naive_schouten
 from test_calculus import section_to_raw, to_raw
 
@@ -224,7 +224,7 @@ def test_criterion_08_hyperkahler_flat():
     for z in batch.points:
         df = frames.one_form_at(exterior_derivative(f), z).real
         dmuK = frames.one_form_at(exterior_derivative(muK), z).real
-        xv = frames.point_to_real(z)
+        xv = point_to_real(z)
         out = J1m @ np.concatenate([np.zeros(4), df])
         worst_df = max(worst_df, np.linalg.norm(out - np.concatenate([-X @ xv, -dmuK])))
     mm = MomentMapPoly((f,), (muK,))

@@ -6,9 +6,8 @@ import pytest
 
 from gkw import frames
 from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
-                         grassmannian_matrix_polynomials, grassmannian_moment_map,
-                         moment_from_hamiltonian_identity, shift_by_bfield,
-                         standard_moment_map)
+                         grassmannian_moment_map, moment_from_hamiltonian_identity,
+                         shift_by_bfield, standard_moment_map)
 from gkw.calculus import (Form, GeneralizedSection, VectorField, dx_form, dy_form,
                           exterior_derivative, interior_product,
                           standard_symplectic_form, x_poly, y_poly)
@@ -17,6 +16,8 @@ from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe, RealifiedRecipe,
                           ScalingSampler, Scenario, realify, sample_level_set,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
+
+from generators import grassmannian_matrix_polynomials
 
 
 def test_fundamental_field_real_frame():
@@ -30,7 +31,7 @@ def test_fundamental_field_real_frame():
     # same thing written in the real frame
     xv = x_poly(n, 0)
     yv = y_poly(n, 0)
-    from gkw.calculus import ddx_field, ddy_field
+    from generators import ddx_field, ddy_field
     real_version = VectorField(n, {})
     for a, p in ddy_field(n, 0).comps.items():
         real_version = real_version + VectorField(n, {a: xv * p})

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket,
-                          dx_form, dy_form, ddy_field, exterior_derivative,
+                          dx_form, dy_form, exterior_derivative,
                           interior_product, lie_derivative, pairing_poly,
                           standard_symplectic_form, x_poly, y_poly)
 from gkw.poly import QI, QI_HALF, ComplexPolynomial
 
-from generators import rand_poly, rand_section
+from generators import ddy_field, rand_poly, rand_section
 from naive_calculus import naive_courant
 
 

@@ -12,6 +12,8 @@ from gkw.linear import ValidationError, eta
 from gkw.pipeline import sample_level_set, type_table, verify_type_formula
 from gkw.polytope import cp2_polytope
 
+from generators import point_to_real
+
 
 def test_catalog_names_cover_advertised_cases():
     names = catalog_names()
@@ -102,7 +104,7 @@ def test_hyperkahler_exact_data():
     for A, mu in ((I4, muI), (J4, muJ), (K4, muK)):
         for _ in range(5):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            xv = fr.point_to_real(z)
+            xv = point_to_real(z)
             lhs = fr.one_form_at(exterior_derivative(mu), z).real
             assert np.allclose(lhs, A @ (X @ xv), atol=1e-12)
     # mu_I - mu_J invariant under the circle
@@ -159,7 +161,7 @@ def test_realified_hyperkahler_maps_df_to_minus_field():
     for z in batch.points:
         pair = scen.recipe.pair_at(z)
         df = fr.one_form_at(exterior_derivative(f), z).real
-        xv = fr.point_to_real(z)
+        xv = point_to_real(z)
         out = pair.J1.J @ np.concatenate([np.zeros(4), df])
         worst = max(worst, np.linalg.norm(out - np.concatenate([-X @ xv, np.zeros(4)])))
     assert worst < 1e-10

@@ -28,6 +28,14 @@ def test_csv_schema(capsys):
     assert lines[1].split(",")[1] == "generic"
 
 
+def test_type_table_row_key_order():
+    rep = run(RunConfig(command="deform", case="kahler-c3", samples=2, seed=7))
+    for row in rep["sections"]["type_table"]["rows"]:
+        assert list(row) == ["point_id", "stratum", "type_j1", "type_j2",
+                             "dim_k_cap_piL2", "type_j1_up", "type_j2_up",
+                             "indeterminate", "moment_condition", "p_isotropy"]
+
+
 def test_json_roundtrip_and_determinism():
     cfg = RunConfig(command="reduce", case="cpn-2", samples=8, seed=7, fmt="json")
     rep1 = run(cfg)
@@ -160,6 +168,20 @@ def test_tol_run_after_a_default_run_matches_a_fresh_process(capsys):
     assert (fresh.returncode, fresh.stdout) == (code, out)
     rows = json.loads(out)["sections"]["validation"]["rows"]
     assert rows and not any(r["rank_gap_ok"] for r in rows)
+
+
+def test_catalog_case_does_not_depend_on_the_first_tol_in_a_process(capsys):
+    # a case is built once per process; a --tol run must find the same case
+    # whether or not a default run built it first
+    args = ["reduce", "--case", "cpn-2", "--samples", "6", "--format", "json"]
+    run_cli(args, capsys)
+    code = main(args + ["--tol", "0.1"])
+    after_default = capsys.readouterr()
+    fresh = subprocess.run([sys.executable, "-m", "gkw.cli", *args, "--tol", "0.1"],
+                           capture_output=True, text=True, timeout=600,
+                           env=_subprocess_env())
+    assert ((fresh.returncode, fresh.stdout, fresh.stderr)
+            == (code, after_default.out, after_default.err))
 
 
 def test_exit_code_tolerance_indeterminacy(tmp_path, capsys):
