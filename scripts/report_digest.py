@@ -4,7 +4,9 @@
 
 One line per report: json and csv of ``reduce`` and ``deform`` for every
 catalog case at seeds 7 and 8 (12 samples), then the json of ``sweep`` at
-seed 7.  Run it on two commits and compare the outputs with ``diff``.
+seed 7, then the json of ``catalog`` without its header, so that the last
+line follows only what the catalog builders produce.  Run it on two commits
+and compare the outputs with ``diff``.
 """
 import hashlib
 import sys
@@ -31,6 +33,8 @@ def main():
                 for fmt in ("json", "csv"):
                     _line(f"{command} {name} seed={seed} {fmt}", emit(rep, fmt))
     _line("sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json"))
+    catalog = run(RunConfig("catalog"))
+    _line("catalog json (no header)", emit({"sections": catalog["sections"]}, "json"))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
                        interior_product)
 from .deformation import DeformationBivector
-from .linear import RANK_TOL, ValidationError, b_conjugate, rank_tolerance
+from .linear import ValidationError, b_conjugate
 from .pipeline import (ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
@@ -247,14 +247,14 @@ def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase
     t = Fraction(t) if t is not None else _fit_deformation_scale(make)
     scen = make(t)
     k_dim = n * n
-    # dim(k_M cap pi(L_eps)) is 0 for n = 1; for n >= 2 it is 1 at generic
-    # frames (rank-one A = col0.phi), which feeds the type formula
-    d_generic = 0 if n == 1 else 1
+    # at generic frames dim(k_M cap pi(L_eps)) = max(0, n + 2 - m) for the
+    # col0 family, which feeds the type formula
+    d_generic = max(0, n + 2 - m)
     expected = {"generic": (0, (n * m - 2) - k_dim + 2 * d_generic),
                 "col0=0": (0, n * m - k_dim)}
     upstairs = {"generic": n * m - 2, "col0=0": n * m}
     doc = f"Grassmannian Gr({n},{m}) via the column-0-weighted deformation."
-    if n >= 2:
+    if d_generic == 1:
         doc += (" Note: at generic frames the complexified fundamental fields meet "
                 "pi(L_eps) in one dimension, so the quotient type is "
                 f"{(n * m - 2) - k_dim + 2}, not the naive {(n * m - 2) - k_dim}; "
@@ -262,7 +262,7 @@ def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase
                 "structures coincide.")
     return CatalogCase(
         name=scen.name, scenario=scen, expected_strata=expected,
-        expected_upstairs_j2=upstairs, doc=doc, expected_distinct=(n == 1))
+        expected_upstairs_j2=upstairs, doc=doc, expected_distinct=(d_generic == 0))
 
 
 # -- flat hyper-Kahler ---------------------------------------------------------
@@ -389,20 +389,16 @@ def catalog_names():
 
 @lru_cache(maxsize=None)
 def build_case(name: str) -> CatalogCase:
-    """Build a catalog case by name (cached; cases are immutable in use).
-
-    A case is built under the default rank threshold, whatever threshold is
-    in force, so the cached case does not depend on the run that built it."""
-    with rank_tolerance(RANK_TOL):
-        if name in _BUILDERS:
-            return _BUILDERS[name]()
-        if name.startswith("hirzebruch-"):
-            try:
-                k = int(name.split("-", 1)[1])
-            except ValueError:
-                raise KeyError(name) from None
-            return build_hirzebruch(k)
-        raise KeyError(name)
+    """Build a catalog case by name (cached; cases are immutable in use)."""
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
+    if name.startswith("hirzebruch-"):
+        try:
+            k = int(name.split("-", 1)[1])
+        except ValueError:
+            raise KeyError(name) from None
+        return build_hirzebruch(k)
+    raise KeyError(name)
 
 
 # -- closure section families ---------------------------------------------------

@@ -7,14 +7,18 @@ are stored as real 2m x 2m matrices; eigenbundle work happens in C^{2m}.
 
 The validation checks of a structure and of a pair act on the last two axes
 of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
-a single structure is checked as a stack of one.  A structure's type is
-decided once per rank threshold in force (``LinearGC.type_with_gap``), so a
-structure shared by many points or asked by several report sections costs
-one rank decision.
+a single structure is checked as a stack of one.
+
+Every rank threshold is an explicit argument.  Structures are validated,
+deformed and reduced at the fixed RANK_TOL and VALIDATION_TOL, so a
+structure never depends on the threshold of the run that asks about it.
+Only the ranks a report shows take the run's threshold: a structure's type
+(``LinearGC.type_with_gap(tol)``), decided once per structure and threshold,
+so a structure shared by many points or asked by several report sections
+costs one rank decision.
 """
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,23 +29,6 @@ VALIDATION_TOL = 1e-10  # J^2 = -1, orthogonality, metric positivity
 ISOTROPY_TOL = 1e-9
 GAP_FACTOR = 10.0       # rank is 'indeterminate' if any sv falls within
                         # (threshold/GAP_FACTOR, threshold*GAP_FACTOR)
-
-_TOLS = {"rank": RANK_TOL}
-
-
-def current_rank_tol() -> float:
-    return _TOLS["rank"]
-
-
-@contextmanager
-def rank_tolerance(tol: float):
-    """Override the rank threshold for the dynamic extent of a run."""
-    old = _TOLS["rank"]
-    _TOLS["rank"] = float(tol)
-    try:
-        yield
-    finally:
-        _TOLS["rank"] = old
 
 
 class ValidationError(ValueError):
@@ -106,14 +93,13 @@ def _indeterminate(s, thr) -> IndeterminateRankError:
         f"rank indeterminate: singular values {s} vs threshold {thr:.3e}")
 
 
-def numerical_rank(A, tol=None, require_determinate=False):
+def numerical_rank(A, tol=RANK_TOL, require_determinate=False):
     """Thresholded rank with a spectral-gap audit.
 
     Returns (rank, gap_ok, svals).  gap_ok is False when a singular value
     lies within a factor GAP_FACTOR of the threshold, meaning the rank
     decision is tolerance-sensitive.
     """
-    tol = current_rank_tol() if tol is None else tol
     A = np.asarray(A)
     if A.size == 0:
         return 0, True, np.zeros(0)
@@ -123,10 +109,9 @@ def numerical_rank(A, tol=None, require_determinate=False):
     return int(rank), bool(gap_ok), s
 
 
-def orthonormal_columns(A, tol=None):
+def orthonormal_columns(A, tol=RANK_TOL):
     """Orthonormal basis of the numerical column span of A: real for a real
     A, complex otherwise."""
-    tol = current_rank_tol() if tol is None else tol
     A = np.asarray(A)
     A = A.astype(complex if np.iscomplexobj(A) else float, copy=False)
     if A.ndim != 2 or A.shape[1] == 0:
@@ -149,8 +134,7 @@ def _null_dims(A, tol):
     return vh, A.shape[-1] - (s > _threshold(s, tol)).sum(-1)
 
 
-def nullspace(A, tol=None):
-    tol = current_rank_tol() if tol is None else tol
+def nullspace(A, tol=RANK_TOL):
     A = np.asarray(A, dtype=complex)
     if A.shape[0] == 0:
         return np.eye(A.shape[1], dtype=complex)
@@ -199,16 +183,10 @@ class ComplexSubspace:
     """A complex subspace of C^d held as an orthonormal column basis."""
 
     basis: np.ndarray
-    tol: float = None
-
-    def __post_init__(self):
-        if self.tol is None:
-            object.__setattr__(self, "tol", current_rank_tol())
 
     @classmethod
-    def from_columns(cls, cols, tol=None):
-        tol = current_rank_tol() if tol is None else tol
-        return cls(orthonormal_columns(np.asarray(cols, dtype=complex), tol), tol)
+    def from_columns(cls, cols, tol=RANK_TOL):
+        return cls(orthonormal_columns(np.asarray(cols, dtype=complex), tol))
 
     @property
     def ambient_dim(self):
@@ -227,40 +205,40 @@ class ComplexSubspace:
         r = v - self.basis @ (self.basis.conj().T @ v)
         return float(np.linalg.norm(r) / nv)
 
-    def contains(self, vec, tol=None) -> bool:
-        return self.residual(vec) < (self.tol if tol is None else tol)
+    def contains(self, vec, tol=RANK_TOL) -> bool:
+        return self.residual(vec) < tol
 
     def perp(self) -> "ComplexSubspace":
         """Perpendicular w.r.t. the bilinear pairing eta (not hermitian)."""
         m = self.ambient_dim // 2
         E = eta(m)
         if self.dim == 0:
-            return ComplexSubspace(np.eye(self.ambient_dim, dtype=complex), self.tol)
-        return ComplexSubspace(nullspace(self.basis.T @ E, self.tol), self.tol)
+            return ComplexSubspace(np.eye(self.ambient_dim, dtype=complex))
+        return ComplexSubspace(nullspace(self.basis.T @ E))
 
     def intersect(self, other: "ComplexSubspace") -> "ComplexSubspace":
         if self.dim == 0 or other.dim == 0:
-            return ComplexSubspace(self.basis[:, :0], self.tol)
-        N = nullspace(np.hstack([self.basis, -other.basis]), self.tol)
+            return ComplexSubspace(self.basis[:, :0])
+        N = nullspace(np.hstack([self.basis, -other.basis]))
         if N.shape[1] == 0:
-            return ComplexSubspace(self.basis[:, :0], self.tol)
-        return ComplexSubspace.from_columns(self.basis @ N[:self.dim, :], self.tol)
+            return ComplexSubspace(self.basis[:, :0])
+        return ComplexSubspace.from_columns(self.basis @ N[:self.dim, :])
 
     def add(self, other: "ComplexSubspace") -> "ComplexSubspace":
-        return ComplexSubspace.from_columns(np.hstack([self.basis, other.basis]), self.tol)
+        return ComplexSubspace.from_columns(np.hstack([self.basis, other.basis]))
 
-    def projection_to_tangent(self) -> "ComplexSubspace":
+    def projection_to_tangent(self, tol=RANK_TOL) -> "ComplexSubspace":
         """pi(S): the V-block span (first half of the coordinates)."""
         m = self.ambient_dim // 2
-        return ComplexSubspace.from_columns(self.basis[:m, :], self.tol)
+        return ComplexSubspace.from_columns(self.basis[:m, :], tol)
 
 
 def subspace_intersection_dim(A: ComplexSubspace, B: ComplexSubspace,
-                              require_determinate=True):
+                              require_determinate=True, tol=RANK_TOL):
     """dim(A cap B) with a rank-gap audit: dim = dimA + dimB - rank[A B]."""
     if A.dim == 0 or B.dim == 0:
         return 0, True
-    rank, gap_ok, _ = numerical_rank(np.hstack([A.basis, B.basis]),
+    rank, gap_ok, _ = numerical_rank(np.hstack([A.basis, B.basis]), tol,
                                      require_determinate=require_determinate)
     return A.dim + B.dim - rank, gap_ok
 
@@ -271,7 +249,6 @@ class LinearGC:
     J^2 = -1 on V + V*, validated at construction."""
 
     J: np.ndarray
-    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         J = np.asarray(self.J, dtype=float)
@@ -279,7 +256,7 @@ class LinearGC:
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
             raise ValidationError("J must be square of even dimension 2m")
         out = _Outcomes(1)
-        _, Lh = _check_structures(J[None], out, self.tol)
+        _, Lh = _check_structures(J[None], out)
         out.raise_first()
         object.__setattr__(self, "_L", ComplexSubspace(Lh[0].T))
 
@@ -300,11 +277,10 @@ class LinearGC:
         rank, _, _ = numerical_rank(L.basis[:self.m, :], require_determinate=True)
         return self.m - rank
 
-    def type_with_gap(self):
-        """(type, gap_ok): the thresholded value plus the audit flag; used
-        by table builders that report borderline rows instead of raising.
-        Decided once per structure and rank threshold in force."""
-        tol = current_rank_tol()
+    def type_with_gap(self, tol=RANK_TOL):
+        """(type, gap_ok): the value at rank threshold ``tol`` plus the audit
+        flag; used by table builders that report borderline rows instead of
+        raising.  Decided once per structure and threshold."""
         memo = self.__dict__.setdefault("_types", {})
         if tol not in memo:
             rank, gap_ok, _ = numerical_rank(self.eigenbundle().basis[:self.m, :], tol)
@@ -372,7 +348,7 @@ class LinearGC:
         return LinearGC(J)
 
 
-def _check_structures(J, out: _Outcomes, tol=VALIDATION_TOL):
+def _check_structures(J, out: _Outcomes):
     """The checks of LinearGC on a stack J of real 2m x 2m matrices (the
     rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality,
     then the +i eigenbundle L = nullspace(J - i): its dimension, isotropy
@@ -384,10 +360,11 @@ def _check_structures(J, out: _Outcomes, tol=VALIDATION_TOL):
     scale = np.maximum(1.0, _norm2(J))
     r_sq = _fro(J @ J + np.eye(d)) / scale
     r_orth = _fro(np.swapaxes(J, -1, -2) @ E @ J - E) / scale ** 2
-    (J,) = out.reject((r_sq > tol) | (r_orth > tol), lambda k: ValidationError(
+    bad = (r_sq > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
+    (J,) = out.reject(bad, lambda k: ValidationError(
         f"not a generalized complex structure: |J^2+I|={r_sq[k]:.3e}, "
         f"|J^T eta J - eta|={r_orth[k]:.3e}"), J)
-    vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), current_rank_tol())
+    vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), RANK_TOL)
     (J, vh) = out.reject(dim != m, lambda k: ValidationError(
         f"eigenbundle has dimension {dim[k]}, expected {m}"), J, vh)
     Lh = vh[:, m:, :].conj()
@@ -395,7 +372,7 @@ def _check_structures(J, out: _Outcomes, tol=VALIDATION_TOL):
     iso = np.abs(Lh @ E @ L).max(axis=(-2, -1))
     (J, Lh, L) = out.reject(iso > ISOTROPY_TOL, lambda k: ValidationError(
         f"eigenbundle not isotropic: max pairing {iso[k]:.3e}"), J, Lh, L)
-    rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), current_rank_tol())
+    rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), RANK_TOL)
     return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"),
                       J, Lh)
 
@@ -411,7 +388,7 @@ def _real_structures(B, dims, out: _Outcomes):
     if not len(B):
         return (np.zeros((0, d, d)),)
     S = np.concatenate([B, B.conj()], axis=-1)
-    rank, gap_ok, s, thr = _ranks(S, current_rank_tol())
+    rank, gap_ok, s, thr = _ranks(S, RANK_TOL)
     (S, rank) = out.reject(~gap_ok, lambda k: _indeterminate(s[k], thr[k]), S, rank)
     (S,) = out.reject(rank != d, lambda k: ValidationError(
         "L cap conj(L) != 0: no real structure"), S)
@@ -453,14 +430,13 @@ class KahlerPairNum:
 
     J1: LinearGC
     J2: LinearGC
-    tol: float = VALIDATION_TOL
 
     def __post_init__(self):
         J1, J2 = self.J1.J, self.J2.J
         if J1.shape != J2.shape:
             raise ValidationError("pair members act on different spaces")
         out = _Outcomes(1)
-        _check_pairs(J1[None], J2[None], out, self.tol)
+        _check_pairs(J1[None], J2[None], out)
         out.raise_first()
 
     @property
@@ -475,7 +451,7 @@ class KahlerPairNum:
         return self.J1.type_of(), self.J2.type_of()
 
 
-def _check_pairs(J1, J2, out: _Outcomes, tol, *carry):
+def _check_pairs(J1, J2, out: _Outcomes, *carry):
     """The checks of KahlerPairNum on stacks J1, J2 (the rows of ``out``
     still alive), in order: J1 and J2 commute, G = -J1 J2 has G^2 = 1 and
     is eta-orthogonal, and G^T eta is positive definite.  Returns the
@@ -491,7 +467,8 @@ def _check_pairs(J1, J2, out: _Outcomes, tol, *carry):
     gscale = np.maximum(1.0, _norm2(G) ** 2)
     r_inv = _fro(G @ G - np.eye(d)) / gscale
     r_orth = _fro(GT @ E @ G - E) / gscale
-    (GT, *carry) = out.reject((r_inv > tol) | (r_orth > tol), lambda k: ValidationError(
+    bad = (r_inv > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
+    (GT, *carry) = out.reject(bad, lambda k: ValidationError(
         f"G fails metric identities: |G^2-I|={r_inv[k]:.3e}"), GT, *carry)
     Q = GT @ E
     ev_min = np.linalg.eigvalsh((Q + np.swapaxes(Q, -1, -2)) / 2).min(axis=-1)
@@ -616,19 +593,18 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     m = J2.m
     L2 = J2.eigenbundle().basis
     Leps = L2 + t * (K @ (eta(m) @ L2))
-    tol = current_rank_tol()
-    rank, gap_ok, _, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), tol)
+    rank, gap_ok, _, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), RANK_TOL)
     (Leps,) = out.reject((rank != 2 * m) | ~gap_ok, lambda k: ValidationError(
         f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0"), Leps)
     u, s, _ = np.linalg.svd(Leps, full_matrices=False)
-    (J,) = _real_structures(u, (s > _threshold(s, tol)).sum(-1), out)
+    (J,) = _real_structures(u, (s > _threshold(s, RANK_TOL)).sum(-1), out)
     return _check_structures(J, out)
 
 
 def _structures(J, Lh) -> list:
     """The LinearGC of each row that passed _check_structures."""
-    return [_checked(LinearGC, J=J[k].copy(), tol=VALIDATION_TOL,
-                     _L=ComplexSubspace(Lh[k].T)) for k in range(len(J))]
+    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T))
+            for k in range(len(J))]
 
 
 def deform_gcs(J2: LinearGC, K: np.ndarray, t: float) -> LinearGC:
@@ -650,9 +626,9 @@ def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
     stack = K if K.ndim == 3 else K[None]
     out = _Outcomes(len(stack))
     J, Lh = _deformed_structures(pair.J2, stack, t, out)
-    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, VALIDATION_TOL, J, Lh)
+    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, Lh)
     for i, J2 in zip(out.alive, _structures(J, Lh)):
-        out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2, tol=VALIDATION_TOL)
+        out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2)
     if K.ndim == 3:
         return out.results
     out.raise_first()

@@ -24,7 +24,7 @@ from .actions import MomentMapPoly, TorusAction, UnitaryAction
 from .calculus import (Form, GeneralizedSection, VectorField, exterior_derivative,
                        interior_product)
 from .deformation import DeformationBivector
-from .linear import (BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
+from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
                      contraction_operator, deform_pair, eta, extract_bihermitian,
                      reduce_pair, subspace_intersection_dim)
@@ -34,6 +34,7 @@ FREENESS_TOL = 1e-8
 LEVEL_TOL = 1e-12
 P_ISOTROPY_TOL = 1e-9
 MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table row
+MEMBERSHIP_TOL = 1e-9         # residual of a section outside an eigenbundle
 PAIR_STACK_ROWS = 16          # points per pairs_at stack in pairs_once: nearly
                               # the speed of one stack for a whole run, with a
                               # fraction of its transient memory
@@ -605,10 +606,12 @@ class QuotientRow:
 
 
 def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
-                      DF=None, point_id=0) -> QuotientRow:
+                      DF=None, point_id=0, tol=RANK_TOL) -> QuotientRow:
     """The quotient at z of ``pair`` (by default the recipe's pair at z);
     ``Q`` and ``DF`` are the sampler's frames at z when it has them, and
-    ``point_id`` numbers the row in its table."""
+    ``point_id`` numbers the row in its table.  The row's ranks (the four
+    types and dim(k_M cap pi L2)) are decided at threshold ``tol``; the
+    quotient itself is built at the fixed RANK_TOL."""
     n = scenario.n
     if pair is None:
         pair = scenario.recipe.pair_at(z)
@@ -624,14 +627,14 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     pair_q, qb = reduce_pair(pair, Q)
     E = eta(2 * n)
     r_iso = float(np.abs(qb.P.T @ E @ qb.P).max())
-    L2 = pair.J2.eigenbundle()
-    piL2 = L2.projection_to_tangent()
-    kM = ComplexSubspace.from_columns(Q.astype(complex))
-    dim_int, gap_int = subspace_intersection_dim(kM, piL2, require_determinate=False)
-    t1u, g1u = pair.J1.type_with_gap()
-    t2u, g2u = pair.J2.type_with_gap()
-    t1q, g1q = pair_q.J1.type_with_gap()
-    t2q, g2q = pair_q.J2.type_with_gap()
+    piL2 = pair.J2.eigenbundle().projection_to_tangent(tol)
+    kM = ComplexSubspace.from_columns(Q.astype(complex), tol)
+    dim_int, gap_int = subspace_intersection_dim(kM, piL2, require_determinate=False,
+                                                 tol=tol)
+    t1u, g1u = pair.J1.type_with_gap(tol)
+    t2u, g2u = pair.J2.type_with_gap(tol)
+    t1q, g1q = pair_q.J1.type_with_gap(tol)
+    t2q, g2q = pair_q.J2.type_with_gap(tol)
     return QuotientRow(
         point_id=point_id,
         stratum=label if label is not None else scenario.stratum_label(z),
@@ -649,8 +652,10 @@ class TypeTable:
     scenario_name: str
 
 
-def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None) -> TypeTable:
-    """The quotient at each sample, one row per point in point-id order.
+def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None,
+               tol=RANK_TOL) -> TypeTable:
+    """The quotient at each sample, one row per point in point-id order,
+    with its ranks decided at threshold ``tol``.
 
     A caller that has already sampled the level set and built the pairs
     passes them as ``batch`` and ``pair_at`` (then ``count`` and ``seed``
@@ -658,7 +663,8 @@ def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None) -
     if batch is None:
         batch = sample_level_set(scenario, count, seed)
     pair_at = pair_at or scenario.recipe.pair_at
-    rows = [quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF, point_id=i)
+    rows = [quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF, point_id=i,
+                              tol=tol)
             for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels,
                                                     batch.Q, batch.DF))]
     return TypeTable(rows, scenario.name)
@@ -714,7 +720,7 @@ def bihermitian_of(pair_quot: KahlerPairNum, type_j1, type_j2) -> QuotientBiHerm
 # -- moment-map verification --------------------------------------------------
 
 def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
-                      tol=1e-9, invariance=True):
+                      tol=MEMBERSHIP_TOL, invariance=True):
     """At each sample and Lie-algebra basis element: membership residual of
     xi_M - i dmu^xi in the +i eigenbundle of the structure, plus the
     invariance contraction iota_{xi_M} dmu^eta (zero when condition one of
@@ -822,7 +828,7 @@ def run_closure_families(families, samples):
                         L = fam.structure_at(z).eigenbundle()
                         res = max(res, L.residual(frames.section_at(br, z)))
                     row["membership_residual"] = float(res)
-                    ok = ok and res < 1e-9
+                    ok = ok and res < MEMBERSHIP_TOL
                 row["pass"] = bool(ok)
                 rows.append(row)
                 done += 1

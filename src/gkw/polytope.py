@@ -37,6 +37,12 @@ class PolytopeSpec:
                 raise ValueError(f"normal {eta} is not primitive")
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
+        verts = self.vertices()
+        for j, (eta, c) in enumerate(zip(normals, offsets)):
+            on = sum(sum(a * x for a, x in zip(eta, v)) == c for v in verts)
+            if on < self.d:
+                raise ValueError(f"facet {j} (normal {eta}, offset {c}) is redundant: "
+                                 f"it holds {on} of the vertices, fewer than d = {self.d}")
 
     @property
     def d(self):

@@ -19,9 +19,9 @@ from .calculus import VectorField
 from .catalog import (CatalogCase, build_case, catalog_names, closure_families,
                       cpn_su2_invariance, torus_invariance, unitary_invariance)
 from .deformation import DeformationBivector
-from .linear import RANK_TOL, VALIDATION_TOL, ValidationError, rank_tolerance
-from .pipeline import (FREENESS_TOL, LEVEL_TOL, MOMENT_CONDITION_TOL, P_ISOTROPY_TOL,
-                       DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
+from .linear import RANK_TOL, VALIDATION_TOL, ValidationError
+from .pipeline import (FREENESS_TOL, LEVEL_TOL, MEMBERSHIP_TOL, MOMENT_CONDITION_TOL,
+                       P_ISOTROPY_TOL, DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
                        Scenario, Stratum, bihermitian_of, pairs_once,
                        run_closure_families, sample_level_set, type_table,
                        verify_moment_map, verify_type_formula)
@@ -137,6 +137,8 @@ def _header(config: RunConfig, scenario=None):
             "isotropy": P_ISOTROPY_TOL,
             "freeness": FREENESS_TOL,
             "level": LEVEL_TOL,
+            "moment_condition": MOMENT_CONDITION_TOL,
+            "membership": MEMBERSHIP_TOL,
         },
         "conventions": CONVENTIONS,
     }
@@ -145,14 +147,14 @@ def _header(config: RunConfig, scenario=None):
     return h
 
 
-def _validation_section(batch, pair_at):
+def _validation_section(batch, pair_at, tol=RANK_TOL):
     rows = []
     ok = True
     for i, z in enumerate(batch.points):
         try:
             pair = pair_at(z)
-            t1, g1 = pair.J1.type_with_gap()
-            t2, g2 = pair.J2.type_with_gap()
+            t1, g1 = pair.J1.type_with_gap(tol)
+            t2, g2 = pair.J2.type_with_gap(tol)
             rows.append({"sample": i, "pass": True, "types_upstairs": [t1, t2],
                          "rank_gap_ok": bool(g1 and g2)})
         except ValidationError as exc:
@@ -196,8 +198,8 @@ TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
                 "type_j1_up", "type_j2_up", "indeterminate")
 
 
-def _table_section(scenario, batch, pair_at, expected=None, expected_up=None):
-    table = type_table(scenario, batch=batch, pair_at=pair_at)
+def _table_section(scenario, batch, pair_at, tol, expected=None, expected_up=None):
+    table = type_table(scenario, batch=batch, pair_at=pair_at, tol=tol)
     rows = [{**{f: getattr(r, f) for f in TABLE_FIELDS}, **r.diagnostics}
             for r in table.rows]
     ok = all(r["p_isotropy"] < P_ISOTROPY_TOL and r["moment_condition"] < MOMENT_CONDITION_TOL
@@ -258,7 +260,9 @@ def _bihermitian_section(table, expect_distinct=None):
 
 
 def run(config: RunConfig) -> dict:
-    """Execute the pipeline stages implied by the command; returns the report."""
+    """Execute the pipeline stages implied by the command; returns the report.
+    ``config.tol`` decides the ranks the report shows: the upstairs types of
+    the validation rows and every rank of the type table."""
     if config.command == "catalog":
         entries = []
         for name in catalog_names():
@@ -267,11 +271,6 @@ def run(config: RunConfig) -> dict:
         return {"header": _header(config), "sections": {"catalog": entries},
                 "pass": True, "exit_code": 0}
 
-    with rank_tolerance(config.tol):
-        return _run_inner(config)
-
-
-def _run_inner(config: RunConfig) -> dict:
     case = None
     if config.case is not None:
         try:
@@ -289,14 +288,14 @@ def _run_inner(config: RunConfig) -> dict:
     batch = sample_level_set(scenario, config.samples, config.seed)
     pair_at = pairs_once(scenario.recipe, batch.points)
     sections = {}
-    sections["validation"] = _validation_section(batch, pair_at)
+    sections["validation"] = _validation_section(batch, pair_at, config.tol)
     sections["moment_map"] = _moment_section(scenario, batch, pair_at)
     sections["maurer_cartan"] = _mc_section(scenario)
     sections["invariance"] = _invariance_section(case, scenario)
     indeterminate = False
     if config.command in ("deform", "reduce"):
         expected_up = case.expected_upstairs_j2 if case else None
-        table, sec = _table_section(scenario, batch, pair_at,
+        table, sec = _table_section(scenario, batch, pair_at, config.tol,
                                     expected=(case.expected_strata if case and config.command == "reduce" else None),
                                     expected_up=expected_up)
         sections["type_table"] = sec

@@ -39,6 +39,17 @@ def test_expected_strata_match_computed(name):
     assert all(r["pass"] for r in verify_type_formula(case.scenario, tab))
 
 
+@pytest.mark.parametrize("n, m", [(2, 4), (2, 5)])
+def test_grassmannian_expected_strata_follow_the_generic_intersection(n, m):
+    # the col0 family meets k_M in max(0, n + 2 - m) dimensions at generic
+    # frames, which is 0 here, so the generic quotient type is n*m - 2 - n^2
+    case = build_grassmannian(n, m)
+    assert case.expected_distinct is True
+    for r in type_table(case.scenario, 8, 7).rows:
+        assert (r.type_j1, r.type_j2) == case.expected_strata[r.stratum], (r.stratum, r.point_id)
+        assert r.type_j2_up == case.expected_upstairs_j2[r.stratum]
+
+
 def test_cross_builder_cp2_consistency():
     a = build_case("cpn-2")
     b = build_case("toric-cp2")

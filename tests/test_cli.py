@@ -55,11 +55,15 @@ def test_header_echoes_the_tolerances_in_force():
     tols = rep["header"]["tolerances"]
     assert tols == {"rank": linear.RANK_TOL, "validation": linear.VALIDATION_TOL,
                     "isotropy": pipeline.P_ISOTROPY_TOL,
-                    "freeness": pipeline.FREENESS_TOL, "level": pipeline.LEVEL_TOL}
+                    "freeness": pipeline.FREENESS_TOL, "level": pipeline.LEVEL_TOL,
+                    "moment_condition": pipeline.MOMENT_CONDITION_TOL,
+                    "membership": pipeline.MEMBERSHIP_TOL}
     # the same objects, not copies of their values
     assert tols["isotropy"] is pipeline.P_ISOTROPY_TOL
     assert tols["freeness"] is pipeline.FREENESS_TOL
     assert tols["level"] is pipeline.LEVEL_TOL
+    assert tols["moment_condition"] is pipeline.MOMENT_CONDITION_TOL
+    assert tols["membership"] is pipeline.MEMBERSHIP_TOL
 
 
 def test_seed_changes_output():
@@ -182,6 +186,18 @@ def test_catalog_case_does_not_depend_on_the_first_tol_in_a_process(capsys):
                            env=_subprocess_env())
     assert ((fresh.returncode, fresh.stdout, fresh.stderr)
             == (code, after_default.out, after_default.err))
+
+
+def test_tol_reaches_the_reported_ranks_not_the_structure_checks(capsys):
+    # cpn-2's t was fitted and its structures are validated at the fixed
+    # threshold; --tol 0.1 re-decides only the ranks the report shows
+    code, out = run_cli(["reduce", "--case", "cpn-2", "--samples", "6",
+                         "--tol", "0.1", "--format", "json"], capsys)
+    assert code != 3
+    rep = json.loads(out)
+    rows = rep["sections"]["validation"]["rows"]
+    assert rows and all(r["pass"] for r in rows)
+    assert rep["header"]["tolerances"]["rank"] == 0.1
 
 
 def test_exit_code_tolerance_indeterminacy(tmp_path, capsys):

@@ -6,7 +6,7 @@ from gkw import linear
 from gkw.linear import (BiHermitianData, ComplexSubspace, IndeterminateRankError,
                         KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                         eta, extract_bihermitian, numerical_rank, pairing,
-                        rank_tolerance, reduce_gcs, reduce_pair,
+                        reduce_gcs, reduce_pair,
                         restricted_projection_dim, subspace_intersection_dim)
 
 from generators import (gl_conjugate, hk_block_pair, rand_antisym,
@@ -407,6 +407,5 @@ def test_type_is_decided_once_per_rank_threshold(monkeypatch):
     monkeypatch.setattr(linear, "numerical_rank", counting)
     for _ in range(2):
         assert J.type_with_gap() == (0, True)
-        with rank_tolerance(0.1):
-            assert J.type_with_gap() == (0, False)
+        assert J.type_with_gap(0.1) == (0, False)
     assert len(calls) == 2

@@ -13,6 +13,22 @@ def test_primitive_normal_enforced():
         PolytopeSpec(((2, 0), (0, -1), (1, 1)), (0, 0, 1))
 
 
+def test_redundant_facet_rejected_at_construction():
+    # x + y <= 1 only touches the square [0, 1/2]^2 at its corner (1/2, 1/2)
+    with pytest.raises(ValueError, match="facet 4 "):
+        PolytopeSpec(((-1, 0), (0, -1), (1, 0), (0, 1), (1, 1)),
+                     (0, 0, Fraction(1, 2), Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize("make", [cp2_polytope, cp2_blowup1_polytope,
+                                  lambda: hirzebruch_polytope(1),
+                                  lambda: hirzebruch_polytope(2),
+                                  cp1xcp1_blowup4_polytope])
+def test_stock_polytopes_construct(make):
+    poly = make()
+    assert all(len(poly.facet_vertices(j)) >= poly.d for j in range(poly.num_facets))
+
+
 def test_cp2_kernel_and_vertices():
     poly = cp2_polytope()
     assert poly.kernel_weights() == ((1, 1, 1),)
