@@ -1,13 +1,17 @@
 """Print the sha256 of the reports a refactor must leave byte-identical.
 
     python3 scripts/report_digest.py > digests.txt
+    python3 scripts/report_digest.py --against digests.txt
 
 One line per report: json and csv of ``reduce`` and ``deform`` for every
 catalog case at seeds 7 and 8 (12 samples), then the json of ``sweep`` at
 seed 7, then the json of ``catalog`` without its header, so that the last
-line follows only what the catalog builders produce.  Run it on two commits
-and compare the outputs with ``diff``.
+line follows only what the catalog builders produce.  Save the output on
+one commit; on another, ``--against FILE`` prints only the labels whose
+digest differs from FILE (or that either side lacks) and exits 1 if there
+is any, 0 if every report is byte-identical.
 """
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -21,21 +25,48 @@ SEEDS = (7, 8)
 SAMPLES = 12
 
 
-def _line(label, payload):
-    print(f"{hashlib.sha256(payload).hexdigest()}  {label}", flush=True)
-
-
-def main():
+def reports():
+    """(label, report bytes) in the fixed order of the digest lines."""
     for name in catalog_names():
         for command in ("reduce", "deform"):
             for seed in SEEDS:
                 rep = run(RunConfig(command, case=name, samples=SAMPLES, seed=seed))
                 for fmt in ("json", "csv"):
-                    _line(f"{command} {name} seed={seed} {fmt}", emit(rep, fmt))
-    _line("sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json"))
+                    yield f"{command} {name} seed={seed} {fmt}", emit(rep, fmt)
+    yield "sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json")
     catalog = run(RunConfig("catalog"))
-    _line("catalog json (no header)", emit({"sections": catalog["sections"]}, "json"))
+    yield "catalog json (no header)", emit({"sections": catalog["sections"]}, "json")
+
+
+def read_digests(path):
+    """label -> digest of a saved run."""
+    saved = {}
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            digest, label = line.split("  ", 1)
+            saved[label] = digest
+    return saved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved run; print the labels whose digest differs, exit 1 if any")
+    args = parser.parse_args(argv)
+    saved = read_digests(args.against) if args.against is not None else None
+    differs = 0
+    for label, payload in reports():
+        digest = hashlib.sha256(payload).hexdigest()
+        if saved is None:
+            print(f"{digest}  {label}", flush=True)
+        elif saved.pop(label, None) != digest:
+            print(label, flush=True)
+            differs += 1
+    for label in saved or ():
+        print(f"{label} (only in {args.against})")
+        differs += 1
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

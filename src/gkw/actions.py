@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import (GeneralizedSection, VectorField, euler_field,
+from .calculus import (GeneralizedSection, VectorField, euler_field, exterior_derivative,
                        interior_product, standard_symplectic_form)
 from .poly import QI, QI_HALF, QI_I, ComplexPolynomial
 
@@ -176,6 +177,16 @@ class MomentMapPoly:
     @property
     def is_real(self):
         return all(p.is_zero for p in self.h)
+
+    @cached_property
+    def df(self) -> tuple:
+        """d of each real component, computed once."""
+        return tuple(exterior_derivative(f) for f in self.f)
+
+    @cached_property
+    def dh(self) -> tuple:
+        """d of each imaginary component, computed once."""
+        return tuple(exterior_derivative(h) for h in self.h)
 
 
 def moment_from_hamiltonian_identity(fields) -> MomentMapPoly:

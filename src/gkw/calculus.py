@@ -331,15 +331,18 @@ def pairing_poly(s1: GeneralizedSection, s2: GeneralizedSection) -> ComplexPolyn
 
 
 def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> GeneralizedSection:
-    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(iota_X b - iota_Y a)/2."""
+    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(iota_X b - iota_Y a)/2.
+
+    Cartan's formula L_X b = d iota_X b + iota_X db folds the last term in:
+    the form part is iota_X db - iota_Y da + d(iota_X b - iota_Y a)/2,
+    three exterior derivatives and four contractions."""
     X, a = s1.vec, s1.form
     Y, b = s2.vec, s2.form
-    vec = lie_bracket(X, Y)
-    form = lie_derivative(X, b) - lie_derivative(Y, a)
-    fa = interior_product(X, b) - interior_product(Y, a)
-    f = fa.comps.get((), ComplexPolynomial.zero(s1.n))
-    form = form - exterior_derivative(f).scale(QI_HALF)
-    return GeneralizedSection(vec, form)
+    form = (interior_product(X, exterior_derivative(b))
+            - interior_product(Y, exterior_derivative(a)))
+    f = interior_product(X, b) - interior_product(Y, a)
+    form = form + exterior_derivative(f).scale(QI_HALF)
+    return GeneralizedSection(lie_bracket(X, Y), form)
 
 
 # -- real-frame helpers -----------------------------------------------------

@@ -285,11 +285,14 @@ class DeformationBivector:
         leaves the (2,0)-bivector + (0,2)-form shape."""
         from .calculus import lie_derivative as lie_d
         n = self.n
+        brackets = {}   # src -> [X, d/dz_src], built once per call
         out_h = {}
         for (i, j), p in self.hol.items():
             _merge(out_h, (i, j), X.apply_to(p))
             for pos, (src, other) in enumerate(((i, j), (j, i))):
-                br = lie_bracket(X, VectorField.frame(n, src))
+                br = brackets.get(src)
+                if br is None:
+                    br = brackets[src] = lie_bracket(X, VectorField.frame(n, src))
                 for a, q in br.comps.items():
                     if a >= n:
                         raise ValueError("Lie derivative left the holomorphic bivector bundle")

@@ -345,10 +345,10 @@ class Scenario:
         """The fundamental fields, one per Lie-algebra basis element."""
         return self.action.fundamental_fields()
 
-    @cached_property
-    def dfs(self) -> list:
+    @property
+    def dfs(self) -> tuple:
         """d of the real moment-map components."""
-        return [exterior_derivative(f) for f in self.moment.f]
+        return self.moment.df
 
     def stratum_label(self, z) -> str:
         for s in self.strata:
@@ -412,6 +412,8 @@ class PolytopeSampler:
         self.bbox = (lo, hi)
         self.facet_verts = {j: [[float(c) for c in v] for v in poly.facet_vertices(j)]
                             for j in self.facet_strata.values()}
+        self.facets = [([float(a) for a in eta_], float(c))
+                       for eta_, c in zip(poly.normals, poly.offsets)]
 
     def _interior_x(self, rng):
         lo, hi = self.bbox
@@ -434,8 +436,7 @@ class PolytopeSampler:
             x = self._facet_x(rng, j)
         else:
             x = self._interior_x(rng)
-        s = np.array([float(c) - np.dot([float(a) for a in eta_], x)
-                      for eta_, c in zip(self.poly.normals, self.poly.offsets)])
+        s = np.array([c - np.dot(eta_, x) for eta_, c in self.facets])
         s = np.where(np.abs(s) < 1e-13, 0.0, s)
         if np.any(s < 0):
             return None
@@ -731,8 +732,7 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
     """
     k = action.k
     fields = action.fundamental_fields()
-    dfs = [exterior_derivative(f) for f in moment.f]
-    dhs = [exterior_derivative(h) for h in moment.h]
+    dfs, dhs = moment.df, moment.dh
     contractions = []
     if invariance:
         for a in range(k):
@@ -841,8 +841,7 @@ def run_closure_families(families, samples):
 def tangent_to_level(moment: MomentMapPoly):
     """Exact check that a vector field X is tangent to the level sets:
     iota_X kills every df^xi (and dh^xi)."""
-    dfs = ([exterior_derivative(f) for f in moment.f]
-           + [exterior_derivative(h) for h in moment.h if not h.is_zero])
+    dfs = moment.df + tuple(dh for h, dh in zip(moment.h, moment.dh) if not h.is_zero)
 
     def check(X):
         for df in dfs:

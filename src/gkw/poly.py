@@ -11,7 +11,12 @@ from fractions import Fraction
 
 
 class QI:
-    """A Gaussian rational re + im*sqrt(-1) with exact Fraction parts."""
+    """A Gaussian rational re + im*sqrt(-1) with exact Fraction parts.
+
+    ``+``, ``-`` and ``*`` skip the Fraction sums and products of a zero
+    part, so a purely real or purely imaginary operand costs one product
+    where the general formula takes four products and two sums; every
+    result equals the general formula's."""
 
     __slots__ = ("re", "im")
 
@@ -29,23 +34,38 @@ class QI:
 
     def __add__(self, other):
         other = QI.of(other)
-        return QI(self.re + other.re, self.im + other.im)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _qi((a + c if c else a) if a else c, (b + d if d else b) if b else d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QI(-self.re, -self.im)
+        return _qi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-QI.of(other))
+        other = QI.of(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _qi((a - c if c else a) if a else -c, (b - d if d else b) if b else -d)
 
     def __rsub__(self, other):
-        return QI.of(other) + (-self)
+        return QI.of(other) - self
 
     def __mul__(self, other):
         other = QI.of(other)
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            if not d:
+                return _qi(a * c, _ZERO)
+            return _qi(a * c, a * d) if c else _qi(_ZERO, a * d)
+        if not a:
+            if not c:
+                return _qi(-(b * d), _ZERO)
+            return _qi(-(b * d), b * c) if d else _qi(_ZERO, b * c)
+        if not d:
+            return _qi(a * c, b * c)
+        if not c:
+            return _qi(-(b * d), a * d)
+        return _qi(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -82,6 +102,17 @@ class QI:
         if self.re == 0:
             return f"{self.im}*i"
         return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
+
+
+_ZERO = Fraction(0)
+
+
+def _qi(re: Fraction, im: Fraction) -> QI:
+    """A QI from two Fraction parts, without the conversions of ``QI()``."""
+    q = object.__new__(QI)
+    q.re = re
+    q.im = im
+    return q
 
 
 QI_ZERO = QI(0)

@@ -133,6 +133,7 @@ def _header(config: RunConfig, scenario=None):
         "seed": config.seed,
         "tolerances": {
             "rank": config.tol,
+            "structure_rank": RANK_TOL,
             "validation": VALIDATION_TOL,
             "isotropy": P_ISOTROPY_TOL,
             "freeness": FREENESS_TOL,

@@ -9,9 +9,14 @@ with Fraction pairs, expanded term by term from the component formulas:
     (d g)_b        = d_b g
 
 No code is shared with the engine beyond the test comparing canonical
-dictionaries at the end.
+dictionaries at the end, except in ``unfolded_courant_bracket``, which keeps
+the engine's earlier Courant formula as a second oracle.
 """
 from fractions import Fraction
+
+from gkw.calculus import (GeneralizedSection, exterior_derivative, interior_product,
+                          lie_bracket, lie_derivative)
+from gkw.poly import QI_HALF, ComplexPolynomial
 
 
 def mono_mul(e1, e2):
@@ -222,3 +227,16 @@ def naive_schouten(A, B, n):
                         else:
                             total.pop(key, None)
     return total
+
+
+def unfolded_courant_bracket(s1, s2):
+    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(iota_X b - iota_Y a)/2 term by
+    term on the engine's types: two Lie derivatives by Cartan's formula,
+    five exterior derivatives and six contractions."""
+    X, a = s1.vec, s1.form
+    Y, b = s2.vec, s2.form
+    form = lie_derivative(X, b) - lie_derivative(Y, a)
+    fa = interior_product(X, b) - interior_product(Y, a)
+    f = fa.comps.get((), ComplexPolynomial.zero(s1.n))
+    form = form - exterior_derivative(f).scale(QI_HALF)
+    return GeneralizedSection(lie_bracket(X, Y), form)

@@ -12,7 +12,7 @@ from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket
 from gkw.poly import QI, QI_HALF, ComplexPolynomial
 
 from generators import ddy_field, rand_poly, rand_section
-from naive_calculus import naive_courant
+from naive_calculus import naive_courant, unfolded_courant_bracket
 
 
 def to_raw(p):
@@ -149,6 +149,30 @@ def test_courant_oracle_equivalence_50_seeded():
         want = naive_courant(section_to_raw(s1), section_to_raw(s2), n)
         assert got["vec"] == {a: p for a, p in want["vec"].items()}
         assert got["form"] == {a: p for a, p in want["form"].items()}
+
+
+def test_courant_matches_the_unfolded_formula_200_seeded_pairs():
+    # the Cartan-folded form part equals L_X b - L_Y a - d(iota_X b - iota_Y a)/2
+    rng = np.random.default_rng(1729)
+    for k in range(200):
+        n = 1 + k % 3
+        s1 = rand_section(rng, n, max_terms=3, max_deg=2)
+        s2 = rand_section(rng, n, max_terms=3, max_deg=2)
+        assert courant_bracket(s1, s2) == unfolded_courant_bracket(s1, s2)
+
+
+def test_courant_matches_the_unfolded_formula_on_every_catalog_closure_pair():
+    from gkw.catalog import build_case, catalog_names, closure_families
+    pairs = 0
+    for name in catalog_names():
+        for fam in closure_families(build_case(name)):
+            secs = fam.sections
+            for i in range(len(secs)):
+                for j in range(i + 1, len(secs)):
+                    assert (courant_bracket(secs[i], secs[j])
+                            == unfolded_courant_bracket(secs[i], secs[j])), (name, fam.name, i, j)
+                    pairs += 1
+    assert pairs >= 345
 
 
 def test_pairing_polynomial():

@@ -53,12 +53,14 @@ def test_header_echoes_the_tolerances_in_force():
     from gkw import linear, pipeline
     rep = run(RunConfig(command="verify", case="kahler-c3", samples=2))
     tols = rep["header"]["tolerances"]
-    assert tols == {"rank": linear.RANK_TOL, "validation": linear.VALIDATION_TOL,
+    assert tols == {"rank": linear.RANK_TOL, "structure_rank": linear.RANK_TOL,
+                    "validation": linear.VALIDATION_TOL,
                     "isotropy": pipeline.P_ISOTROPY_TOL,
                     "freeness": pipeline.FREENESS_TOL, "level": pipeline.LEVEL_TOL,
                     "moment_condition": pipeline.MOMENT_CONDITION_TOL,
                     "membership": pipeline.MEMBERSHIP_TOL}
     # the same objects, not copies of their values
+    assert tols["structure_rank"] is linear.RANK_TOL
     assert tols["isotropy"] is pipeline.P_ISOTROPY_TOL
     assert tols["freeness"] is pipeline.FREENESS_TOL
     assert tols["level"] is pipeline.LEVEL_TOL
@@ -198,6 +200,8 @@ def test_tol_reaches_the_reported_ranks_not_the_structure_checks(capsys):
     rows = rep["sections"]["validation"]["rows"]
     assert rows and all(r["pass"] for r in rows)
     assert rep["header"]["tolerances"]["rank"] == 0.1
+    # the threshold that decided every validation row is echoed beside it
+    assert rep["header"]["tolerances"]["structure_rank"] == 1e-9
 
 
 def test_exit_code_tolerance_indeterminacy(tmp_path, capsys):

@@ -9,7 +9,7 @@ from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import rand_lbar_section, rand_poly, rand_section
+from generators import rand_lbar_section, rand_poly, rand_qi, rand_section
 from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
 
@@ -313,6 +313,103 @@ def test_lie_derivative_of_bivector():
     assert eps.lie_derivative(act.fundamental_field(0).vec).is_zero
     act2 = TorusAction(((1, 0, 0),))
     assert not eps.lie_derivative(act2.fundamental_field(0).vec).is_zero
+
+
+def _lie_derivative_by_components(eps, X):
+    """L_X eps from the component formulas on the full antisymmetric
+    components, (L_X pi)^ab = X(pi^ab) - pi^cb d_c X^a - pi^ac d_c X^b and
+    (L_X w)_ab = X(w_ab) + w_cb d_a X^c + w_ac d_b X^c, over all 2n frame
+    directions; returns the a < b entries of each."""
+    n = eps.n
+    zero = ComplexPolynomial.zero(n)
+
+    def full(part, shift):
+        comps = {}
+        for (i, j), p in part.items():
+            comps[(i + shift, j + shift)] = p
+            comps[(j + shift, i + shift)] = -p
+        return comps
+
+    def dX(a, c):
+        return X.comps.get(a, zero).wirtinger(c % n, holomorphic=c < n)
+
+    pi, w = full(eps.hol, 0), full(eps.form, n)
+    lpi, lw = {}, {}
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            v = X.apply_to(pi.get((a, b), zero))
+            u = X.apply_to(w.get((a, b), zero))
+            for c in range(2 * n):
+                v = v - pi.get((c, b), zero) * dX(a, c) - pi.get((a, c), zero) * dX(b, c)
+                u = u + w.get((c, b), zero) * dX(c, a) + w.get((a, c), zero) * dX(c, b)
+            if not v.is_zero:
+                lpi[(a, b)] = v
+            if not u.is_zero:
+                lw[(a, b)] = u
+    return lpi, lw
+
+
+def _rand_linear_field(rng, n, real):
+    """X = sum A_ab z_b d/dz_a, plus its conjugate when ``real``."""
+    comps = {}
+    for a in range(n):
+        p = ComplexPolynomial.zero(n)
+        for b in range(n):
+            if rng.random() < 0.6:
+                p = p + ComplexPolynomial.variable(n, b) * rand_qi(rng)
+        if not p.is_zero:
+            comps[a] = p
+            if real:
+                comps[a + n] = p.conjugate()
+    return VectorField(n, comps)
+
+
+def test_lie_derivative_of_bivector_matches_the_component_formula():
+    rng = np.random.default_rng(4711)
+    for k in range(40):
+        n = 2 + k % 3
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        hol = {ij: rand_poly(rng, n, 3, 2) for ij in pairs if rng.random() < 0.7}
+        form = {ij: rand_poly(rng, n, 3, 2) for ij in pairs if rng.random() < 0.7}
+        eps = DeformationBivector(n, hol, form)
+        X = _rand_linear_field(rng, n, real=k % 2 == 0)
+        got = eps.lie_derivative(X)
+        lpi, lw = _lie_derivative_by_components(eps, X)
+        assert all(b < n for _, b in lpi) and all(a >= n for a, _ in lw)
+        assert got.hol == lpi
+        assert got.form == {(a - n, b - n): p for (a, b), p in lw.items()}
+
+
+def _with_eps(case, eps):
+    """The catalog case with its deformation replaced by eps (same t)."""
+    from dataclasses import replace
+    from gkw.pipeline import DeformedKahlerRecipe
+    scen = case.scenario
+    return replace(case, scenario=replace(
+        scen, recipe=DeformedKahlerRecipe(scen.n, eps, scen.recipe.t)))
+
+
+def test_invariance_checks_reject_a_non_invariant_deformation():
+    from gkw.catalog import (build_case, cpn_su2_invariance, torus_invariance,
+                             unitary_invariance)
+    # z1 d/dz0 ^ d/dz1 has weight -1 under the diagonal circle and is moved
+    # by SU(2) on (z1, z2)
+    n = 3
+    bad = DeformationBivector.from_vector_fields(
+        VectorField(n, {0: ComplexPolynomial.variable(n, 1)}), VectorField.frame(n, 1))
+    cpn = _with_eps(build_case("cpn-2"), bad)
+    assert not torus_invariance(cpn)
+    assert not cpn_su2_invariance(cpn, count=10, seed=11)
+    for name in ("grassmann-1-3", "grassmann-2-3"):
+        case = build_case(name)
+        act = case.scenario.action
+        # a row-0 deformation: moved by U(1) scalars and by rotations of the rows
+        N = act.ambient_n
+        bad = DeformationBivector.from_vector_fields(
+            VectorField(N, {act.flat(0, 1): ComplexPolynomial.variable(N, act.flat(0, 0))}),
+            VectorField.frame(N, act.flat(0, 2)))
+        assert unitary_invariance(case)
+        assert not unitary_invariance(_with_eps(case, bad)), name
 
 
 def test_pullback_invariance_su2():

@@ -142,6 +142,50 @@ def test_shared_substitution_matches_one_per_polynomial(polys, entries):
         assert list(shared.terms) == list(alone.terms)
 
 
+# -- zero-aware Gaussian-rational arithmetic --------------------------------
+
+parts = st.one_of(st.integers(-5, 5), fractions).filter(lambda v: v != 0)
+
+
+def _shapes(re, im):
+    """Zero, real only, imaginary only and general, from nonzero parts."""
+    return [QI(0, 0), QI(re, 0), QI(0, im), QI(re, im)]
+
+
+def _parts(v):
+    return (v.re, v.im) if isinstance(v, QI) else (Fraction(v), Fraction(0))
+
+
+def _four_product_formula(op, u, v):
+    (a, b), (c, d) = _parts(u), _parts(v)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    return a * c - b * d, a * d + b * c
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts, parts, parts, parts, st.integers(-5, 5), fractions)
+def test_qi_arithmetic_equals_the_four_product_formula(a, b, c, d, k, q):
+    # every shape against every shape, a bare int or Fraction, and operands
+    # made from x so that parts cancel to 0: x - x, x + (-x), x * conj(x)
+    # and x * (im + re i)
+    ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v, "*": lambda u, v: u * v}
+    for x in _shapes(a, b):
+        for y in _shapes(c, d) + [k, q, x, -x, x.conjugate(), QI(x.im, x.re)]:
+            for op, f in ops.items():
+                for u, v in ((x, y), (y, x)):
+                    got = f(u, v)
+                    assert isinstance(got, QI)
+                    assert type(got.re) is Fraction and type(got.im) is Fraction
+                    want = _four_product_formula(op, u, v)
+                    assert (got.re, got.im) == want
+                    assert got == QI(*want) and hash(got) == hash(QI(*want))
+        assert not (x - x) and not (x + (-x))
+        assert (x * x.conjugate()).im == 0 and (x * QI(x.im, x.re)).re == 0
+
+
 def test_qi_exactness_guard():
     with pytest.raises(TypeError):
         QI.of(0.5 + 0j)
