@@ -35,18 +35,69 @@ def _sort_with_sign(idx):
     return tuple(idx), sign
 
 
-class VectorField:
-    """Complexified polynomial vector field on C^n."""
+class Expansion:
+    """Zero-free dict ``comps`` of polynomial coefficients over frame keys,
+    all of one degree, with the ring operations that vector fields, forms
+    and multivectors share.  A subclass checks its own keys."""
 
-    __slots__ = ("n", "comps")
+    __slots__ = ("n", "degree", "comps")
 
-    def __init__(self, n, comps=None):
+    keys_are_index_tuples = True   # else the key length is not checked
+
+    def __init__(self, n, degree, comps=None):
         self.n = n
+        self.degree = degree
         self.comps = {}
         if comps:
-            for a, p in comps.items():
+            check = self.keys_are_index_tuples
+            for key, p in comps.items():
+                if check and len(key) != degree:
+                    raise ValueError(f"key {key} does not match degree {degree}")
                 if not p.is_zero:
-                    self.comps[a] = p
+                    self.comps[key] = p
+
+    def _like(self, comps):
+        """Same type, n and degree, over already-checked keys."""
+        out = object.__new__(type(self))
+        out.n, out.degree = self.n, self.degree
+        out.comps = {k: p for k, p in comps.items() if not p.is_zero}
+        return out
+
+    def __add__(self, other):
+        if type(other) is not type(self) or self.degree != other.degree:
+            raise ValueError("cannot add expansions of different type or degree")
+        comps = dict(self.comps)
+        for key, p in other.comps.items():
+            _merge(comps, key, p)
+        return self._like(comps)
+
+    def __neg__(self):
+        return self._like({k: -p for k, p in self.comps.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: p * c for k, p in self.comps.items()})
+
+    @property
+    def is_zero(self):
+        return not self.comps
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self.degree == other.degree and self.comps == other.comps)
+
+
+class VectorField(Expansion):
+    """Complexified polynomial vector field on C^n; keys are frame indices."""
+
+    __slots__ = ()
+
+    def __init__(self, n, comps=None):
+        super().__init__(n, 1, comps)
+
+    keys_are_index_tuples = False
 
     @classmethod
     def zero(cls, n):
@@ -56,28 +107,6 @@ class VectorField:
     def frame(cls, n, a):
         """The frame field d/dz_a (a < n) or d/dzbar_{a-n}."""
         return cls(n, {a: ComplexPolynomial.one(n)})
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for a, p in other.comps.items():
-            _merge(comps, a, p)
-        return VectorField(self.n, comps)
-
-    def __neg__(self):
-        return VectorField(self.n, {a: -p for a, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return VectorField(self.n, {a: p * c for a, p in self.comps.items()})
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return isinstance(other, VectorField) and self.n == other.n and self.comps == other.comps
 
     def conjugate(self):
         n = self.n
@@ -105,21 +134,10 @@ class VectorField:
         return " + ".join(f"({self.comps[a]!r}) {nm}" for a, nm in zip(sorted(self.comps), names))
 
 
-class Form:
+class Form(Expansion):
     """Polynomial k-form; keys are strictly increasing covector-index tuples."""
 
-    __slots__ = ("n", "degree", "comps")
-
-    def __init__(self, n, degree, comps=None):
-        self.n = n
-        self.degree = degree
-        self.comps = {}
-        if comps:
-            for idx, p in comps.items():
-                if len(idx) != degree:
-                    raise ValueError("index tuple does not match form degree")
-                if not p.is_zero:
-                    self.comps[idx] = p
+    __slots__ = ()
 
     @classmethod
     def zero(cls, n, degree=1):
@@ -133,31 +151,6 @@ class Form:
     def frame(cls, n, a):
         """dz_a (a < n) or dzbar_{a-n}."""
         return cls(n, 1, {(a,): ComplexPolynomial.one(n)})
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        comps = dict(self.comps)
-        for idx, p in other.comps.items():
-            _merge(comps, idx, p)
-        return Form(self.n, self.degree, comps)
-
-    def __neg__(self):
-        return Form(self.n, self.degree, {i: -p for i, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return Form(self.n, self.degree, {i: p * c for i, p in self.comps.items()})
-
-    @property
-    def is_zero(self):
-        return not self.comps
-
-    def __eq__(self, other):
-        return (isinstance(other, Form) and self.n == other.n
-                and self.degree == other.degree and self.comps == other.comps)
 
     def conjugate(self):
         n = self.n

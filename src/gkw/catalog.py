@@ -124,8 +124,8 @@ def build_cpn(N: int, t: Fraction | None = None) -> CatalogCase:
     action = TorusAction((tuple([1] * n),))
     moment = standard_moment_map(action)
     eps = _cpn_eps(n)
-    strata = (Stratum("z0=0", lambda z: abs(z[0]) < 1e-10),)
-    sampler = ScalingSampler(moment, (1.0,), zero_sets={"z0=0": (0,)})
+    strata = (Stratum("z0=0", (0,)),)
+    sampler = ScalingSampler(moment, (1.0,))
 
     def make(tv):
         return Scenario(
@@ -178,11 +178,9 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
         ld = eps.lie_derivative(action.fundamental_field(a).vec)
         if not (not ld.hol and not ld.form):
             raise ValidationError("deformation is not invariant under the kernel torus")
-    stratum_facets = {f"z{k}=0": k for k, e in enumerate(exps)
-                      if e > 0 and k not in res.pair}
-    strata = tuple(Stratum(lab, (lambda j: lambda z: abs(z[j]) < 1e-10)(j))
-                   for lab, j in stratum_facets.items())
-    sampler = PolytopeSampler(sample_poly, facet_strata=stratum_facets)
+    strata = tuple(Stratum(f"z{k}=0", (k,)) for k, e in enumerate(exps)
+                   if e > 0 and k not in res.pair)
+    sampler = PolytopeSampler(sample_poly)
 
     def make(tv):
         return Scenario(
@@ -194,9 +192,9 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
     k_dim = action.k
     expected = {"generic": (0, (N - 2) - k_dim)}
     upstairs = {"generic": N - 2}
-    for lab in stratum_facets:
-        expected[lab] = (0, N - k_dim)
-        upstairs[lab] = N
+    for s in strata:
+        expected[s.label] = (0, N - k_dim)
+        upstairs[s.label] = N
     return CatalogCase(
         name=name, scenario=scen, expected_strata=expected,
         expected_upstairs_j2=upstairs,
@@ -205,15 +203,13 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
 
 
 def _shifted_polytope_for_level(poly, W, level):
-    from .exactlinalg import nullspace_basis, solve_exact
+    from .exactlinalg import solve_affine
     from .polytope import _feasible_point
-    k = len(W)
     N = poly.num_facets
-    A = [list(map(Fraction, row)) for row in W]
-    part = solve_exact(A, list(level))
-    if part is None:
+    sol = solve_affine(W, level)
+    if sol is None:
         raise ValidationError("level is not in the image of the moment map")
-    null = nullspace_basis(A)
+    part, null = sol
     ineqs = [([-v[j] for v in null], part[j]) for j in range(N)]
     s = _feasible_point(ineqs, len(null)) if null else []
     if s is None:
@@ -235,9 +231,8 @@ def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase
     Z = VectorField(N, {action.flat(i, 2): ComplexPolynomial.variable(N, action.flat(i, 0))
                         for i in range(n)})
     eps = DeformationBivector.from_vector_fields(Y, Z)
-    col0 = [action.flat(i, 0) for i in range(n)]
-    strata = (Stratum("col0=0", lambda z: max(abs(z[q]) for q in col0) < 1e-10),)
-    sampler = FrameSampler(action, zero_cols={"col0=0": (0,)})
+    strata = (Stratum("col0=0", tuple(action.flat(i, 0) for i in range(n))),)
+    sampler = FrameSampler(action)
 
     def make(tv):
         return Scenario(

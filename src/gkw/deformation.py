@@ -7,28 +7,22 @@ keys strictly increasing, so zero-testing is canonical.
 """
 from __future__ import annotations
 
-from .calculus import (Form, GeneralizedSection, VectorField, _merge, _sort_with_sign,
-                       exterior_derivative, interior_product, lie_bracket,
-                       standard_symplectic_form)
+from .calculus import (Expansion, Form, GeneralizedSection, VectorField, _merge,
+                       _sort_with_sign, exterior_derivative, interior_product,
+                       lie_bracket, standard_symplectic_form)
 from .poly import QI, QI_HALF, ComplexPolynomial, LinearSubstitution
 
 
-class LMultivector:
+class LMultivector(Expansion):
     """Alternating k-tensor of generalized frame directions with polynomial
     coefficients.  Degree-1 instances are interconvertible with sections."""
 
-    __slots__ = ("n", "degree", "terms")
+    __slots__ = ()
 
-    def __init__(self, n, degree, terms=None):
-        self.n = n
-        self.degree = degree
-        self.terms = {}
-        if terms:
-            for idx, p in terms.items():
-                if len(idx) != degree:
-                    raise ValueError("key length does not match degree")
-                if not p.is_zero:
-                    self.terms[idx] = p
+    @property
+    def terms(self):
+        """The coefficients by frame-index key (``comps``)."""
+        return self.comps
 
     @classmethod
     def zero(cls, n, degree):
@@ -57,38 +51,13 @@ class LMultivector:
             terms = new
         return cls(n, len(factors), terms)
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot add multivectors of different degree")
-        terms = dict(self.terms)
-        for idx, p in other.terms.items():
-            _merge(terms, idx, p)
-        return LMultivector(self.n, self.degree, terms)
-
-    def __neg__(self):
-        return LMultivector(self.n, self.degree, {i: -p for i, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return LMultivector(self.n, self.degree, {i: p * c for i, p in self.terms.items()})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, LMultivector) and self.n == other.n
-                and self.degree == other.degree and self.terms == other.terms)
-
     def as_section(self) -> GeneralizedSection:
         if self.degree != 1:
             raise ValueError("only degree-1 multivectors are sections")
         n = self.n
         vec = {}
         form = {}
-        for (a,), p in self.terms.items():
+        for (a,), p in self.comps.items():
             if a < 2 * n:
                 vec[a] = p
             else:
@@ -105,10 +74,10 @@ class LMultivector:
             if a < 3 * n:
                 return f"dz{a - 2 * n}"
             return f"dzb{a - 3 * n}"
-        if not self.terms:
+        if not self.comps:
             return "0"
         return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}"
-                          for idx, p in sorted(self.terms.items()))
+                          for idx, p in sorted(self.comps.items()))
 
 
 def _merge_signed(terms, idx, coeff, sign):
@@ -158,15 +127,15 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
         raise ValueError("bracket of two functions is not defined")
     if q == 0 or p == 0:
         if q == 0 and p == 1:
-            f = B.terms.get((), ComplexPolynomial.zero(n))
+            f = B.comps.get((), ComplexPolynomial.zero(n))
             return LMultivector.from_function(A.as_section().vec.apply_to(f))
         if p == 0 and q == 1:
-            f = A.terms.get((), ComplexPolynomial.zero(n))
+            f = A.comps.get((), ComplexPolynomial.zero(n))
             return LMultivector.from_function(-B.as_section().vec.apply_to(f))
         raise ValueError("function brackets supported only against degree-1 multivectors")
     terms = {}
-    for idxA, f in A.terms.items():
-        for idxB, g in B.terms.items():
+    for idxA, f in A.comps.items():
+        for idxB, g in B.comps.items():
             for i, a in enumerate(idxA):
                 rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
                 _leibniz(terms, n, f, g, a, idxB[0], rest, (-1) ** i)
@@ -252,33 +221,25 @@ class DeformationBivector:
         n = self.n
         Ainv = qi_matrix_inverse(A)
         sub = LinearSubstitution(n, A)
-        out_h = {}
-        out_f = {}
-        for (i, j), p in self.hol.items():
-            ps = p.substitute_linear(sub)
-            for a in range(n):
-                ca = QI.of(Ainv[a][i])
-                if not ca:
-                    continue
-                for b in range(n):
-                    cb = QI.of(Ainv[b][j])
-                    if not cb or a == b:
+        # frame i maps to sum_a M[i][a] frame a: columns of A^-1 for d/dz_i,
+        # conjugated rows of A for dzbar_i
+        tangent = list(zip(*Ainv))
+        covector = [[QI.of(A[i][a]).conjugate() for a in range(n)] for i in range(n)]
+        out = []
+        for coeffs, M in ((self.hol, tangent), (self.form, covector)):
+            acc = {}
+            for (i, j), p in coeffs.items():
+                ps = p.substitute_linear(sub)
+                for a, ca in enumerate(M[i]):
+                    if not ca:
                         continue
-                    key = (a, b) if a < b else (b, a)
-                    _merge(out_h, key, ps * (ca * cb) * (1 if a < b else -1))
-        for (i, j), p in self.form.items():
-            ps = p.substitute_linear(sub)
-            for a in range(n):
-                ca = QI.of(A[i][a]).conjugate()
-                if not ca:
-                    continue
-                for b in range(n):
-                    cb = QI.of(A[j][b]).conjugate()
-                    if not cb or a == b:
-                        continue
-                    key = (a, b) if a < b else (b, a)
-                    _merge(out_f, key, ps * (ca * cb) * (1 if a < b else -1))
-        return DeformationBivector(n, out_h, out_f)
+                    for b, cb in enumerate(M[j]):
+                        if not cb or a == b:
+                            continue
+                        key = (a, b) if a < b else (b, a)
+                        _merge(acc, key, ps * (ca * cb) * (1 if a < b else -1))
+            out.append(acc)
+        return DeformationBivector(n, *out)
 
     def lie_derivative(self, X: VectorField) -> "DeformationBivector":
         """L_X eps by the Leibniz rule; exact.  Raises if the derivative
@@ -327,7 +288,7 @@ class DeformationBivector:
         dbar with the new dzbar factor wedged in front."""
         n = self.n
         terms = {}
-        for idx, p in self.to_multivector().terms.items():
+        for idx, p in self.to_multivector().comps.items():
             for k in range(n):
                 dp = p.wirtinger(k, holomorphic=False)
                 if dp.is_zero:

@@ -1,51 +1,36 @@
-"""Small exact linear-algebra helpers over Fraction and QI matrices.
+"""Small exact linear algebra over Fraction and QI matrices.
 
-Desk-scale Gaussian elimination; used by the polytope machinery (kernel
-weights, feasibility) and by exact pullbacks.  Matrices are lists of lists.
+One Gauss-Jordan elimination, ``rref``, over any exact field; the inverse,
+the affine solve and the kernel are read off its result.  Used by the
+polytope machinery (kernel weights, feasibility) and by exact pullbacks.
+Matrices are lists of lists.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
 
-from .poly import QI
-
-
-def qi_matrix_inverse(A):
-    """Inverse of a square matrix with QI entries, by Gauss-Jordan."""
-    n = len(A)
-    M = [[QI.of(A[i][j]) for j in range(n)] + [QI(1 if j == i else 0) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = QI(1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+from .poly import QI, QI_ONE, QI_ZERO
 
 
 def rref(A):
-    """Reduced row echelon form over Fraction; returns (R, pivot_columns)."""
-    R = [[Fraction(x) for x in row] for row in A]
+    """Reduced row echelon form of A, whose entries are Fraction or QI
+    (anything with exact ``+ - * /`` and a falsy zero); returns
+    (R, pivot_columns)."""
+    R = [list(row) for row in A]
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if R[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if R[i][c]), None)
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
         inv = 1 / R[r][c]
         R[r] = [x * inv for x in R[r]]
         for i in range(rows):
-            if i != r and R[i][c] != 0:
+            if i != r and R[i][c]:
                 f = R[i][c]
                 R[i] = [x - f * y for x, y in zip(R[i], R[r])]
         pivots.append(c)
@@ -55,37 +40,35 @@ def rref(A):
     return R, pivots
 
 
-def nullspace_basis(A):
-    """Exact rational basis of ker(A) for A with Fraction entries."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    R, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
+def qi_matrix_inverse(A):
+    """Inverse of a square matrix with QI entries: rref([A | I])."""
+    n = len(A)
+    R, pivots = rref([[QI.of(x) for x in row] + [QI_ONE if j == i else QI_ZERO for j in range(n)]
+                      for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
+
+
+def solve_affine(A, b):
+    """All exact solutions of A x = b over Fraction: (x0, kernel), one
+    solution and a basis of ker A, or None if the system is inconsistent."""
+    cols = len(A[0]) if A else 0
+    R, pivots = rref([[Fraction(x) for x in row] + [Fraction(y)]
+                      for row, y in zip(A, b, strict=True)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x0 = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x0[pc] = R[r][cols]
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivots):
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_exact(A, b):
-    """One exact solution x of A x = b, or None if inconsistent."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    aug = [[Fraction(A[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    R, pivots = rref(aug)
-    for row in R:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        x[pc] = R[r][-1]
-    return x
+        kernel.append(v)
+    return x0, kernel
 
 
 def primitive_integer_vector(v):
@@ -114,5 +97,5 @@ def integer_kernel_basis(columns):
     the integer kernel is acceptable for the workbench's purposes).
     """
     d = len(columns[0])
-    A = [[Fraction(columns[j][i]) for j in range(len(columns))] for i in range(d)]
-    return [primitive_integer_vector(v) for v in nullspace_basis(A)]
+    A = [[columns[j][i] for j in range(len(columns))] for i in range(d)]
+    return [primitive_integer_vector(v) for v in solve_affine(A, [0] * d)[1]]

@@ -37,6 +37,12 @@ def tangent_frame_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def tangent_frame_inverse(n: int) -> np.ndarray:
+    """The inverse of ``tangent_frame_matrix(n)``: real coordinates to the z/zbar frame."""
+    return _frozen(np.linalg.inv(tangent_frame_matrix(n)))
+
+
+@lru_cache(maxsize=None)
 def covector_frame_matrix(n: int) -> np.ndarray:
     """Columns: real coordinates of dz_1..dz_n, dzbar_1..dzbar_n."""
     T = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -95,7 +101,7 @@ def two_form_map_at(w, z) -> np.ndarray:
         Kz[j, i] += c
         Kz[i, j] -= c
     # iota_{Tt u} w = Tc Kz u for u in z-frame; real map = Tc Kz Tt^-1
-    M = covector_frame_matrix(n) @ Kz @ np.linalg.inv(tangent_frame_matrix(n))
+    M = covector_frame_matrix(n) @ Kz @ tangent_frame_inverse(n)
     if np.linalg.norm(M.imag) > 1e-9 * max(1.0, np.linalg.norm(M.real)):
         return M
     return M.real

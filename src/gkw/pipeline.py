@@ -35,6 +35,7 @@ LEVEL_TOL = 1e-12
 P_ISOTROPY_TOL = 1e-9
 MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table row
 MEMBERSHIP_TOL = 1e-9         # residual of a section outside an eigenbundle
+STRATUM_TOL = 1e-10           # |z_j| below this counts as z_j = 0 on a stratum
 PAIR_STACK_ROWS = 16          # points per pairs_at stack in pairs_once: nearly
                               # the speed of one stack for a whole run, with a
                               # fraction of its transient memory
@@ -323,9 +324,12 @@ def _det_and_adjugate_poly(gram):
 
 @dataclass(frozen=True)
 class Stratum:
+    """A labelled stratum: the points whose coordinates ``zeros`` vanish."""
     label: str
-    classify: object          # callable z -> bool
-    generate: object = None   # callable rng -> raw point (before level fix)
+    zeros: tuple
+
+    def holds(self, z) -> bool:
+        return all(abs(z[j]) < STRATUM_TOL for j in self.zeros)
 
 
 @dataclass
@@ -352,7 +356,7 @@ class Scenario:
 
     def stratum_label(self, z) -> str:
         for s in self.strata:
-            if s.classify(z):
+            if s.holds(z):
                 return s.label
         return "generic"
 
@@ -383,17 +387,16 @@ class SampleBatch:
 class ScalingSampler:
     """Exact radial scaling for a weighted-homogeneous rank-1 torus level."""
 
-    def __init__(self, moment: MomentMapPoly, level, zero_sets=None):
+    def __init__(self, moment: MomentMapPoly, level):
         self.moment = moment
         self.level = float(level[0])
-        self.zero_sets = zero_sets or {}
         if len(moment.f) != 1:
             raise ValueError("scaling sampler needs a one-dimensional level")
 
     def raw(self, rng, n, stratum=None):
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for j in self.zero_sets.get(stratum, ()):
-            z[j] = 0.0
+        if stratum is not None:
+            z[list(stratum.zeros)] = 0.0
         val = self.moment.f[0].evaluate(z).real
         if val <= 0 or self.level / val <= 0:
             return None
@@ -401,17 +404,16 @@ class ScalingSampler:
 
 
 class PolytopeSampler:
-    """Slack parametrization |z_j|^2 = 2 s_j(x) over polytope points."""
+    """Slack parametrization |z_j|^2 = 2 s_j(x) over polytope points; a
+    stratum z_j = 0 is sampled on facet j."""
 
-    def __init__(self, poly, facet_strata=None):
+    def __init__(self, poly):
         self.poly = poly
-        self.facet_strata = facet_strata or {}
         self.verts = [[float(c) for c in v] for v in poly.vertices()]
         lo = np.min(self.verts, axis=0)
         hi = np.max(self.verts, axis=0)
         self.bbox = (lo, hi)
-        self.facet_verts = {j: [[float(c) for c in v] for v in poly.facet_vertices(j)]
-                            for j in self.facet_strata.values()}
+        self.facet_verts = {}
         self.facets = [([float(a) for a in eta_], float(c))
                        for eta_, c in zip(poly.normals, poly.offsets)]
 
@@ -424,15 +426,18 @@ class PolytopeSampler:
         raise ValidationError("polytope rejection sampling failed")
 
     def _facet_x(self, rng, j):
-        verts = self.facet_verts[j]
+        verts = self.facet_verts.get(j)
+        if verts is None:
+            verts = self.facet_verts[j] = [[float(c) for c in v]
+                                           for v in self.poly.facet_vertices(j)]
         if len(verts) < 2:
             raise ValidationError(f"facet {j} has no interior")
         t = 0.15 + 0.7 * rng.random()
         return (1 - t) * np.array(verts[0]) + t * np.array(verts[1])
 
     def raw(self, rng, n, stratum=None):
-        if stratum is not None and stratum in self.facet_strata:
-            j = self.facet_strata[stratum]
+        if stratum is not None:
+            (j,) = stratum.zeros
             x = self._facet_x(rng, j)
         else:
             x = self._interior_x(rng)
@@ -447,15 +452,14 @@ class PolytopeSampler:
 class FrameSampler:
     """Row Gram-Schmidt onto the central level Z Z-dagger = I."""
 
-    def __init__(self, action: UnitaryAction, zero_cols=None):
+    def __init__(self, action: UnitaryAction):
         self.action = action
-        self.zero_cols = zero_cols or {}
 
     def raw(self, rng, n, stratum=None):
         a = self.action
         Z = rng.standard_normal((a.n, a.m)) + 1j * rng.standard_normal((a.n, a.m))
-        for c in self.zero_cols.get(stratum, ()):
-            Z[:, c] = 0.0
+        if stratum is not None:
+            Z.flat[list(stratum.zeros)] = 0.0
         for i in range(a.n):
             for s in range(i):
                 Z[i] -= (Z[s].conj() @ Z[i]) * Z[s]
@@ -507,18 +511,16 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     level = np.array([float(x) for x in scenario.level])
     fields, dfs = scenario.fields, scenario.dfs
 
-    quotas = []
-    named = [s.label for s in scenario.strata]
-    per = max(1, int(round(0.3 * count))) if named else 0
-    for lab in named:
-        quotas += [lab] * per
+    per = max(1, int(round(0.3 * count))) if scenario.strata else 0
+    quotas = [s for s in scenario.strata for _ in range(per)]
     quotas += [None] * (count - len(quotas))
 
     points, labels, rejected, Qs, DFs = [], [], [], [], []
-    for want in quotas:
+    for stratum in quotas:
+        want = stratum.label if stratum is not None else None
         accepted = None
         for attempt in range(400):
-            z = scenario.sampler.raw(rng, n, want)
+            z = scenario.sampler.raw(rng, n, stratum)
             if z is None:
                 rejected.append((want, "sampler produced no candidate"))
                 continue

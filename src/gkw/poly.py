@@ -77,6 +77,9 @@ class QI:
         return QI((self.re * other.re + self.im * other.im) / d,
                   (self.im * other.re - self.re * other.im) / d)
 
+    def __rtruediv__(self, other):
+        return QI.of(other) / self
+
     def conjugate(self) -> "QI":
         return QI(self.re, -self.im)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .exactlinalg import integer_kernel_basis, nullspace_basis, rref, solve_exact
+from .exactlinalg import integer_kernel_basis, solve_affine
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,10 @@ class PolytopeSpec:
         for idxs in combinations(range(self.num_facets), self.d):
             A = [list(self.normals[i]) for i in idxs]
             b = [self.offsets[i] for i in idxs]
-            x = solve_exact(A, b)
-            if x is None:
+            sol = solve_affine(A, b)
+            if sol is None or sol[1]:   # no common point, or a line of them
                 continue
-            R, piv = rref(A)
-            if len(piv) < self.d:
-                continue
+            x = sol[0]
             if self.contains(x) and x not in verts:
                 verts.append(x)
         if not verts:
@@ -197,11 +195,11 @@ def find_alpha(poly: PolytopeSpec) -> AlphaResult:
     for i, j in combinations(range(poly.num_facets), 2):
         eqs = [list(poly.normals[i]), list(poly.normals[j])]
         rhs = [Fraction(-1), Fraction(-1)]
-        part = solve_exact(eqs, rhs)
-        if part is None:
+        sol = solve_affine(eqs, rhs)
+        if sol is None:
             certs.append({"pair": (i, j), "reason": "equalities inconsistent"})
             continue
-        null = nullspace_basis(eqs)
+        part, null = sol
         others = [k for k in range(poly.num_facets) if k not in (i, j)]
         # inequalities -alpha(eta_k) <= 0 in the free parameters s
         ineqs = []

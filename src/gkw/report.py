@@ -76,15 +76,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if len(level) != action.k:
         raise ValueError("level length != torus rank")
     strata = []
-    zero_sets = {}
     for s in doc.get("strata", []):
+        if "label" not in s or "zero_coords" not in s:
+            raise ValueError(f"stratum {s!r} needs a label and zero_coords")
         coords = tuple(int(c) for c in s["zero_coords"])
-        lab = s["label"]
-        strata.append(Stratum(lab, (lambda cs: lambda z: all(abs(z[c]) < 1e-10 for c in cs))(coords)))
-        zero_sets[lab] = coords
+        if not all(0 <= c < n for c in coords):
+            raise ValueError(f"stratum {s['label']!r}: zero_coords {list(coords)} "
+                             f"out of range for ambient_complex_dim {n}")
+        strata.append(Stratum(s["label"], coords))
     if action.k != 1:
         raise ValueError("scenario files support rank-one levels (scaling sampler)")
-    sampler = ScalingSampler(moment, [float(level[0])], zero_sets=zero_sets)
+    sampler = ScalingSampler(moment, [float(level[0])])
     st = doc["structure"]
     if st["kind"] == "genuine-kahler":
         recipe = GenuineKahlerRecipe(n)
@@ -107,7 +109,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "ambient_complex_dim": scenario.n,
         "action": {"kind": "torus", "weights": [list(r) for r in scenario.action.weights]},
         "level": [str(x) for x in scenario.level],
-        "strata": [{"label": s.label} for s in scenario.strata],
+        "strata": [{"label": s.label, "zero_coords": list(s.zeros)} for s in scenario.strata],
         "structure": scenario.recipe.describe(),
     }
     recipe = scenario.recipe

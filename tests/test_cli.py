@@ -143,6 +143,39 @@ def test_scenario_file_roundtrip(tmp_path, capsys):
     assert rep["sections"]["maurer_cartan"]["exact_zero"] is True
 
 
+def test_scenario_strata_roundtrip():
+    from gkw.catalog import build_case
+    scenario = build_case("cpn-2").scenario
+    doc = json.loads(json.dumps(scenario_to_dict(scenario)))
+    doc["structure"] = {"kind": "genuine-kahler"}
+    assert doc["strata"] == [{"label": "z0=0", "zero_coords": [0]}]
+    assert scenario_from_dict(doc).strata == scenario.strata
+
+
+def _scenario_with_strata(tmp_path, strata):
+    path = tmp_path / "strata.json"
+    path.write_text(json.dumps({
+        "name": "strata", "ambient_complex_dim": 3,
+        "action": {"kind": "torus", "weights": [[1, 1, 1]]},
+        "level": ["1"], "strata": strata,
+        "structure": {"kind": "genuine-kahler"},
+    }))
+    return path
+
+
+@pytest.mark.parametrize("strata, field", [
+    ([{"label": "z0=0"}], "zero_coords"),
+    ([{"label": "z9=0", "zero_coords": [9]}], "zero_coords"),
+    ([{"label": "z-1=0", "zero_coords": [-1]}], "zero_coords"),
+])
+def test_malformed_strata_exit_3_with_a_message(tmp_path, capsys, strata, field):
+    path = _scenario_with_strata(tmp_path, strata)
+    code = main(["reduce", "--scenario", str(path), "--samples", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("scenario error:") and field in err
+
+
 def _subprocess_env():
     """The environment with the imported gkw package importable, whether or
     not it is installed."""
