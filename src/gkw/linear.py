@@ -256,9 +256,10 @@ class LinearGC:
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
             raise ValidationError("J must be square of even dimension 2m")
         out = _Outcomes(1)
-        _, Lh = _check_structures(J[None], out)
+        _, Lh, norm = _check_structures(J[None], out)
         out.raise_first()
         object.__setattr__(self, "_L", ComplexSubspace(Lh[0].T))
+        object.__setattr__(self, "_norm", norm[0])
 
     @property
     def m(self) -> int:
@@ -352,29 +353,31 @@ def _check_structures(J, out: _Outcomes):
     """The checks of LinearGC on a stack J of real 2m x 2m matrices (the
     rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality,
     then the +i eigenbundle L = nullspace(J - i): its dimension, isotropy
-    and L cap conj(L) = 0.  Returns (J, Lh) for the rows that pass, with
-    the columns of Lh[k].T spanning L of row k."""
+    and L cap conj(L) = 0.  Returns (J, Lh, norm) for the rows that pass,
+    with the columns of Lh[k].T spanning L of row k and norm[k] the
+    spectral norm of J[k]."""
     d = J.shape[-1]
     m = d // 2
     E = eta(m)
-    scale = np.maximum(1.0, _norm2(J))
+    norm = _norm2(J)
+    scale = np.maximum(1.0, norm)
     r_sq = _fro(J @ J + np.eye(d)) / scale
     r_orth = _fro(np.swapaxes(J, -1, -2) @ E @ J - E) / scale ** 2
     bad = (r_sq > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
-    (J,) = out.reject(bad, lambda k: ValidationError(
+    (J, norm) = out.reject(bad, lambda k: ValidationError(
         f"not a generalized complex structure: |J^2+I|={r_sq[k]:.3e}, "
-        f"|J^T eta J - eta|={r_orth[k]:.3e}"), J)
+        f"|J^T eta J - eta|={r_orth[k]:.3e}"), J, norm)
     vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), RANK_TOL)
-    (J, vh) = out.reject(dim != m, lambda k: ValidationError(
-        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, vh)
+    (J, norm, vh) = out.reject(dim != m, lambda k: ValidationError(
+        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, norm, vh)
     Lh = vh[:, m:, :].conj()
     L = np.swapaxes(Lh, -1, -2)
     iso = np.abs(Lh @ E @ L).max(axis=(-2, -1))
-    (J, Lh, L) = out.reject(iso > ISOTROPY_TOL, lambda k: ValidationError(
-        f"eigenbundle not isotropic: max pairing {iso[k]:.3e}"), J, Lh, L)
+    (J, norm, Lh, L) = out.reject(iso > ISOTROPY_TOL, lambda k: ValidationError(
+        f"eigenbundle not isotropic: max pairing {iso[k]:.3e}"), J, norm, Lh, L)
     rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), RANK_TOL)
     return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"),
-                      J, Lh)
+                      J, Lh, norm)
 
 
 def _real_structures(B, dims, out: _Outcomes):
@@ -436,7 +439,7 @@ class KahlerPairNum:
         if J1.shape != J2.shape:
             raise ValidationError("pair members act on different spaces")
         out = _Outcomes(1)
-        _check_pairs(J1[None], J2[None], out)
+        _check_pairs(J1[None], J2[None], self.J1._norm, self.J2._norm, out)
         out.raise_first()
 
     @property
@@ -451,14 +454,15 @@ class KahlerPairNum:
         return self.J1.type_of(), self.J2.type_of()
 
 
-def _check_pairs(J1, J2, out: _Outcomes, *carry):
+def _check_pairs(J1, J2, norm1, norm2, out: _Outcomes, *carry):
     """The checks of KahlerPairNum on stacks J1, J2 (the rows of ``out``
-    still alive), in order: J1 and J2 commute, G = -J1 J2 has G^2 = 1 and
-    is eta-orthogonal, and G^T eta is positive definite.  Returns the
+    still alive) with their spectral norms, as _check_structures found
+    them, in order: J1 and J2 commute, G = -J1 J2 has G^2 = 1 and is
+    eta-orthogonal, and G^T eta is positive definite.  Returns the
     ``carry`` arrays, aligned with the rows, cut to the rows that pass."""
     d = J2.shape[-1]
     E = eta(d // 2)
-    scale = np.maximum(1.0, _norm2(J1) * _norm2(J2))
+    scale = np.maximum(1.0, norm1 * norm2)
     r_comm = _fro(J1 @ J2 - J2 @ J1) / scale
     (J1, J2, *carry) = out.reject(r_comm > 1e-9, lambda k: ValidationError(
         f"structures do not commute: residual {r_comm[k]:.3e}"), J1, J2, *carry)
@@ -588,7 +592,7 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     """The checks of deform_gcs on a stack K of contraction operators:
     L_eps = L2 + t K eta L2 meets its conjugate only in 0 (with a clear
     rank gap), then the real structure with eigenbundle L_eps and its
-    LinearGC checks.  Returns (J, Lh) for the rows that pass, as
+    LinearGC checks.  Returns (J, Lh, norm) for the rows that pass, as
     _check_structures does."""
     m = J2.m
     L2 = J2.eigenbundle().basis
@@ -601,9 +605,9 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     return _check_structures(J, out)
 
 
-def _structures(J, Lh) -> list:
+def _structures(J, Lh, norm) -> list:
     """The LinearGC of each row that passed _check_structures."""
-    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T))
+    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T), _norm=norm[k])
             for k in range(len(J))]
 
 
@@ -625,9 +629,10 @@ def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
     K = np.asarray(K)
     stack = K if K.ndim == 3 else K[None]
     out = _Outcomes(len(stack))
-    J, Lh = _deformed_structures(pair.J2, stack, t, out)
-    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, Lh)
-    for i, J2 in zip(out.alive, _structures(J, Lh)):
+    J, Lh, norm = _deformed_structures(pair.J2, stack, t, out)
+    J, Lh, norm = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, pair.J1._norm, norm,
+                               out, J, Lh, norm)
+    for i, J2 in zip(out.alive, _structures(J, Lh, norm)):
         out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2)
     if K.ndim == 3:
         return out.results

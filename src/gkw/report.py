@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -61,9 +64,90 @@ def _poly_from_terms(n, terms):
     return ComplexPolynomial(n, acc)
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _check_type(value, kind, what):
+    """A ValueError naming ``what`` unless ``value`` has the json type
+    ``kind`` (a type or a tuple of types)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise ValueError(f"{what} must be {' or '.join(_JSON_NAMES[k] for k in kinds)}, "
+                         f"got {value!r}")
+
+
+def _field(obj, key, kind, where):
+    """``obj[key]`` if ``obj`` is a json object whose ``key`` holds a value
+    of the json type ``kind``; else a ValueError naming the field."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    _check_type(value, kind, f"{where} field {key!r}")
+    return value
+
+
+def _check_fraction(value, what):
+    """A ValueError naming ``what`` unless ``value`` is a string or an
+    integer that reads as a fraction."""
+    _check_type(value, (str, int), what)
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} must be a fraction, got {value!r}") from None
+
+
+def _check_ints(values, what, length=None):
+    """A ValueError naming ``what`` unless ``values`` is a list of integers
+    (of ``length`` entries, if given)."""
+    if not (isinstance(values, list) and all(type(v) is int for v in values)
+            and length in (None, len(values))):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{what} must be a list{size} integers, got {values!r}")
+
+
+def _check_scenario_schema(doc):
+    """The json types of every field of a scenario file, checked before
+    anything is built from it, so that a malformed file raises a ValueError
+    naming its first bad field."""
+    n = _field(doc, "ambient_complex_dim", int, "scenario")
+    if n < 1:
+        raise ValueError(f"scenario field 'ambient_complex_dim' must be at least 1, got {n}")
+    action = _field(doc, "action", dict, "scenario")
+    weights = _field(action, "weights", list, "action")
+    if not weights:
+        raise ValueError("action field 'weights' must hold at least one row")
+    for row in weights:
+        _check_ints(row, "each row of action field 'weights'")
+    for x in _field(doc, "level", list, "scenario"):
+        _check_fraction(x, "each entry of scenario field 'level'")
+    strata = doc.get("strata", [])
+    _check_type(strata, list, "scenario field 'strata'")
+    for s in strata:
+        _field(s, "label", str, "stratum")
+        _check_ints(_field(s, "zero_coords", list, "stratum"), "stratum field 'zero_coords'")
+    structure = _field(doc, "structure", dict, "scenario")
+    if _field(structure, "kind", str, "structure") != "deformed":
+        return
+    _check_fraction(structure.get("t"), "structure field 't'")
+    deformation = _field(structure, "deformation", dict, "structure")
+    for name in ("Y", "Z"):
+        for key, terms in _field(deformation, name, dict, "deformation").items():
+            what = f"deformation field {name!r} at frame index {key!r}"
+            if not (str(key).isdecimal() and int(key) < 2 * n):
+                raise ValueError(f"{what}: the index must be one of 0 .. {2 * n - 1}")
+            _check_type(terms, list, what)
+            for term in terms:
+                if not (isinstance(term, list) and len(term) == 5):
+                    raise ValueError(f"{what}: a term must be [re_num, re_den, im_num, "
+                                     f"im_den, exponents], got {term!r}")
+                _check_ints(term[:4], f"{what}: the numerators and denominators of a term")
+                _check_ints(term[4], f"{what}: the exponents of a term", 2 * n)
+                if 0 in term[1:4:2]:
+                    raise ValueError(f"{what}: a term has a zero denominator: {term!r}")
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     """Parse the json mirror of a (torus, standard-moment) scenario."""
-    n = int(doc["ambient_complex_dim"])
+    _check_scenario_schema(doc)
+    n = doc["ambient_complex_dim"]
     act = doc["action"]
     if act.get("kind") != "torus":
         raise ValueError("scenario files support torus actions")
@@ -77,9 +161,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ValueError("level length != torus rank")
     strata = []
     for s in doc.get("strata", []):
-        if "label" not in s or "zero_coords" not in s:
-            raise ValueError(f"stratum {s!r} needs a label and zero_coords")
-        coords = tuple(int(c) for c in s["zero_coords"])
+        coords = tuple(s["zero_coords"])
         if not all(0 <= c < n for c in coords):
             raise ValueError(f"stratum {s['label']!r}: zero_coords {list(coords)} "
                              f"out of range for ambient_complex_dim {n}")
@@ -267,10 +349,7 @@ def run(config: RunConfig) -> dict:
     ``config.tol`` decides the ranks the report shows: the upstairs types of
     the validation rows and every rank of the type table."""
     if config.command == "catalog":
-        entries = []
-        for name in catalog_names():
-            case = build_case(name)
-            entries.append(case.describe())
+        entries = _map_cases(_catalog_entry, catalog_names())
         return {"header": _header(config), "sections": {"catalog": entries},
                 "pass": True, "exit_code": 0}
 
@@ -316,19 +395,42 @@ def run(config: RunConfig) -> dict:
             "pass": overall, "exit_code": exit_code}
 
 
+def _map_cases(fn, names) -> list:
+    """``[fn(name) for name in names]``, with the cases shared out among one
+    forked worker per usable CPU.  ``imap`` keeps the order of ``names``,
+    so the results, and the first exception raised (re-raised here with its
+    type and message), are those of the plain loop, which runs instead on
+    one usable CPU or where fork or CPU affinity is not available.  Forked
+    workers inherit the ``build_case`` cache of the caller."""
+    try:
+        workers = min(len(names), len(os.sched_getaffinity(0)))
+        context = multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):
+        workers = 1
+    if workers <= 1:
+        return [fn(name) for name in names]
+    with context.Pool(workers) as pool:
+        return list(pool.imap(fn, names))
+
+
+def _catalog_entry(name: str) -> dict:
+    return build_case(name).describe()
+
+
+def _sweep_row(name: str, config: RunConfig) -> dict:
+    """The sweep's row of one catalog case: its ``reduce`` verdicts."""
+    sub = RunConfig(command="reduce", case=name, samples=max(8, config.samples // 2),
+                    seed=config.seed, tol=config.tol)
+    rep = run(sub)
+    return {"pass": rep["pass"], "exit_code": rep["exit_code"],
+            "sections": {k: v.get("pass", True) for k, v in rep["sections"].items()}}
+
+
 def run_sweep(config: RunConfig) -> dict:
-    cases = {}
-    ok = True
-    indeterminate = False
-    for name in catalog_names():
-        sub = RunConfig(command="reduce", case=name, samples=max(8, config.samples // 2),
-                        seed=config.seed, tol=config.tol)
-        rep = run(sub)
-        cases[name] = {"pass": rep["pass"], "exit_code": rep["exit_code"],
-                       "sections": {k: v.get("pass", True)
-                                    for k, v in rep["sections"].items()}}
-        ok = ok and rep["pass"]
-        indeterminate = indeterminate or rep["exit_code"] == 4
+    names = catalog_names()
+    cases = dict(zip(names, _map_cases(partial(_sweep_row, config=config), names)))
+    ok = all(c["pass"] for c in cases.values())
+    indeterminate = any(c["exit_code"] == 4 for c in cases.values())
     return {"header": _header(config), "sections": {"sweep": cases},
             "pass": ok, "exit_code": 4 if indeterminate else (0 if ok else 1)}
 

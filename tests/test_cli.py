@@ -1,14 +1,19 @@
 """CLI driver: determinism, exit codes, emission formats, scenario files."""
 import json
+import multiprocessing.pool
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import gkw
+from gkw import report
+from gkw.catalog import build_case, catalog_names
 from gkw.cli import main
-from gkw.report import (CSV_HEADER, RunConfig, emit, run, scenario_from_dict,
+from gkw.linear import ValidationError
+from gkw.report import (CSV_HEADER, RunConfig, emit, run, run_sweep, scenario_from_dict,
                         scenario_to_dict)
 
 
@@ -167,9 +172,48 @@ def _scenario_with_strata(tmp_path, strata):
     ([{"label": "z0=0"}], "zero_coords"),
     ([{"label": "z9=0", "zero_coords": [9]}], "zero_coords"),
     ([{"label": "z-1=0", "zero_coords": [-1]}], "zero_coords"),
+    ([{"label": "z0=0", "zero_coords": 9}], "zero_coords"),
 ])
 def test_malformed_strata_exit_3_with_a_message(tmp_path, capsys, strata, field):
     path = _scenario_with_strata(tmp_path, strata)
+    code = main(["reduce", "--scenario", str(path), "--samples", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("scenario error:") and field in err
+
+
+def _scenario_file(tmp_path, edit):
+    doc = {
+        "name": "edited", "ambient_complex_dim": 3,
+        "action": {"kind": "torus", "weights": [[1, 1, 1]]},
+        "level": ["1"], "strata": [{"label": "z0=0", "zero_coords": [0]}],
+        "structure": {"kind": "deformed", "t": "1/2",
+                      "deformation": {"Y": {"1": [[1, 1, 0, 1, [2, 0, 0, 0, 0, 0]]]},
+                                      "Z": {"2": [[1, 1, 0, 1, [0, 0, 0, 0, 0, 0]]]}}},
+    }
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.pop("structure"), "'structure'"),
+    (lambda d: d.update(ambient_complex_dim="3"), "'ambient_complex_dim'"),
+    (lambda d: d.update(level=[None]), "'level'"),
+    (lambda d: d["structure"].pop("t"), "'t'"),
+    (lambda d: d["structure"].update(t="1/0"), "'t'"),
+    (lambda d: d["action"].update(weights=[]), "'weights'"),
+    (lambda d: d["structure"]["deformation"]["Y"].update({"9": []}), "frame index '9'"),
+    (lambda d: d["structure"]["deformation"]["Z"]["2"][0].__setitem__(1, 0),
+     "zero denominator"),
+    (lambda d: d["structure"]["deformation"]["Z"]["2"][0].__setitem__(4, [0]),
+     "exponents"),
+], ids=["no-structure", "dim-a-string", "level-null",
+        "no-t", "t-divides-by-zero", "no-weight-rows", "frame-index-out-of-range",
+        "zero-denominator", "short-exponents"])
+def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit, field):
+    path = _scenario_file(tmp_path, edit)
     code = main(["reduce", "--scenario", str(path), "--samples", "4"])
     err = capsys.readouterr().err
     assert code == 3
@@ -271,3 +315,70 @@ def test_tol_override_resolves_borderline_ranks(tmp_path, capsys):
     code, _ = run_cli(["reduce", "--scenario", str(path), "--samples", "4",
                        "--tol", "1e-12", "--format", "json"], capsys)
     assert code == 0
+
+
+# -- sweep and catalog: the cases are shared out among forked workers --------
+
+
+@pytest.mark.parametrize("seed, tol", [(7, 1e-9), (8, 1e-9), (7, 1e-3)])
+def test_sweep_equals_the_plain_loop_over_its_rows(monkeypatch, seed, tol):
+    # at --tol 1e-3 the rows differ from case to case (exit codes 0 and 4),
+    # so a row filed under the wrong case shows
+    config = RunConfig("sweep", seed=seed, tol=tol)
+    maps = []
+    imap = multiprocessing.pool.Pool.imap
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
+                        lambda pool, *args: maps.append(pool) or imap(pool, *args))
+    forked = emit(run_sweep(config), "json")
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert len(maps) == (usable > 1)
+    rows = {name: report._sweep_row(name, config) for name in catalog_names()}
+    assert json.loads(forked)["sections"]["sweep"] == rows
+    # one usable CPU: the same function in a plain loop
+    maps.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert emit(run_sweep(config), "json") == forked
+    assert not maps
+
+
+def test_catalog_equals_the_plain_loop_over_its_cases():
+    entries = run(RunConfig("catalog"))["sections"]["catalog"]
+    assert entries == [build_case(name).describe() for name in catalog_names()]
+
+
+def test_a_case_error_reaches_the_caller_as_the_plain_loop_raises_it(monkeypatch, capsys):
+    # patched before the workers fork, so that they inherit it; of two
+    # failing cases, the first in catalog order decides, as in a plain loop
+    names = catalog_names()
+    failing = (names[2], names[-1])
+    plain_run = report.run
+
+    def run_failing(config):
+        if config.case in failing:
+            raise ValidationError(f"injected at {config.case}")
+        return plain_run(config)
+
+    monkeypatch.setattr(report, "run", run_failing)
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'injected at {names[2]}')}$"):
+        run_sweep(RunConfig("sweep", seed=7))
+    assert main(["sweep", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"scenario error: injected at {names[2]}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_one_usable_cpu_takes_the_inline_path_with_the_same_bytes():
+    # the subprocess pins itself to one CPU and forbids pools
+    script = "\n".join([
+        "import multiprocessing.pool, os, sys",
+        f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('a worker pool on one usable CPU')",
+        "multiprocessing.pool.Pool.__init__ = refuse",
+        "from gkw.report import RunConfig, emit, run_sweep",
+        "sys.stdout.buffer.write(emit(run_sweep(RunConfig('sweep', seed=7)), 'json'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          timeout=600, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == emit(run_sweep(RunConfig("sweep", seed=7)), "json")

@@ -55,6 +55,21 @@ def test_pairs_at_matches_pair_at(name):
         assert failed == 0 if t == scen.recipe.t else 0 < failed < len(points)
 
 
+@pytest.mark.parametrize("name", DEFORMED)
+def test_pairs_carry_the_spectral_norms_of_their_structures(name):
+    # the pair checks read the norms the structure checks found; each must
+    # be the one a fresh SVD of that structure gives, bit for bit
+    scen = build_case(name).scenario
+    points = sample_level_set(scen, PROBE_COUNT, PROBE_SEED).points
+    for t in (scen.recipe.t, Fraction(8)):
+        recipe = DeformedKahlerRecipe(scen.n, scen.recipe.eps, t)
+        pairs = [p for p in recipe.pairs_at(points) if isinstance(p, KahlerPairNum)]
+        assert pairs
+        for pair in pairs:
+            for J in (pair.J1, pair.J2):
+                assert J._norm == np.linalg.svd(J.J, compute_uv=False)[0]
+
+
 def test_deform_pair_stack_rejects_each_row_at_its_first_failed_check():
     # a generic operator (L_eps is not isotropic, so J is not
     # eta-orthogonal), one whose L_eps is real at t = 1 (not admissible) and
