@@ -19,6 +19,24 @@ from .calculus import (GeneralizedSection, VectorField, euler_field, exterior_de
 from .poly import QI, QI_HALF, QI_I, ComplexPolynomial
 
 
+def linear_field(N: int, M: dict) -> VectorField:
+    """Real vector field of the flow z -> e^{tM} z on C^N, for a Gaussian
+    integer matrix M given as {(row, col): QI}: component i is the
+    polynomial (M z)_i, component N + i its conjugate, inserted per row in
+    increasing row order (zero rows are left out)."""
+    rows = {}
+    for (i, j) in sorted(M):
+        c = QI.of(M[i, j])
+        if c:
+            term = ComplexPolynomial.variable(N, j) * c
+            rows[i] = rows[i] + term if i in rows else term
+    comps = {}
+    for i, p in rows.items():
+        comps[i] = p
+        comps[N + i] = p.conjugate()
+    return VectorField(N, comps)
+
+
 @dataclass(frozen=True)
 class TorusAction:
     """A k-torus acting on C^N through an integer weight matrix (k x N)."""
@@ -38,14 +56,9 @@ class TorusAction:
         return len(self.weights[0])
 
     def fundamental_field(self, a: int) -> GeneralizedSection:
-        n = self.n
-        comps = {}
-        for j, w in enumerate(self.weights[a]):
-            if w == 0:
-                continue
-            comps[j] = ComplexPolynomial.variable(n, j) * (QI_I * w)
-            comps[j + n] = ComplexPolynomial.variable(n, j, conjugated=True) * (-QI_I * w)
-        return GeneralizedSection.from_vector(VectorField(n, comps))
+        """The field of z -> e^{t diag(i w)} z, w the a-th weight row."""
+        diag = {(j, j): QI_I * w for j, w in enumerate(self.weights[a]) if w}
+        return GeneralizedSection.from_vector(linear_field(self.n, diag))
 
     def fundamental_fields(self):
         return [self.fundamental_field(a) for a in range(self.k)]
@@ -104,24 +117,12 @@ class UnitaryAction:
         return self.dim_group
 
     def fundamental_field(self, idx: int) -> GeneralizedSection:
-        """Linearization of Z -> e^{t xi} Z at t = 0: velocity xi Z.
-
-        Real field: the antiholomorphic components are the conjugates of
-        the holomorphic ones."""
+        """Linearization of Z -> e^{t xi} Z at t = 0: velocity xi Z, the
+        linear field of xi (x) I_m on the flattened coordinates."""
         xi = self.lie_basis()[idx]
-        N = self.ambient_n
-        vec = {}
-        for i in range(self.n):
-            for j in range(self.m):
-                p = ComplexPolynomial.zero(N)
-                for s in range(self.n):
-                    c = _qi_of_entry(xi[i, s])
-                    if c:
-                        p = p + ComplexPolynomial.variable(N, self.flat(s, j)) * c
-                if not p.is_zero:
-                    vec[self.flat(i, j)] = p
-                    vec[N + self.flat(i, j)] = p.conjugate()
-        return GeneralizedSection.from_vector(VectorField(N, vec))
+        left = {(self.flat(i, j), self.flat(s, j)): _qi_of_entry(xi[i, s])
+                for i in range(self.n) for s in range(self.n) for j in range(self.m)}
+        return GeneralizedSection.from_vector(linear_field(self.ambient_n, left))
 
     def fundamental_fields(self):
         return [self.fundamental_field(i) for i in range(self.dim_group)]

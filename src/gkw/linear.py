@@ -476,7 +476,7 @@ def _check_pairs(J1, J2, norm1, norm2, out: _Outcomes, *carry):
         f"G fails metric identities: |G^2-I|={r_inv[k]:.3e}"), GT, *carry)
     Q = GT @ E
     ev_min = np.linalg.eigvalsh((Q + np.swapaxes(Q, -1, -2)) / 2).min(axis=-1)
-    return out.reject(ev_min <= 1e-10, lambda k: ValidationError(
+    return out.reject(ev_min <= VALIDATION_TOL, lambda k: ValidationError(
         f"metric not positive definite: min eigenvalue {ev_min[k]:.3e}"), *carry)
 
 
@@ -663,7 +663,7 @@ class BiHermitianData:
                 self.Jminus.T @ self.g @ self.Jminus - self.g)) / (gscale * jscale),
             "same_orientation": orientation_sign(self.Jplus) == orientation_sign(self.Jminus),
         }
-        ok = (checks["g_min_eigenvalue"] > 1e-10
+        ok = (checks["g_min_eigenvalue"] > VALIDATION_TOL
               and checks["jplus_square"] < tol and checks["jminus_square"] < tol
               and checks["jplus_orthogonal"] < tol and checks["jminus_orthogonal"] < tol
               and checks["same_orientation"])

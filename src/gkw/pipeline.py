@@ -723,7 +723,7 @@ def bihermitian_of(pair_quot: KahlerPairNum, type_j1, type_j2) -> QuotientBiHerm
 # -- moment-map verification --------------------------------------------------
 
 def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
-                      tol=MEMBERSHIP_TOL, invariance=True):
+                      tol=MEMBERSHIP_TOL):
     """At each sample and Lie-algebra basis element: membership residual of
     xi_M - i dmu^xi in the +i eigenbundle of the structure, plus the
     invariance contraction iota_{xi_M} dmu^eta (zero when condition one of
@@ -736,13 +736,12 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
     fields = action.fundamental_fields()
     dfs, dhs = moment.df, moment.dh
     contractions = []
-    if invariance:
-        for a in range(k):
-            for b in range(k):
-                for comp in (dfs[b], dhs[b]):
-                    val = interior_product(fields[a].vec, comp).comps.get((), None)
-                    if val is not None:
-                        contractions.append(val)
+    for a in range(k):
+        for b in range(k):
+            for comp in (dfs[b], dhs[b]):
+                val = interior_product(fields[a].vec, comp).comps.get((), None)
+                if val is not None:
+                    contractions.append(val)
     rows = []
     for idx, z in enumerate(samples):
         J = structure_at(z)

@@ -6,8 +6,9 @@ import pytest
 
 from gkw import frames
 from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
-                         grassmannian_moment_map, moment_from_hamiltonian_identity,
-                         shift_by_bfield, standard_moment_map)
+                         grassmannian_moment_map, linear_field,
+                         moment_from_hamiltonian_identity, shift_by_bfield,
+                         standard_moment_map, unitary_lie_basis)
 from gkw.calculus import (Form, GeneralizedSection, VectorField, dx_form, dy_form,
                           exterior_derivative, interior_product,
                           standard_symplectic_form, x_poly, y_poly)
@@ -93,6 +94,35 @@ def test_unitary_fundamental_fields_match_linearization():
     for idx, xi in enumerate(act.lie_basis()):
         vel = (xi @ Z).reshape(-1)
         got = act.fundamental_field(idx).vec.evaluate(z)
+        assert np.allclose(got[:6], vel) and np.allclose(got[6:], vel.conj())
+
+
+def test_linear_field_is_the_flow_velocity():
+    # the field of z -> e^{tM} z has holomorphic part M z and its conjugate
+    rng = np.random.default_rng(5)
+    N = 4
+    z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    for _ in range(10):
+        M = {(int(i), int(j)): QI(int(a), int(b))
+             for (i, j), (a, b) in zip(rng.integers(0, N, size=(5, 2)),
+                                       rng.integers(-2, 3, size=(5, 2)))}
+        Mc = np.zeros((N, N), dtype=complex)
+        for (i, j), c in M.items():
+            Mc[i, j] = c.to_complex()
+        got = linear_field(N, M).evaluate(z)
+        assert np.allclose(got[:N], Mc @ z) and np.allclose(got[N:], (Mc @ z).conj())
+
+
+def test_unitary_df_perp_fields_are_right_multiplication():
+    from gkw.catalog import _unitary_df_perp_fields
+    act = UnitaryAction(2, 3)
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    fields = _unitary_df_perp_fields(act)
+    assert len(fields) == 4
+    for X, A in zip(fields, unitary_lie_basis(3)):
+        vel = (Z @ A).reshape(-1)
+        got = X.evaluate(Z.reshape(-1))
         assert np.allclose(got[:6], vel) and np.allclose(got[6:], vel.conj())
 
 

@@ -389,17 +389,100 @@ def _with_eps(case, eps):
         scen, recipe=DeformedKahlerRecipe(scen.n, eps, scen.recipe.t)))
 
 
+def _unit(t):
+    """The rational point ((1 - t^2) + 2ti) / (1 + t^2) of the unit circle."""
+    d = 1 + t * t
+    return QI((1 - t * t) / d, 2 * t / d)
+
+
+def _power(u, w):
+    out = QI(1)
+    for _ in range(abs(w)):
+        out = out * (u if w > 0 else u.conjugate())
+    return out
+
+
+def _embedded(N, block, rows):
+    """The N x N identity with ``block`` on the coordinate lists ``rows``:
+    entry (rows[a][k], rows[b][k]) is block[a][b] for every k."""
+    A = [[QI(1 if i == j else 0) for j in range(N)] for i in range(N)]
+    for a, ra in enumerate(rows):
+        for b, rb in enumerate(rows):
+            for i, j in zip(ra, rb):
+                A[i][j] = block[a][b]
+    return A
+
+
+_PARAMS = ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(-3, 5), Fraction(4, 7)))
+
+
+def _group_sides(case):
+    """(exact certificate, exact group elements) for each group the report
+    certifies on the case.  Tori: rational unit-circle diagonals.  SU(2) on
+    (z1, z2) of cpn-2 and U(n) on the rows: det-1 ``group_element_exact``
+    blocks, and for U(n) also unit-circle scalars."""
+    from gkw.actions import TorusAction, UnitaryAction
+    from gkw.catalog import cpn_su2_invariance, torus_invariance, unitary_invariance
+    act = case.scenario.action
+    N = case.scenario.n
+    sides = []
+    if isinstance(act, TorusAction):
+        diags = []
+        for t, _ in _PARAMS:
+            # generator a turns by the angle of _unit(t + a)
+            us = [_unit(t + a) for a in range(act.k)]
+            diag = [QI(1)] * N
+            for u, row in zip(us, act.weights):
+                diag = [e * _power(u, w) for e, w in zip(diag, row)]
+            diags.append([[diag[i] if i == j else QI(0) for j in range(N)]
+                          for i in range(N)])
+        sides.append((torus_invariance, diags))
+        if case.name == "cpn-2":
+            blocks = [UnitaryAction(2, 1).group_element_exact([(0, 1, t1, t2)])
+                      for t1, t2 in _PARAMS]
+            sides.append((cpn_su2_invariance, [_embedded(N, B, [[1], [2]]) for B in blocks]))
+    else:
+        blocks = [[[_unit(t1) if i == j else QI(0) for j in range(act.n)]
+                   for i in range(act.n)] for t1, _ in _PARAMS]
+        if act.n >= 2:
+            blocks += [act.group_element_exact([(0, 1, t1, t2)]) for t1, t2 in _PARAMS]
+        rows = [[act.flat(i, j) for j in range(act.m)] for i in range(act.n)]
+        sides.append((unitary_invariance, [_embedded(N, B, rows) for B in blocks]))
+    return sides
+
+
+def test_invariance_certificate_agrees_with_exact_group_elements():
+    # oracle for the L_X eps = 0 certificate: on every deformed catalog case
+    # the exact pullback along elements of the same connected groups fixes eps
+    from gkw.catalog import build_case, catalog_names
+    from gkw.pipeline import DeformedKahlerRecipe
+    cases = [build_case(name) for name in catalog_names()]
+    cases = [c for c in cases if isinstance(c.scenario.recipe, DeformedKahlerRecipe)]
+    assert len(cases) == 9
+    for case in cases:
+        eps = case.scenario.recipe.eps
+        for check, elements in _group_sides(case):
+            assert check(case), (case.name, check.__name__)
+            for A in elements:
+                assert eps.pullback_linear(A) == eps, (case.name, check.__name__)
+
+
+def test_group_element_blocks_have_determinant_one():
+    from gkw.actions import UnitaryAction
+    for t1, t2 in _PARAMS:
+        (a, b), (c, d) = UnitaryAction(2, 1).group_element_exact([(0, 1, t1, t2)])
+        assert a * d - b * c == QI(1)
+
+
 def test_invariance_checks_reject_a_non_invariant_deformation():
-    from gkw.catalog import (build_case, cpn_su2_invariance, torus_invariance,
-                             unitary_invariance)
+    # both the certificate and the exact group elements reject
+    from gkw.catalog import build_case
     # z1 d/dz0 ^ d/dz1 has weight -1 under the diagonal circle and is moved
     # by SU(2) on (z1, z2)
     n = 3
     bad = DeformationBivector.from_vector_fields(
         VectorField(n, {0: ComplexPolynomial.variable(n, 1)}), VectorField.frame(n, 1))
-    cpn = _with_eps(build_case("cpn-2"), bad)
-    assert not torus_invariance(cpn)
-    assert not cpn_su2_invariance(cpn, count=10, seed=11)
+    rejected = [_with_eps(build_case("cpn-2"), bad)]
     for name in ("grassmann-1-3", "grassmann-2-3"):
         case = build_case(name)
         act = case.scenario.action
@@ -408,14 +491,21 @@ def test_invariance_checks_reject_a_non_invariant_deformation():
         bad = DeformationBivector.from_vector_fields(
             VectorField(N, {act.flat(0, 1): ComplexPolynomial.variable(N, act.flat(0, 0))}),
             VectorField.frame(N, act.flat(0, 2)))
-        assert unitary_invariance(case)
-        assert not unitary_invariance(_with_eps(case, bad)), name
+        rejected.append(_with_eps(case, bad))
+    for case in rejected:
+        eps = case.scenario.recipe.eps
+        sides = _group_sides(case)
+        assert len(sides) == (2 if case.name == "cpn-2" else 1)
+        for check, elements in sides:
+            assert not check(case), (case.name, check.__name__)
+            assert any(eps.pullback_linear(A) != eps for A in elements), \
+                (case.name, check.__name__)
 
 
 def test_pullback_invariance_su2():
     from gkw.catalog import build_case, cpn_su2_invariance
     case = build_case("cpn-2")
-    assert cpn_su2_invariance(case, count=10, seed=11)
+    assert cpn_su2_invariance(case)
 
 
 def test_paper_form_expansion_random_fields():
