@@ -7,7 +7,7 @@ the same indexing.  All coefficients are ComplexPolynomial, so identities
 """
 from __future__ import annotations
 
-from .poly import QI, QI_HALF, QI_I, ComplexPolynomial
+from .poly import QI_HALF, QI_I, ComplexPolynomial
 
 
 def _merge(terms, key, val):
@@ -336,33 +336,6 @@ def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> Generaliz
     f = interior_product(X, b) - interior_product(Y, a)
     form = form + exterior_derivative(f).scale(QI_HALF)
     return GeneralizedSection(lie_bracket(X, Y), form)
-
-
-# -- real-frame helpers -----------------------------------------------------
-# x_j = (z_j + zbar_j)/2, y_j = (z_j - zbar_j)/(2i); d/dx = d/dz + d/dzbar,
-# d/dy = i(d/dz - d/dzbar); dx = (dz + dzbar)/2, dy = (dz - dzbar)/(2i).
-
-def x_poly(n, j):
-    z = ComplexPolynomial.variable(n, j)
-    zb = ComplexPolynomial.variable(n, j, conjugated=True)
-    return (z + zb) * QI_HALF
-
-
-def y_poly(n, j):
-    z = ComplexPolynomial.variable(n, j)
-    zb = ComplexPolynomial.variable(n, j, conjugated=True)
-    return (z - zb) * (QI_HALF * (-QI_I))
-
-
-def dx_form(n, j):
-    return Form(n, 1, {(j,): ComplexPolynomial.const(n, QI_HALF),
-                       (j + n,): ComplexPolynomial.const(n, QI_HALF)})
-
-
-def dy_form(n, j):
-    c = QI_HALF * (-QI_I)
-    return Form(n, 1, {(j,): ComplexPolynomial.const(n, c),
-                       (j + n,): ComplexPolynomial.const(n, -c)})
 
 
 def standard_symplectic_form(n) -> Form:

@@ -34,8 +34,7 @@ from .pipeline import (ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        sample_level_set, tangent_to_level)
 from .poly import QI, ComplexPolynomial
 from .polytope import (AlphaResult, PolytopeSpec, cp2_blowup1_polytope,
-                       cp2_polytope, cp1xcp1_blowup4_polytope, find_alpha,
-                       hirzebruch_polytope)
+                       cp2_polytope, find_alpha, hirzebruch_polytope)
 
 PROBE_SEED = 20240229
 PROBE_COUNT = 16
@@ -286,22 +285,8 @@ def hyperkahler_data():
         S = A @ X
         if not np.allclose(S, S.T):
             raise ValidationError("moment quadratic is not symmetric")
-        mus.append(_quadratic_poly(S))
+        mus.append(frames.real_quadratic(S))
     return (I4, J4, K4), X, tuple(mus)
-
-
-def _quadratic_poly(S) -> ComplexPolynomial:
-    """1/2 x^T S x over real coords (x1, y1, x2, y2) as an exact polynomial."""
-    from .calculus import x_poly, y_poly
-    n = 2
-    coords = [x_poly(n, 0), y_poly(n, 0), x_poly(n, 1), y_poly(n, 1)]
-    out = ComplexPolynomial.zero(n)
-    for r in range(4):
-        for s in range(4):
-            c = int(round(S[r][s]))
-            if c:
-                out = out + coords[r] * coords[s] * QI(Fraction(c, 2))
-    return out
 
 
 def hyperkahler_pair():
@@ -384,24 +369,6 @@ def build_case(name: str) -> CatalogCase:
 
 # -- closure section families ---------------------------------------------------
 
-def constant_map_to_form(M, n):
-    """Symbolic 2-form of a constant antisymmetric map matrix (real frame)."""
-    from .calculus import Form, dx_form, dy_form
-    cov = []
-    for q in range(n):
-        cov.append(dx_form(n, q))
-        cov.append(dy_form(n, q))
-    out = Form.zero(n, 2)
-    for r in range(2 * n):
-        for s in range(r + 1, 2 * n):
-            c = int(round(float(M[s][r])))
-            if abs(M[s][r] - c) > 1e-12:
-                raise ValueError("constant form conversion needs integer entries")
-            if c:
-                out = out + cov[r].wedge(cov[s]).scale(c)
-    return out
-
-
 def _torus_df_perp_fields(scenario):
     """Exact polynomial tangent fields annihilating every df^xi."""
     n = scenario.n
@@ -477,14 +444,9 @@ def closure_families(case: CatalogCase, pair_at=None):
         # flat hyper-Kahler: fields xi_M and the sigma-minus Hamiltonian
         # field of mu_K; eigenbundle sections of the constant base pair
         J1, J2, (I4, J4, K4), X, mus = hyperkahler_pair()
-        sig = I4 - J4
-        fields = []
-        Xr = _right_mult([0, 1, 0, 0])
-        XK = 0.5 * (I4 + J4) @ Xr
-        for M in (Xr, XK):
-            fields.append(_linear_field_from_real_matrix(M * 2))
-        sig_form = constant_map_to_form(sig, 2)
-        wk_form = constant_map_to_form(K4, 2)
+        fields = [frames.real_linear_field(X), frames.real_linear_field((I4 + J4) @ X / 2)]
+        sig_form = frames.constant_two_form(I4 - J4)
+        wk_form = frames.constant_two_form(K4)
         secs = []
         for X_ in fields:
             s = GeneralizedSection(
@@ -520,36 +482,6 @@ def closure_families(case: CatalogCase, pair_at=None):
             name="deformed-L2", sections=recipe.upstairs_sections(),
             structure_at=lambda z: pair_at(z).J2, max_pairs=4))
     return fams
-
-
-def _linear_field_from_real_matrix(M2):
-    """VectorField of x -> (1/2) M2 x (M2 integer, real coordinates)."""
-    from .calculus import VectorField, x_poly, y_poly
-    n = len(M2) // 2
-    coords = []
-    for q in range(n):
-        coords.append(x_poly(n, q))
-        coords.append(y_poly(n, q))
-    comps = {}
-    for r in range(2 * n):
-        p = ComplexPolynomial.zero(n)
-        for s in range(2 * n):
-            c = int(round(float(M2[r][s])))
-            if abs(M2[r][s] - c) > 1e-12:
-                raise ValueError("field matrix must be half-integer")
-            if c:
-                p = p + coords[s] * QI(Fraction(c, 2))
-        if p.is_zero:
-            continue
-        # real-frame component r: d/dx_q = d/dz_q + d/dzb_q etc.
-        q, is_y = divmod(r, 2)
-        if not is_y:
-            comps[q] = comps.get(q, ComplexPolynomial.zero(n)) + p
-            comps[q + n] = comps.get(q + n, ComplexPolynomial.zero(n)) + p
-        else:
-            comps[q] = comps.get(q, ComplexPolynomial.zero(n)) + p * QI(0, 1)
-            comps[q + n] = comps.get(q + n, ComplexPolynomial.zero(n)) - p * QI(0, 1)
-    return VectorField(n, {k: v for k, v in comps.items() if not v.is_zero})
 
 
 # -- exact group invariance -------------------------------------------------------

@@ -1,7 +1,11 @@
 """Bridge between the symbolic z/zbar frame and real coordinates.
 
 Real coordinates are ordered (x_1, y_1, ..., x_n, y_n) with z_j = x_j + i y_j,
-so V = R^{2n} and W = V + V* is 4n-dimensional.  The standard ambient
+so V = R^{2n} and W = V + V* is 4n-dimensional.  The frame change is written
+once, as the exact matrix ``tangent_frame_exact(n)``; the numeric frame
+matrices are its complex copies, and the exact conversions of real-frame
+data (coordinates, coframe, linear fields, constant 2-forms, metric
+pairings, quadratics) are products with it.  The standard ambient
 structures used by every scenario:
 
     omega_std = sum_j dy_j ^ dx_j      (map  M dx_j = -dy_j, M dy_j = dx_j)
@@ -13,9 +17,13 @@ Phi = 1/2 sum w_j |z_j|^2 with the counterclockwise rotation field.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .calculus import Form, VectorField
+from .poly import QI, QI_HALF, QI_ZERO, ComplexPolynomial
 
 
 def _frozen(T: np.ndarray) -> np.ndarray:
@@ -24,16 +32,24 @@ def _frozen(T: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def tangent_frame_matrix(n: int) -> np.ndarray:
-    """Columns: real coordinates of d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n.
-    Built once per n and returned read-only, like the other frame matrices."""
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
+def tangent_frame_exact(n: int):
+    """Columns: real coordinates of d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n,
+    exactly (d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2): a tuple
+    of 2n rows of QI.  The one place the frame convention is written down;
+    every frame matrix and real-frame conversion below is read off it."""
+    T = [[QI_ZERO] * (2 * n) for _ in range(2 * n)]
     for q in range(n):
-        T[2 * q, q] = 0.5
-        T[2 * q + 1, q] = -0.5j
-        T[2 * q, n + q] = 0.5
-        T[2 * q + 1, n + q] = 0.5j
-    return _frozen(T)
+        T[2 * q][q] = T[2 * q][n + q] = QI_HALF
+        T[2 * q + 1][q] = QI(0, Fraction(-1, 2))
+        T[2 * q + 1][n + q] = QI(0, Fraction(1, 2))
+    return tuple(tuple(row) for row in T)
+
+
+@lru_cache(maxsize=None)
+def tangent_frame_matrix(n: int) -> np.ndarray:
+    """The complex copy of ``tangent_frame_exact(n)``, built once per n and
+    returned read-only, like the other frame matrices."""
+    return _frozen(np.array([[c.to_complex() for c in row] for row in tangent_frame_exact(n)]))
 
 
 @lru_cache(maxsize=None)
@@ -44,14 +60,90 @@ def tangent_frame_inverse(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def covector_frame_matrix(n: int) -> np.ndarray:
-    """Columns: real coordinates of dz_1..dz_n, dzbar_1..dzbar_n."""
-    T = np.zeros((2 * n, 2 * n), dtype=complex)
-    for q in range(n):
-        T[2 * q, q] = 1.0
-        T[2 * q + 1, q] = 1.0j
-        T[2 * q, n + q] = 1.0
-        T[2 * q + 1, n + q] = -1.0j
-    return _frozen(T)
+    """Columns: real coordinates of dz_1..dz_n, dzbar_1..dzbar_n: 2 conj(T),
+    the transpose of T^-1."""
+    return _frozen(2 * np.conj(tangent_frame_matrix(n)))
+
+
+def _apply(A, v, zero):
+    """The product A v of a QI matrix and a vector of QI or polynomials:
+    each entry sums the nonzero coefficients' terms in order."""
+    out = []
+    for row in A:
+        total = zero
+        for c, item in zip(row, v):
+            if c:
+                total = total + item * c
+        out.append(total)
+    return out
+
+
+def _exact(M):
+    """The entries of a real matrix (Fraction, int or float) as QI; a float
+    converts to its exact binary value."""
+    return [[QI.of(x) for x in row] for row in M]
+
+
+def _transpose(M):
+    return list(zip(*M))
+
+
+@lru_cache(maxsize=None)
+def real_coordinates(n: int):
+    """x_1, y_1, ..., x_n, y_n as exact polynomials: T applied to (z, zbar),
+    so x_j = (z_j + zbar_j)/2 and y_j = (z_j - zbar_j)/(2i)."""
+    zs = [ComplexPolynomial.variable(n, a % n, conjugated=a >= n) for a in range(2 * n)]
+    return tuple(_apply(tangent_frame_exact(n), zs, ComplexPolynomial.zero(n)))
+
+
+def real_coframe(n: int):
+    """dx_1, dy_1, ..., dx_n, dy_n as constant 1-forms: the real covector
+    e^r takes d/dz_a to T[r][a]."""
+    return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in enumerate(row) if c})
+                 for row in tangent_frame_exact(n))
+
+
+def real_linear_field(A) -> VectorField:
+    """The vector field of x -> A x, A a real 2n x 2n matrix in the real
+    coordinates: z/zbar components T^-1 A x, where T^-1 = 2 conj(T)^T
+    (d/dx = d/dz + d/dzbar, d/dy = i(d/dz - d/dzbar))."""
+    A = _exact(A)
+    n = len(A) // 2
+    Tinv = [[c.conjugate() * 2 for c in col] for col in _transpose(tangent_frame_exact(n))]
+    zero = ComplexPolynomial.zero(n)
+    return VectorField(n, dict(enumerate(_apply(Tinv, _apply(A, real_coordinates(n), zero), zero))))
+
+
+def constant_two_form(M) -> Form:
+    """The constant 2-form w of a real antisymmetric map M: X -> iota_X w,
+    with components w(d/dz_a, d/dz_b) = (T^T M^T T)[a][b]."""
+    M = _exact(M)
+    n = len(M) // 2
+    T = tangent_frame_exact(n)
+    Tt = _transpose(T)
+    cols = [_apply(Tt, _apply(_transpose(M), col, QI_ZERO), QI_ZERO) for col in Tt]
+    return Form(n, 2, {(a, b): ComplexPolynomial.const(n, cols[b][a])
+                       for b in range(2 * n) for a in range(b)})
+
+
+def metric_pairing(g, X: VectorField) -> Form:
+    """g(., X) as an exact 1-form, g a constant real 2n x 2n metric: the
+    components T^T g T X over dz/dzbar."""
+    n = X.n
+    T = tangent_frame_exact(n)
+    zero = ComplexPolynomial.zero(n)
+    frame = [X.comps.get(a, zero) for a in range(2 * n)]
+    u = _apply(_transpose(T), _apply(_exact(g), _apply(T, frame, zero), zero), zero)
+    return Form(n, 1, {(b,): p for b, p in enumerate(u)})
+
+
+def real_quadratic(S) -> ComplexPolynomial:
+    """1/2 x^T S x over the real coordinates, S a real symmetric matrix."""
+    S = _exact(S)
+    n = len(S) // 2
+    x = real_coordinates(n)
+    zero = ComplexPolynomial.zero(n)
+    return _apply([x], _apply(S, x, zero), zero)[0] * QI_HALF
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,8 @@ import numpy as np
 RANK_TOL = 1e-9         # singular values below RANK_TOL * smax count as zero
 VALIDATION_TOL = 1e-10  # J^2 = -1, orthogonality, metric positivity
 ISOTROPY_TOL = 1e-9
+ANTISYMMETRY_TOL = 1e-12  # |M + M^T| relative to max(1, |M|) for omega and B maps
+DISTINCT_TOL = 1e-6     # |J+ -/+ J-| above this: the bi-Hermitian pair is distinct
 GAP_FACTOR = 10.0       # rank is 'indeterminate' if any sv falls within
                         # (threshold/GAP_FACTOR, threshold*GAP_FACTOR)
 
@@ -294,7 +296,7 @@ class LinearGC:
         """J_omega = [[0, -M^-1],[M, 0]] for the map M: X -> iota_X omega;
         eigenbundle {X - i iota_X omega}."""
         M = np.asarray(Momega, dtype=float)
-        if np.linalg.norm(M + M.T) > 1e-12 * max(1.0, np.linalg.norm(M)):
+        if np.linalg.norm(M + M.T) > ANTISYMMETRY_TOL * max(1.0, np.linalg.norm(M)):
             raise ValidationError("omega map must be antisymmetric")
         try:
             Minv = np.linalg.inv(M)
@@ -311,7 +313,7 @@ class LinearGC:
         """J_J = diag(-Jc, Jc^T); eigenbundle T01 + T*10."""
         Jc = np.asarray(Jc, dtype=float)
         m = Jc.shape[0]
-        if np.linalg.norm(Jc @ Jc + np.eye(m)) > 1e-10 * max(1.0, np.linalg.norm(Jc)**2):
+        if np.linalg.norm(Jc @ Jc + np.eye(m)) > VALIDATION_TOL * max(1.0, np.linalg.norm(Jc)**2):
             raise ValidationError("not an almost complex structure: Jc^2 != -I")
         J = np.zeros((2 * m, 2 * m))
         J[:m, :m] = -Jc
@@ -330,7 +332,7 @@ class LinearGC:
     def b_transform(self, B) -> "LinearGC":
         """e^B J e^-B for an antisymmetric map B: V -> V*; same type."""
         B = np.asarray(B, dtype=float)
-        if np.linalg.norm(B + B.T) > 1e-12 * max(1.0, np.linalg.norm(B)):
+        if np.linalg.norm(B + B.T) > ANTISYMMETRY_TOL * max(1.0, np.linalg.norm(B)):
             raise ValidationError("B must be antisymmetric")
         return LinearGC(b_conjugate(self.J, B))
 
@@ -648,7 +650,7 @@ class BiHermitianData:
     Jplus: np.ndarray
     Jminus: np.ndarray
 
-    def validate(self, tol=ISOTROPY_TOL):
+    def validate(self):
         m = self.g.shape[0]
         ev = np.linalg.eigvalsh((self.g + self.g.T) / 2)
         gscale = max(1.0, float(np.linalg.norm(self.g, 2)))
@@ -664,14 +666,16 @@ class BiHermitianData:
             "same_orientation": orientation_sign(self.Jplus) == orientation_sign(self.Jminus),
         }
         ok = (checks["g_min_eigenvalue"] > VALIDATION_TOL
-              and checks["jplus_square"] < tol and checks["jminus_square"] < tol
-              and checks["jplus_orthogonal"] < tol and checks["jminus_orthogonal"] < tol
+              and checks["jplus_square"] < ISOTROPY_TOL
+              and checks["jminus_square"] < ISOTROPY_TOL
+              and checks["jplus_orthogonal"] < ISOTROPY_TOL
+              and checks["jminus_orthogonal"] < ISOTROPY_TOL
               and checks["same_orientation"])
         return ok, checks
 
-    def distinct(self, tol=1e-6) -> bool:
-        return bool(np.linalg.norm(self.Jplus - self.Jminus) > tol
-                    and np.linalg.norm(self.Jplus + self.Jminus) > tol)
+    def distinct(self) -> bool:
+        return bool(np.linalg.norm(self.Jplus - self.Jminus) > DISTINCT_TOL
+                    and np.linalg.norm(self.Jplus + self.Jminus) > DISTINCT_TOL)
 
 
 def orientation_sign(J) -> int:

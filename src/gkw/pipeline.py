@@ -220,11 +220,10 @@ class RealifiedRecipe:
         n = self.n
         fields = [action.fundamental_field(a).vec for a in range(action.k)]
         k = len(fields)
-        # u_a = g(., xi_a) as exact polynomial 1-forms over the real frame,
-        # re-expressed in the z/zbar covector frame
-        us = [self._metric_pairing_form(X) for X in fields]
-        gram = [[self._metric_scalar(fields[a], fields[b]) for b in range(k)]
-                for a in range(k)]
+        # u_a = g(., xi_a) as exact polynomial 1-forms; gram[a][b] = u_b(xi_a)
+        us = [frames.metric_pairing(self._g, X) for X in fields]
+        gram = [[interior_product(X, u).comps.get((), ComplexPolynomial.zero(n)) for u in us]
+                for X in fields]
         D, adj = _det_and_adjugate_poly(gram)
         w = Form.zero(n, 1)
         for a in range(k):
@@ -238,43 +237,6 @@ class RealifiedRecipe:
         self.dD_w = exterior_derivative(D).wedge(w)
         self.moment_real = MomentMapPoly(moment.f, tuple(ComplexPolynomial.zero(n)
                                                          for _ in moment.f))
-
-    def _metric_pairing_form(self, X: VectorField) -> Form:
-        """g(., X) as a polynomial 1-form (g exact rational constant)."""
-        n = self.n
-        # real components of X: X = sum_q (A_q d/dx_q + B_q d/dy_q) with
-        # A_q = X^{z_q} + X^{zb_q} ... easier via covector algebra:
-        # g(., X) has real components (g Xr); build from z-frame comps.
-        # d/dz_q = (d/dx - i d/dy)/2 -> real coeff vector columns
-        comps = {}
-        for a, p in X.comps.items():
-            q = a % n
-            hol = a < n
-            # real coords of the frame vector
-            ent = [(2 * q, QI(Fraction(1, 2))),
-                   (2 * q + 1, QI(0, Fraction(-1, 2)) if hol else QI(0, Fraction(1, 2)))]
-            for r, c in ent:
-                for s in range(2 * n):
-                    grs = QI(self._g[s][r])
-                    if not grs:
-                        continue
-                    # covector e_s = dx or dy -> z-frame: dx_q = (dz+dzb)/2 etc.
-                    qq = s // 2
-                    if s % 2 == 0:
-                        zparts = [((qq,), QI(Fraction(1, 2))), ((qq + n,), QI(Fraction(1, 2)))]
-                    else:
-                        zparts = [((qq,), QI(0, Fraction(-1, 2))), ((qq + n,), QI(0, Fraction(1, 2)))]
-                    for key, zc in zparts:
-                        add = p * (c * grs * zc)
-                        if key in comps:
-                            comps[key] = comps[key] + add
-                        else:
-                            comps[key] = add
-        return Form(self.n, 1, {k: v for k, v in comps.items() if not v.is_zero})
-
-    def _metric_scalar(self, X: VectorField, Y: VectorField) -> ComplexPolynomial:
-        u = self._metric_pairing_form(Y)
-        return interior_product(X, u).comps.get((), ComplexPolynomial.zero(self.n))
 
     def b_map_at(self, z) -> np.ndarray:
         Dv = self.D.evaluate(z)

@@ -12,15 +12,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from gkw import frames
-from gkw.actions import MomentMapPoly, TorusAction
+from gkw.actions import MomentMapPoly
 from gkw.calculus import VectorField, courant_bracket, exterior_derivative
 from gkw.catalog import build_case, catalog_names, closure_families, hyperkahler_pair
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
-from gkw.linear import (ComplexSubspace, KahlerPairNum, LinearGC, ValidationError,
-                        eta, extract_bihermitian, reduce_gcs, reduce_pair,
+from gkw.linear import (ComplexSubspace, LinearGC, ValidationError,
+                        eta, reduce_gcs, reduce_pair,
                         restricted_projection_dim, subspace_intersection_dim)
 from gkw.pipeline import (DeformedKahlerRecipe, quotient_bihermitian,
                           run_closure_families, sample_level_set, type_table,

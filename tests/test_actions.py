@@ -9,11 +9,11 @@ from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_leve
                          grassmannian_moment_map, linear_field,
                          moment_from_hamiltonian_identity, shift_by_bfield,
                          standard_moment_map, unitary_lie_basis)
-from gkw.calculus import (Form, GeneralizedSection, VectorField, dx_form, dy_form,
-                          exterior_derivative, interior_product,
-                          standard_symplectic_form, x_poly, y_poly)
+from gkw.calculus import (VectorField, exterior_derivative, interior_product,
+                          standard_symplectic_form)
+from gkw.frames import real_coframe, real_coordinates
 from gkw.linear import LinearGC, ValidationError
-from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe, RealifiedRecipe,
+from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
                           ScalingSampler, Scenario, realify, sample_level_set,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
@@ -30,8 +30,7 @@ def test_fundamental_field_real_frame():
                              1: ComplexPolynomial.variable(n, 0, conjugated=True) * QI(0, -1)})
     assert X == expect
     # same thing written in the real frame
-    xv = x_poly(n, 0)
-    yv = y_poly(n, 0)
+    xv, yv = real_coordinates(n)
     from generators import ddx_field, ddy_field
     real_version = VectorField(n, {})
     for a, p in ddy_field(n, 0).comps.items():
@@ -183,7 +182,8 @@ def test_shift_by_bfield_and_roundtrip():
     n = 2
     act = TorusAction(((1, 0), (0, 1)))
     mm = standard_moment_map(act)
-    B = dx_form(n, 0).wedge(dy_form(n, 0))
+    dx0, dy0 = real_coframe(n)[:2]
+    B = dx0.wedge(dy0)
     z0 = ComplexPolynomial.variable(n, 0)
     zb0 = ComplexPolynomial.variable(n, 0, conjugated=True)
     phi0 = z0 * zb0 * QI(Fraction(-1, 2))

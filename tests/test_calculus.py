@@ -1,15 +1,13 @@
 """Exterior calculus identities and Courant bracket, against frozen
 hand-computed values and the independent term-by-term oracle."""
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket,
-                          dx_form, dy_form, exterior_derivative,
-                          interior_product, lie_derivative, pairing_poly,
-                          standard_symplectic_form, x_poly, y_poly)
-from gkw.poly import QI, QI_HALF, ComplexPolynomial
+                          exterior_derivative, interior_product, lie_derivative,
+                          pairing_poly, standard_symplectic_form)
+from gkw.frames import real_coframe, real_coordinates
+from gkw.poly import QI_HALF, ComplexPolynomial
 
 from generators import ddy_field, rand_poly, rand_section
 from naive_calculus import naive_courant, unfolded_courant_bracket
@@ -47,8 +45,10 @@ def test_d_squared_zero_random():
 def test_real_frame_exterior_derivative():
     # d(x dy) = dx ^ dy expanded through the fixed frame change
     n = 1
-    w = Form(n, 1, {k: x_poly(n, 0) * p for k, p in dy_form(n, 0).comps.items()})
-    assert exterior_derivative(w) == dx_form(n, 0).wedge(dy_form(n, 0))
+    x, _ = real_coordinates(n)
+    dx, dy = real_coframe(n)
+    w = Form(n, 1, {k: x * p for k, p in dy.comps.items()})
+    assert exterior_derivative(w) == dx.wedge(dy)
 
 
 def test_interior_product_examples():
@@ -76,8 +76,10 @@ def test_interior_product_square_zero_on_two_forms():
 
 def test_lie_derivative_examples():
     n = 1
-    X = VectorField(n, {a: x_poly(n, 0) * p for a, p in ddy_field(n, 0).comps.items()})
-    assert lie_derivative(X, dy_form(n, 0)) == dx_form(n, 0)
+    x, _ = real_coordinates(n)
+    dx, dy = real_coframe(n)
+    X = VectorField(n, {a: x * p for a, p in ddy_field(n, 0).comps.items()})
+    assert lie_derivative(X, dy) == dx
     n = 2
     z0 = ComplexPolynomial.variable(n, 0)
     assert lie_derivative(VectorField.frame(n, 0), Form(n, 1, {(1,): z0})) \
@@ -107,11 +109,13 @@ def test_cartan_identity_exact_random():
 
 def test_courant_worked_examples():
     n = 1
-    X = VectorField(n, {a: x_poly(n, 0) * p for a, p in ddy_field(n, 0).comps.items()})
+    x, _ = real_coordinates(n)
+    dx, dy = real_coframe(n)
+    X = VectorField(n, {a: x * p for a, p in ddy_field(n, 0).comps.items()})
     s1 = GeneralizedSection.from_vector(X)
-    br = courant_bracket(s1, GeneralizedSection.from_form(dy_form(n, 0)))
-    assert br.vec.is_zero and br.form == dx_form(n, 0).scale(QI_HALF)
-    assert courant_bracket(s1, GeneralizedSection.from_form(dx_form(n, 0))).is_zero
+    br = courant_bracket(s1, GeneralizedSection.from_form(dy))
+    assert br.vec.is_zero and br.form == dx.scale(QI_HALF)
+    assert courant_bracket(s1, GeneralizedSection.from_form(dx)).is_zero
     n = 2
     assert courant_bracket(GeneralizedSection.frame(n, 0),
                            GeneralizedSection.frame(n, 1)).is_zero
@@ -196,7 +200,8 @@ def test_standard_symplectic_matches_real_frame():
     # omega_std = sum dy^dx written in z/zbar equals the wedge of the
     # real-frame forms
     n = 2
+    cov = real_coframe(n)
     w = Form.zero(n, 2)
     for j in range(n):
-        w = w + dy_form(n, j).wedge(dx_form(n, j))
+        w = w + cov[2 * j + 1].wedge(cov[2 * j])
     assert w == standard_symplectic_form(n)

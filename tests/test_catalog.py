@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gkw.catalog import (build_case, build_cpn, build_grassmannian,
-                         build_toric, build_kahler_cn, catalog_names,
+                         build_toric, catalog_names,
                          cpn_su2_invariance, hyperkahler_data, hyperkahler_pair,
                          torus_invariance, unitary_invariance)
 from gkw.linear import ValidationError, eta

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket,
+from gkw.calculus import (GeneralizedSection, VectorField, courant_bracket,
                           interior_product, pairing_poly, standard_symplectic_form)
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
@@ -198,7 +198,6 @@ def test_algebroid_differential_against_definition_formula():
 
         def ev3(m3, X, Y, Z):
             total = ComplexPolynomial.zero(n)
-            import itertools
             for (a, b, c), p in m3.terms.items():
                 es = [_frame_sec(n, a), _frame_sec(n, b), _frame_sec(n, c)]
                 det = ComplexPolynomial.zero(n)

@@ -3,15 +3,15 @@ import numpy as np
 import pytest
 
 from gkw import linear
-from gkw.linear import (BiHermitianData, ComplexSubspace, IndeterminateRankError,
+from gkw.linear import (ComplexSubspace, IndeterminateRankError,
                         KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                         eta, extract_bihermitian, numerical_rank, pairing,
                         reduce_gcs, reduce_pair,
                         restricted_projection_dim, subspace_intersection_dim)
 
-from generators import (gl_conjugate, hk_block_pair, rand_antisym,
+from generators import (hk_block_pair, rand_antisym,
                         rand_compatible_kahler, rand_complex_structure, rand_gc,
-                        rand_gc_with_admissible_q, rand_invertible,
+                        rand_gc_with_admissible_q,
                         rand_pair_with_admissible_q, rand_symplectic_map)
 
 

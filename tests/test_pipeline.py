@@ -1,6 +1,4 @@
 """Level-set sampling, pointwise quotients, type tables, closure checks."""
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
