@@ -7,7 +7,9 @@ the same indexing.  All coefficients are ComplexPolynomial, so identities
 """
 from __future__ import annotations
 
-from .poly import QI_HALF, QI_I, ComplexPolynomial
+from functools import lru_cache
+
+from .poly import QI_HALF, ComplexPolynomial
 
 
 def _merge(terms, key, val):
@@ -338,17 +340,18 @@ def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> Generaliz
     return GeneralizedSection(lie_bracket(X, Y), form)
 
 
+@lru_cache(maxsize=None)
 def standard_symplectic_form(n) -> Form:
-    """omega_std = sum_j dy_j ^ dx_j = (i/2) sum_j dzbar_j ^ dz_j.
+    """omega_std = sum_j dy_j ^ dx_j = (i/2) sum_j dzbar_j ^ dz_j: the
+    constant 2-form of ``frames.omega_std_map(n)``, built once per n and
+    shared, so callers never mutate it.
 
     This orientation makes (J_omega, J_J) a positive generalized Kahler
     pair and dPhi = iota_{xi} omega for Phi = 1/2 sum w |z|^2 with the
     counterclockwise rotation field.
     """
-    comps = {}
-    for j in range(n):
-        comps[(j, j + n)] = ComplexPolynomial.const(n, QI_HALF * (-QI_I))
-    return Form(n, 2, comps)
+    from .frames import constant_two_form, omega_std_map   # frames imports calculus
+    return constant_two_form(omega_std_map(n))
 
 
 def euler_field(n) -> VectorField:

@@ -4,13 +4,24 @@ differential (the dbar case), and Maurer-Cartan residuals, all exact.
 An LMultivector of degree k is stored expanded over the 4n generalized
 frame directions (0..2n-1 tangent z/zbar frame, 2n..4n-1 covector frame),
 keys strictly increasing, so zero-testing is canonical.
+
+A deformation eps = sum F_ij d/dz_i ^ d/dz_j + sum G_ij dzbar_i ^ dzbar_j
+(i < j < n) is one such multivector of degree 2, a ``DeformationBivector``:
+its keys are (i, j) for the bivector part and (3n+i, 3n+j) for the form
+part, written once in its constructor.  For eps built from two fields,
+Y^Z + iota_Y omega ^ iota_Z omega, the form part is -1/4 of the bivector
+part, key for key.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from types import MappingProxyType
+
 from .calculus import (Expansion, Form, GeneralizedSection, VectorField, _merge,
-                       _sort_with_sign, exterior_derivative, interior_product,
-                       lie_bracket, standard_symplectic_form)
+                       _sort_with_sign, exterior_derivative, lie_bracket)
 from .poly import QI, QI_HALF, ComplexPolynomial, LinearSubstitution
+
+_QUARTER_NEG = QI(Fraction(-1, 4))
 
 
 class LMultivector(Expansion):
@@ -145,35 +156,49 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
     return LMultivector(n, p + q - 1, terms)
 
 
-class DeformationBivector:
-    """eps = sum F_ij d/dz_i ^ d/dz_j + sum G_ij dzbar_i ^ dzbar_j.
+class DeformationBivector(LMultivector):
+    """eps = sum F_ij d/dz_i ^ d/dz_j + sum G_ij dzbar_i ^ dzbar_j, i < j < n:
+    a degree-2 LMultivector whose keys are (i, j) for the bivector part and
+    (3n+i, 3n+j) for the form part.  ``hol`` and ``form`` are read-only
+    views of the two parts by (i, j).
 
-    Only the i<j representatives are stored.  Built from two
-    holomorphic-frame fields via eps = Y^Z + iota_Y omega ^ iota_Z omega,
-    the combination that fixes J_omega in a deformed pair.
+    Built from two holomorphic-frame fields via
+    eps = Y^Z + iota_Y omega ^ iota_Z omega, the combination that fixes
+    J_omega in a deformed pair.
     """
 
-    __slots__ = ("n", "hol", "form")
+    __slots__ = ()
 
     def __init__(self, n, hol=None, form=None):
-        self.n = n
-        self.hol = {}
-        self.form = {}
-        for src, dst in ((hol, self.hol), (form, self.form)):
-            if src:
-                for (i, j), p in src.items():
-                    if i >= j:
-                        raise ValueError("store strictly increasing index pairs")
-                    if not p.is_zero:
-                        dst[(i, j)] = p
+        comps = {}
+        for part, shift in ((hol, 0), (form, 3 * n)):
+            for (i, j), p in (part or {}).items():
+                if not 0 <= i < j < n:
+                    raise ValueError("store strictly increasing index pairs below n")
+                comps[(shift + i, shift + j)] = p
+        super().__init__(n, 2, comps)
+
+    @property
+    def hol(self):
+        """The bivector part {(i, j): F_ij}."""
+        n = self.n
+        return MappingProxyType({k: p for k, p in self.comps.items() if k[1] < n})
+
+    @property
+    def form(self):
+        """The form part {(i, j): G_ij}."""
+        s = 3 * self.n
+        return MappingProxyType({(i - s, j - s): p for (i, j), p in self.comps.items()
+                                 if i >= s})
 
     @classmethod
-    def from_vector_fields(cls, Y: VectorField, Z: VectorField,
-                           omega: Form | None = None) -> "DeformationBivector":
+    def from_vector_fields(cls, Y: VectorField, Z: VectorField) -> "DeformationBivector":
+        """Y^Z + iota_Y omega ^ iota_Z omega for omega = omega_std: since
+        iota_{d/dz_a} omega = -(i/2) dzbar_a, the form part is -1/4 of the
+        bivector part, key for key."""
         n = Y.n
         if any(a >= n for a in Y.comps) or any(a >= n for a in Z.comps):
             raise ValueError("deformation fields must be holomorphic-frame")
-        omega = omega if omega is not None else standard_symplectic_form(n)
         hol = {}
         for a, pa in Y.comps.items():
             for b, pb in Z.comps.items():
@@ -181,35 +206,7 @@ class DeformationBivector:
                     continue
                 key = (a, b) if a < b else (b, a)
                 _merge(hol, key, pa * pb * (1 if a < b else -1))
-        w = interior_product(Y, omega).wedge(interior_product(Z, omega))
-        form = {}
-        for (i, j), p in w.comps.items():
-            if i < n or j < n:
-                raise ValueError("contracted factors must be antiholomorphic")
-            form[(i - n, j - n)] = p
-        return cls(n, hol, form)
-
-    @property
-    def is_zero(self):
-        return not self.hol and not self.form
-
-    def scale(self, c):
-        return DeformationBivector(self.n,
-                                   {k: p * c for k, p in self.hol.items()},
-                                   {k: p * c for k, p in self.form.items()})
-
-    def __add__(self, other):
-        hol = dict(self.hol)
-        form = dict(self.form)
-        for k, p in other.hol.items():
-            _merge(hol, k, p)
-        for k, p in other.form.items():
-            _merge(form, k, p)
-        return DeformationBivector(self.n, hol, form)
-
-    def __eq__(self, other):
-        return (isinstance(other, DeformationBivector) and self.n == other.n
-                and self.hol == other.hol and self.form == other.form)
+        return cls(n, hol, {k: p * _QUARTER_NEG for k, p in hol.items()})
 
     def pullback_linear(self, A) -> "DeformationBivector":
         """Exact pullback along z -> A z (A invertible, QI entries):
@@ -242,53 +239,43 @@ class DeformationBivector:
         return DeformationBivector(n, *out)
 
     def lie_derivative(self, X: VectorField) -> "DeformationBivector":
-        """L_X eps by the Leibniz rule; exact.  Raises if the derivative
-        leaves the (2,0)-bivector + (0,2)-form shape."""
-        from .calculus import lie_derivative as lie_d
+        """L_X eps by the Leibniz rule over the frame keys, with
+        L_X d/dz_v = [X, d/dz_v] and L_X dz_v = d(X^v); exact.  Raises if
+        the derivative leaves the (2,0)-bivector + (0,2)-form shape."""
         n = self.n
-        brackets = {}   # src -> [X, d/dz_src], built once per call
-        out_h = {}
-        for (i, j), p in self.hol.items():
-            _merge(out_h, (i, j), X.apply_to(p))
-            for pos, (src, other) in enumerate(((i, j), (j, i))):
-                br = brackets.get(src)
-                if br is None:
-                    br = brackets[src] = lie_bracket(X, VectorField.frame(n, src))
-                for a, q in br.comps.items():
-                    if a >= n:
-                        raise ValueError("Lie derivative left the holomorphic bivector bundle")
-                    if a == other:
-                        continue
-                    # term p * [X, d/dz_src] ^ d/dz_other, slot order preserved
-                    lo, hi = (a, other) if a < other else (other, a)
-                    sign = 1 if a < other else -1
-                    if pos == 1:
-                        sign = -sign  # factor order (d/dz_i, [X, d/dz_j])
-                    _merge(out_h, (lo, hi), p * q * sign)
-        out_f = {}
-        for (i, j), p in self.form.items():
-            lw = lie_d(X, Form(n, 2, {(i + n, j + n): p}))
-            for (a, b), q in lw.comps.items():
-                if a < n or b < n:
-                    raise ValueError("Lie derivative left the antiholomorphic form bundle")
-                _merge(out_f, (a - n, b - n), q)
-        return DeformationBivector(n, out_h, out_f)
+        zero = ComplexPolynomial.zero(n)
+        moved = {}   # frame index -> L_X e_v over frame indices, once per call
+
+        def lie_of_frame(v):
+            if v not in moved:
+                if v < 2 * n:
+                    moved[v] = lie_bracket(X, VectorField.frame(n, v)).comps
+                else:
+                    dXv = exterior_derivative(X.comps.get(v - 2 * n, zero))
+                    moved[v] = {2 * n + a: q for (a,), q in dXv.comps.items()}
+            return moved[v]
+
+        terms = {}
+        for (x, y), p in self.comps.items():
+            _merge(terms, (x, y), X.apply_to(p))
+            for a, q in lie_of_frame(x).items():
+                _merge_signed(terms, (a, y), p * q, 1)
+            for b, q in lie_of_frame(y).items():
+                _merge_signed(terms, (x, b), p * q, 1)
+        out = self._like(terms)
+        if len(out.hol) + len(out.form) != len(out.comps):
+            raise ValueError("Lie derivative left the (2,0)-bivector + (0,2)-form shape")
+        return out
 
     def to_multivector(self) -> LMultivector:
-        n = self.n
-        terms = {}
-        for (i, j), p in self.hol.items():
-            terms[(i, j)] = p
-        for (i, j), p in self.form.items():
-            _merge(terms, (3 * n + i, 3 * n + j), p)
-        return LMultivector(n, 2, terms)
+        return LMultivector(self.n, 2, self.comps)
 
     def algebroid_differential(self) -> LMultivector:
         """d_L for the standard complex structure's eigenbundle: coefficient-wise
         dbar with the new dzbar factor wedged in front."""
         n = self.n
         terms = {}
-        for idx, p in self.to_multivector().comps.items():
+        for idx, p in self.comps.items():
             for k in range(n):
                 dp = p.wirtinger(k, holomorphic=False)
                 if dp.is_zero:
@@ -302,14 +289,10 @@ class DeformationBivector:
     def maurer_cartan_residual(self) -> LMultivector:
         """d_L eps + [eps, eps]/2; exact zero certifies bracket closure of
         the deformed eigenbundle."""
-        m = self.to_multivector()
-        return self.algebroid_differential() + schouten_bracket(m, m).scale(QI_HALF)
+        return self.algebroid_differential() + schouten_bracket(self, self).scale(QI_HALF)
 
     def evaluate(self, z):
         """Numeric ((i,j), coeff) entries for the two graded parts."""
         hol = [((i, j), p.evaluate(z)) for (i, j), p in self.hol.items()]
         form = [((i, j), p.evaluate(z)) for (i, j), p in self.form.items()]
         return hol, form
-
-    def __repr__(self):
-        return f"DeformationBivector(hol={self.hol!r}, form={self.form!r})"

@@ -65,15 +65,21 @@ def covector_frame_matrix(n: int) -> np.ndarray:
     return _frozen(2 * np.conj(tangent_frame_matrix(n)))
 
 
-def _apply(A, v, zero):
-    """The product A v of a QI matrix and a vector of QI or polynomials:
-    each entry sums the nonzero coefficients' terms in order."""
+def _sparse(A):
+    """The nonzero entries (k, A[r][k]) of each row r of a matrix, as
+    ``_apply`` takes it: every entry is tested for zero once."""
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in A)
+
+
+def _apply(rows, v, zero):
+    """The product A v of a QI matrix, given by its ``_sparse`` rows, and a
+    vector of QI or polynomials: each entry sums the nonzero coefficients'
+    terms in order."""
     out = []
-    for row in A:
+    for row in rows:
         total = zero
-        for c, item in zip(row, v):
-            if c:
-                total = total + item * c
+        for k, c in row:
+            total = total + v[k] * c
         out.append(total)
     return out
 
@@ -89,40 +95,53 @@ def _transpose(M):
 
 
 @lru_cache(maxsize=None)
+def _frame_rows(n: int):
+    """The ``_sparse`` rows of T, of T^T and of T^-1 = 2 conj(T)^T
+    (d/dx = d/dz + d/dzbar, d/dy = i(d/dz - d/dzbar)), kept with T."""
+    Tt = _transpose(tangent_frame_exact(n))
+    return (_sparse(tangent_frame_exact(n)), _sparse(Tt),
+            _sparse([[c.conjugate() * 2 for c in col] for col in Tt]))
+
+
+@lru_cache(maxsize=None)
 def real_coordinates(n: int):
     """x_1, y_1, ..., x_n, y_n as exact polynomials: T applied to (z, zbar),
     so x_j = (z_j + zbar_j)/2 and y_j = (z_j - zbar_j)/(2i)."""
     zs = [ComplexPolynomial.variable(n, a % n, conjugated=a >= n) for a in range(2 * n)]
-    return tuple(_apply(tangent_frame_exact(n), zs, ComplexPolynomial.zero(n)))
+    return tuple(_apply(_frame_rows(n)[0], zs, ComplexPolynomial.zero(n)))
 
 
 def real_coframe(n: int):
     """dx_1, dy_1, ..., dx_n, dy_n as constant 1-forms: the real covector
     e^r takes d/dz_a to T[r][a]."""
-    return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in enumerate(row) if c})
-                 for row in tangent_frame_exact(n))
+    return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in row})
+                 for row in _frame_rows(n)[0])
 
 
 def real_linear_field(A) -> VectorField:
     """The vector field of x -> A x, A a real 2n x 2n matrix in the real
-    coordinates: z/zbar components T^-1 A x, where T^-1 = 2 conj(T)^T
-    (d/dx = d/dz + d/dzbar, d/dy = i(d/dz - d/dzbar))."""
-    A = _exact(A)
+    coordinates: z/zbar components T^-1 A x."""
+    A = _sparse(_exact(A))
     n = len(A) // 2
-    Tinv = [[c.conjugate() * 2 for c in col] for col in _transpose(tangent_frame_exact(n))]
     zero = ComplexPolynomial.zero(n)
+    Tinv = _frame_rows(n)[2]
     return VectorField(n, dict(enumerate(_apply(Tinv, _apply(A, real_coordinates(n), zero), zero))))
 
 
 def constant_two_form(M) -> Form:
     """The constant 2-form w of a real antisymmetric map M: X -> iota_X w,
-    with components w(d/dz_a, d/dz_b) = (T^T M^T T)[a][b]."""
-    M = _exact(M)
+    with components w(d/dz_a, d/dz_b) = (T^T M^T T)[a][b], summed over the
+    nonzero entries M[s][r] as T[r][a] M[s][r] T[s][b]."""
+    M = _sparse(_exact(M))
     n = len(M) // 2
-    T = tangent_frame_exact(n)
-    Tt = _transpose(T)
-    cols = [_apply(Tt, _apply(_transpose(M), col, QI_ZERO), QI_ZERO) for col in Tt]
-    return Form(n, 2, {(a, b): ComplexPolynomial.const(n, cols[b][a])
+    T = _frame_rows(n)[0]
+    W = [[QI_ZERO] * (2 * n) for _ in range(2 * n)]
+    for s, row in enumerate(M):
+        for r, m in row:
+            for a, ta in T[r]:
+                for b, tb in T[s]:
+                    W[a][b] = W[a][b] + ta * m * tb
+    return Form(n, 2, {(a, b): ComplexPolynomial.const(n, W[a][b])
                        for b in range(2 * n) for a in range(b)})
 
 
@@ -130,20 +149,20 @@ def metric_pairing(g, X: VectorField) -> Form:
     """g(., X) as an exact 1-form, g a constant real 2n x 2n metric: the
     components T^T g T X over dz/dzbar."""
     n = X.n
-    T = tangent_frame_exact(n)
+    T, Tt, _ = _frame_rows(n)
     zero = ComplexPolynomial.zero(n)
     frame = [X.comps.get(a, zero) for a in range(2 * n)]
-    u = _apply(_transpose(T), _apply(_exact(g), _apply(T, frame, zero), zero), zero)
+    u = _apply(Tt, _apply(_sparse(_exact(g)), _apply(T, frame, zero), zero), zero)
     return Form(n, 1, {(b,): p for b, p in enumerate(u)})
 
 
 def real_quadratic(S) -> ComplexPolynomial:
     """1/2 x^T S x over the real coordinates, S a real symmetric matrix."""
-    S = _exact(S)
+    S = _sparse(_exact(S))
     n = len(S) // 2
     x = real_coordinates(n)
     zero = ComplexPolynomial.zero(n)
-    return _apply([x], _apply(S, x, zero), zero)[0] * QI_HALF
+    return _apply(_sparse([x]), _apply(S, x, zero), zero)[0] * QI_HALF
 
 
 @lru_cache(maxsize=None)
@@ -155,12 +174,9 @@ def section_frame_matrix(n: int) -> np.ndarray:
 
 
 def omega_std_map(n: int) -> np.ndarray:
-    """M: X -> iota_X omega_std as a real 2n x 2n matrix."""
-    M = np.zeros((2 * n, 2 * n))
-    for q in range(n):
-        M[2 * q + 1, 2 * q] = -1.0
-        M[2 * q, 2 * q + 1] = 1.0
-    return M
+    """M: X -> iota_X omega_std as a real 2n x 2n matrix: J_std^T, the
+    Kahler relation omega = g J with g = 1."""
+    return complex_structure_std(n).T
 
 
 def complex_structure_std(n: int) -> np.ndarray:

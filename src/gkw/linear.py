@@ -452,9 +452,6 @@ class KahlerPairNum:
     def G(self) -> np.ndarray:
         return -self.J1.J @ self.J2.J
 
-    def types(self):
-        return self.J1.type_of(), self.J2.type_of()
-
 
 def _check_pairs(J1, J2, norm1, norm2, out: _Outcomes, *carry):
     """The checks of KahlerPairNum on stacks J1, J2 (the rows of ``out``

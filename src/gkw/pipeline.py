@@ -21,9 +21,8 @@ import numpy as np
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
-from .calculus import (Form, GeneralizedSection, VectorField, exterior_derivative,
-                       interior_product)
-from .deformation import DeformationBivector
+from .calculus import Form, exterior_derivative, interior_product
+from .deformation import DeformationBivector, LMultivector
 from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
                      contraction_operator, deform_pair, eta, extract_bihermitian,
@@ -89,24 +88,17 @@ class DeformedKahlerRecipe:
         self.eps = eps
         self.t = Fraction(t)
         self._base = _standard_pair(n)
-        self._Tt = frames.tangent_frame_matrix(n)
-        self._Tc = frames.covector_frame_matrix(n)
 
     def contractions_at(self, points) -> np.ndarray:
         """The contraction operators of eps at the points, stacked
-        (S, 4n, 4n); the coefficients are evaluated point by point."""
-        n = self.n
+        (S, 4n, 4n): a key (x, y) of eps pairs columns x and y of the
+        section frame matrix; the coefficients are evaluated point by point."""
+        frame = frames.section_frame_matrix(self.n)
         pairs = []
-        for part, frame, shift, half in ((self.eps.hol, self._Tt, 0, slice(0, 2 * n)),
-                                         (self.eps.form, self._Tc, n, slice(2 * n, 4 * n))):
-            for (i, j), p in part.items():
-                c = np.array([p.evaluate(z) for z in points], dtype=complex)
-                a = np.zeros((len(c), 4 * n), dtype=complex)
-                b = np.zeros(4 * n, dtype=complex)
-                a[:, half] = frame[:, shift + i] * c[:, None]
-                b[half] = frame[:, shift + j]
-                pairs.append((a, b))
-        return contraction_operator(pairs, 2 * n)
+        for (x, y), p in self.eps.comps.items():
+            c = np.array([p.evaluate(z) for z in points], dtype=complex)
+            pairs.append((frame[:, x] * c[:, None], frame[:, y]))
+        return contraction_operator(pairs, 2 * self.n)
 
     def pair_at(self, z) -> KahlerPairNum:
         if self.eps.is_zero:
@@ -121,34 +113,22 @@ class DeformedKahlerRecipe:
         return deform_pair(self._base, self.contractions_at(points), float(self.t))
 
     def upstairs_sections(self):
-        """Polynomial frame sections of L_eps = {Y + t iota_Y eps : Y in L_J}."""
+        """Polynomial frame sections of L_eps = {Y + t iota_Y eps : Y in L_J},
+        one per frame index v = n..3n-1 of L_J (d/dzbar, then dz): e_v plus
+        t iota_{e_v} eps, which reads the keys of eps holding the dual
+        index (v + 2n) mod 4n."""
         n = self.n
-        out = []
         t = QI(self.t)
-        for a in range(2 * n):
-            if a < n:
-                base = GeneralizedSection.frame(n, n + a)       # d/dzbar_a
-                contr = VectorField.zero(n)
-                formc = {}
-                for (i, j), p in self.eps.form.items():
-                    if a == i:
-                        _set = formc.setdefault((n + j,), ComplexPolynomial.zero(n))
-                        formc[(n + j,)] = _set + p * t
-                    elif a == j:
-                        _set = formc.setdefault((n + i,), ComplexPolynomial.zero(n))
-                        formc[(n + i,)] = _set - p * t
-                extra = GeneralizedSection(contr, Form(n, 1, formc))
-            else:
-                k = a - n
-                base = GeneralizedSection.frame(n, 2 * n + k)   # dz_k
-                vecc = {}
-                for (i, j), p in self.eps.hol.items():
-                    if k == i:
-                        vecc[j] = vecc.get(j, ComplexPolynomial.zero(n)) + p * t
-                    elif k == j:
-                        vecc[i] = vecc.get(i, ComplexPolynomial.zero(n)) - p * t
-                extra = GeneralizedSection(VectorField(n, vecc), Form.zero(n, 1))
-            out.append(base + extra)
+        out = []
+        for v in range(n, 3 * n):
+            dual = (v + 2 * n) % (4 * n)
+            terms = {(v,): ComplexPolynomial.one(n)}
+            for (x, y), p in self.eps.comps.items():
+                if x == dual:
+                    terms[(y,)] = p * t
+                elif y == dual:
+                    terms[(x,)] = -(p * t)
+            out.append(LMultivector(n, 1, terms).as_section())
         return out
 
     def describe(self):

@@ -9,6 +9,7 @@ from gkw.calculus import (GeneralizedSection, VectorField, courant_bracket,
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
 
+import naive_deformation
 from generators import rand_lbar_section, rand_poly, rand_qi, rand_section
 from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
@@ -554,3 +555,136 @@ def test_vector_field_evaluate_example():
     out = X.evaluate(np.array([2.0 + 0j, 0j, 0j]))
     assert out[1] == pytest.approx(2.0 + 0j)
     assert np.abs(np.delete(out, 1)).max() == 0.0
+
+
+# -- one multivector against the two-half oracle ---------------------------------
+
+@pytest.fixture(scope="module")
+def deformed_cases():
+    from gkw.catalog import build_case, catalog_names
+    from gkw.pipeline import DeformedKahlerRecipe
+    cases = [build_case(name) for name in catalog_names()]
+    cases = [c for c in cases if isinstance(c.scenario.recipe, DeformedKahlerRecipe)]
+    assert len(cases) == 9
+    return cases
+
+
+def _random_bivectors():
+    """Seeded random eps for n = 2..4, bivector and form parts independent."""
+    rng = np.random.default_rng(1616)
+    out = []
+    for k in range(12):
+        n = 2 + k % 3
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        hol = {ij: rand_poly(rng, n, 3, 2) for ij in pairs if ij == (0, 1) or rng.random() < 0.7}
+        form = {ij: rand_poly(rng, n, 3, 2) for ij in pairs if rng.random() < 0.7}
+        out.append(DeformationBivector(n, hol, form))
+    return out
+
+
+def _halves(eps):
+    return dict(eps.hol), dict(eps.form)
+
+
+def _recipes(deformed_cases):
+    from gkw.pipeline import DeformedKahlerRecipe
+    recipes = [c.scenario.recipe for c in deformed_cases]
+    return recipes + [DeformedKahlerRecipe(eps.n, eps, Fraction(2, 7))
+                      for eps in _random_bivectors()]
+
+
+def test_keys_are_the_frame_keys_of_both_halves():
+    n = 3
+    one = ComplexPolynomial.one(n)
+    eps = DeformationBivector(n, {(0, 2): one}, {(1, 2): one * 3})
+    assert isinstance(eps, LMultivector) and eps.degree == 2
+    assert eps.comps == {(0, 2): one, (3 * n + 1, 3 * n + 2): one * 3}
+    assert eps.to_multivector() == LMultivector(n, 2, eps.comps)
+    with pytest.raises(TypeError):
+        eps.hol[(0, 1)] = one
+    for bad in ({(1, 1): one}, {(2, 1): one}, {(1, n): one}):
+        with pytest.raises(ValueError):
+            DeformationBivector(n, bad)
+        with pytest.raises(ValueError):
+            DeformationBivector(n, None, bad)
+
+
+def test_from_vector_fields_matches_the_omega_contractions():
+    rng = np.random.default_rng(404)
+    for k in range(15):
+        n = 2 + k % 3
+        Y = VectorField(n, {a: rand_poly(rng, n, 2, 2) for a in range(n) if rng.random() < 0.7})
+        Z = VectorField(n, {a: rand_poly(rng, n, 2, 2) for a in range(n) if rng.random() < 0.7})
+        assert _halves(DeformationBivector.from_vector_fields(Y, Z)) \
+            == naive_deformation.from_vector_fields(Y, Z)
+    for n, m in ((1, 3), (2, 3)):
+        eps = _grassmannian_col0(n, m)
+        assert dict(eps.form) == {k: p * QI(Fraction(-1, 4)) for k, p in eps.hol.items()}
+    with pytest.raises(ValueError):
+        DeformationBivector.from_vector_fields(VectorField.frame(2, 2), VectorField.frame(2, 1))
+
+
+def test_standard_symplectic_form_is_the_hand_written_one():
+    for n in range(1, 7):
+        assert standard_symplectic_form(n) == naive_deformation.standard_symplectic_form(n)
+
+
+def test_ring_operations_match_the_two_half_oracle(deformed_cases):
+    epss = [c.scenario.recipe.eps for c in deformed_cases] + _random_bivectors()
+    c = QI(Fraction(-2, 3), Fraction(1, 5))
+    for eps, other in zip(epss, epss[1:] + epss[:1]):
+        assert _halves(eps.scale(c)) == naive_deformation.scale(_halves(eps), c)
+        if eps.n == other.n:
+            assert _halves(eps + other) == naive_deformation.add(_halves(eps), _halves(other))
+            assert (eps == other) == (_halves(eps) == _halves(other))
+        assert eps == DeformationBivector(eps.n, eps.hol, eps.form)
+        assert eps != eps.scale(2)
+        assert (eps + eps.scale(-1)).is_zero and not eps.is_zero
+
+
+def test_contractions_match_the_two_half_oracle(deformed_cases):
+    rng = np.random.default_rng(99)
+    for recipe in _recipes(deformed_cases):
+        n = recipe.n
+        points = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(3)]
+        got = recipe.contractions_at(points)
+        assert got.shape == (3, 4 * n, 4 * n)
+        assert np.array_equal(got, naive_deformation.contractions_at(n, _halves(recipe.eps),
+                                                                     points))
+
+
+def test_upstairs_sections_match_the_two_half_oracle(deformed_cases):
+    for recipe in _recipes(deformed_cases):
+        assert recipe.upstairs_sections() == naive_deformation.upstairs_sections(
+            recipe.n, _halves(recipe.eps), recipe.t)
+
+
+def test_lie_derivative_matches_the_two_half_oracle(deformed_cases):
+    rng = np.random.default_rng(5150)
+    fundamental = {id(c.scenario.recipe): [s.vec for s in c.scenario.fields]
+                   for c in deformed_cases}
+    moved = 0
+    for recipe in _recipes(deformed_cases):
+        eps, n = recipe.eps, recipe.n
+        fields = fundamental.get(id(recipe), []) + [_rand_linear_field(rng, n, real=r)
+                                                    for r in (True, False)]
+        for X in fields:
+            got = eps.lie_derivative(X)
+            assert type(got) is DeformationBivector
+            assert _halves(got) == naive_deformation.lie_derivative(n, _halves(eps), X)
+            moved += not got.is_zero
+    assert moved >= 20
+
+
+def test_lie_derivative_out_of_shape_raises():
+    # z1 d/dzbar0 turns d/dz1 into -d/dzbar0, and z0 d/dzbar1 turns dzbar1
+    # into dz0: each leaves the (2,0) + (0,2) shape
+    n = 3
+    one = ComplexPolynomial.one(n)
+    eps = DeformationBivector(n, {(1, 2): one}, {(1, 2): one})
+    for X in (VectorField(n, {n + 0: ComplexPolynomial.variable(n, 1)}),
+              VectorField(n, {n + 1: ComplexPolynomial.variable(n, 0)})):
+        with pytest.raises(ValueError):
+            eps.lie_derivative(X)
+        with pytest.raises(ValueError):
+            naive_deformation.lie_derivative(n, _halves(eps), X)

@@ -1,5 +1,7 @@
 """Every name a module of the package or of the test suite imports is used
-in it (an AST scan; the package ``__init__`` re-exports and is exempt)."""
+in it (an AST scan; the package ``__init__`` re-exports and is exempt), and
+every function, class and method the package defines is referenced from the
+package, the tests, the benchmark or the scripts."""
 import ast
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in (ROOT / "src" / "gkw", ROOT / "tests") for p in d.glob("*.py")
                  if p.name != "__init__.py")
+SOURCES = sorted(p for d in ("src", "tests", "perfbench", "scripts") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -33,3 +36,47 @@ def test_every_import_is_used(path):
 def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom a.b import c as d, e\nprint(e)\n") == [(1, "os"),
                                                                                  (2, "d")]
+
+
+def unreferenced_definitions(package, sources):
+    """The "module:name" of each function, class and method defined in
+    ``package`` ({module: source}) that no source in ``sources`` reads: a
+    method only through attribute access, anything else by name or as an
+    attribute.  Dunder methods are called implicitly and exempt."""
+    names, attrs = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owners = {id(item): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for item in cls.body if isinstance(item, defs[:2])}
+        for node in ast.walk(tree):
+            if not isinstance(node, defs):
+                continue
+            owner = owners.get(id(node))
+            if owner is None:
+                if node.name not in names and node.name not in attrs:
+                    out.append(f"{module}:{node.name}")
+            elif not (node.name.startswith("__") and node.name.endswith("__")) \
+                    and node.name not in attrs:
+                out.append(f"{module}:{owner}.{node.name}")
+    return sorted(out)
+
+
+def test_every_definition_is_referenced():
+    package = {p.name: p.read_text() for p in sorted((ROOT / "src" / "gkw").glob("*.py"))}
+    assert unreferenced_definitions(package, [p.read_text() for p in SOURCES]) == []
+
+
+def test_scan_sees_an_unreferenced_definition():
+    package = {"m.py": "def f(): pass\ndef g(): pass\nclass C:\n"
+                       "    def __init__(self): pass\n    def h(self): pass\n"
+                       "    def k(self): pass\n"}
+    user = "f()\nC().k()\nh = 1\n"
+    assert unreferenced_definitions(package, [user]) == ["m.py:C.h", "m.py:g"]
