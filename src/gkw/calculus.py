@@ -2,8 +2,13 @@
 
 Vector fields are expanded over d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n
 (indices 0..2n-1, conjugate half offset by n); k-forms over dz/dzbar with
-the same indexing.  All coefficients are ComplexPolynomial, so identities
-(Cartan's formula, d^2 = 0, bracket antisymmetry) hold exactly.
+the same indexing.  Multivectors (``LMultivector``) are expanded over the
+4n generalized frame directions, 0..2n-1 the tangent frame and 2n..4n-1
+the covector frame, keys strictly increasing, so zero-testing is
+canonical.  A section X + alpha of (T + T*)_C is a degree-1 multivector
+(``GeneralizedSection``), and the Courant bracket is the (1,1) case of the
+one Schouten bracket.  All coefficients are ComplexPolynomial, so
+identities (Cartan's formula, d^2 = 0, bracket antisymmetry) hold exactly.
 """
 from __future__ import annotations
 
@@ -240,26 +245,95 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.n, comps)
 
 
-class GeneralizedSection:
-    """A section X + alpha of the complexified generalized tangent bundle."""
+class LMultivector(Expansion):
+    """Alternating k-tensor of generalized frame directions with polynomial
+    coefficients, keys strictly increasing over the 4n frame indices
+    (0..2n-1 tangent z/zbar frame, 2n..4n-1 covector frame).  Degree-1
+    instances are sections (``as_section``)."""
 
-    __slots__ = ("vec", "form")
+    __slots__ = ()
+
+    @property
+    def terms(self):
+        """The coefficients by frame-index key (``comps``)."""
+        return self.comps
+
+    @classmethod
+    def zero(cls, n, degree):
+        return LMultivector(n, degree)
+
+    @classmethod
+    def from_function(cls, f: ComplexPolynomial):
+        return LMultivector(f.n, 0, {(): f})
+
+    @classmethod
+    def from_sections(cls, n, coeff, factors):
+        """coeff * (s_1 ^ ... ^ s_k), expanded over the frame."""
+        if not isinstance(coeff, ComplexPolynomial):
+            coeff = ComplexPolynomial.const(n, coeff)
+        terms = {(): coeff}
+        for s in factors:
+            new = {}
+            for idx, q in terms.items():
+                for (a,), p in s.comps.items():
+                    _merge_signed(new, idx + (a,), q * p, 1)
+            terms = new
+        return LMultivector(n, len(factors), terms)
+
+    def as_section(self) -> "GeneralizedSection":
+        if self.degree != 1:
+            raise ValueError("only degree-1 multivectors are sections")
+        return _section(self.n, self.comps)
+
+    def __repr__(self):
+        def nm(a):
+            n = self.n
+            if a < n:
+                return f"d/dz{a}"
+            if a < 2 * n:
+                return f"d/dzb{a - n}"
+            if a < 3 * n:
+                return f"dz{a - 2 * n}"
+            return f"dzb{a - 3 * n}"
+        if not self.comps:
+            return "0"
+        return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}"
+                          for idx, p in sorted(self.comps.items()))
+
+
+class GeneralizedSection(LMultivector):
+    """A section X + alpha of the complexified generalized tangent bundle:
+    a degree-1 LMultivector whose key is (a,) for the frame field a < 2n and
+    (2n+a,) for the frame covector a.  ``vec`` and ``form`` are read-only
+    views of the two parts."""
+
+    __slots__ = ()
 
     def __init__(self, vec: VectorField, form: Form):
         if form.degree != 1:
             raise ValueError("generalized section needs a 1-form part")
         if vec.n != form.n:
             raise ValueError("mismatched coordinate counts")
-        self.vec = vec
-        self.form = form
+        n = vec.n
+        comps = {(a,): p for a, p in vec.comps.items()}
+        comps.update({(2 * n + a,): p for (a,), p in form.comps.items()})
+        super().__init__(n, 1, comps)
 
     @property
-    def n(self):
-        return self.vec.n
+    def vec(self) -> VectorField:
+        """The vector part X."""
+        n = self.n
+        return VectorField(n, {a: p for (a,), p in self.comps.items() if a < 2 * n})
+
+    @property
+    def form(self) -> Form:
+        """The 1-form part alpha."""
+        n = self.n
+        return Form(n, 1, {(a - 2 * n,): p for (a,), p in self.comps.items() if a >= 2 * n})
 
     @classmethod
     def zero(cls, n):
-        return cls(VectorField.zero(n), Form.zero(n, 1))
+        return _section(n, {})
 
     @classmethod
     def from_vector(cls, X):
@@ -272,72 +346,117 @@ class GeneralizedSection:
     @classmethod
     def frame(cls, n, a):
         """Frame section: a < 2n tangent frame, else covector frame (a - 2n)."""
-        if a < 2 * n:
-            return cls.from_vector(VectorField.frame(n, a))
-        return cls.from_form(Form.frame(n, a - 2 * n))
-
-    def __add__(self, other):
-        return GeneralizedSection(self.vec + other.vec, self.form + other.form)
-
-    def __sub__(self, other):
-        return GeneralizedSection(self.vec - other.vec, self.form - other.form)
-
-    def __neg__(self):
-        return GeneralizedSection(-self.vec, -self.form)
-
-    def scale(self, c):
-        return GeneralizedSection(self.vec.scale(c), self.form.scale(c))
-
-    @property
-    def is_zero(self):
-        return self.vec.is_zero and self.form.is_zero
-
-    def __eq__(self, other):
-        return isinstance(other, GeneralizedSection) and self.vec == other.vec and self.form == other.form
+        return _section(n, {(a,): ComplexPolynomial.one(n)})
 
     def conjugate(self):
-        return GeneralizedSection(self.vec.conjugate(), self.form.conjugate())
+        """Conjugation swaps the z and zbar halves of both frames:
+        a -> a - a mod 2n + (a + n) mod 2n."""
+        m = 2 * self.n
+        return self._like({(a - a % m + (a + self.n) % m,): p.conjugate()
+                           for (a,), p in self.comps.items()})
 
     @property
     def is_real(self):
         return self == self.conjugate()
 
     def evaluate(self, z):
+        """Numeric components over the 4n frame: vector part, then form part."""
         import numpy as np
-        return np.concatenate([self.vec.evaluate(z), self.form.evaluate(z)])
+        out = np.zeros(4 * self.n, dtype=complex)
+        for (a,), p in self.comps.items():
+            out[a] = p.evaluate(z)
+        return out
 
-    def __repr__(self):
-        return f"({self.vec!r}) + ({self.form!r})"
+
+def _section(n, comps) -> GeneralizedSection:
+    """The section over already-checked, zero-free degree-1 keys ``comps``."""
+    out = object.__new__(GeneralizedSection)
+    out.n, out.degree, out.comps = n, 1, dict(comps)
+    return out
+
+
+def _merge_signed(terms, idx, coeff, sign):
+    """terms += sign * coeff * e_idx, sorting idx; a repeated frame is zero."""
+    key, s = _sort_with_sign(idx)
+    if key is not None:
+        _merge(terms, key, coeff if s * sign > 0 else -coeff)
+
+
+def _leibniz(terms, n, f, g, a, b, rest, sign):
+    """terms += sign * f (pi(e_a)(g) e_b - <e_a, e_b> dg) ^ e_rest for frame
+    indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g."""
+    if a < 2 * n and _sort_with_sign((b,) + rest)[0] is not None:
+        dg = g.wirtinger(a % n, holomorphic=a < n)
+        if not dg.is_zero:
+            _merge_signed(terms, (b,) + rest, f * dg, sign)
+    if abs(a - b) == 2 * n and _sort_with_sign(rest)[0] is not None:
+        half = f * QI_HALF
+        for (c,), dg in exterior_derivative(g).comps.items():
+            _merge_signed(terms, (2 * n + c,) + rest, half * dg, -sign)
+
+
+def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
+    """Graded bracket of multivector sections of an isotropic bracket-closed
+    subbundle (the caller guarantees the factors lie in one).
+
+    Degrees (p,q) -> p+q-1.  On (1,1) it needs no isotropy: it is the
+    Courant bracket of any two sections (the Leibniz rule below with an
+    empty rest).  The function cases are [Y, f] = pi(Y) f = -[f, Y].
+
+    A stored term f e_a0^...^e_a(p-1) carries its coefficient f on the first
+    wedge factor; the other factors are constant frame sections.  So in
+    [X_0^..^X_(p-1), Y_0^..^Y_(q-1)] = sum_ij (-1)^(i+j) [X_i, Y_j] ^ rest only
+    the brackets with i = 0 or j = 0 survive, and for constant frames the
+    Leibniz rule gives
+
+        [f e_a, g e_b] = f pi(e_a)(g) e_b - g pi(e_b)(f) e_a + <e_a, e_b>(g df - f dg),
+
+    with <e_v, e_(2n+v)> = 1/2 for v < 2n the only nonzero pairings.  Sorted
+    by the coefficient that is differentiated, the terms f e_A and g e_B give
+
+        sum_i (-1)^i f (pi(e_ai)(g) e_b0 - <e_ai, e_b0> dg) ^ e_(A - ai) ^ e_(B - b0)
+      - sum_j (-1)^j g (pi(e_bj)(f) e_a0 - <e_a0, e_bj> df) ^ e_(A - a0) ^ e_(B - bj).
+    """
+    n = A.n
+    p, q = A.degree, B.degree
+    if p == 0 and q == 0:
+        raise ValueError("bracket of two functions is not defined")
+    if q == 0 or p == 0:
+        if q == 0 and p == 1:
+            f = B.comps.get((), ComplexPolynomial.zero(n))
+            return LMultivector.from_function(A.as_section().vec.apply_to(f))
+        if p == 0 and q == 1:
+            f = A.comps.get((), ComplexPolynomial.zero(n))
+            return LMultivector.from_function(-B.as_section().vec.apply_to(f))
+        raise ValueError("function brackets supported only against degree-1 multivectors")
+    terms = {}
+    for idxA, f in A.comps.items():
+        for idxB, g in B.comps.items():
+            for i, a in enumerate(idxA):
+                rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
+                _leibniz(terms, n, f, g, a, idxB[0], rest, (-1) ** i)
+            for j, b in enumerate(idxB):
+                rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
+                _leibniz(terms, n, g, f, b, idxA[0], rest, -(-1) ** j)
+    return LMultivector(n, p + q - 1, terms)
 
 
 def pairing_poly(s1: GeneralizedSection, s2: GeneralizedSection) -> ComplexPolynomial:
-    """<X+a, Y+b> = (a(Y) + b(X))/2 as an exact polynomial."""
+    """<X+a, Y+b> = (a(Y) + b(X))/2 as an exact polynomial: frame key a
+    pairs with its dual (a + 2n) mod 4n."""
     n = s1.n
     out = ComplexPolynomial.zero(n)
-    for (a,), p in s1.form.comps.items():
-        q = s2.vec.comps.get(a)
-        if q is not None:
-            out = out + p * q
-    for (a,), p in s2.form.comps.items():
-        q = s1.vec.comps.get(a)
+    for (a,), p in s1.comps.items():
+        q = s2.comps.get(((a + 2 * n) % (4 * n),))
         if q is not None:
             out = out + p * q
     return out * QI_HALF
 
 
 def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection) -> GeneralizedSection:
-    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(iota_X b - iota_Y a)/2.
-
-    Cartan's formula L_X b = d iota_X b + iota_X db folds the last term in:
-    the form part is iota_X db - iota_Y da + d(iota_X b - iota_Y a)/2,
-    three exterior derivatives and four contractions."""
-    X, a = s1.vec, s1.form
-    Y, b = s2.vec, s2.form
-    form = (interior_product(X, exterior_derivative(b))
-            - interior_product(Y, exterior_derivative(a)))
-    f = interior_product(X, b) - interior_product(Y, a)
-    form = form + exterior_derivative(f).scale(QI_HALF)
-    return GeneralizedSection(lie_bracket(X, Y), form)
+    """[X+a, Y+b] = [X,Y] + L_X b - L_Y a - d(iota_X b - iota_Y a)/2: the
+    (1,1) case of ``schouten_bracket``."""
+    return schouten_bracket(s1, s2).as_section()
 
 
 @lru_cache(maxsize=None)

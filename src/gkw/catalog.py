@@ -60,8 +60,8 @@ class CatalogCase:
         return d
 
 
-def _fit_deformation_scale(make_scenario, t0=Fraction(1)) -> Fraction:
-    """Deterministic halving from t0 until the deformed pair validates
+def _fit_deformation_scale(make_scenario) -> Fraction:
+    """Deterministic halving from t = 1 until the deformed pair validates
     (A_eps invertibility and full pair validity) at every probe sample,
     drawn from several seeds; one extra halving provides headroom for
     samples more extreme than any probe.  The probe points do not depend
@@ -87,7 +87,7 @@ def _fit_deformation_scale(make_scenario, t0=Fraction(1)) -> Fraction:
             return False
         return True
 
-    t = Fraction(t0)
+    t = Fraction(1)
     while t >= T_MIN:
         if valid_at_probes(t):
             t = t / 2
@@ -113,7 +113,7 @@ def build_kahler_cn(n: int) -> CatalogCase:
         name=f"kahler-c{n}", n=n, recipe=GenuineKahlerRecipe(n),
         action=action, moment=moment, level=(Fraction(1),),
         sampler=ScalingSampler(moment, (1.0,)),
-        strata=(), doc="baseline Kahler reduction (projective space quotient)")
+        strata=())
     return CatalogCase(
         name=scen.name, scenario=scen,
         expected_strata={"generic": (0, n - 1)},

@@ -1,12 +1,14 @@
-"""Multivector calculus for deformations: Schouten bracket, Lie-algebroid
-differential (the dbar case), and Maurer-Cartan residuals, all exact.
+"""Deformations of the standard complex structure's eigenbundle as
+multivectors: the Lie-algebroid differential (the dbar case), Maurer-Cartan
+residuals and invariance, all exact.
 
-An LMultivector of degree k is stored expanded over the 4n generalized
-frame directions (0..2n-1 tangent z/zbar frame, 2n..4n-1 covector frame),
-keys strictly increasing, so zero-testing is canonical.
+The multivectors and their Schouten bracket live in ``gkw.calculus``
+(sections are their degree-1 case) and are imported here, so
+``LMultivector`` and ``schouten_bracket`` are also reachable from this
+module.
 
 A deformation eps = sum F_ij d/dz_i ^ d/dz_j + sum G_ij dzbar_i ^ dzbar_j
-(i < j < n) is one such multivector of degree 2, a ``DeformationBivector``:
+(i < j < n) is one LMultivector of degree 2, a ``DeformationBivector``:
 its keys are (i, j) for the bivector part and (3n+i, 3n+j) for the form
 part, written once in its constructor.  For eps built from two fields,
 Y^Z + iota_Y omega ^ iota_Z omega, the form part is -1/4 of the bivector
@@ -17,143 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .calculus import (Expansion, Form, GeneralizedSection, VectorField, _merge,
-                       _sort_with_sign, exterior_derivative, lie_bracket)
+from .calculus import (LMultivector, VectorField, _merge, _merge_signed, _sort_with_sign,
+                       exterior_derivative, lie_bracket, schouten_bracket)
 from .poly import QI, QI_HALF, ComplexPolynomial, LinearSubstitution
 
 _QUARTER_NEG = QI(Fraction(-1, 4))
-
-
-class LMultivector(Expansion):
-    """Alternating k-tensor of generalized frame directions with polynomial
-    coefficients.  Degree-1 instances are interconvertible with sections."""
-
-    __slots__ = ()
-
-    @property
-    def terms(self):
-        """The coefficients by frame-index key (``comps``)."""
-        return self.comps
-
-    @classmethod
-    def zero(cls, n, degree):
-        return cls(n, degree)
-
-    @classmethod
-    def from_function(cls, f: ComplexPolynomial):
-        return cls(f.n, 0, {(): f})
-
-    @classmethod
-    def from_sections(cls, n, coeff, factors):
-        """coeff * (s_1 ^ ... ^ s_k), expanded over the frame."""
-        if not isinstance(coeff, ComplexPolynomial):
-            coeff = ComplexPolynomial.const(n, coeff)
-        terms = {(): coeff}
-        for s in factors:
-            new = {}
-            entries = [(a, p) for a, p in s.vec.comps.items()]
-            entries += [(2 * n + a, p) for (a,), p in s.form.comps.items()]
-            for idx, q in terms.items():
-                for a, p in entries:
-                    key, sign = _sort_with_sign(idx + (a,))
-                    if key is None:
-                        continue
-                    _merge(new, key, q * p * sign)
-            terms = new
-        return cls(n, len(factors), terms)
-
-    def as_section(self) -> GeneralizedSection:
-        if self.degree != 1:
-            raise ValueError("only degree-1 multivectors are sections")
-        n = self.n
-        vec = {}
-        form = {}
-        for (a,), p in self.comps.items():
-            if a < 2 * n:
-                vec[a] = p
-            else:
-                form[(a - 2 * n,)] = p
-        return GeneralizedSection(VectorField(n, vec), Form(n, 1, form))
-
-    def __repr__(self):
-        def nm(a):
-            n = self.n
-            if a < n:
-                return f"d/dz{a}"
-            if a < 2 * n:
-                return f"d/dzb{a - n}"
-            if a < 3 * n:
-                return f"dz{a - 2 * n}"
-            return f"dzb{a - 3 * n}"
-        if not self.comps:
-            return "0"
-        return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}"
-                          for idx, p in sorted(self.comps.items()))
-
-
-def _merge_signed(terms, idx, coeff, sign):
-    """terms += sign * coeff * e_idx, sorting idx; a repeated frame is zero."""
-    key, s = _sort_with_sign(idx)
-    if key is not None:
-        _merge(terms, key, coeff if s * sign > 0 else -coeff)
-
-
-def _leibniz(terms, n, f, g, a, b, rest, sign):
-    """terms += sign * f (pi(e_a)(g) e_b - <e_a, e_b> dg) ^ e_rest for frame
-    indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g."""
-    if a < 2 * n and _sort_with_sign((b,) + rest)[0] is not None:
-        dg = g.wirtinger(a % n, holomorphic=a < n)
-        if not dg.is_zero:
-            _merge_signed(terms, (b,) + rest, f * dg, sign)
-    if abs(a - b) == 2 * n and _sort_with_sign(rest)[0] is not None:
-        half = f * QI_HALF
-        for (c,), dg in exterior_derivative(g).comps.items():
-            _merge_signed(terms, (2 * n + c,) + rest, half * dg, -sign)
-
-
-def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
-    """Graded bracket of multivector sections of an isotropic bracket-closed
-    subbundle (the caller guarantees the factors lie in one).
-
-    Degrees (p,q) -> p+q-1.  On (1,1) this is the Courant bracket; the
-    function cases are [Y, f] = pi(Y) f = -[f, Y].
-
-    A stored term f e_a0^...^e_a(p-1) carries its coefficient f on the first
-    wedge factor; the other factors are constant frame sections.  So in
-    [X_0^..^X_(p-1), Y_0^..^Y_(q-1)] = sum_ij (-1)^(i+j) [X_i, Y_j] ^ rest only
-    the brackets with i = 0 or j = 0 survive, and for constant frames the
-    Leibniz rule gives
-
-        [f e_a, g e_b] = f pi(e_a)(g) e_b - g pi(e_b)(f) e_a + <e_a, e_b>(g df - f dg),
-
-    with <e_v, e_(2n+v)> = 1/2 for v < 2n the only nonzero pairings.  Sorted
-    by the coefficient that is differentiated, the terms f e_A and g e_B give
-
-        sum_i (-1)^i f (pi(e_ai)(g) e_b0 - <e_ai, e_b0> dg) ^ e_(A - ai) ^ e_(B - b0)
-      - sum_j (-1)^j g (pi(e_bj)(f) e_a0 - <e_a0, e_bj> df) ^ e_(A - a0) ^ e_(B - bj).
-    """
-    n = A.n
-    p, q = A.degree, B.degree
-    if p == 0 and q == 0:
-        raise ValueError("bracket of two functions is not defined")
-    if q == 0 or p == 0:
-        if q == 0 and p == 1:
-            f = B.comps.get((), ComplexPolynomial.zero(n))
-            return LMultivector.from_function(A.as_section().vec.apply_to(f))
-        if p == 0 and q == 1:
-            f = A.comps.get((), ComplexPolynomial.zero(n))
-            return LMultivector.from_function(-B.as_section().vec.apply_to(f))
-        raise ValueError("function brackets supported only against degree-1 multivectors")
-    terms = {}
-    for idxA, f in A.comps.items():
-        for idxB, g in B.comps.items():
-            for i, a in enumerate(idxA):
-                rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
-                _leibniz(terms, n, f, g, a, idxB[0], rest, (-1) ** i)
-            for j, b in enumerate(idxB):
-                rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
-                _leibniz(terms, n, g, f, b, idxA[0], rest, -(-1) ** j)
-    return LMultivector(n, p + q - 1, terms)
 
 
 class DeformationBivector(LMultivector):

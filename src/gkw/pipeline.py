@@ -284,7 +284,6 @@ class Scenario:
     level: tuple
     sampler: object
     strata: tuple = ()
-    doc: str = ""
 
     @cached_property
     def fields(self) -> list:
@@ -727,8 +726,7 @@ def realify(scenario: Scenario, theta="metric") -> Scenario:
     return Scenario(
         name=scenario.name + "+realified", n=scenario.n, recipe=recipe,
         action=scenario.action, moment=recipe.moment_real,
-        level=scenario.level, sampler=scenario.sampler, strata=scenario.strata,
-        doc=scenario.doc)
+        level=scenario.level, sampler=scenario.sampler, strata=scenario.strata)
 
 
 # -- closure families -----------------------------------------------------------

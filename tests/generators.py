@@ -21,7 +21,8 @@ def rand_poly(rng, n, max_terms=2, max_deg=1):
     return ComplexPolynomial(n, terms)
 
 
-def rand_section(rng, n, max_terms=2, max_deg=1, frame_indices=None):
+def rand_section_parts(rng, n, max_terms=2, max_deg=1, frame_indices=None):
+    """The vector field and 1-form of a random section."""
     vec = {}
     form = {}
     idx = frame_indices if frame_indices is not None else range(2 * n)
@@ -31,7 +32,11 @@ def rand_section(rng, n, max_terms=2, max_deg=1, frame_indices=None):
     for a in idx:
         if rng.random() < 0.5:
             form[(a,)] = rand_poly(rng, n, max_terms, max_deg)
-    return GeneralizedSection(VectorField(n, vec), Form(n, 1, form))
+    return VectorField(n, vec), Form(n, 1, form)
+
+
+def rand_section(rng, n, max_terms=2, max_deg=1, frame_indices=None):
+    return GeneralizedSection(*rand_section_parts(rng, n, max_terms, max_deg, frame_indices))
 
 
 def rand_lbar_section(rng, n, max_deg=1):

@@ -10,9 +10,14 @@ with Fraction pairs, expanded term by term from the component formulas:
 
 No code is shared with the engine beyond the test comparing canonical
 dictionaries at the end, except in ``unfolded_courant_bracket``, which keeps
-the engine's earlier Courant formula as a second oracle.
+the engine's earlier Courant formula as a second oracle, and in
+``TwoPartSection``, which keeps the engine's earlier section container (a
+vector field and a 1-form held apart) as the oracle of the degree-1
+multivector section.
 """
 from fractions import Fraction
+
+import numpy as np
 
 from gkw.calculus import (GeneralizedSection, exterior_derivative, interior_product,
                           lie_bracket, lie_derivative)
@@ -240,3 +245,59 @@ def unfolded_courant_bracket(s1, s2):
     f = fa.comps.get((), ComplexPolynomial.zero(s1.n))
     form = form - exterior_derivative(f).scale(QI_HALF)
     return GeneralizedSection(lie_bracket(X, Y), form)
+
+
+class TwoPartSection:
+    """A section X + alpha held as a VectorField and a Form, with the ring
+    operations, conjugation, reality and evaluation written part by part."""
+
+    def __init__(self, vec, form):
+        self.vec = vec
+        self.form = form
+
+    @property
+    def n(self):
+        return self.vec.n
+
+    def __add__(self, other):
+        return TwoPartSection(self.vec + other.vec, self.form + other.form)
+
+    def __sub__(self, other):
+        return TwoPartSection(self.vec - other.vec, self.form - other.form)
+
+    def __neg__(self):
+        return TwoPartSection(-self.vec, -self.form)
+
+    def scale(self, c):
+        return TwoPartSection(self.vec.scale(c), self.form.scale(c))
+
+    @property
+    def is_zero(self):
+        return self.vec.is_zero and self.form.is_zero
+
+    def __eq__(self, other):
+        return self.vec == other.vec and self.form == other.form
+
+    def conjugate(self):
+        return TwoPartSection(self.vec.conjugate(), self.form.conjugate())
+
+    @property
+    def is_real(self):
+        return self == self.conjugate()
+
+    def evaluate(self, z):
+        return np.concatenate([self.vec.evaluate(z), self.form.evaluate(z)])
+
+
+def two_part_pairing_poly(s1, s2):
+    """<X+a, Y+b> = (a(Y) + b(X))/2, one loop per form part."""
+    out = ComplexPolynomial.zero(s1.n)
+    for (a,), p in s1.form.comps.items():
+        q = s2.vec.comps.get(a)
+        if q is not None:
+            out = out + p * q
+    for (a,), p in s2.form.comps.items():
+        q = s1.vec.comps.get(a)
+        if q is not None:
+            out = out + p * q
+    return out * QI_HALF

@@ -96,3 +96,25 @@ def test_traced_build_reaches_deform_pair():
     # cpn-2 passes at t = 1 and t = 1/2: one stacked call per probe round
     assert len(deform) == 2 * catalog.PROBE_ROUNDS
     assert not [s for s in spans if s[2] == "pipeline.pair_at" and under_build(s)]
+
+
+def test_traced_closure_reaches_courant_bracket():
+    # each closure bracket is one calculus.courant_bracket span over one
+    # deformation.schouten_bracket; a direct Schouten call from the closure
+    # code would leave calculus.courant_bracket.calls at 0
+    from gkw.catalog import build_case, closure_families
+    case = build_case("cpn-2")
+    samples = pipeline.sample_level_set(case.scenario, 2, 7).points
+    fams = closure_families(case)
+    tr = _tracer_module()
+    tracer = tr.Tracer()
+    tr.install(tracer)
+    try:
+        rows = pipeline.run_closure_families(fams, samples)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    courant = [s for s in spans if s[2] == "calculus.courant_bracket"]
+    assert len(courant) == len([r for r in rows if r["pair"] is not None]) > 0
+    schouten_parents = [s[1] for s in spans if s[2] == "deformation.schouten_bracket"]
+    assert all(s[0] in schouten_parents for s in courant)

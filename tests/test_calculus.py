@@ -3,14 +3,15 @@ hand-computed values and the independent term-by-term oracle."""
 import numpy as np
 import pytest
 
-from gkw.calculus import (Form, GeneralizedSection, VectorField, courant_bracket,
-                          exterior_derivative, interior_product, lie_derivative,
-                          pairing_poly, standard_symplectic_form)
+from gkw.calculus import (Form, GeneralizedSection, LMultivector, VectorField,
+                          courant_bracket, exterior_derivative, interior_product,
+                          lie_derivative, pairing_poly, standard_symplectic_form)
 from gkw.frames import real_coframe, real_coordinates
 from gkw.poly import QI_HALF, ComplexPolynomial
 
-from generators import ddy_field, rand_poly, rand_section
-from naive_calculus import naive_courant, unfolded_courant_bracket
+from generators import ddy_field, rand_poly, rand_qi, rand_section, rand_section_parts
+from naive_calculus import (TwoPartSection, naive_courant, two_part_pairing_poly,
+                            unfolded_courant_bracket)
 
 
 def to_raw(p):
@@ -194,6 +195,49 @@ def test_reality_check_exact():
     s2 = GeneralizedSection.from_vector(VectorField.frame(n, 0))
     assert not s2.is_real
     assert GeneralizedSection.zero(n).is_real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_section_matches_the_two_part_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for _ in range(25):
+        parts1, parts2 = rand_section_parts(rng, n), rand_section_parts(rng, n)
+        s1, s2 = GeneralizedSection(*parts1), GeneralizedSection(*parts2)
+        o1, o2 = TwoPartSection(*parts1), TwoPartSection(*parts2)
+        c = rand_qi(rng)
+        cases = ((s1, o1), (s1 + s2, o1 + o2), (s1 - s2, o1 - o2), (-s1, -o1),
+                 (s1.scale(c), o1.scale(c)), (s1.conjugate(), o1.conjugate()),
+                 (s1 + s1.conjugate(), o1 + o1.conjugate()), (s1 - s1, o1 - o1))
+        for got, want in cases:
+            assert type(got) is GeneralizedSection
+            assert (got.vec, got.form) == (want.vec, want.form)
+            assert got.is_zero == want.is_zero
+            assert got.is_real == want.is_real
+            assert np.array_equal(got.evaluate(z), want.evaluate(z))
+        assert (s1 == s2) == (o1 == o2)
+        assert pairing_poly(s1, s2) == two_part_pairing_poly(o1, o2)
+        assert pairing_poly(s2, s1) == two_part_pairing_poly(o2, o1)
+        assert pairing_poly(s1, s1) == two_part_pairing_poly(o1, o1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_section_views_are_typed_and_rebuild_the_section(n):
+    rng = np.random.default_rng(50 + n)
+    for _ in range(25):
+        vec, form = rand_section_parts(rng, n)
+        s = GeneralizedSection(vec, form)
+        assert isinstance(s, LMultivector) and s.degree == 1
+        assert type(s.vec) is VectorField and type(s.form) is Form
+        assert s.vec == vec and s.form == form
+        assert GeneralizedSection(s.vec, s.form) == s
+        assert s.as_section() == s
+        with pytest.raises(AttributeError):
+            s.vec = vec
+    for a in range(4 * n):
+        want = (GeneralizedSection.from_vector(VectorField.frame(n, a)) if a < 2 * n
+                else GeneralizedSection.from_form(Form.frame(n, a - 2 * n)))
+        assert GeneralizedSection.frame(n, a) == want
 
 
 def test_standard_symplectic_matches_real_frame():

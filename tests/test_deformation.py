@@ -688,3 +688,16 @@ def test_lie_derivative_out_of_shape_raises():
             eps.lie_derivative(X)
         with pytest.raises(ValueError):
             naive_deformation.lie_derivative(n, _halves(eps), X)
+
+
+def test_inherited_constructors_build_lmultivectors():
+    # zero, from_function and from_sections build an LMultivector whatever
+    # subclass they are called on
+    n = 3
+    f = ComplexPolynomial.variable(n, 0) * ComplexPolynomial.variable(n, 1, conjugated=True)
+    factors = [GeneralizedSection.frame(n, 0), GeneralizedSection.frame(n, 2 * n + 1)]
+    for cls in (DeformationBivector, GeneralizedSection):
+        assert cls.from_function(f) == LMultivector.from_function(f)
+        assert cls.from_sections(n, 2, factors) == LMultivector.from_sections(n, 2, factors)
+        assert cls.from_sections(n, f, factors[:1]) == LMultivector.from_sections(n, f, factors[:1])
+    assert DeformationBivector.zero(n, 2) == LMultivector.zero(n, 2)
