@@ -1,18 +1,24 @@
 """Exact exterior calculus on C^n viewed as R^2n, in the z/zbar frame.
 
-Vector fields are expanded over d/dz_1..d/dz_n, d/dzbar_1..d/dzbar_n
-(indices 0..2n-1, conjugate half offset by n); k-forms over dz/dzbar with
-the same indexing.  Multivectors (``LMultivector``) are expanded over the
-4n generalized frame directions, 0..2n-1 the tangent frame and 2n..4n-1
-the covector frame, keys strictly increasing, so zero-testing is
-canonical.  A section X + alpha of (T + T*)_C is a degree-1 multivector
-(``GeneralizedSection``), and the Courant bracket is the (1,1) case of the
-one Schouten bracket.  All coefficients are ComplexPolynomial, so
-identities (Cartan's formula, d^2 = 0, bracket antisymmetry) hold exactly.
+Vector fields, forms and multivectors are one expansion (``Expansion``):
+polynomial coefficients over keys of the 4n generalized frame d/dz, d/dzbar,
+dz, dzbar (indices 0..4n-1, the conjugate half of each frame offset by n),
+each type with its own layout.  A vector field is keyed by bare indices
+0..2n-1 of the tangent frame, a k-form by strictly increasing tuples 0..2n-1
+of the covector frame, a multivector (``LMultivector``) by strictly
+increasing tuples over all 4n, so zero-testing is canonical.  Conjugation,
+wedge, evaluation, repr, frame elements and the d-type differentials are
+written once on that layout.  A section X + alpha of (T + T*)_C is a
+degree-1 multivector (``GeneralizedSection``), and the Courant bracket is
+the (1,1) case of the one Schouten bracket.  All coefficients are
+ComplexPolynomial, so identities (Cartan's formula, d^2 = 0, bracket
+antisymmetry) hold exactly.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .poly import QI_HALF, ComplexPolynomial
 
@@ -42,33 +48,68 @@ def _sort_with_sign(idx):
     return tuple(idx), sign
 
 
+def _merge_signed(terms, idx, coeff, sign):
+    """terms += sign * coeff * e_idx, sorting idx; a repeated frame is zero."""
+    key, s = _sort_with_sign(idx)
+    if key is not None:
+        _merge(terms, key, coeff if s * sign > 0 else -coeff)
+
+
+def _build(cls, n, degree, comps):
+    """The expansion of type ``cls`` over already-checked, zero-free keys ``comps``."""
+    out = object.__new__(cls)
+    out.n, out.degree, out.comps = n, degree, comps
+    return out
+
+
+_FRAME_NAMES = ("d/dz", "d/dzb", "dz", "dzb")
+
+
 class Expansion:
     """Zero-free dict ``comps`` of polynomial coefficients over frame keys,
-    all of one degree, with the ring operations that vector fields, forms
-    and multivectors share.  A subclass checks its own keys."""
+    all of one degree, with the operations that vector fields, forms and
+    multivectors share.  A subclass fixes its frame layout: ``_indices``
+    and ``_key`` turn a key into its tuple of frame indices and back, index
+    0 sits at block ``_first`` of the 4n frame d/dz, d/dzbar, dz, dzbar
+    (in blocks of n), and the frame is ``_width`` blocks wide."""
 
     __slots__ = ("n", "degree", "comps")
 
-    keys_are_index_tuples = True   # else the key length is not checked
+    _first = 0
+    _width = 2
 
     def __init__(self, n, degree, comps=None):
         self.n = n
         self.degree = degree
         self.comps = {}
         if comps:
-            check = self.keys_are_index_tuples
             for key, p in comps.items():
-                if check and len(key) != degree:
+                if len(self._indices(key)) != degree:
                     raise ValueError(f"key {key} does not match degree {degree}")
                 if not p.is_zero:
                     self.comps[key] = p
 
+    @staticmethod
+    def _indices(key):
+        return key
+
+    @staticmethod
+    def _key(indices):
+        return indices
+
+    @classmethod
+    def frame(cls, n, a):
+        """The frame element a of the layout: d/dz_a (a < n) or d/dzbar_(a-n)
+        of a field, dz_a or dzbar_(a-n) of a form, and for a multivector
+        the section of the tangent frame (a < 2n) or covector frame (a - 2n)."""
+        if issubclass(cls, LMultivector):
+            cls = GeneralizedSection
+        return _build(cls, n, 1, {cls._key((a,)): ComplexPolynomial.one(n)})
+
     def _like(self, comps):
         """Same type, n and degree, over already-checked keys."""
-        out = object.__new__(type(self))
-        out.n, out.degree = self.n, self.degree
-        out.comps = {k: p for k, p in comps.items() if not p.is_zero}
-        return out
+        return _build(type(self), self.n, self.degree,
+                      {k: p for k, p in comps.items() if not p.is_zero})
 
     def __add__(self, other):
         if type(other) is not type(self) or self.degree != other.degree:
@@ -95,29 +136,71 @@ class Expansion:
         return (type(other) is type(self) and self.n == other.n
                 and self.degree == other.degree and self.comps == other.comps)
 
+    def conjugate(self):
+        """Conjugation swaps the z and zbar halves of each frame,
+        a -> a - a mod 2n + (a + n) mod 2n, and re-sorts each key with its sign."""
+        n, m = self.n, 2 * self.n
+        terms = {}
+        for key, p in self.comps.items():
+            _merge_signed(terms, tuple(a - a % m + (a + n) % m for a in self._indices(key)),
+                          p.conjugate(), 1)
+        return _build(type(self), n, self.degree, {self._key(k): p for k, p in terms.items()})
+
+    def wedge(self, other):
+        """self ^ other over the frame keys; the product of multivectors is
+        an ``LMultivector``.  Each key is sorted before its product is
+        taken, so a repeated frame costs no multiplication."""
+        comps = {}
+        for i1, p1 in self.comps.items():
+            for i2, p2 in other.comps.items():
+                key, sign = _sort_with_sign(i1 + i2)
+                if key is not None:
+                    _merge(comps, key, p1 * p2 if sign > 0 else -(p1 * p2))
+        cls = LMultivector if isinstance(self, LMultivector) else type(self)
+        return _build(cls, self.n, self.degree + other.degree, comps)
+
+    def evaluate(self, z):
+        """Numeric components of a degree-1 expansion over its frame; a key,
+        bare or a 1-tuple, indexes the array as it is."""
+        if self.degree != 1:
+            raise ValueError("numeric evaluation implemented for degree 1")
+        out = np.zeros(self._width * self.n, dtype=complex)
+        for key, p in self.comps.items():
+            out[key] = p.evaluate(z)
+        return out
+
+    def __repr__(self):
+        if not self.comps:
+            return "0"
+        n, first = self.n, self._first * self.n
+
+        def name(a):
+            block, j = divmod(first + a, n)
+            return f"{_FRAME_NAMES[block]}{j}"
+        return " + ".join(f"({p!r}) {'^'.join(map(name, self._indices(key)))}" if self.degree
+                          else f"({p!r})" for key, p in sorted(self.comps.items()))
+
 
 class VectorField(Expansion):
-    """Complexified polynomial vector field on C^n; keys are frame indices."""
+    """Complexified polynomial vector field on C^n; keys are bare indices
+    0..2n-1 of the tangent frame d/dz, d/dzbar."""
 
     __slots__ = ()
 
     def __init__(self, n, comps=None):
         super().__init__(n, 1, comps)
 
-    keys_are_index_tuples = False
+    @staticmethod
+    def _indices(key):
+        return (key,)
+
+    @staticmethod
+    def _key(indices):
+        return indices[0]
 
     @classmethod
     def zero(cls, n):
         return cls(n)
-
-    @classmethod
-    def frame(cls, n, a):
-        """The frame field d/dz_a (a < n) or d/dzbar_{a-n}."""
-        return cls(n, {a: ComplexPolynomial.one(n)})
-
-    def conjugate(self):
-        n = self.n
-        return VectorField(n, {(a + n) % (2 * n): p.conjugate() for a, p in self.comps.items()})
 
     def apply_to(self, f: ComplexPolynomial) -> ComplexPolynomial:
         """Directional derivative X(f)."""
@@ -126,25 +209,14 @@ class VectorField(Expansion):
             out = out + p * f.wirtinger(a % self.n, holomorphic=a < self.n)
         return out
 
-    def evaluate(self, z):
-        """Numeric components over the 2n-dim z/zbar frame."""
-        import numpy as np
-        out = np.zeros(2 * self.n, dtype=complex)
-        for a, p in self.comps.items():
-            out[a] = p.evaluate(z)
-        return out
-
-    def __repr__(self):
-        if not self.comps:
-            return "0"
-        names = [f"d/dz{a}" if a < self.n else f"d/dzb{a - self.n}" for a in sorted(self.comps)]
-        return " + ".join(f"({self.comps[a]!r}) {nm}" for a, nm in zip(sorted(self.comps), names))
-
 
 class Form(Expansion):
-    """Polynomial k-form; keys are strictly increasing covector-index tuples."""
+    """Polynomial k-form; keys are strictly increasing index tuples 0..2n-1
+    of the covector frame dz, dzbar."""
 
     __slots__ = ()
+
+    _first = 2
 
     @classmethod
     def zero(cls, n, degree=1):
@@ -154,45 +226,18 @@ class Form(Expansion):
     def from_function(cls, f: ComplexPolynomial):
         return cls(f.n, 0, {(): f})
 
-    @classmethod
-    def frame(cls, n, a):
-        """dz_a (a < n) or dzbar_{a-n}."""
-        return cls(n, 1, {(a,): ComplexPolynomial.one(n)})
 
-    def conjugate(self):
-        n = self.n
-        comps = {}
-        for idx, p in self.comps.items():
-            key, sign = _sort_with_sign(tuple((a + n) % (2 * n) for a in idx))
-            _merge(comps, key, p.conjugate() * sign)
-        return Form(self.n, self.degree, comps)
-
-    def wedge(self, other: "Form") -> "Form":
-        comps = {}
-        for i1, p1 in self.comps.items():
-            for i2, p2 in other.comps.items():
-                key, sign = _sort_with_sign(i1 + i2)
-                if key is None:
-                    continue
-                _merge(comps, key, p1 * p2 * sign)
-        return Form(self.n, self.degree + other.degree, comps)
-
-    def evaluate(self, z):
-        import numpy as np
-        if self.degree != 1:
-            raise ValueError("numeric evaluation implemented for 1-forms")
-        out = np.zeros(2 * self.n, dtype=complex)
-        for (a,), p in self.comps.items():
-            out[a] = p.evaluate(z)
-        return out
-
-    def __repr__(self):
-        if not self.comps:
-            return "0"
-        def nm(a):
-            return f"dz{a}" if a < self.n else f"dzb{a - self.n}"
-        return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}" if idx else f"({p!r})"
-                          for idx, p in sorted(self.comps.items()))
+def _differential(comps, n, directions):
+    """For each (v, a) of ``directions``: every coefficient differentiated
+    along the tangent frame direction a, with the frame key v wedged in
+    front.  The one loop of d and of the algebroid differential d_L."""
+    terms = {}
+    for idx, p in comps.items():
+        for v, a in directions:
+            dp = p.wirtinger(a % n, holomorphic=a < n)
+            if not dp.is_zero:
+                _merge_signed(terms, (v,) + idx, dp, 1)
+    return terms
 
 
 def exterior_derivative(w) -> Form:
@@ -200,17 +245,7 @@ def exterior_derivative(w) -> Form:
     if isinstance(w, ComplexPolynomial):
         w = Form.from_function(w)
     n = w.n
-    comps = {}
-    for idx, p in w.comps.items():
-        for a in range(2 * n):
-            dp = p.wirtinger(a % n, holomorphic=a < n)
-            if dp.is_zero:
-                continue
-            key, sign = _sort_with_sign((a,) + idx)
-            if key is None:
-                continue
-            _merge(comps, key, dp * sign)
-    return Form(n, w.degree + 1, comps)
+    return Form(n, w.degree + 1, _differential(w.comps, n, [(a, a) for a in range(2 * n)]))
 
 
 def interior_product(X: VectorField, w: Form) -> Form:
@@ -253,6 +288,8 @@ class LMultivector(Expansion):
 
     __slots__ = ()
 
+    _width = 4
+
     @property
     def terms(self):
         """The coefficients by frame-index key (``comps``)."""
@@ -268,37 +305,18 @@ class LMultivector(Expansion):
 
     @classmethod
     def from_sections(cls, n, coeff, factors):
-        """coeff * (s_1 ^ ... ^ s_k), expanded over the frame."""
+        """coeff ^ s_1 ^ ... ^ s_k, expanded over the frame."""
         if not isinstance(coeff, ComplexPolynomial):
             coeff = ComplexPolynomial.const(n, coeff)
-        terms = {(): coeff}
+        out = LMultivector.from_function(coeff)
         for s in factors:
-            new = {}
-            for idx, q in terms.items():
-                for (a,), p in s.comps.items():
-                    _merge_signed(new, idx + (a,), q * p, 1)
-            terms = new
-        return LMultivector(n, len(factors), terms)
+            out = out.wedge(s)
+        return out
 
     def as_section(self) -> "GeneralizedSection":
         if self.degree != 1:
             raise ValueError("only degree-1 multivectors are sections")
-        return _section(self.n, self.comps)
-
-    def __repr__(self):
-        def nm(a):
-            n = self.n
-            if a < n:
-                return f"d/dz{a}"
-            if a < 2 * n:
-                return f"d/dzb{a - n}"
-            if a < 3 * n:
-                return f"dz{a - 2 * n}"
-            return f"dzb{a - 3 * n}"
-        if not self.comps:
-            return "0"
-        return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}"
-                          for idx, p in sorted(self.comps.items()))
+        return _build(GeneralizedSection, self.n, 1, dict(self.comps))
 
 
 class GeneralizedSection(LMultivector):
@@ -332,8 +350,10 @@ class GeneralizedSection(LMultivector):
         return Form(n, 1, {(a - 2 * n,): p for (a,), p in self.comps.items() if a >= 2 * n})
 
     @classmethod
-    def zero(cls, n):
-        return _section(n, {})
+    def zero(cls, n, degree=1):
+        if degree != 1:
+            raise ValueError("a section has degree 1")
+        return _build(GeneralizedSection, n, 1, {})
 
     @classmethod
     def from_vector(cls, X):
@@ -343,43 +363,9 @@ class GeneralizedSection(LMultivector):
     def from_form(cls, a):
         return cls(VectorField.zero(a.n), a)
 
-    @classmethod
-    def frame(cls, n, a):
-        """Frame section: a < 2n tangent frame, else covector frame (a - 2n)."""
-        return _section(n, {(a,): ComplexPolynomial.one(n)})
-
-    def conjugate(self):
-        """Conjugation swaps the z and zbar halves of both frames:
-        a -> a - a mod 2n + (a + n) mod 2n."""
-        m = 2 * self.n
-        return self._like({(a - a % m + (a + self.n) % m,): p.conjugate()
-                           for (a,), p in self.comps.items()})
-
     @property
     def is_real(self):
         return self == self.conjugate()
-
-    def evaluate(self, z):
-        """Numeric components over the 4n frame: vector part, then form part."""
-        import numpy as np
-        out = np.zeros(4 * self.n, dtype=complex)
-        for (a,), p in self.comps.items():
-            out[a] = p.evaluate(z)
-        return out
-
-
-def _section(n, comps) -> GeneralizedSection:
-    """The section over already-checked, zero-free degree-1 keys ``comps``."""
-    out = object.__new__(GeneralizedSection)
-    out.n, out.degree, out.comps = n, 1, dict(comps)
-    return out
-
-
-def _merge_signed(terms, idx, coeff, sign):
-    """terms += sign * coeff * e_idx, sorting idx; a repeated frame is zero."""
-    key, s = _sort_with_sign(idx)
-    if key is not None:
-        _merge(terms, key, coeff if s * sign > 0 else -coeff)
 
 
 def _leibniz(terms, n, f, g, a, b, rest, sign):

@@ -25,15 +25,17 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction, _qi_of_entry,
                       central_level, grassmannian_moment_map, linear_field,
                       standard_moment_map, unitary_lie_basis)
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
-                       interior_product)
+                       interior_product, standard_symplectic_form)
 from .deformation import DeformationBivector
+from .exactlinalg import solve_affine
 from .linear import LinearGC, ValidationError, b_conjugate
-from .pipeline import (ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
+from .pipeline import (ClosureFamily, ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
-                       sample_level_set, tangent_to_level)
+                       df_contraction_is_zero, gm_pairing_is_zero, sample_level_set,
+                       tangent_to_level)
 from .poly import QI, ComplexPolynomial
-from .polytope import (AlphaResult, PolytopeSpec, cp2_blowup1_polytope,
+from .polytope import (AlphaResult, PolytopeSpec, _feasible_point, cp2_blowup1_polytope,
                        cp2_polytope, find_alpha, hirzebruch_polytope)
 
 PROBE_SEED = 20240229
@@ -201,8 +203,6 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
 
 
 def _shifted_polytope_for_level(poly, W, level):
-    from .exactlinalg import solve_affine
-    from .polytope import _feasible_point
     N = poly.num_facets
     sol = solve_affine(W, level)
     if sol is None:
@@ -433,9 +433,6 @@ def closure_families(case: CatalogCase, pair_at=None):
     and (for deformed cases) a frame family of the deformed eigenbundle.
 
     ``pair_at`` supplies the pointwise pairs (default: the recipe's)."""
-    from .calculus import GeneralizedSection, standard_symplectic_form
-    from .pipeline import (ClosureFamily, df_contraction_is_zero,
-                           gm_pairing_is_zero)
     scen = case.scenario
     n = scen.n
     fams = []

@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from .calculus import (LMultivector, VectorField, _merge, _merge_signed, _sort_with_sign,
+from .calculus import (LMultivector, VectorField, _differential, _merge, _merge_signed,
                        exterior_derivative, lie_bracket, schouten_bracket)
+from .exactlinalg import qi_matrix_inverse
 from .poly import QI, QI_HALF, ComplexPolynomial, LinearSubstitution
 
 _QUARTER_NEG = QI(Fraction(-1, 4))
@@ -72,10 +73,8 @@ class DeformationBivector(LMultivector):
         hol = {}
         for a, pa in Y.comps.items():
             for b, pb in Z.comps.items():
-                if a == b:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                _merge(hol, key, pa * pb * (1 if a < b else -1))
+                if a != b:
+                    _merge_signed(hol, (a, b), pa * pb, 1)
         return cls(n, hol, {k: p * _QUARTER_NEG for k, p in hol.items()})
 
     def pullback_linear(self, A) -> "DeformationBivector":
@@ -84,7 +83,6 @@ class DeformationBivector(LMultivector):
         substitution, which shares the powers of each coordinate's image),
         tangent frames transform by A^-1, covector frames by conj(A).
         Invariance <=> pullback == self."""
-        from .exactlinalg import qi_matrix_inverse
         n = self.n
         Ainv = qi_matrix_inverse(A)
         sub = LinearSubstitution(n, A)
@@ -101,10 +99,8 @@ class DeformationBivector(LMultivector):
                     if not ca:
                         continue
                     for b, cb in enumerate(M[j]):
-                        if not cb or a == b:
-                            continue
-                        key = (a, b) if a < b else (b, a)
-                        _merge(acc, key, ps * (ca * cb) * (1 if a < b else -1))
+                        if cb and a != b:
+                            _merge_signed(acc, (a, b), ps * (ca * cb), 1)
             out.append(acc)
         return DeformationBivector(n, *out)
 
@@ -140,21 +136,16 @@ class DeformationBivector(LMultivector):
     def to_multivector(self) -> LMultivector:
         return LMultivector(self.n, 2, self.comps)
 
+    def conjugate(self) -> LMultivector:
+        """The conjugate, a (0,2)-bivector + (2,0)-form: an LMultivector."""
+        return self.to_multivector().conjugate()
+
     def algebroid_differential(self) -> LMultivector:
         """d_L for the standard complex structure's eigenbundle: coefficient-wise
         dbar with the new dzbar factor wedged in front."""
         n = self.n
-        terms = {}
-        for idx, p in self.comps.items():
-            for k in range(n):
-                dp = p.wirtinger(k, holomorphic=False)
-                if dp.is_zero:
-                    continue
-                key, sign = _sort_with_sign((3 * n + k,) + idx)
-                if key is None:
-                    continue
-                _merge(terms, key, dp * sign)
-        return LMultivector(n, 3, terms)
+        return LMultivector(n, 3, _differential(self.comps, n,
+                                                [(3 * n + k, n + k) for k in range(n)]))
 
     def maurer_cartan_residual(self) -> LMultivector:
         """d_L eps + [eps, eps]/2; exact zero certifies bracket closure of

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
-from .calculus import Form, exterior_derivative, interior_product
+from .calculus import Form, courant_bracket, exterior_derivative, interior_product, pairing_poly
 from .deformation import DeformationBivector, LMultivector
 from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
@@ -593,7 +593,6 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
 @dataclass
 class TypeTable:
     rows: list
-    scenario_name: str
 
 
 def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None,
@@ -611,7 +610,7 @@ def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None,
                               tol=tol)
             for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels,
                                                     batch.Q, batch.DF))]
-    return TypeTable(rows, scenario.name)
+    return TypeTable(rows)
 
 
 def verify_type_formula(scenario: Scenario, table: TypeTable):
@@ -747,7 +746,6 @@ class ClosureFamily:
 
 
 def run_closure_families(families, samples):
-    from .calculus import courant_bracket
     rows = []
     for fam in families:
         secs = fam.sections
@@ -802,7 +800,6 @@ def df_contraction_is_zero(moment: MomentMapPoly):
 
 def gm_pairing_is_zero(action):
     """Exact check <bracket, xi_M> = 0 for every fundamental field."""
-    from .calculus import pairing_poly
     fields = action.fundamental_fields()
 
     def check(br):

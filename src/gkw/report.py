@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .actions import TorusAction
+from .actions import TorusAction, standard_moment_map
 from .calculus import VectorField
 from .catalog import (CatalogCase, build_case, catalog_names, closure_families,
                       cpn_su2_invariance, torus_invariance, unitary_invariance)
@@ -154,7 +154,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     action = TorusAction(tuple(tuple(r) for r in act["weights"]))
     if action.n != n:
         raise ValueError("weight matrix width != ambient dimension")
-    from .actions import standard_moment_map
     moment = standard_moment_map(action)
     level = tuple(Fraction(x) for x in doc["level"])
     if len(level) != action.k:

@@ -13,14 +13,16 @@ dictionaries at the end, except in ``unfolded_courant_bracket``, which keeps
 the engine's earlier Courant formula as a second oracle, and in
 ``TwoPartSection``, which keeps the engine's earlier section container (a
 vector field and a 1-form held apart) as the oracle of the degree-1
-multivector section.
+multivector section, and in the per-type copies at the end, which keep the
+engine's earlier conjugation, evaluation, repr, frame elements, wedge, d and
+d_L of each type as the oracle of the one expansion.
 """
 from fractions import Fraction
 
 import numpy as np
 
-from gkw.calculus import (GeneralizedSection, exterior_derivative, interior_product,
-                          lie_bracket, lie_derivative)
+from gkw.calculus import (Form, GeneralizedSection, LMultivector, VectorField,
+                          exterior_derivative, interior_product, lie_bracket, lie_derivative)
 from gkw.poly import QI_HALF, ComplexPolynomial
 
 
@@ -301,3 +303,190 @@ def two_part_pairing_poly(s1, s2):
         if q is not None:
             out = out + p * q
     return out * QI_HALF
+
+
+# -- the engine's per-type copies before the one expansion ---------------------
+# Each type wrote its own conjugate, evaluate, repr and frame; forms had their
+# own wedge, from_sections its own product loop, and d and d_L each their own
+# loop, with signs applied by multiplying by +-1.
+
+def _merge(terms, key, val):
+    s = terms.get(key)
+    s = val if s is None else s + val
+    if s.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
+def _sort_with_sign(idx):
+    idx = list(idx)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(idx)):
+        if idx[i] == idx[i - 1]:
+            return None, 0
+    return tuple(idx), sign
+
+
+def _merge_signed(terms, idx, coeff, sign):
+    key, s = _sort_with_sign(idx)
+    if key is not None:
+        _merge(terms, key, coeff if s * sign > 0 else -coeff)
+
+
+def _section(n, comps):
+    out = object.__new__(GeneralizedSection)
+    out.n, out.degree, out.comps = n, 1, dict(comps)
+    return out
+
+
+def field_frame(n, a):
+    return VectorField(n, {a: ComplexPolynomial.one(n)})
+
+
+def form_frame(n, a):
+    return Form(n, 1, {(a,): ComplexPolynomial.one(n)})
+
+
+def section_frame(n, a):
+    return _section(n, {(a,): ComplexPolynomial.one(n)})
+
+
+def field_conjugate(X):
+    n = X.n
+    return VectorField(n, {(a + n) % (2 * n): p.conjugate() for a, p in X.comps.items()})
+
+
+def form_conjugate(w):
+    n = w.n
+    comps = {}
+    for idx, p in w.comps.items():
+        key, sign = _sort_with_sign(tuple((a + n) % (2 * n) for a in idx))
+        _merge(comps, key, p.conjugate() * sign)
+    return Form(w.n, w.degree, comps)
+
+
+def section_conjugate(s):
+    m = 2 * s.n
+    return _section(s.n, {(a - a % m + (a + s.n) % m,): p.conjugate()
+                          for (a,), p in s.comps.items()})
+
+
+def field_evaluate(X, z):
+    out = np.zeros(2 * X.n, dtype=complex)
+    for a, p in X.comps.items():
+        out[a] = p.evaluate(z)
+    return out
+
+
+def form_evaluate(w, z):
+    if w.degree != 1:
+        raise ValueError("numeric evaluation implemented for 1-forms")
+    out = np.zeros(2 * w.n, dtype=complex)
+    for (a,), p in w.comps.items():
+        out[a] = p.evaluate(z)
+    return out
+
+
+def section_evaluate(s, z):
+    out = np.zeros(4 * s.n, dtype=complex)
+    for (a,), p in s.comps.items():
+        out[a] = p.evaluate(z)
+    return out
+
+
+def field_repr(X):
+    if not X.comps:
+        return "0"
+    names = [f"d/dz{a}" if a < X.n else f"d/dzb{a - X.n}" for a in sorted(X.comps)]
+    return " + ".join(f"({X.comps[a]!r}) {nm}" for a, nm in zip(sorted(X.comps), names))
+
+
+def form_repr(w):
+    if not w.comps:
+        return "0"
+
+    def nm(a):
+        return f"dz{a}" if a < w.n else f"dzb{a - w.n}"
+    return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}" if idx else f"({p!r})"
+                      for idx, p in sorted(w.comps.items()))
+
+
+def multivector_repr(A):
+    n = A.n
+
+    def nm(a):
+        if a < n:
+            return f"d/dz{a}"
+        if a < 2 * n:
+            return f"d/dzb{a - n}"
+        if a < 3 * n:
+            return f"dz{a - 2 * n}"
+        return f"dzb{a - 3 * n}"
+    if not A.comps:
+        return "0"
+    return " + ".join(f"({p!r}) {'^'.join(nm(a) for a in idx)}"
+                      for idx, p in sorted(A.comps.items()))
+
+
+def form_wedge(w1, w2):
+    comps = {}
+    for i1, p1 in w1.comps.items():
+        for i2, p2 in w2.comps.items():
+            key, sign = _sort_with_sign(i1 + i2)
+            if key is None:
+                continue
+            _merge(comps, key, p1 * p2 * sign)
+    return Form(w1.n, w1.degree + w2.degree, comps)
+
+
+def from_sections(n, coeff, factors):
+    if not isinstance(coeff, ComplexPolynomial):
+        coeff = ComplexPolynomial.const(n, coeff)
+    terms = {(): coeff}
+    for s in factors:
+        new = {}
+        for idx, q in terms.items():
+            for (a,), p in s.comps.items():
+                _merge_signed(new, idx + (a,), q * p, 1)
+        terms = new
+    return LMultivector(n, len(factors), terms)
+
+
+def exterior_derivative_per_type(w):
+    if isinstance(w, ComplexPolynomial):
+        w = Form.from_function(w)
+    n = w.n
+    comps = {}
+    for idx, p in w.comps.items():
+        for a in range(2 * n):
+            dp = p.wirtinger(a % n, holomorphic=a < n)
+            if dp.is_zero:
+                continue
+            key, sign = _sort_with_sign((a,) + idx)
+            if key is None:
+                continue
+            _merge(comps, key, dp * sign)
+    return Form(n, w.degree + 1, comps)
+
+
+def algebroid_differential(eps):
+    n = eps.n
+    terms = {}
+    for idx, p in eps.comps.items():
+        for k in range(n):
+            dp = p.wirtinger(k, holomorphic=False)
+            if dp.is_zero:
+                continue
+            key, sign = _sort_with_sign((3 * n + k,) + idx)
+            if key is None:
+                continue
+            _merge(terms, key, dp * sign)
+    return LMultivector(n, 3, terms)
+

@@ -12,8 +12,9 @@ import numpy as np
 
 from gkw.calculus import (Form, GeneralizedSection, VectorField, interior_product,
                           lie_bracket, lie_derivative as lie_derivative_of_form)
+from gkw.exactlinalg import qi_matrix_inverse
 from gkw.linear import contraction_operator
-from gkw.poly import QI, QI_HALF, QI_I, ComplexPolynomial
+from gkw.poly import QI, QI_HALF, QI_I, ComplexPolynomial, LinearSubstitution
 
 from naive_frames import covector_frame_matrix, tangent_frame_matrix
 
@@ -141,3 +142,28 @@ def lie_derivative(n, eps, X):
                 raise ValueError("Lie derivative left the antiholomorphic form bundle")
             _merge(out_f, (a - n, b - n), q)
     return out_h, out_f
+
+
+def pullback_linear(n, eps, A):
+    """Pullback along z -> A z: coefficients substitute z -> Az, tangent
+    frames transform by A^-1, covector frames by conj(A), each half summed
+    into its own dict with the sign of the key order multiplied in."""
+    Ainv = qi_matrix_inverse(A)
+    sub = LinearSubstitution(n, A)
+    tangent = list(zip(*Ainv))
+    covector = [[QI.of(A[i][a]).conjugate() for a in range(n)] for i in range(n)]
+    out = []
+    for coeffs, M in zip(eps, (tangent, covector)):
+        acc = {}
+        for (i, j), p in coeffs.items():
+            ps = p.substitute_linear(sub)
+            for a, ca in enumerate(M[i]):
+                if not ca:
+                    continue
+                for b, cb in enumerate(M[j]):
+                    if not cb or a == b:
+                        continue
+                    key = (a, b) if a < b else (b, a)
+                    _merge(acc, key, ps * (ca * cb) * (1 if a < b else -1))
+        out.append(acc)
+    return tuple(out)
