@@ -199,7 +199,9 @@ class VectorField(Expansion):
         return indices[0]
 
     @classmethod
-    def zero(cls, n):
+    def zero(cls, n, degree=1):
+        if degree != 1:
+            raise ValueError("a vector field has degree 1")
         return cls(n)
 
     def apply_to(self, f: ComplexPolynomial) -> ComplexPolynomial:
@@ -258,8 +260,8 @@ def interior_product(X: VectorField, w: Form) -> Form:
             if a not in idx:
                 continue
             pos = idx.index(a)
-            key = idx[:pos] + idx[pos + 1:]
-            _merge(comps, key, p * q * ((-1) ** pos))
+            pq = p * q
+            _merge(comps, idx[:pos] + idx[pos + 1:], -pq if pos % 2 else pq)
     return Form(w.n, w.degree - 1, comps)
 
 
@@ -370,8 +372,11 @@ class GeneralizedSection(LMultivector):
 
 def _leibniz(terms, n, f, g, a, b, rest, sign):
     """terms += sign * f (pi(e_a)(g) e_b - <e_a, e_b> dg) ^ e_rest for frame
-    indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g."""
-    if a < 2 * n and _sort_with_sign((b,) + rest)[0] is not None:
+    indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g.
+
+    Only a live term is built: the derivative is taken first, and the key
+    (b,) + rest is sorted only when it is nonzero."""
+    if a < 2 * n:
         dg = g.wirtinger(a % n, holomorphic=a < n)
         if not dg.is_zero:
             _merge_signed(terms, (b,) + rest, f * dg, sign)
@@ -402,6 +407,12 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
 
         sum_i (-1)^i f (pi(e_ai)(g) e_b0 - <e_ai, e_b0> dg) ^ e_(A - ai) ^ e_(B - b0)
       - sum_j (-1)^j g (pi(e_bj)(f) e_a0 - <e_a0, e_bj> df) ^ e_(A - a0) ^ e_(B - bj).
+
+    Only live terms are built.  A covector factor e_ai (ai >= 2n) acts on no
+    function, so it contributes only through its pairing with e_b0, and a
+    covector position not dual to the other term's leading index is skipped
+    without entering ``_leibniz``, which takes each derivative before it
+    sorts the key.
     """
     n = A.n
     p, q = A.degree, B.degree
@@ -416,14 +427,19 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
             return LMultivector.from_function(-B.as_section().vec.apply_to(f))
         raise ValueError("function brackets supported only against degree-1 multivectors")
     terms = {}
+    m = 2 * n
     for idxA, f in A.comps.items():
+        a0 = idxA[0]
         for idxB, g in B.comps.items():
+            b0 = idxB[0]
             for i, a in enumerate(idxA):
-                rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
-                _leibniz(terms, n, f, g, a, idxB[0], rest, (-1) ** i)
+                if a < m or a - m == b0:
+                    rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
+                    _leibniz(terms, n, f, g, a, b0, rest, (-1) ** i)
             for j, b in enumerate(idxB):
-                rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
-                _leibniz(terms, n, g, f, b, idxA[0], rest, -(-1) ** j)
+                if b < m or b - m == a0:
+                    rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
+                    _leibniz(terms, n, g, f, b, a0, rest, -(-1) ** j)
     return LMultivector(n, p + q - 1, terms)
 
 

@@ -251,21 +251,17 @@ class ComplexPolynomial:
         return self == self.conjugate()
 
     def wirtinger(self, j: int, holomorphic: bool = True) -> "ComplexPolynomial":
-        """Exact d/dz_j (or d/dzbar_j); z and zbar are independent symbols."""
+        """Exact d/dz_j (or d/dzbar_j); z and zbar are independent symbols.
+
+        Lowering one exponent maps distinct monomials to distinct ones, so
+        each term is written once, its coefficient scaled by the integer
+        exponent on both Fraction parts (reused as it is for exponent 1)."""
         idx = j if holomorphic else j + self.n
         terms = {}
         for e, c in self.terms.items():
             k = e[idx]
-            if k == 0:
-                continue
-            e2 = list(e)
-            e2[idx] = k - 1
-            e2 = tuple(e2)
-            s = terms.get(e2, QI_ZERO) + c * k
-            if s:
-                terms[e2] = s
-            else:
-                terms.pop(e2, None)
+            if k:
+                terms[e[:idx] + (k - 1,) + e[idx + 1:]] = c if k == 1 else _qi(c.re * k, c.im * k)
         return ComplexPolynomial(self.n, terms)
 
     # -- evaluation / substitution ------------------------------------------

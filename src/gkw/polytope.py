@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import ceil, floor, gcd
 
 from .exactlinalg import integer_kernel_basis, solve_affine
 
@@ -156,14 +156,11 @@ def _pick_in_interval(lo, hi):
     if lo is None and hi is None:
         return Fraction(0)
     if lo is None:
-        from math import floor
         return Fraction(min(0, floor(hi)))
     if hi is None:
-        from math import ceil
         return Fraction(max(0, ceil(lo)))
     if lo <= 0 <= hi:
         return Fraction(0)
-    from math import ceil, floor
     c = ceil(lo)
     if lo <= c <= hi:
         return Fraction(c)

@@ -132,6 +132,24 @@ def naive_iota(X, beta, n):
     return acc
 
 
+def naive_iota_form(X, w):
+    """iota_X w of a k-form ``w`` ({index tuple: poly}) in the first slot:
+    sum_a X^a w_(..a..) with the sign (-1)^pos of a's position in the key."""
+    out = {}
+    for a, xa in X.items():
+        for idx, wi in w.items():
+            if a in idx:
+                pos = idx.index(a)
+                term = p_scale(p_mul(xa, wi), (Fraction((-1) ** pos), Fraction(0)))
+                key = idx[:pos] + idx[pos + 1:]
+                acc = p_add(out.get(key, {}), term)
+                if acc:
+                    out[key] = acc
+                else:
+                    out.pop(key, None)
+    return out
+
+
 def naive_d(g, n):
     out = {}
     for b in range(2 * n):

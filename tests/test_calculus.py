@@ -1,5 +1,7 @@
 """Exterior calculus identities and Courant bracket, against frozen
 hand-computed values and the independent term-by-term oracle."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from gkw.frames import real_coframe, real_coordinates
 from gkw.poly import QI_HALF, ComplexPolynomial
 
 from generators import ddy_field, rand_poly, rand_qi, rand_section, rand_section_parts
-from naive_calculus import (TwoPartSection, naive_courant, two_part_pairing_poly,
-                            unfolded_courant_bracket)
+from naive_calculus import (TwoPartSection, naive_courant, naive_iota_form,
+                            two_part_pairing_poly, unfolded_courant_bracket)
 
 
 def to_raw(p):
@@ -64,6 +66,26 @@ def test_interior_product_examples():
     assert got == Form(n, 1, {(2,): -z0})
     with pytest.raises(ValueError):
         interior_product(VectorField.frame(n, 0), Form.from_function(z0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_interior_product_matches_the_raw_oracle(n):
+    """The contracted index at every position of every 2- and 3-form key:
+    the same keys and terms, in the same order, as ``naive_iota_form``."""
+    rng = np.random.default_rng(1910 + n)
+    for degree in (2, 3):
+        keys = list(combinations(range(2 * n), degree))
+        for idx in keys:
+            for a in idx:
+                X = VectorField(n, {a: rand_poly(rng, n, 3, 2)} | {
+                    b: rand_poly(rng, n, 3, 2) for b in range(2 * n) if b != a and rng.random() < 0.3})
+                w = Form(n, degree, {idx: rand_poly(rng, n, 3, 2)} | {
+                    k: rand_poly(rng, n, 3, 2) for k in keys if k != idx and rng.random() < 0.3})
+                got = interior_product(X, w)
+                want = naive_iota_form({b: to_raw(p) for b, p in X.comps.items()},
+                                       {k: to_raw(p) for k, p in w.comps.items()})
+                assert (got.n, got.degree) == (n, degree - 1)
+                assert [(k, to_raw(p)) for k, p in got.comps.items()] == list(want.items())
 
 
 def test_interior_product_square_zero_on_two_forms():

@@ -202,3 +202,13 @@ def test_generalized_section_zero_takes_the_common_signature():
         for degree in (0, 2):
             with pytest.raises(ValueError):
                 GeneralizedSection.zero(n, degree)
+
+
+def test_vector_field_zero_takes_the_common_signature():
+    for n in NS:
+        z = VectorField.zero(n, 1)
+        assert type(z) is VectorField and z.is_zero and z.degree == 1
+        assert z == VectorField.zero(n) == VectorField.frame(n, 0) - VectorField.frame(n, 0)
+        for degree in (0, 2):
+            with pytest.raises(ValueError):
+                VectorField.zero(n, degree)

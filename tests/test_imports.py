@@ -1,7 +1,9 @@
 """Every name a module of the package or of the test suite imports is used
-in it (an AST scan; the package ``__init__`` re-exports and is exempt), and
-every function, class and method the package defines is referenced from the
-package, the tests, the benchmark or the scripts."""
+in it (an AST scan; the package ``__init__`` re-exports and is exempt), a
+module of the package imports inside a function only to break an import
+cycle of the package, and every function, class and method the package
+defines is referenced from the package, the tests, the benchmark or the
+scripts."""
 import ast
 from pathlib import Path
 
@@ -36,6 +38,36 @@ def test_every_import_is_used(path):
 def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom a.b import c as d, e\nprint(e)\n") == [(1, "os"),
                                                                                  (2, "d")]
+
+
+def local_imports(source):
+    """The (line, module) of each import inside a function of ``source``
+    that is not a relative package import.  A relative import there may
+    break an import cycle of the package (``calculus`` imports ``frames``
+    that way); any other import belongs at module level."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    found.update((node.lineno, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    found.add((node.lineno, node.module))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "gkw").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_function_local_imports_only_break_cycles(path):
+    assert local_imports(path.read_text()) == []
+
+
+def test_scan_sees_a_function_local_import():
+    source = ("import os\n"
+              "def f():\n    from math import floor\n    return floor(os.sep)\n"
+              "def g():\n    from .frames import h   # frames imports this module\n"
+              "    def k():\n        import json, re\n")
+    assert local_imports(source) == [(3, "math"), (8, "json"), (8, "re")]
 
 
 def unreferenced_definitions(package, sources):

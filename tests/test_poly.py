@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from gkw.poly import QI, ComplexPolynomial, LinearSubstitution
 
+from naive_calculus import p_diff
+
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 qis = st.builds(QI, fractions, fractions)
 
@@ -62,6 +64,24 @@ def test_wirtinger_leibniz():
     left = (p * q).wirtinger(0, holomorphic=False)
     right = p.wirtinger(0, holomorphic=False) * q + p * q.wirtinger(0, holomorphic=False)
     assert left == right
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wirtinger_matches_the_raw_oracle(n):
+    """Non-real coefficients, exponents up to 3, every one of the 2n
+    directions: the same terms in the same order as ``p_diff``."""
+    rng = np.random.default_rng(1900 + n)
+    for _ in range(25):
+        terms = {}
+        for _ in range(int(rng.integers(1, 7))):
+            e = tuple(int(rng.integers(0, 4)) for _ in range(2 * n))
+            terms[e] = QI(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))),
+                          Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 5))))
+        p = ComplexPolynomial(n, terms)
+        raw = {e: (c.re, c.im) for e, c in p.terms.items()}
+        for idx in range(2 * n):
+            got = p.wirtinger(idx % n, holomorphic=idx < n)
+            assert [(e, (c.re, c.im)) for e, c in got.terms.items()] == list(p_diff(raw, idx).items())
 
 
 def test_evaluate_matches_float_arithmetic():
