@@ -4,9 +4,9 @@ Each case packages a Scenario with its expected quotient strata (used as
 golden values by the verification suite) and a short provenance note.
 The deformation scale is fixed at build time by deterministic halving from
 t = 1 until the deformed pair validates at every probe sample.  Each round
-of probe samples is checked as one stack of deformed pairs
-(``DeformedKahlerRecipe.pairs_at``), with the decision a loop over its
-points would take.
+of probe samples is built by ``pairs_once``, one stack of deformed pairs
+(``DeformedKahlerRecipe.pairs_at``), which raises the error of the
+earliest failing point, as a loop over the points would.
 
 Invariance of each deformation under its connected group is certified
 exactly as L_X eps = 0 along a basis of the Lie algebra's fields
@@ -32,8 +32,8 @@ from .linear import LinearGC, ValidationError, b_conjugate
 from .pipeline import (ClosureFamily, ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
-                       df_contraction_is_zero, gm_pairing_is_zero, sample_level_set,
-                       tangent_to_level)
+                       df_contraction_is_zero, gm_pairing_is_zero, pairs_once,
+                       sample_level_set, tangent_to_level)
 from .poly import QI, ComplexPolynomial
 from .polytope import (AlphaResult, PolytopeSpec, _feasible_point, cp2_blowup1_polytope,
                        cp2_polytope, find_alpha, hirzebruch_polytope)
@@ -69,10 +69,10 @@ def _fit_deformation_scale(make_scenario) -> Fraction:
     samples more extreme than any probe.  The probe points do not depend
     on t, so each round is sampled once, when first needed.
 
-    A round is checked as one stack (``recipe.pairs_at``) and decided as a
-    loop over its points would decide: the earliest point that fails
-    decides; a ValidationError there rejects t, any other error (an
-    IndeterminateRankError) propagates, and later rounds are not drawn."""
+    A round is built by ``pairs_once``, which raises the error of its
+    earliest failing point: a ValidationError rejects t, any other error
+    (an IndeterminateRankError) propagates, and later rounds are not
+    drawn."""
     rounds = {}
 
     def valid_at_probes(t):
@@ -82,9 +82,7 @@ def _fit_deformation_scale(make_scenario) -> Fraction:
                 if round_ not in rounds:
                     rounds[round_] = sample_level_set(scen, PROBE_COUNT,
                                                       PROBE_SEED + round_).points
-                for result in scen.recipe.pairs_at(rounds[round_]):
-                    if isinstance(result, Exception):
-                        raise result
+                pairs_once(scen.recipe, rounds[round_])
         except ValidationError:
             return False
         return True
@@ -437,6 +435,7 @@ def closure_families(case: CatalogCase, pair_at=None):
     n = scen.n
     fams = []
     recipe = scen.recipe
+    pair_at = pair_at or recipe.pair_at
     if isinstance(recipe, RealifiedRecipe) and isinstance(recipe.base, ConstantPairRecipe):
         # flat hyper-Kahler: fields xi_M and the sigma-minus Hamiltonian
         # field of mu_K; eigenbundle sections of the constant base pair
@@ -455,22 +454,18 @@ def closure_families(case: CatalogCase, pair_at=None):
             name="df-perp+L1(base)", sections=secs,
             symbolic_check=df_contraction_is_zero(scen.moment),
             structure_at=lambda z: base_pair.J1))
-        fams.append(ClosureFamily(
-            name="invariant-gM-perp", sections=_invariant_gm_perp_sections(scen),
-            symbolic_check=gm_pairing_is_zero(scen.action)))
-        return fams
-    pair_at = pair_at or recipe.pair_at
-    omega = standard_symplectic_form(n)
-    if isinstance(scen.action, TorusAction):
-        Xs = _torus_df_perp_fields(scen)
     else:
-        Xs = _unitary_df_perp_fields(scen.action)
-    secs = [GeneralizedSection(X, interior_product(X, omega).scale(QI(0, -1)))
-            for X in Xs]
-    fams.append(ClosureFamily(
-        name="df-perp+L1", sections=secs,
-        symbolic_check=df_contraction_is_zero(scen.moment),
-        structure_at=lambda z: pair_at(z).J1))
+        omega = standard_symplectic_form(n)
+        if isinstance(scen.action, TorusAction):
+            Xs = _torus_df_perp_fields(scen)
+        else:
+            Xs = _unitary_df_perp_fields(scen.action)
+        secs = [GeneralizedSection(X, interior_product(X, omega).scale(QI(0, -1)))
+                for X in Xs]
+        fams.append(ClosureFamily(
+            name="df-perp+L1", sections=secs,
+            symbolic_check=df_contraction_is_zero(scen.moment),
+            structure_at=lambda z: pair_at(z).J1))
     fams.append(ClosureFamily(
         name="invariant-gM-perp", sections=_invariant_gm_perp_sections(scen),
         symbolic_check=gm_pairing_is_zero(scen.action)))

@@ -7,7 +7,12 @@ are stored as real 2m x 2m matrices; eigenbundle work happens in C^{2m}.
 
 The validation checks of a structure and of a pair act on the last two axes
 of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
-a single structure is checked as a stack of one.
+a single structure is checked as a stack of one.  A structure check is
+J^2 = -1 with eta-orthogonality (these make the +i eigenbundle L isotropic:
+<v, w> = <Jv, Jw> = -<v, w> on L), then dim L = m and L cap conj(L) = 0.  A
+pair check is G = -J1 J2 with G^2 = 1 (for two structures, exactly when
+they commute) and eta-orthogonal, then G^T eta positive definite.  A row of
+a stack is rejected at its first failed check, with that check's error.
 
 Every rank threshold is an explicit argument.  Structures are validated,
 deformed and reduced at the fixed RANK_TOL and VALIDATION_TOL, so a
@@ -258,10 +263,9 @@ class LinearGC:
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
             raise ValidationError("J must be square of even dimension 2m")
         out = _Outcomes(1)
-        _, Lh, norm = _check_structures(J[None], out)
+        _, Lh = _check_structures(J[None], out)
         out.raise_first()
         object.__setattr__(self, "_L", ComplexSubspace(Lh[0].T))
-        object.__setattr__(self, "_norm", norm[0])
 
     @property
     def m(self) -> int:
@@ -353,33 +357,28 @@ class LinearGC:
 
 def _check_structures(J, out: _Outcomes):
     """The checks of LinearGC on a stack J of real 2m x 2m matrices (the
-    rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality,
-    then the +i eigenbundle L = nullspace(J - i): its dimension, isotropy
-    and L cap conj(L) = 0.  Returns (J, Lh, norm) for the rows that pass,
-    with the columns of Lh[k].T spanning L of row k and norm[k] the
-    spectral norm of J[k]."""
+    rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality
+    (which make the +i eigenbundle L = nullspace(J - i) isotropic), then
+    dim L = m and L cap conj(L) = 0.  Returns (J, Lh) for the rows that
+    pass, with the columns of Lh[k].T spanning L of row k."""
     d = J.shape[-1]
     m = d // 2
     E = eta(m)
-    norm = _norm2(J)
-    scale = np.maximum(1.0, norm)
+    scale = np.maximum(1.0, _norm2(J))
     r_sq = _fro(J @ J + np.eye(d)) / scale
     r_orth = _fro(np.swapaxes(J, -1, -2) @ E @ J - E) / scale ** 2
     bad = (r_sq > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
-    (J, norm) = out.reject(bad, lambda k: ValidationError(
+    (J,) = out.reject(bad, lambda k: ValidationError(
         f"not a generalized complex structure: |J^2+I|={r_sq[k]:.3e}, "
-        f"|J^T eta J - eta|={r_orth[k]:.3e}"), J, norm)
+        f"|J^T eta J - eta|={r_orth[k]:.3e} (J^2 = -1 and eta-orthogonality, "
+        f"which make the +i eigenbundle isotropic)"), J)
     vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), RANK_TOL)
-    (J, norm, vh) = out.reject(dim != m, lambda k: ValidationError(
-        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, norm, vh)
+    (J, vh) = out.reject(dim != m, lambda k: ValidationError(
+        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, vh)
     Lh = vh[:, m:, :].conj()
     L = np.swapaxes(Lh, -1, -2)
-    iso = np.abs(Lh @ E @ L).max(axis=(-2, -1))
-    (J, norm, Lh, L) = out.reject(iso > ISOTROPY_TOL, lambda k: ValidationError(
-        f"eigenbundle not isotropic: max pairing {iso[k]:.3e}"), J, norm, Lh, L)
     rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), RANK_TOL)
-    return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"),
-                      J, Lh, norm)
+    return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"), J, Lh)
 
 
 def _real_structures(B, dims, out: _Outcomes):
@@ -441,7 +440,7 @@ class KahlerPairNum:
         if J1.shape != J2.shape:
             raise ValidationError("pair members act on different spaces")
         out = _Outcomes(1)
-        _check_pairs(J1[None], J2[None], self.J1._norm, self.J2._norm, out)
+        _check_pairs(J1[None], J2[None], out)
         out.raise_first()
 
     @property
@@ -453,18 +452,13 @@ class KahlerPairNum:
         return -self.J1.J @ self.J2.J
 
 
-def _check_pairs(J1, J2, norm1, norm2, out: _Outcomes, *carry):
-    """The checks of KahlerPairNum on stacks J1, J2 (the rows of ``out``
-    still alive) with their spectral norms, as _check_structures found
-    them, in order: J1 and J2 commute, G = -J1 J2 has G^2 = 1 and is
-    eta-orthogonal, and G^T eta is positive definite.  Returns the
-    ``carry`` arrays, aligned with the rows, cut to the rows that pass."""
+def _check_pairs(J1, J2, out: _Outcomes, *carry):
+    """The checks of KahlerPairNum on stacks J1, J2 of structures (the rows
+    of ``out`` still alive), in order: G = -J1 J2 has G^2 = 1 (J1 and J2
+    commute) and is eta-orthogonal, then G^T eta is positive definite.
+    Returns the ``carry`` arrays cut to the rows that pass."""
     d = J2.shape[-1]
     E = eta(d // 2)
-    scale = np.maximum(1.0, norm1 * norm2)
-    r_comm = _fro(J1 @ J2 - J2 @ J1) / scale
-    (J1, J2, *carry) = out.reject(r_comm > 1e-9, lambda k: ValidationError(
-        f"structures do not commute: residual {r_comm[k]:.3e}"), J1, J2, *carry)
     G = -J1 @ J2
     GT = np.swapaxes(G, -1, -2)
     gscale = np.maximum(1.0, _norm2(G) ** 2)
@@ -472,7 +466,8 @@ def _check_pairs(J1, J2, norm1, norm2, out: _Outcomes, *carry):
     r_orth = _fro(GT @ E @ G - E) / gscale
     bad = (r_inv > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
     (GT, *carry) = out.reject(bad, lambda k: ValidationError(
-        f"G fails metric identities: |G^2-I|={r_inv[k]:.3e}"), GT, *carry)
+        f"G = -J1 J2 fails metric identities: |G^2-I|={r_inv[k]:.3e} (G^2 = 1 exactly "
+        f"when J1 and J2 commute), |G^T eta G - eta|={r_orth[k]:.3e}"), GT, *carry)
     Q = GT @ E
     ev_min = np.linalg.eigvalsh((Q + np.swapaxes(Q, -1, -2)) / 2).min(axis=-1)
     return out.reject(ev_min <= VALIDATION_TOL, lambda k: ValidationError(
@@ -491,10 +486,10 @@ class QuotientBasis:
     """
 
     Q: np.ndarray          # m x q, real, subspace of V
-    JQ: np.ndarray         # m x q covectors J(Q)
     P: np.ndarray          # 2m x 2q
     C: np.ndarray          # 2m x 2k representative basis
     k: int                 # quotient V~ dimension
+    isotropy: float        # max |<P, P>|, at most ISOTROPY_TOL
 
 
 def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
@@ -527,11 +522,10 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     B, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     C = np.hstack([np.vstack([Vc, np.zeros((m, k))]),
                    np.vstack([np.zeros((m, k)), B])])
-    qb = QuotientBasis(Q=Q, JQ=JQ, P=P, C=C, k=k)
     resid = np.linalg.norm(C.T @ E @ C - eta(k))
     if resid > 1e-8:
         raise ValidationError(f"quotient basis pairing residual {resid:.3e}")
-    return qb
+    return QuotientBasis(Q=Q, P=P, C=C, k=k, isotropy=iso)
 
 
 def _quotient_matrices(W, qb: QuotientBasis, *Js):
@@ -591,7 +585,7 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     """The checks of deform_gcs on a stack K of contraction operators:
     L_eps = L2 + t K eta L2 meets its conjugate only in 0 (with a clear
     rank gap), then the real structure with eigenbundle L_eps and its
-    LinearGC checks.  Returns (J, Lh, norm) for the rows that pass, as
+    LinearGC checks.  Returns (J, Lh) for the rows that pass, as
     _check_structures does."""
     m = J2.m
     L2 = J2.eigenbundle().basis
@@ -604,9 +598,9 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     return _check_structures(J, out)
 
 
-def _structures(J, Lh, norm) -> list:
+def _structures(J, Lh) -> list:
     """The LinearGC of each row that passed _check_structures."""
-    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T), _norm=norm[k])
+    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T))
             for k in range(len(J))]
 
 
@@ -628,10 +622,9 @@ def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
     K = np.asarray(K)
     stack = K if K.ndim == 3 else K[None]
     out = _Outcomes(len(stack))
-    J, Lh, norm = _deformed_structures(pair.J2, stack, t, out)
-    J, Lh, norm = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, pair.J1._norm, norm,
-                               out, J, Lh, norm)
-    for i, J2 in zip(out.alive, _structures(J, Lh, norm)):
+    J, Lh = _deformed_structures(pair.J2, stack, t, out)
+    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, Lh)
+    for i, J2 in zip(out.alive, _structures(J, Lh)):
         out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2)
     if K.ndim == 3:
         return out.results

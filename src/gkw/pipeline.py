@@ -5,11 +5,18 @@ A run samples the level set once (the sampler keeps the fundamental-field
 frame Q and the moment-map differentials dF it checked at each accepted
 point) and builds each sample's structure pair once (``pairs_once``; a
 deformed recipe checks its pairs in stacks of at most ``PAIR_STACK_ROWS``
-points).  The quotient at each point reuses that pair, Q and dF, and is
-one ``QuotientRow``: the upstairs and quotient types, dim(k_M cap pi L2),
-the residual diagnostics, the quotient pair and its basis.  ``type_table``
-collects those rows, and the report's type-table, formula and bi-Hermitian
-sections read them directly.
+points).  A pair passes the checks of ``linear``: per structure J^2 = -1
+and eta-orthogonality (so its eigenbundle is isotropic), then the
+eigenbundle's dimension and L cap conj(L) = 0; per pair G^2 = 1 (so J1 and
+J2 commute), G eta-orthogonal and G^T eta positive.  The earliest failure
+decides: ``pairs_once`` raises the error of the earliest point whose pair
+fails, as a loop of ``pair_at`` would, so a report holds valid pairs only;
+the catalog's deformation-scale fit rejects a probe round by the same rule.
+The quotient at each point reuses that pair, Q and dF, and is one
+``QuotientRow``: the upstairs and quotient types, dim(k_M cap pi L2), the
+residual diagnostics (P-isotropy as ``quotient_basis`` checked it), the
+quotient pair and its basis.  ``type_table`` collects those rows, and the
+report's type-table, formula and bi-Hermitian sections read them directly.
 """
 from __future__ import annotations
 
@@ -25,13 +32,12 @@ from .calculus import Form, courant_bracket, exterior_derivative, interior_produ
 from .deformation import DeformationBivector, LMultivector
 from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
-                     contraction_operator, deform_pair, eta, extract_bihermitian,
+                     contraction_operator, deform_pair, extract_bihermitian,
                      reduce_pair, subspace_intersection_dim)
 from .poly import QI, ComplexPolynomial
 
 FREENESS_TOL = 1e-8
 LEVEL_TOL = 1e-12
-P_ISOTROPY_TOL = 1e-9
 MOMENT_CONDITION_TOL = 1e-8   # relative residual of J1(xi_M) = df at a table row
 MEMBERSHIP_TOL = 1e-9         # residual of a section outside an eigenbundle
 STRATUM_TOL = 1e-10           # |z_j| below this counts as z_j = 0 on a stratum
@@ -497,37 +503,24 @@ def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     return SampleBatch(points, labels, rejected, Qs, DFs)
 
 
-def _pair_or_error(recipe, z):
-    try:
-        return recipe.pair_at(z)
-    except ValidationError as exc:
-        return exc
-
-
 def pairs_once(recipe, points):
     """Build the recipe's pair once at each point; return the lookup
     z -> pair over those points.  A recipe with ``pairs_at`` builds them in
     stacks of at most PAIR_STACK_ROWS points, the same pairs ``pair_at``
-    builds one by one.  At a point whose pair failed validation the lookup
-    raises that ValidationError, each time it is asked; any other error
-    building a pair propagates."""
+    builds one by one.  The error of the earliest point whose pair fails
+    is raised here, and no later stack is built: the error a loop of
+    ``pair_at`` over the points raises first."""
     if hasattr(recipe, "pairs_at"):
-        pairs = [pair for i in range(0, len(points), PAIR_STACK_ROWS)
-                 for pair in recipe.pairs_at(points[i:i + PAIR_STACK_ROWS])]
+        pairs = []
+        for i in range(0, len(points), PAIR_STACK_ROWS):
+            for pair in recipe.pairs_at(points[i:i + PAIR_STACK_ROWS]):
+                if isinstance(pair, Exception):
+                    raise pair
+                pairs.append(pair)
     else:
-        pairs = [_pair_or_error(recipe, z) for z in points]
-    built = {}
-    for z, pair in zip(points, pairs):
-        if isinstance(pair, Exception) and not isinstance(pair, ValidationError):
-            raise pair
-        built[np.asarray(z, dtype=complex).tobytes()] = pair
-
-    def pair_at(z) -> KahlerPairNum:
-        pair = built[np.asarray(z, dtype=complex).tobytes()]
-        if isinstance(pair, ValidationError):
-            raise pair
-        return pair
-    return pair_at
+        pairs = [recipe.pair_at(z) for z in points]
+    built = {np.asarray(z, dtype=complex).tobytes(): pair for z, pair in zip(points, pairs)}
+    return lambda z: built[np.asarray(z, dtype=complex).tobytes()]
 
 
 # -- quotients ------------------------------------------------------------------
@@ -569,8 +562,6 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     r_moment = float(np.linalg.norm(pair.J1.J @ lift - expect)
                      / max(1.0, np.linalg.norm(DF)))
     pair_q, qb = reduce_pair(pair, Q)
-    E = eta(2 * n)
-    r_iso = float(np.abs(qb.P.T @ E @ qb.P).max())
     piL2 = pair.J2.eigenbundle().projection_to_tangent(tol)
     kM = ComplexSubspace.from_columns(Q.astype(complex), tol)
     dim_int, gap_int = subspace_intersection_dim(kM, piL2, require_determinate=False,
@@ -586,7 +577,7 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
         dim_k_cap_piL2=dim_int,
         type_j1_up=t1u, type_j2_up=t2u,
         indeterminate=not (gap_int and g1u and g2u and g1q and g2q),
-        diagnostics={"moment_condition": r_moment, "p_isotropy": r_iso},
+        diagnostics={"moment_condition": r_moment, "p_isotropy": qb.isotropy},
         pair_quot=pair_q, qbasis=qb)
 
 

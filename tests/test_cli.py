@@ -1,4 +1,5 @@
 """CLI driver: determinism, exit codes, emission formats, scenario files."""
+import dataclasses
 import json
 import multiprocessing.pool
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import gkw
 from gkw import report
+from gkw.actions import MomentMapPoly
 from gkw.catalog import build_case, catalog_names
 from gkw.cli import main
 from gkw.linear import ValidationError
@@ -60,17 +62,34 @@ def test_header_echoes_the_tolerances_in_force():
     tols = rep["header"]["tolerances"]
     assert tols == {"rank": linear.RANK_TOL, "structure_rank": linear.RANK_TOL,
                     "validation": linear.VALIDATION_TOL,
-                    "isotropy": pipeline.P_ISOTROPY_TOL,
+                    "isotropy": linear.ISOTROPY_TOL,
                     "freeness": pipeline.FREENESS_TOL, "level": pipeline.LEVEL_TOL,
                     "moment_condition": pipeline.MOMENT_CONDITION_TOL,
                     "membership": pipeline.MEMBERSHIP_TOL}
     # the same objects, not copies of their values
     assert tols["structure_rank"] is linear.RANK_TOL
-    assert tols["isotropy"] is pipeline.P_ISOTROPY_TOL
+    assert tols["isotropy"] is linear.ISOTROPY_TOL
     assert tols["freeness"] is pipeline.FREENESS_TOL
     assert tols["level"] is pipeline.LEVEL_TOL
     assert tols["moment_condition"] is pipeline.MOMENT_CONDITION_TOL
     assert tols["membership"] is pipeline.MEMBERSHIP_TOL
+
+
+def test_a_moment_map_off_by_a_factor_fails_the_type_table(monkeypatch):
+    # kahler-c3 with its moment map and level doubled: the level set is the
+    # same, but J1(xi_M) = df differs from d(2f) by df at every row
+    case = build_case("kahler-c3")
+    scen = case.scenario
+    moment = MomentMapPoly(tuple(f * 2 for f in scen.moment.f),
+                           tuple(h * 2 for h in scen.moment.h))
+    doubled = dataclasses.replace(case, scenario=dataclasses.replace(
+        scen, moment=moment, level=tuple(2 * x for x in scen.level)))
+    monkeypatch.setattr(report, "build_case", lambda name: doubled)
+    rep = run(RunConfig(command="deform", case="kahler-c3", samples=4, seed=7))
+    table = rep["sections"]["type_table"]
+    assert [r["moment_condition"] for r in table["rows"]] == pytest.approx([0.5] * 4)
+    assert table["pass"] is False
+    assert rep["exit_code"] == 1
 
 
 def test_seed_changes_output():
@@ -195,6 +214,36 @@ def _scenario_file(tmp_path, edit):
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _not_invariant(doc):
+    # Y = z0 d/dz1 has circle weight 0 and Z = d/dz2 weight -1, so eps = Y^Z
+    # + ... is not invariant under the diagonal circle
+    doc["strata"] = []
+    doc["structure"]["t"] = "1/4"
+    doc["structure"]["deformation"]["Y"] = {"1": [[1, 1, 0, 1, [1, 0, 0, 0, 0, 0]]]}
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_scenario_file_deformation_is_certified_invariant(tmp_path, capsys, command):
+    path = _scenario_file(tmp_path, _not_invariant)
+    code, out = run_cli([command, "--scenario", str(path), "--samples", "6",
+                         "--format", "json"], capsys)
+    sections = json.loads(out)["sections"]
+    assert sections["invariance"] == {
+        "checks": [{"name": "torus-invariance(exact)", "pass": False}], "pass": False}
+    assert [name for name, sec in sections.items() if not sec["pass"]] == ["invariance"]
+    assert code == 1
+
+
+def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
+    # the unedited file is the README's example up to its name
+    path = _scenario_file(tmp_path, lambda doc: None)
+    code, out = run_cli(["reduce", "--scenario", str(path), "--samples", "6",
+                         "--format", "json"], capsys)
+    assert json.loads(out)["sections"]["invariance"] == {
+        "checks": [{"name": "torus-invariance(exact)", "pass": True}], "pass": True}
+    assert code == 0
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -117,6 +117,21 @@ def test_constructor_validity_200_seeded():
         assert np.abs(L.basis.T @ E @ L.basis).max() < 1e-9
 
 
+def test_structure_check_rejects_a_square_root_of_minus_one_that_is_not_orthogonal():
+    # S J S^-1 squares to -1 exactly, but for S not eta-orthogonal its +i
+    # eigenbundle is not isotropic; the one check that implies isotropy
+    # rejects it and names both of its conditions
+    S = np.diag([2.0, 1.0, 1.0, 1.0])
+    J = S @ LinearGC.from_complex(std_complex(1)).J @ np.linalg.inv(S)
+    assert np.array_equal(J @ J, -np.eye(4))
+    L = linear.nullspace(J - 1j * np.eye(4))
+    assert np.abs(L.T @ eta(2) @ L).max() > 0.1
+    with pytest.raises(ValidationError, match=r"^not a generalized complex structure: "
+                       r"\|J\^2\+I\|=0\.000e\+00, \|J\^T eta J - eta\|=1\.976e-01 \(J\^2 = -1 "
+                       r"and eta-orthogonality, which make the \+i eigenbundle isotropic\)$"):
+        LinearGC(J)
+
+
 def test_product_type_additivity():
     rng = np.random.default_rng(3)
     J1 = LinearGC.from_symplectic(rand_symplectic_map(rng, 2))
@@ -339,6 +354,33 @@ def test_wrong_omega_orientation_rejected():
     with pytest.raises(ValidationError, match="positive"):
         KahlerPairNum(LinearGC.from_symplectic(-std_omega_map(n)),
                       LinearGC.from_complex(std_complex(n)))
+
+
+def test_pair_check_rejects_two_structures_that_do_not_commute():
+    # J_std conjugated by a shear is tamed by omega_std but not compatible
+    # with it: both structures are valid and G^T eta stays positive
+    # definite, but J1 J2 != J2 J1, so G^2 != 1
+    A = np.eye(4)
+    A[0, 2] = 0.3
+    J1 = LinearGC.from_symplectic(std_omega_map(2))
+    J2 = LinearGC.from_complex(A @ std_complex(2) @ np.linalg.inv(A))
+    assert np.abs(J1.J @ J2.J - J2.J @ J1.J).max() > 0.1
+    GTE = (J1.J @ J2.J).T @ eta(4)
+    assert np.linalg.eigvalsh(-(GTE + GTE.T)).min() > 0.1
+    with pytest.raises(ValidationError, match=r"^G = -J1 J2 fails metric identities: "
+                       r"\|G\^2-I\|=6\.433e-01 \(G\^2 = 1 exactly when J1 and J2 commute\), "
+                       r"\|G\^T eta G - eta\|=0\.000e\+00$"):
+        KahlerPairNum(J1, J2)
+
+
+def test_quotient_basis_keeps_the_p_isotropy_it_checked():
+    # Q = span(d/dx1, d/dx2) is Lagrangian for omega_std, so P = Q + J(Q)
+    # is isotropic; Q = span(d/dx1, d/dy1) is symplectic, and it is not
+    J = LinearGC.from_symplectic(std_omega_map(2))
+    qb = linear.quotient_basis(J, np.eye(4)[:, [0, 2]])
+    assert qb.isotropy == np.abs(qb.P.T @ eta(4) @ qb.P).max() <= linear.ISOTROPY_TOL
+    with pytest.raises(ValidationError, match=r"^P = Q \+ J\(Q\) is not isotropic"):
+        linear.quotient_basis(J, np.eye(4)[:, :2])
 
 
 def test_extract_bihermitian_genuine_kahler():

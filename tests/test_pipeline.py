@@ -171,25 +171,20 @@ def test_reduce_builds_each_pair_once(name, monkeypatch):
     assert len({np.asarray(z).tobytes() for z in built}) == 8
 
 
-def test_failed_pair_is_an_error_row_then_raises_again(monkeypatch):
-    from gkw.report import _validation_section
-    case = build_case("cpn-2")
-    batch = sample_level_set(case.scenario, 4, 7)
-    bad = batch.points[1]
-    built = _count_pairs_built(monkeypatch, case.scenario.recipe, fail_at=bad)
-    pair_at = pairs_once(case.scenario.recipe, batch.points)
-    sec = _validation_section(batch, pair_at)
-    assert [r["pass"] for r in sec["rows"]] == [True, False, True, True]
-    assert sec["rows"][1]["error"] == "forced failure"
-    raised = []
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="forced failure") as info:
-            pair_at(bad)
-        raised.append(info.value)
-    assert raised[0] is raised[1]
-    assert len(built) == 4
-    with pytest.raises(ValidationError, match="forced failure"):
-        run(RunConfig(command="deform", case="cpn-2", samples=4, seed=7))
+def test_a_failed_pair_raises_where_the_pairs_are_built(monkeypatch):
+    # the failing point's error leaves pairs_once, so no report holds a
+    # failed pair: a stacked recipe builds its whole stack first, a recipe
+    # without pairs_at stops at the failing point
+    for name, built_before_raising in (("cpn-2", 4), ("hyperkahler-flat", 2)):
+        case = build_case(name)
+        batch = sample_level_set(case.scenario, 4, 7)
+        built = _count_pairs_built(monkeypatch, case.scenario.recipe,
+                                   fail_at=batch.points[1])
+        with pytest.raises(ValidationError, match="^forced failure$"):
+            pairs_once(case.scenario.recipe, batch.points)
+        assert len(built) == built_before_raising
+        with pytest.raises(ValidationError, match="^forced failure$"):
+            run(RunConfig(command="deform", case=name, samples=4, seed=7))
 
 
 @pytest.mark.parametrize("name", ["cpn-2", "grassmann-2-3", "toric-blowup1"])

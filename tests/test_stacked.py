@@ -9,6 +9,7 @@ import pytest
 
 from gkw import catalog
 from gkw.catalog import PROBE_COUNT, PROBE_ROUNDS, PROBE_SEED, T_MIN, build_case
+from gkw.cli import main
 from gkw.linear import (IndeterminateRankError, KahlerPairNum, ValidationError,
                         deform_pair, eta)
 from gkw.pipeline import (PAIR_STACK_ROWS, DeformedKahlerRecipe, _standard_pair,
@@ -53,21 +54,6 @@ def test_pairs_at_matches_pair_at(name):
         _assert_same_outcomes(stacked, _per_point(recipe, points))
         failed = sum(isinstance(r, Exception) for r in stacked)
         assert failed == 0 if t == scen.recipe.t else 0 < failed < len(points)
-
-
-@pytest.mark.parametrize("name", DEFORMED)
-def test_pairs_carry_the_spectral_norms_of_their_structures(name):
-    # the pair checks read the norms the structure checks found; each must
-    # be the one a fresh SVD of that structure gives, bit for bit
-    scen = build_case(name).scenario
-    points = sample_level_set(scen, PROBE_COUNT, PROBE_SEED).points
-    for t in (scen.recipe.t, Fraction(8)):
-        recipe = DeformedKahlerRecipe(scen.n, scen.recipe.eps, t)
-        pairs = [p for p in recipe.pairs_at(points) if isinstance(p, KahlerPairNum)]
-        assert pairs
-        for pair in pairs:
-            for J in (pair.J1, pair.J2):
-                assert J._norm == np.linalg.svd(J.J, compute_uv=False)[0]
 
 
 def test_deform_pair_stack_rejects_each_row_at_its_first_failed_check():
@@ -138,24 +124,33 @@ def test_pairs_once_matches_pair_at_across_stacks(monkeypatch, name, count):
     _assert_same_outcomes([pair_at(z) for z in points], _per_point(scen.recipe, points))
 
 
-def test_indeterminate_rank_in_a_stack_propagates_out_of_pairs_once(monkeypatch):
-    # a ValidationError in the first stack stays an error row; the
-    # IndeterminateRankError in the second stack is raised
+def test_pairs_once_raises_the_earliest_failing_points_error(monkeypatch, capsys):
+    # the earliest failing point decides, whatever its error: it is raised
+    # from its stack, later stacks are not built, and gkw reduce exits 3
     scen = build_case("cpn-2").scenario
     points = sample_level_set(scen, 2 * PAIR_STACK_ROWS, 7).points
-    forced = {points[3].tobytes(): ValidationError("forced failure"),
-              points[PAIR_STACK_ROWS + 2].tobytes(): IndeterminateRankError("forced failure")}
+    early, late = points[3].tobytes(), points[PAIR_STACK_ROWS + 2].tobytes()
+    forced = {}
+    sizes = _stack_sizes(monkeypatch)
     real = DeformedKahlerRecipe.pairs_at
 
     def pairs_at(self, pts):
         return [forced.get(z.tobytes(), r) for z, r in zip(pts, real(self, pts))]
     monkeypatch.setattr(DeformedKahlerRecipe, "pairs_at", pairs_at)
-    with pytest.raises(IndeterminateRankError, match="forced failure"):
+    for first, second in ((ValidationError, IndeterminateRankError),
+                          (IndeterminateRankError, ValidationError)):
+        forced.update({early: first("first failure"), late: second("second failure")})
+        sizes.clear()
+        with pytest.raises(first, match="^first failure$"):
+            pairs_once(scen.recipe, points)
+        assert sizes == [PAIR_STACK_ROWS]
+        assert main(["reduce", "--case", "cpn-2", "--samples", str(2 * PAIR_STACK_ROWS)]) == 3
+        assert capsys.readouterr().err == "scenario error: first failure\n"
+    del forced[early]
+    sizes.clear()
+    with pytest.raises(ValidationError, match="^second failure$"):
         pairs_once(scen.recipe, points)
-    del forced[points[PAIR_STACK_ROWS + 2].tobytes()]
-    pair_at = pairs_once(scen.recipe, points)
-    with pytest.raises(ValidationError, match="forced failure"):
-        pair_at(points[3])
+    assert sizes == [PAIR_STACK_ROWS] * 2
 
 
 # -- the deformation-scale fit -------------------------------------------------
