@@ -6,23 +6,38 @@
 One line per report: json and csv of ``reduce`` and ``deform`` for every
 catalog case at seeds 7 and 8 (12 samples), then the json of ``sweep`` at
 seed 7, then the json of ``catalog`` without its header, so that the last
-line follows only what the catalog builders produce.  Save the output on
-one commit; on another, ``--against FILE`` prints only the labels whose
-digest differs from FILE (or that either side lacks) and exits 1 if there
-is any, 0 if every report is byte-identical.
+line follows only what the catalog builders produce.  Each json line is
+followed by a ``verdict`` line: the digest of the same report with every
+float value removed (``perfbench.workloads.strip_floats``), so a change
+that moves only float diagnostics shows that its verdicts did not move.
+Save the output on one commit; on another, ``--against FILE`` prints only
+the labels whose digest differs from FILE (or that either side lacks) and
+exits 1 if there is any, 0 if every report is byte-identical.
 """
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from gkw.catalog import catalog_names  # noqa: E402
 from gkw.report import RunConfig, emit, run, run_sweep  # noqa: E402
+from perfbench.workloads import strip_floats  # noqa: E402
 
 SEEDS = (7, 8)
 SAMPLES = 12
+
+
+def with_verdict(label, payload):
+    """The json line (label, payload), then its verdict line: the label with
+    ``json`` read as ``verdict``, and the report without its float values."""
+    yield label, payload
+    skeleton = strip_floats(json.loads(payload))
+    yield label.replace("json", "verdict", 1), json.dumps(skeleton, sort_keys=True).encode()
 
 
 def reports():
@@ -31,11 +46,12 @@ def reports():
         for command in ("reduce", "deform"):
             for seed in SEEDS:
                 rep = run(RunConfig(command, case=name, samples=SAMPLES, seed=seed))
-                for fmt in ("json", "csv"):
-                    yield f"{command} {name} seed={seed} {fmt}", emit(rep, fmt)
-    yield "sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json")
+                yield from with_verdict(f"{command} {name} seed={seed} json", emit(rep, "json"))
+                yield f"{command} {name} seed={seed} csv", emit(rep, "csv")
+    yield from with_verdict("sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json"))
     catalog = run(RunConfig("catalog"))
-    yield "catalog json (no header)", emit({"sections": catalog["sections"]}, "json")
+    yield from with_verdict("catalog json (no header)",
+                            emit({"sections": catalog["sections"]}, "json"))
 
 
 def read_digests(path):

@@ -4,8 +4,50 @@ from fractions import Fraction
 import numpy as np
 
 from gkw.calculus import Form, GeneralizedSection, VectorField
-from gkw.linear import KahlerPairNum, LinearGC, b_field_matrix
+from gkw.linear import KahlerPairNum, LinearGC, ValidationError, b_field_matrix
 from gkw.poly import QI, QI_I, ComplexPolynomial
+
+
+REDUCTION_REJECT_SHARE = 0.05
+
+
+class ReductionTally:
+    """The two kinds of rejection in a seeded loop that checks a reduction
+    on ``checks`` generated instances, counted apart: the generator failing
+    to build an instance, and the reduction rejecting an admissible one.
+
+    The reduction may reject at most REDUCTION_REJECT_SHARE * ``checks``
+    inputs; that is also at most that share of all its inputs, since the
+    loop hands it at least ``checks`` more.  The tally fails at the first
+    rejection past that bound, so a reduction that rejects every input
+    fails instead of keeping the loop running.  A generator or reduction
+    consumes the loop's rng exactly as it would called directly."""
+
+    def __init__(self, checks: int):
+        self.checks = checks
+        self.generator_rejected = 0
+        self.inputs = 0
+        self.rejected = 0
+
+    def generate(self, generator, *args, **kwargs):
+        """generator(*args, **kwargs), or None if it builds no instance."""
+        try:
+            return generator(*args, **kwargs)
+        except (ValidationError, RuntimeError):
+            self.generator_rejected += 1
+            return None
+
+    def reduce(self, reduction, *args):
+        """reduction(*args), or None if it rejects its admissible input."""
+        self.inputs += 1
+        try:
+            return reduction(*args)
+        except ValidationError as exc:
+            self.rejected += 1
+            assert self.rejected <= REDUCTION_REJECT_SHARE * self.checks, (
+                f"the reduction rejected {self.rejected} of {self.inputs} admissible "
+                f"inputs, the last with: {exc}")
+            return None
 
 
 def rand_qi(rng, den=4):

@@ -1,0 +1,113 @@
+"""Reference oracle for the reduction's subspaces: the complex detour.
+
+This is the engine's earlier code, kept apart from ``gkw.linear`` so that
+the real nullspaces the reduction now takes are checked against an
+independent copy.  Every subspace is found in C^{2m} and its real span
+taken back; W-hat is the intersection of two complex nullspaces; the dual
+basis of the quotient frame is a least-squares solve whose pairing is
+checked afterwards; C+- come from an eigendecomposition of G, split at a
+window around +-1.
+"""
+import numpy as np
+
+from gkw.linear import (ISOTROPY_TOL, RANK_TOL, BiHermitianData, ComplexSubspace,
+                        KahlerPairNum, LinearGC, QuotientBasis, ValidationError,
+                        _quotient_matrices, eta, orthonormal_columns)
+
+PAIRING_TOL = 1e-8   # |C^T eta C - eta(k)| of the least-squares dual basis
+SPLIT_TOL = 1e-8     # |w -+ 1| of an eigenvalue of G counted in C+-
+
+
+def complex_nullspace(A, tol=RANK_TOL):
+    """Orthonormal complex basis of the numerical nullspace of A."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int((s > tol * max(1.0, s[0])).sum())
+    return vh[rank:].conj().T
+
+
+def real_span(X):
+    """Orthonormal real basis of the real span of the columns of X and of
+    their conjugates."""
+    return orthonormal_columns(np.hstack([X.real, X.imag]))
+
+
+def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
+    m = J1.m
+    Q = orthonormal_columns(np.asarray(Q, dtype=float))
+    q = Q.shape[1]
+    Wq = np.vstack([Q, np.zeros((m, q))])
+    JWq = J1.J @ Wq
+    if np.linalg.norm(JWq[:m, :]) > 1e-8:
+        raise ValidationError("J(Q) is not contained in V*")
+    JQ = JWq[m:, :]
+    P = np.hstack([Wq, JWq])
+    E = eta(m)
+    iso = float(np.abs(P.T @ E @ P).max()) if q else 0.0
+    if iso > ISOTROPY_TOL:
+        raise ValidationError(f"P = Q + J(Q) is not isotropic: residual {iso:.3e}")
+    # V0 = annihilator of J(Q) in V; complement of Q inside it
+    V0 = real_span(complex_nullspace(JQ.T))
+    Vc = orthonormal_columns(V0 - Q @ (Q.T @ V0))
+    k = Vc.shape[1]
+    if k != m - 2 * q:
+        raise ValidationError(f"quotient dimension {k} != m - 2q = {m - 2 * q}")
+    # duals: beta_i in ann(Q) with beta_i(v_j) = delta_ij (minimal norm)
+    A = np.vstack([Vc.T, Q.T])
+    rhs = np.vstack([np.eye(k), np.zeros((q, k))])
+    B, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    C = np.hstack([np.vstack([Vc, np.zeros((m, k))]),
+                   np.vstack([np.zeros((m, k)), B])])
+    resid = np.linalg.norm(C.T @ E @ C - eta(k))
+    if resid > PAIRING_TOL:
+        raise ValidationError(f"quotient basis pairing residual {resid:.3e}")
+    return QuotientBasis(Q=Q, P=P, C=C, k=k, isotropy=iso)
+
+
+def reduce_gcs(J: LinearGC, Q):
+    qb = quotient_basis(J, Q)
+    if qb.k == J.m:
+        return J, qb
+    Pperp = real_span(complex_nullspace(qb.P.T @ eta(J.m)))
+    W0 = orthonormal_columns(Pperp - qb.P @ np.linalg.lstsq(qb.P, Pperp, rcond=None)[0])
+    (Jq,) = _quotient_matrices(W0, qb, J.J)
+    return LinearGC(Jq), qb
+
+
+def reduce_pair(pair: KahlerPairNum, Q):
+    qb = quotient_basis(pair.J1, Q)
+    if qb.k == pair.m:
+        return pair, qb
+    E = eta(pair.m)
+    What_a = complex_nullspace(qb.P.T @ E)
+    What_b = complex_nullspace((pair.G @ qb.P).T @ E)
+    What = real_span(ComplexSubspace(What_a).intersect(ComplexSubspace(What_b)).basis)
+    if What.shape[1] != 2 * qb.k:
+        raise ValidationError(
+            f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")
+    J1q, J2q = _quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
+    return KahlerPairNum(LinearGC(J1q), LinearGC(J2q)), qb
+
+
+def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
+    m = pair.m
+    E = eta(m)
+    w, v = np.linalg.eig(pair.G)
+    out = {}
+    for s in (1, -1):
+        sel = np.abs(w - s) < SPLIT_TOL
+        if int(sel.sum()) != m:
+            raise ValidationError("metric eigenspace split failed tolerance")
+        Cb = real_span(v[:, sel])
+        if Cb.shape[1] != m:
+            raise ValidationError("metric eigenspace split failed tolerance")
+        lift = Cb @ np.linalg.inv(Cb[:m, :])
+        g = s * (lift.T @ E @ lift)
+        out[s] = ((g + g.T) / 2, (pair.J1.J @ lift)[:m, :])
+    gp, Ap = out[1]
+    gm, Am = out[-1]
+    if np.linalg.norm(gp - gm) > 1e-8 * max(1.0, np.linalg.norm(gp)):
+        raise ValidationError("C+ and C- induce different tangent metrics")
+    return BiHermitianData(g=gp, Jplus=-Ap, Jminus=Am)

@@ -18,15 +18,14 @@ from gkw.actions import MomentMapPoly
 from gkw.calculus import VectorField, courant_bracket, exterior_derivative
 from gkw.catalog import build_case, catalog_names, closure_families, hyperkahler_pair
 from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
-from gkw.linear import (ComplexSubspace, LinearGC, ValidationError,
-                        eta, reduce_gcs, reduce_pair,
+from gkw.linear import (ComplexSubspace, LinearGC, eta, reduce_gcs, reduce_pair,
                         restricted_projection_dim, subspace_intersection_dim)
 from gkw.pipeline import (DeformedKahlerRecipe, quotient_bihermitian,
                           run_closure_families, sample_level_set, type_table,
                           verify_moment_map, verify_type_formula)
 from gkw.poly import ComplexPolynomial
 
-from generators import (point_to_real, rand_antisym, rand_gc,
+from generators import (ReductionTally, point_to_real, rand_antisym, rand_gc,
                         rand_gc_with_admissible_q, rand_lbar_section,
                         rand_pair_with_admissible_q, rand_section)
 from naive_calculus import naive_courant, naive_schouten
@@ -151,27 +150,30 @@ def test_criterion_06_reduction_identity_suite():
             count += 1
     # quotient type preservation
     rng = np.random.default_rng(31415)
+    tally = ReductionTally(checks=300)
     for m in (4, 6, 8):
         count = 0
         while count < 100:
-            try:
-                J, Q = rand_gc_with_admissible_q(rng, m, int(rng.integers(1, m // 2)))
-                Jq, _ = reduce_gcs(J, Q)
-            except (ValidationError, RuntimeError):
+            made = tally.generate(rand_gc_with_admissible_q, rng, m,
+                                  int(rng.integers(1, m // 2)))
+            reduced = made and tally.reduce(reduce_gcs, *made)
+            if not reduced:
                 continue
+            (J, Q), (Jq, _) = made, reduced
             ok = ok and Jq.type_of() == J.type_of()
             count += 1
     # pair-quotient type formula, on its reliable domain
     rng = np.random.default_rng(161803)
+    tally = ReductionTally(checks=300)
     for m in (4, 6, 8):
         count = 0
         while count < 100:
-            try:
-                pair, Q = rand_pair_with_admissible_q(
-                    rng, m, int(rng.integers(1, max(2, m // 2))), allow_hk=False)
-                pq, _ = reduce_pair(pair, Q)
-            except (ValidationError, RuntimeError):
+            made = tally.generate(rand_pair_with_admissible_q, rng, m,
+                                  int(rng.integers(1, max(2, m // 2))), allow_hk=False)
+            reduced = made and tally.reduce(reduce_pair, *made)
+            if not reduced:
                 continue
+            (pair, Q), (pq, _) = made, reduced
             QC = ComplexSubspace.from_columns(Q.astype(complex))
             piL2 = pair.J2.eigenbundle().projection_to_tangent()
             dcap, gap_ok = subspace_intersection_dim(QC, piL2, require_determinate=False)

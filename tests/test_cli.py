@@ -236,6 +236,24 @@ def test_scenario_file_deformation_is_certified_invariant(tmp_path, capsys, comm
     assert code == 1
 
 
+def _not_maurer_cartan(doc):
+    # Y = zbar0 d/dz1 is not holomorphic, so [eps, eps] != 0 for eps = Y^Z +
+    # ...; Y has circle weight -2, so eps is not invariant either
+    doc["structure"]["t"] = "1/4"
+    doc["structure"]["deformation"]["Y"] = {"1": [[1, 1, 0, 1, [0, 0, 0, 1, 0, 0]]]}
+
+
+def test_scenario_file_off_maurer_cartan_fails_its_section(tmp_path, capsys):
+    path = _scenario_file(tmp_path, _not_maurer_cartan)
+    code, out = run_cli(["reduce", "--scenario", str(path), "--samples", "6",
+                         "--format", "json"], capsys)
+    sections = json.loads(out)["sections"]
+    assert sections["maurer_cartan"] == {"applicable": True, "exact_zero": False,
+                                         "pass": False}
+    assert sections["invariance"]["pass"] is False
+    assert code == 1
+
+
 def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
     # the unedited file is the README's example up to its name
     path = _scenario_file(tmp_path, lambda doc: None)
