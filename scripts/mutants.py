@@ -79,6 +79,10 @@ MUTANTS = (
            '"exact_zero": res.is_zero, "pass": res.is_zero}',
            '"exact_zero": res.is_zero, "pass": True}',
            ("tests/test_cli.py::test_scenario_file_off_maurer_cartan_fails_its_section",)),
+    Mutant("recorded-t-wrong", "catalog.py",
+           '"hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 32)),',
+           '"hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 16)),',
+           ("tests/test_catalog.py::test_fit_returns_the_recorded_scale",)),
     Mutant("pairs-once-swallows-errors", "pipeline.py",
            "                    raise pair\n",
            "                    pass\n",

@@ -127,34 +127,6 @@ class UnitaryAction:
     def fundamental_fields(self):
         return [self.fundamental_field(i) for i in range(self.dim_group)]
 
-    def group_element_exact(self, params):
-        """A rational-entry element of U(n) from tangent-half-angle data.
-
-        params: list of (a, b, t1, t2) Givens-style blocks; each yields the
-        exact unitary [[c, -s w], [s conj(w), c]] on rows (a, b) with
-        c = (1-t1^2)/(1+t1^2), s = 2 t1/(1+t1^2), w = rational unit complex
-        from t2.  Entries are QI."""
-        A = [[QI(1 if i == j else 0) for j in range(self.n)] for i in range(self.n)]
-        for (a, b, t1, t2) in params:
-            c, s = _tan_half(t1)
-            cw, sw = _tan_half(t2)
-            w = QI(cw, sw)
-            B = [[QI(1 if i == j else 0) for j in range(self.n)] for i in range(self.n)]
-            B[a][a] = QI(c)
-            B[b][b] = QI(c)
-            B[a][b] = -QI(s) * w
-            B[b][a] = QI(s) * w.conjugate()
-            A = [[sum((A[i][k] * B[k][j] for k in range(self.n)), QI(0))
-                  for j in range(self.n)] for i in range(self.n)]
-        return A
-
-
-def _tan_half(t: Fraction):
-    """Exact point on the unit circle: (cos, sin) = ((1-t^2), 2t)/(1+t^2)."""
-    t = Fraction(t)
-    d = 1 + t * t
-    return (1 - t * t) / d, 2 * t / d
-
 
 @dataclass(frozen=True)
 class MomentMapPoly:

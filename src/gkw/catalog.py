@@ -2,11 +2,15 @@
 
 Each case packages a Scenario with its expected quotient strata (used as
 golden values by the verification suite) and a short provenance note.
-The deformation scale is fixed at build time by deterministic halving from
-t = 1 until the deformed pair validates at every probe sample.  Each round
-of probe samples is built by ``pairs_once``, one stack of deformed pairs
-(``DeformedKahlerRecipe.pairs_at``), which raises the error of the
-earliest failing point, as a loop over the points would.
+Each named deformed case carries a recorded deformation scale t, so
+building it draws no probe sample; a run still validates every pair it
+uses (``pairs_once``).  The scale fit, deterministic halving from t = 1
+until the deformed pair validates at every probe sample, serves the
+parametric names (``hirzebruch-<k>`` beyond the recorded ones), builders
+called with t = None, and the test that checks each recorded t against
+it.  Each round of probe samples is built by ``pairs_once``, one stack of
+deformed pairs (``DeformedKahlerRecipe.pairs_at``), which raises the
+error of the earliest failing point, as a loop over the points would.
 
 Invariance of each deformation under its connected group is certified
 exactly as L_X eps = 0 along a basis of the Lie algebra's fields
@@ -67,7 +71,10 @@ def _fit_deformation_scale(make_scenario) -> Fraction:
     (A_eps invertibility and full pair validity) at every probe sample,
     drawn from several seeds; one extra halving provides headroom for
     samples more extreme than any probe.  The probe points do not depend
-    on t, so each round is sampled once, when first needed.
+    on t, so each round is sampled once, when first needed.  Named cases
+    carry the t this returns for them as recorded data; the fit runs for
+    parametric names and builders called with t = None, and the suite
+    reruns it to check every recorded t.
 
     A round is built by ``pairs_once``, which raises the error of its
     earliest failing point: a ValidationError rejects t, any other error
@@ -98,8 +105,8 @@ def _fit_deformation_scale(make_scenario) -> Fraction:
 
 
 def _deformed_scenario(eps: DeformationBivector, t, **fields) -> Scenario:
-    """The Scenario deformed by eps at scale t, or at the scale
-    ``_fit_deformation_scale`` fits when t is None."""
+    """The Scenario deformed by eps at scale t: a named case's recorded
+    scale, or, when t is None, the scale ``_fit_deformation_scale`` fits."""
     def make(tv):
         return Scenario(n=eps.n, recipe=DeformedKahlerRecipe(eps.n, eps, tv), **fields)
     return make(Fraction(t) if t is not None else _fit_deformation_scale(make))
@@ -320,28 +327,23 @@ def build_hyperkahler() -> CatalogCase:
 
 # -- registry -----------------------------------------------------------------
 
-def build_toric_cp2(t=None):
-    return build_toric(cp2_polytope(), t=t, name="toric-cp2")
-
-
-def build_toric_blowup1(t=None):
-    return build_toric(cp2_blowup1_polytope(), t=t, name="toric-blowup1")
-
-
 def build_hirzebruch(k: int, t=None):
     return build_toric(hirzebruch_polytope(k), t=t, name=f"hirzebruch-{k}")
 
 
+# Each deformed case at its recorded scale, the t the fit returns for it
+# (tests/test_catalog.py reruns the fit against these values).
 _BUILDERS = {
-    "cpn-2": lambda: build_cpn(2),
-    "cpn-3": lambda: build_cpn(3),
-    "cpn-4": lambda: build_cpn(4),
-    "toric-cp2": build_toric_cp2,
-    "toric-blowup1": build_toric_blowup1,
-    "hirzebruch-1": lambda: build_hirzebruch(1),
-    "hirzebruch-2": lambda: build_hirzebruch(2),
-    "grassmann-1-3": lambda: build_grassmannian(1, 3),
-    "grassmann-2-3": lambda: build_grassmannian(2, 3),
+    "cpn-2": lambda: build_cpn(2, Fraction(1, 2)),
+    "cpn-3": lambda: build_cpn(3, Fraction(1, 2)),
+    "cpn-4": lambda: build_cpn(4, Fraction(1, 2)),
+    "toric-cp2": lambda: build_toric(cp2_polytope(), t=Fraction(1, 2), name="toric-cp2"),
+    "toric-blowup1": lambda: build_toric(cp2_blowup1_polytope(), t=Fraction(1, 2),
+                                         name="toric-blowup1"),
+    "hirzebruch-1": lambda: build_hirzebruch(1, Fraction(1, 8)),
+    "hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 32)),
+    "grassmann-1-3": lambda: build_grassmannian(1, 3, Fraction(1, 2)),
+    "grassmann-2-3": lambda: build_grassmannian(2, 3, Fraction(1, 2)),
     "hyperkahler-flat": build_hyperkahler,
     "kahler-c3": lambda: build_kahler_cn(3),
 }

@@ -25,6 +25,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+# numpy loads its random module lazily, at the first draw; loaded here, with
+# gkw, it is loaded once and inherited by every forked worker of a sweep
+from numpy.random import default_rng
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
@@ -453,7 +456,7 @@ class RaySampler:
 def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
     """Deterministic seeded samples on the level set, stratified over the
     declared strata, with freeness/regularity rejection."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n = scenario.n
     level = np.array([float(x) for x in scenario.level])
     fields, dfs = scenario.fields, scenario.dfs

@@ -79,19 +79,9 @@ class PolytopeSpec:
             raise ValueError("polytope has no vertices; check the facet data")
         return verts
 
-    def interior_point(self):
-        verts = self.vertices()
-        d = self.d
-        return [sum(v[i] for v in verts) / len(verts) for i in range(d)]
-
     def facet_vertices(self, j):
         return [v for v in self.vertices()
                 if sum(Fraction(a) * x for a, x in zip(self.normals[j], v)) == self.offsets[j]]
-
-    def slacks(self, x):
-        """s_i(x) = c_i - <eta_i, x>, so |z_i|^2 = 2 s_i on the level set."""
-        return [c - sum(Fraction(a) * Fraction(v) for a, v in zip(eta, x))
-                for eta, c in zip(self.normals, self.offsets)]
 
     def default_level(self):
         """xi = W c in the kernel-torus dual basis (independent of x)."""

@@ -290,3 +290,46 @@ def grassmannian_matrix_polynomials(action):
                          * ComplexPolynomial.variable(N, action.flat(b, j), conjugated=True))
             out[a][b] = p
     return out
+
+
+def group_element_exact(action, params):
+    """A rational-entry element of U(n), n = action.n, from tangent-half-angle
+    data.
+
+    params: list of (a, b, t1, t2) Givens-style blocks; each yields the
+    exact unitary [[c, -s w], [s conj(w), c]] on rows (a, b) with
+    c = (1-t1^2)/(1+t1^2), s = 2 t1/(1+t1^2), w = rational unit complex
+    from t2.  Entries are QI."""
+    n = action.n
+    A = [[QI(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for (a, b, t1, t2) in params:
+        c, s = _tan_half(t1)
+        cw, sw = _tan_half(t2)
+        w = QI(cw, sw)
+        B = [[QI(1 if i == j else 0) for j in range(n)] for i in range(n)]
+        B[a][a] = QI(c)
+        B[b][b] = QI(c)
+        B[a][b] = -QI(s) * w
+        B[b][a] = QI(s) * w.conjugate()
+        A = [[sum((A[i][k] * B[k][j] for k in range(n)), QI(0))
+              for j in range(n)] for i in range(n)]
+    return A
+
+
+def _tan_half(t: Fraction):
+    """Exact point on the unit circle: (cos, sin) = ((1-t^2), 2t)/(1+t^2)."""
+    t = Fraction(t)
+    d = 1 + t * t
+    return (1 - t * t) / d, 2 * t / d
+
+
+def interior_point(poly):
+    """The mean of the exact vertices of a PolytopeSpec."""
+    verts = poly.vertices()
+    return [sum(v[i] for v in verts) / len(verts) for i in range(poly.d)]
+
+
+def slacks(poly, x):
+    """s_i(x) = c_i - <eta_i, x>, so |z_i|^2 = 2 s_i on the level set."""
+    return [c - sum(Fraction(a) * Fraction(v) for a, v in zip(eta, x))
+            for eta, c in zip(poly.normals, poly.offsets)]

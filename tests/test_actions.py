@@ -18,7 +18,7 @@ from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import grassmannian_matrix_polynomials
+from generators import grassmannian_matrix_polynomials, group_element_exact
 
 
 def test_fundamental_field_real_frame():
@@ -245,7 +245,7 @@ def test_realify_requires_nonvanishing_fields():
 
 def test_exact_unitary_elements():
     act = UnitaryAction(2, 3)
-    A = act.group_element_exact([(0, 1, Fraction(1, 3), Fraction(-2, 5))])
+    A = group_element_exact(act, [(0, 1, Fraction(1, 3), Fraction(-2, 5))])
     # unitarity: A A-dagger = I exactly
     for i in range(2):
         for j in range(2):

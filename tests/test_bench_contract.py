@@ -71,16 +71,19 @@ def test_traced_maurer_cartan_reaches_schouten_bracket():
     assert names[brackets[0][1]] == "deformation.maurer_cartan_residual"
 
 
-def test_traced_build_reaches_deform_pair():
+def test_traced_build_reaches_deform_pair(monkeypatch):
     # the t-fit checks its probe rounds through linear.deform_pair; if it
-    # bypassed that name, linear.deform_pair.self_s would read 0
+    # bypassed that name, linear.deform_pair.self_s would read 0.  Named
+    # cases carry a recorded t, so a parametric name is traced: it still fits
     from gkw import catalog
+    from test_catalog import count_probe_calls
     catalog.build_case.cache_clear()
+    calls = count_probe_calls(monkeypatch)
     tr = _tracer_module()
     tracer = tr.Tracer()
     tr.install(tracer)
     try:
-        catalog.build_case("cpn-2")
+        catalog.build_case("hirzebruch-3")
     finally:
         tracer.uninstall()
     spans = tracer.spans()
@@ -93,8 +96,8 @@ def test_traced_build_reaches_deform_pair():
                 return True
         return False
     deform = [s for s in spans if s[2] == "linear.deform_pair" and under_build(s)]
-    # cpn-2 passes at t = 1 and t = 1/2: one stacked call per probe round
-    assert len(deform) == 2 * catalog.PROBE_ROUNDS
+    # one stacked call per probe round the fit checks
+    assert calls["pairs_once"] and len(deform) == calls["pairs_once"]
     assert not [s for s in spans if s[2] == "pipeline.pair_at" and under_build(s)]
 
 

@@ -4,13 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gkw.catalog import (build_case, build_cpn, build_grassmannian,
+from gkw import catalog
+from gkw.catalog import (build_case, build_cpn, build_grassmannian, build_hirzebruch,
                          build_toric, catalog_names,
                          cpn_su2_invariance, hyperkahler_data, hyperkahler_pair,
                          torus_invariance, unitary_invariance)
 from gkw.linear import ValidationError, eta
 from gkw.pipeline import sample_level_set, type_table, verify_type_formula
-from gkw.polytope import cp2_polytope
+from gkw.polytope import cp2_blowup1_polytope, cp2_polytope
 
 from generators import point_to_real
 
@@ -149,13 +150,69 @@ def test_deformation_scales_are_stored_fractions():
         assert isinstance(t, Fraction) and 0 < t <= 1
 
 
-@pytest.mark.parametrize("name, t", [
+FITTED_SCALES = [
     ("cpn-2", Fraction(1, 2)), ("cpn-3", Fraction(1, 2)), ("cpn-4", Fraction(1, 2)),
     ("grassmann-1-3", Fraction(1, 2)), ("grassmann-2-3", Fraction(1, 2)),
     ("toric-cp2", Fraction(1, 2)), ("toric-blowup1", Fraction(1, 2)),
-    ("hirzebruch-1", Fraction(1, 8)), ("hirzebruch-2", Fraction(1, 32))])
+    ("hirzebruch-1", Fraction(1, 8)), ("hirzebruch-2", Fraction(1, 32))]
+
+# each deformed named case through its public builder with t = None, so
+# that the scale fit runs
+_FITTING_BUILDERS = {
+    "cpn-2": lambda: build_cpn(2),
+    "cpn-3": lambda: build_cpn(3),
+    "cpn-4": lambda: build_cpn(4),
+    "grassmann-1-3": lambda: build_grassmannian(1, 3),
+    "grassmann-2-3": lambda: build_grassmannian(2, 3),
+    "toric-cp2": lambda: build_toric(cp2_polytope(), name="toric-cp2"),
+    "toric-blowup1": lambda: build_toric(cp2_blowup1_polytope(), name="toric-blowup1"),
+    "hirzebruch-1": lambda: build_hirzebruch(1),
+    "hirzebruch-2": lambda: build_hirzebruch(2),
+}
+
+
+@pytest.mark.parametrize("name, t", FITTED_SCALES)
 def test_fitted_deformation_scales(name, t):
     assert build_case(name).scenario.recipe.t == t
+
+
+@pytest.mark.parametrize("name, t", FITTED_SCALES)
+def test_fit_returns_the_recorded_scale(name, t):
+    # a named case is built at its recorded t; the fit, rerun here, must
+    # return that t, so a change in the fit, the sampler or the validation
+    # shows
+    fitted = _FITTING_BUILDERS[name]()
+    assert fitted.name == name
+    assert fitted.scenario.recipe.t == build_case(name).scenario.recipe.t == t
+
+
+def count_probe_calls(monkeypatch):
+    """Count the probe sampling and the probe rounds the scale fit makes."""
+    calls = {"sample_level_set": 0, "pairs_once": 0}
+    for fname in calls:
+        real = getattr(catalog, fname)
+
+        def counting(*args, _fname=fname, _real=real):
+            calls[_fname] += 1
+            return _real(*args)
+        monkeypatch.setattr(catalog, fname, counting)
+    return calls
+
+
+def test_named_cases_are_built_without_a_probe_search(monkeypatch):
+    build_case.cache_clear()
+    calls = count_probe_calls(monkeypatch)
+    for name in catalog_names():
+        build_case(name)
+    assert calls == {"sample_level_set": 0, "pairs_once": 0}
+
+
+def test_a_parametric_hirzebruch_name_still_fits_its_scale(monkeypatch):
+    build_case.cache_clear()
+    calls = count_probe_calls(monkeypatch)
+    assert build_case("hirzebruch-3").scenario.recipe.t == Fraction(1, 128)
+    assert calls["sample_level_set"] == catalog.PROBE_ROUNDS
+    assert calls["pairs_once"] > 0
 
 
 def test_realified_hyperkahler_maps_df_to_minus_field():

@@ -10,7 +10,8 @@ from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
 
 import naive_deformation
-from generators import rand_lbar_section, rand_poly, rand_qi, rand_section
+from generators import (group_element_exact, rand_lbar_section, rand_poly, rand_qi,
+                        rand_section)
 from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
 
@@ -438,14 +439,14 @@ def _group_sides(case):
                           for i in range(N)])
         sides.append((torus_invariance, diags))
         if case.name == "cpn-2":
-            blocks = [UnitaryAction(2, 1).group_element_exact([(0, 1, t1, t2)])
+            blocks = [group_element_exact(UnitaryAction(2, 1), [(0, 1, t1, t2)])
                       for t1, t2 in _PARAMS]
             sides.append((cpn_su2_invariance, [_embedded(N, B, [[1], [2]]) for B in blocks]))
     else:
         blocks = [[[_unit(t1) if i == j else QI(0) for j in range(act.n)]
                    for i in range(act.n)] for t1, _ in _PARAMS]
         if act.n >= 2:
-            blocks += [act.group_element_exact([(0, 1, t1, t2)]) for t1, t2 in _PARAMS]
+            blocks += [group_element_exact(act, [(0, 1, t1, t2)]) for t1, t2 in _PARAMS]
         rows = [[act.flat(i, j) for j in range(act.m)] for i in range(act.n)]
         sides.append((unitary_invariance, [_embedded(N, B, rows) for B in blocks]))
     return sides
@@ -470,7 +471,7 @@ def test_invariance_certificate_agrees_with_exact_group_elements():
 def test_group_element_blocks_have_determinant_one():
     from gkw.actions import UnitaryAction
     for t1, t2 in _PARAMS:
-        (a, b), (c, d) = UnitaryAction(2, 1).group_element_exact([(0, 1, t1, t2)])
+        (a, b), (c, d) = group_element_exact(UnitaryAction(2, 1), [(0, 1, t1, t2)])
         assert a * d - b * c == QI(1)
 
 
