@@ -83,6 +83,23 @@ MUTANTS = (
            '"hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 32)),',
            '"hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 16)),',
            ("tests/test_catalog.py::test_fit_returns_the_recorded_scale",)),
+    Mutant("table-ignores-upstairs-types", "report.py",
+           "    if expected_up:\n",
+           "    if False:\n",
+           ("tests/test_cli.py::test_an_upstairs_type_off_by_one_fails_the_type_table",)),
+    Mutant("closure-drops-membership", "pipeline.py",
+           "ok = ok and res < MEMBERSHIP_TOL",
+           "ok = ok",
+           ("tests/test_pipeline.py::test_brackets_outside_the_checked_eigenbundle_fail_membership",)),
+    Mutant("mask-drops-conjugates", "poly.py",
+           "for q, column in enumerate(zip(*self.terms)):",
+           "for q, column in enumerate(list(zip(*self.terms))[:self.n]):",
+           ("tests/test_poly.py::test_mask_is_the_exponent_positions_in_use",
+            "tests/test_calculus.py::test_sparse_coefficients_match_the_raw_oracles")),
+    Mutant("trusted-add-keeps-zero", "poly.py",
+           "s = terms.get(e, QI_ZERO) + c\n            if s:",
+           "s = terms.get(e, QI_ZERO) + c\n            if True:",
+           ("tests/test_poly.py::test_canonical_form_no_zero_coefficients",)),
     Mutant("pairs-once-swallows-errors", "pipeline.py",
            "                    raise pair\n",
            "                    pass\n",

@@ -12,7 +12,7 @@ from .deformation import DeformationBivector, LMultivector, schouten_bracket
 from .linear import (BiHermitianData, ComplexSubspace, IndeterminateRankError,
                      KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                      deform_pair, eta, extract_bihermitian, pairing,
-                     reduce_gcs, reduce_pair, restricted_projection_dim)
+                     reduce_gcs, reduce_pair)
 from .actions import (MomentMapPoly, TorusAction, UnitaryAction,
                       grassmannian_moment_map, shift_by_bfield,
                       standard_moment_map)

@@ -13,6 +13,12 @@ degree-1 multivector (``GeneralizedSection``), and the Courant bracket is
 the (1,1) case of the one Schouten bracket.  All coefficients are
 ComplexPolynomial, so identities (Cartan's formula, d^2 = 0, bracket
 antisymmetry) hold exactly.
+
+Tangent frame direction a < 2n differentiates along exponent position a, so
+every derivative is gated on the coefficient's ``mask``: ``apply_to``, the
+differentials d and d_L and the Schouten bracket's Leibniz rule skip a
+direction whose bit is clear before they call ``wirtinger``, since that
+derivative is zero.
 """
 from __future__ import annotations
 
@@ -205,10 +211,12 @@ class VectorField(Expansion):
         return cls(n)
 
     def apply_to(self, f: ComplexPolynomial) -> ComplexPolynomial:
-        """Directional derivative X(f)."""
+        """Directional derivative X(f), over the directions in f's mask."""
         out = ComplexPolynomial.zero(self.n)
+        mask = f.mask
         for a, p in self.comps.items():
-            out = out + p * f.wirtinger(a % self.n, holomorphic=a < self.n)
+            if mask >> a & 1:
+                out = out + p * f.wirtinger(a % self.n, holomorphic=a < self.n)
         return out
 
 
@@ -231,14 +239,14 @@ class Form(Expansion):
 
 def _differential(comps, n, directions):
     """For each (v, a) of ``directions``: every coefficient differentiated
-    along the tangent frame direction a, with the frame key v wedged in
-    front.  The one loop of d and of the algebroid differential d_L."""
+    along the tangent frame direction a in its mask, with the frame key v
+    wedged in front.  The one loop of d and of the algebroid differential d_L."""
     terms = {}
     for idx, p in comps.items():
+        mask = p.mask
         for v, a in directions:
-            dp = p.wirtinger(a % n, holomorphic=a < n)
-            if not dp.is_zero:
-                _merge_signed(terms, (v,) + idx, dp, 1)
+            if mask >> a & 1:
+                _merge_signed(terms, (v,) + idx, p.wirtinger(a % n, holomorphic=a < n), 1)
     return terms
 
 
@@ -305,16 +313,6 @@ class LMultivector(Expansion):
     def from_function(cls, f: ComplexPolynomial):
         return LMultivector(f.n, 0, {(): f})
 
-    @classmethod
-    def from_sections(cls, n, coeff, factors):
-        """coeff ^ s_1 ^ ... ^ s_k, expanded over the frame."""
-        if not isinstance(coeff, ComplexPolynomial):
-            coeff = ComplexPolynomial.const(n, coeff)
-        out = LMultivector.from_function(coeff)
-        for s in factors:
-            out = out.wedge(s)
-        return out
-
     def as_section(self) -> "GeneralizedSection":
         if self.degree != 1:
             raise ValueError("only degree-1 multivectors are sections")
@@ -374,12 +372,10 @@ def _leibniz(terms, n, f, g, a, b, rest, sign):
     """terms += sign * f (pi(e_a)(g) e_b - <e_a, e_b> dg) ^ e_rest for frame
     indices a, b: the part of [f e_a, g e_b] ^ e_rest that differentiates g.
 
-    Only a live term is built: the derivative is taken first, and the key
-    (b,) + rest is sorted only when it is nonzero."""
-    if a < 2 * n:
-        dg = g.wirtinger(a % n, holomorphic=a < n)
-        if not dg.is_zero:
-            _merge_signed(terms, (b,) + rest, f * dg, sign)
+    Only a live term is built: the derivative is taken only along a
+    direction in g's mask, and the key (b,) + rest is sorted only then."""
+    if a < 2 * n and g.mask >> a & 1:
+        _merge_signed(terms, (b,) + rest, f * g.wirtinger(a % n, holomorphic=a < n), sign)
     if abs(a - b) == 2 * n and _sort_with_sign(rest)[0] is not None:
         half = f * QI_HALF
         for (c,), dg in exterior_derivative(g).comps.items():

@@ -111,13 +111,6 @@ def real_coordinates(n: int):
     return tuple(_apply(_frame_rows(n)[0], zs, ComplexPolynomial.zero(n)))
 
 
-def real_coframe(n: int):
-    """dx_1, dy_1, ..., dx_n, dy_n as constant 1-forms: the real covector
-    e^r takes d/dz_a to T[r][a]."""
-    return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in row})
-                 for row in _frame_rows(n)[0])
-
-
 def real_linear_field(A) -> VectorField:
     """The vector field of x -> A x, A a real 2n x 2n matrix in the real
     coordinates: z/zbar components T^-1 A x."""

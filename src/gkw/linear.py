@@ -220,25 +220,6 @@ class ComplexSubspace:
     def contains(self, vec, tol=RANK_TOL) -> bool:
         return self.residual(vec) < tol
 
-    def perp(self) -> "ComplexSubspace":
-        """Perpendicular w.r.t. the bilinear pairing eta (not hermitian)."""
-        m = self.ambient_dim // 2
-        E = eta(m)
-        if self.dim == 0:
-            return ComplexSubspace(np.eye(self.ambient_dim, dtype=complex))
-        return ComplexSubspace(nullspace(self.basis.T @ E))
-
-    def intersect(self, other: "ComplexSubspace") -> "ComplexSubspace":
-        if self.dim == 0 or other.dim == 0:
-            return ComplexSubspace(self.basis[:, :0])
-        N = nullspace(np.hstack([self.basis, -other.basis]))
-        if N.shape[1] == 0:
-            return ComplexSubspace(self.basis[:, :0])
-        return ComplexSubspace.from_columns(self.basis @ N[:self.dim, :])
-
-    def add(self, other: "ComplexSubspace") -> "ComplexSubspace":
-        return ComplexSubspace.from_columns(np.hstack([self.basis, other.basis]))
-
     def projection_to_tangent(self, tol=RANK_TOL) -> "ComplexSubspace":
         """pi(S): the V-block span (first half of the coordinates)."""
         m = self.ambient_dim // 2
@@ -338,13 +319,6 @@ class LinearGC:
         out.raise_first()
         return cls(J[0])
 
-    def b_transform(self, B) -> "LinearGC":
-        """e^B J e^-B for an antisymmetric map B: V -> V*; same type."""
-        B = np.asarray(B, dtype=float)
-        if np.linalg.norm(B + B.T) > ANTISYMMETRY_TOL * max(1.0, np.linalg.norm(B)):
-            raise ValidationError("B must be antisymmetric")
-        return LinearGC(b_conjugate(self.J, B))
-
     def product(self, other: "LinearGC") -> "LinearGC":
         """Block structure on V1 + V2 with interleaved V/V* blocks."""
         m1, m2 = self.m, other.m
@@ -419,18 +393,6 @@ def b_conjugate(J, B) -> np.ndarray:
     """e^B J e^-B: the B-field transform of a structure matrix J on V + V*."""
     m = J.shape[0] // 2
     return b_field_matrix(B, m) @ J @ b_field_matrix(-B, m)
-
-
-def restricted_projection_dim(J: LinearGC, R: ComplexSubspace) -> int:
-    """dim pi(L cap R-perp cap J(R)-perp), defined when J(R) cap R = 0."""
-    JR = ComplexSubspace.from_columns(J.J.astype(complex) @ R.basis)
-    inter_dim, _ = subspace_intersection_dim(JR, R)
-    if inter_dim != 0:
-        raise ValidationError("precondition J(R) cap R = 0 fails")
-    L = J.eigenbundle()
-    S = L.intersect(R.perp()).intersect(JR.perp())
-    rank, _, _ = numerical_rank(S.basis[:J.m, :], require_determinate=True)
-    return rank
 
 
 @dataclass(frozen=True)

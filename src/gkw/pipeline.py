@@ -25,9 +25,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-# numpy loads its random module lazily, at the first draw; loaded here, with
-# gkw, it is loaded once and inherited by every forked worker of a sweep
-from numpy.random import default_rng
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
@@ -453,10 +450,11 @@ class RaySampler:
         return p
 
 
-def sample_level_set(scenario: Scenario, count: int, seed: int) -> SampleBatch:
+def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Generator) -> SampleBatch:
     """Deterministic seeded samples on the level set, stratified over the
-    declared strata, with freeness/regularity rejection."""
-    rng = default_rng(seed)
+    declared strata, with freeness/regularity rejection.  ``seed`` is an int
+    or a ``numpy.random.Generator``, which is drawn from as it is."""
+    rng = np.random.default_rng(seed)
     n = scenario.n
     level = np.array([float(x) for x in scenario.level])
     fields, dfs = scenario.fields, scenario.dfs

@@ -4,6 +4,13 @@ Coordinates are z_1..z_n and their conjugates zbar_1..zbar_n, treated as
 independent symbols.  An exponent key is a tuple of 2n nonnegative ints,
 z-exponents first.  No floating-point number ever enters this module;
 coefficients are pairs of ``fractions.Fraction``.
+
+A polynomial's ``mask``, computed at its first use, has bit q set when some
+term has a nonzero exponent at position q; the derivative along a position
+outside it is zero, and ``wirtinger`` returns it without reading a term.
+The ring operations, ``conjugate`` and ``wirtinger`` build their results,
+whose terms are canonical by construction, with the trusted ``_poly``; the
+public constructor checks and cleans what it is given.
 """
 from __future__ import annotations
 
@@ -131,7 +138,7 @@ class ComplexPolynomial:
     nonzero QI coefficients.  Instances are treated as immutable.
     """
 
-    __slots__ = ("n", "terms", "_program")
+    __slots__ = ("n", "terms", "_program", "_mask")
 
     def __init__(self, n: int, terms=None):
         self.n = n
@@ -180,12 +187,12 @@ class ComplexPolynomial:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return ComplexPolynomial(self.n, terms)
+        return _poly(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexPolynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return _poly(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, QI)):
@@ -196,8 +203,8 @@ class ComplexPolynomial:
         if isinstance(other, (int, Fraction, QI)):
             c = QI.of(other)
             if not c:
-                return ComplexPolynomial(self.n)
-            return ComplexPolynomial(self.n, {e: k * c for e, k in self.terms.items()})
+                return _poly(self.n, {})
+            return _poly(self.n, {e: k * c for e, k in self.terms.items()})
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -208,7 +215,7 @@ class ComplexPolynomial:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return ComplexPolynomial(self.n, terms)
+        return _poly(self.n, terms)
 
     __rmul__ = __mul__
 
@@ -237,6 +244,20 @@ class ComplexPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @property
+    def mask(self) -> int:
+        """Bit q is set when some term has a nonzero exponent at position q
+        (q < n: z_q, q >= n: zbar_{q-n}); computed once, at the first use."""
+        try:
+            return self._mask
+        except AttributeError:
+            mask = 0
+            for q, column in enumerate(zip(*self.terms)):
+                if any(column):
+                    mask |= 1 << q
+            self._mask = mask
+            return mask
+
     # -- calculus ----------------------------------------------------------
     def conjugate(self) -> "ComplexPolynomial":
         """Swap z_i <-> zbar_i exponents and conjugate coefficients."""
@@ -244,7 +265,7 @@ class ComplexPolynomial:
         terms = {}
         for e, c in self.terms.items():
             terms[e[n:] + e[:n]] = c.conjugate()
-        return ComplexPolynomial(n, terms)
+        return _poly(n, terms)
 
     @property
     def is_real(self) -> bool:
@@ -253,16 +274,18 @@ class ComplexPolynomial:
     def wirtinger(self, j: int, holomorphic: bool = True) -> "ComplexPolynomial":
         """Exact d/dz_j (or d/dzbar_j); z and zbar are independent symbols.
 
-        Lowering one exponent maps distinct monomials to distinct ones, so
-        each term is written once, its coefficient scaled by the integer
-        exponent on both Fraction parts (reused as it is for exponent 1)."""
+        Zero at once along a position outside ``mask``.  Lowering one
+        exponent maps distinct monomials to distinct ones, so each term is
+        written once, its coefficient scaled by the integer exponent on both
+        Fraction parts (reused as it is for exponent 1)."""
         idx = j if holomorphic else j + self.n
         terms = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k:
-                terms[e[:idx] + (k - 1,) + e[idx + 1:]] = c if k == 1 else _qi(c.re * k, c.im * k)
-        return ComplexPolynomial(self.n, terms)
+        if self.mask >> idx & 1:
+            for e, c in self.terms.items():
+                k = e[idx]
+                if k:
+                    terms[e[:idx] + (k - 1,) + e[idx + 1:]] = c if k == 1 else _qi(c.re * k, c.im * k)
+        return _poly(self.n, terms)
 
     # -- evaluation / substitution ------------------------------------------
     def _compile(self):
@@ -333,6 +356,16 @@ class ComplexPolynomial:
                     mono.append(f"zb{j}" + (f"^{e[self.n + j]}" if e[self.n + j] > 1 else ""))
             bits.append(f"{c!r}*{'*'.join(mono)}" if mono else f"{c!r}")
         return " + ".join(bits)
+
+
+def _poly(n: int, terms: dict) -> ComplexPolynomial:
+    """A ComplexPolynomial over ``terms`` as they are: exponent tuples of
+    length 2n with nonzero QI coefficients, the checks of the public
+    constructor already kept by the caller."""
+    p = object.__new__(ComplexPolynomial)
+    p.n = n
+    p.terms = terms
+    return p
 
 
 class LinearSubstitution:

@@ -15,6 +15,10 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
+# numpy loads its random module lazily, at the first draw; loaded here, with
+# the report, it is loaded once and inherited by every forked worker of a
+# sweep, and a run that only imports gkw never loads it
+from numpy.random import default_rng
 
 from . import __version__
 from .actions import TorusAction, standard_moment_map
@@ -360,7 +364,7 @@ def run(config: RunConfig) -> dict:
     else:
         raise ConfigError("need --case or --scenario")
 
-    batch = sample_level_set(scenario, config.samples, config.seed)
+    batch = sample_level_set(scenario, config.samples, default_rng(config.seed))
     pair_at = pairs_once(scenario.recipe, batch.points)
     sections = {}
     sections["validation"] = _validation_section(batch, pair_at, config.tol)

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from gkw.calculus import Form, GeneralizedSection, VectorField
-from gkw.linear import KahlerPairNum, LinearGC, ValidationError, b_field_matrix
+from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
+from gkw.frames import _frame_rows
+from gkw.linear import (ANTISYMMETRY_TOL, ComplexSubspace, KahlerPairNum, LinearGC,
+                        ValidationError, b_conjugate, b_field_matrix, eta, nullspace,
+                        numerical_rank, subspace_intersection_dim)
 from gkw.poly import QI, QI_I, ComplexPolynomial
 
 
@@ -61,6 +64,26 @@ def rand_poly(rng, n, max_terms=2, max_deg=1):
         e = tuple(int(rng.integers(0, max_deg + 1)) for _ in range(2 * n))
         terms[e] = rand_qi(rng)
     return ComplexPolynomial(n, terms)
+
+
+def rand_sparse_poly(rng, n, max_terms=4, max_deg=2):
+    """A polynomial over a random subset of the 2n exponent positions, so
+    that some z and some zbar variables are often missing; possibly zero."""
+    used = [q for q in range(2 * n) if rng.random() < 0.5]
+    terms = {}
+    for _ in range(int(rng.integers(0, max_terms + 1))):
+        e = [0] * (2 * n)
+        for q in used:
+            e[q] = int(rng.integers(0, max_deg + 1))
+        terms[tuple(e)] = rand_qi(rng)
+    return ComplexPolynomial(n, terms)
+
+
+def rand_sparse_section(rng, n):
+    """A section whose coefficients are ``rand_sparse_poly`` polynomials."""
+    comps = {a: rand_sparse_poly(rng, n) for a in range(2 * n) if rng.random() < 0.6}
+    form = {(a,): rand_sparse_poly(rng, n) for a in range(2 * n) if rng.random() < 0.6}
+    return GeneralizedSection(VectorField(n, comps), Form(n, 1, form))
 
 
 def rand_section_parts(rng, n, max_terms=2, max_deg=1, frame_indices=None):
@@ -145,7 +168,7 @@ def rand_gc(rng, m):
     else:
         J = LinearGC.from_symplectic(rand_symplectic_map(rng, m))
     if rng.random() < 0.5:
-        J = J.b_transform(rand_antisym(rng, m, 0.5))
+        J = b_transform(J, rand_antisym(rng, m, 0.5))
     if rng.random() < 0.5:
         J = gl_conjugate(J, rand_invertible(rng, m))
     return J
@@ -217,7 +240,7 @@ def rand_pair_with_admissible_q(rng, m, qdim=1, allow_hk=True):
         # make B vanish on Q: B' = P^T B P with P the projector killing Q
         P = np.eye(m) - Q @ np.linalg.pinv(Q)
         B = P.T @ B @ P
-        pair = KahlerPairNum(pair.J1.b_transform(B), pair.J2.b_transform(B))
+        pair = KahlerPairNum(b_transform(pair.J1, B), b_transform(pair.J2, B))
     if rng.random() < 0.5:
         A = rand_invertible(rng, m)
         pair = KahlerPairNum(gl_conjugate(pair.J1, A), gl_conjugate(pair.J2, A))
@@ -253,7 +276,7 @@ def rand_gc_with_admissible_q(rng, m, qdim=1):
         B = rand_antisym(rng, m, 0.3)
         P = np.eye(m) - Q @ np.linalg.pinv(Q)
         B = P.T @ B @ P
-        J = J.b_transform(B)
+        J = b_transform(J, B)
     if rng.random() < 0.5:
         A = rand_invertible(rng, m)
         J = gl_conjugate(J, A)
@@ -333,3 +356,62 @@ def slacks(poly, x):
     """s_i(x) = c_i - <eta_i, x>, so |z_i|^2 = 2 s_i on the level set."""
     return [c - sum(Fraction(a) * Fraction(v) for a, v in zip(eta, x))
             for eta, c in zip(poly.normals, poly.offsets)]
+
+
+# -- helpers of the tests only ----------------------------------------------------
+
+def b_transform(J: LinearGC, B) -> LinearGC:
+    """e^B J e^-B for an antisymmetric map B: V -> V*; same type."""
+    B = np.asarray(B, dtype=float)
+    if np.linalg.norm(B + B.T) > ANTISYMMETRY_TOL * max(1.0, np.linalg.norm(B)):
+        raise ValidationError("B must be antisymmetric")
+    return LinearGC(b_conjugate(J.J, B))
+
+
+def from_sections(n, coeff, factors) -> LMultivector:
+    """coeff ^ s_1 ^ ... ^ s_k, expanded over the frame."""
+    if not isinstance(coeff, ComplexPolynomial):
+        coeff = ComplexPolynomial.const(n, coeff)
+    out = LMultivector.from_function(coeff)
+    for s in factors:
+        out = out.wedge(s)
+    return out
+
+
+def real_coframe(n: int):
+    """dx_1, dy_1, ..., dx_n, dy_n as constant 1-forms: the real covector
+    e^r takes d/dz_a to T[r][a]."""
+    return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in row})
+                 for row in _frame_rows(n)[0])
+
+
+def perp(S: ComplexSubspace) -> ComplexSubspace:
+    """Perpendicular w.r.t. the bilinear pairing eta (not hermitian)."""
+    m = S.ambient_dim // 2
+    if S.dim == 0:
+        return ComplexSubspace(np.eye(S.ambient_dim, dtype=complex))
+    return ComplexSubspace(nullspace(S.basis.T @ eta(m)))
+
+
+def intersect(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
+    if S.dim == 0 or T.dim == 0:
+        return ComplexSubspace(S.basis[:, :0])
+    N = nullspace(np.hstack([S.basis, -T.basis]))
+    if N.shape[1] == 0:
+        return ComplexSubspace(S.basis[:, :0])
+    return ComplexSubspace.from_columns(S.basis @ N[:S.dim, :])
+
+
+def add(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
+    return ComplexSubspace.from_columns(np.hstack([S.basis, T.basis]))
+
+
+def restricted_projection_dim(J: LinearGC, R: ComplexSubspace) -> int:
+    """dim pi(L cap R-perp cap J(R)-perp), defined when J(R) cap R = 0."""
+    JR = ComplexSubspace.from_columns(J.J.astype(complex) @ R.basis)
+    inter_dim, _ = subspace_intersection_dim(JR, R)
+    if inter_dim != 0:
+        raise ValidationError("precondition J(R) cap R = 0 fails")
+    S = intersect(intersect(J.eigenbundle(), perp(R)), perp(JR))
+    rank, _, _ = numerical_rank(S.basis[:J.m, :], require_determinate=True)
+    return rank

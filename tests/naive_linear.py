@@ -14,6 +14,8 @@ from gkw.linear import (ISOTROPY_TOL, RANK_TOL, BiHermitianData, ComplexSubspace
                         KahlerPairNum, LinearGC, QuotientBasis, ValidationError,
                         _quotient_matrices, eta, orthonormal_columns)
 
+from generators import intersect
+
 PAIRING_TOL = 1e-8   # |C^T eta C - eta(k)| of the least-squares dual basis
 SPLIT_TOL = 1e-8     # |w -+ 1| of an eigenvalue of G counted in C+-
 
@@ -83,7 +85,7 @@ def reduce_pair(pair: KahlerPairNum, Q):
     E = eta(pair.m)
     What_a = complex_nullspace(qb.P.T @ E)
     What_b = complex_nullspace((pair.G @ qb.P).T @ E)
-    What = real_span(ComplexSubspace(What_a).intersect(ComplexSubspace(What_b)).basis)
+    What = real_span(intersect(ComplexSubspace(What_a), ComplexSubspace(What_b)).basis)
     if What.shape[1] != 2 * qb.k:
         raise ValidationError(
             f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")

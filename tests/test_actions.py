@@ -11,14 +11,14 @@ from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_leve
                          standard_moment_map, unitary_lie_basis)
 from gkw.calculus import (VectorField, exterior_derivative, interior_product,
                           standard_symplectic_form)
-from gkw.frames import real_coframe, real_coordinates
+from gkw.frames import real_coordinates
 from gkw.linear import LinearGC, ValidationError
 from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
                           ScalingSampler, Scenario, realify, sample_level_set,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import grassmannian_matrix_polynomials, group_element_exact
+from generators import grassmannian_matrix_polynomials, group_element_exact, real_coframe
 
 
 def test_fundamental_field_real_frame():

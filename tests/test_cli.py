@@ -92,6 +92,21 @@ def test_a_moment_map_off_by_a_factor_fails_the_type_table(monkeypatch):
     assert rep["exit_code"] == 1
 
 
+def test_an_upstairs_type_off_by_one_fails_the_type_table(monkeypatch):
+    # cpn-2 expecting J2 upstairs one type higher on every stratum: the
+    # computed types are unchanged, so the table must report the mismatch
+    case = build_case("cpn-2")
+    off = dataclasses.replace(case, expected_upstairs_j2={
+        k: v + 1 for k, v in case.expected_upstairs_j2.items()})
+    assert run(RunConfig(command="reduce", case="cpn-2", samples=6, seed=7))["exit_code"] == 0
+    monkeypatch.setattr(report, "build_case", lambda name: off)
+    rep = run(RunConfig(command="reduce", case="cpn-2", samples=6, seed=7))
+    table = rep["sections"]["type_table"]
+    assert table["expected_match"] is False
+    assert table["pass"] is False
+    assert rep["exit_code"] == 1
+
+
 def test_seed_changes_output():
     a = emit(run(RunConfig(command="reduce", case="kahler-c3", samples=4,
                            seed=1, fmt="json")), "json")

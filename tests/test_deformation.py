@@ -10,8 +10,8 @@ from gkw.deformation import DeformationBivector, LMultivector, schouten_bracket
 from gkw.poly import QI, ComplexPolynomial
 
 import naive_deformation
-from generators import (group_element_exact, rand_lbar_section, rand_poly, rand_qi,
-                        rand_section)
+from generators import (from_sections, group_element_exact, rand_lbar_section, rand_poly,
+                        rand_qi, rand_section)
 from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
 
@@ -46,8 +46,8 @@ def test_schouten_degree_one_reduces_to_courant():
     for _ in range(20):
         s1 = rand_lbar_section(rng, n)
         s2 = rand_lbar_section(rng, n)
-        A = LMultivector.from_sections(n, ComplexPolynomial.one(n), [s1])
-        B = LMultivector.from_sections(n, ComplexPolynomial.one(n), [s2])
+        A = from_sections(n, ComplexPolynomial.one(n), [s1])
+        B = from_sections(n, ComplexPolynomial.one(n), [s2])
         got = schouten_bracket(A, B).as_section()
         want = courant_bracket(s1, s2)
         assert got == want
@@ -56,8 +56,7 @@ def test_schouten_degree_one_reduces_to_courant():
 def test_schouten_function_bracket():
     n = 2
     f = ComplexPolynomial.variable(n, 0) * ComplexPolynomial.variable(n, 1)
-    Y = LMultivector.from_sections(n, ComplexPolynomial.one(n),
-                                   [GeneralizedSection.frame(n, 0)])
+    Y = from_sections(n, ComplexPolynomial.one(n), [GeneralizedSection.frame(n, 0)])
     F = LMultivector.from_function(f)
     got = schouten_bracket(Y, F)
     assert got.terms[()] == ComplexPolynomial.variable(n, 1)
@@ -74,10 +73,10 @@ def test_schouten_oracle_equivalence_50_seeded():
                                              rand_lbar_section(rng, n)])]
         A = LMultivector.zero(n, 2)
         for c, fs in decs_a:
-            A = A + LMultivector.from_sections(n, c, fs)
+            A = A + from_sections(n, c, fs)
         B = LMultivector.zero(n, 2)
         for c, fs in decs_b:
-            B = B + LMultivector.from_sections(n, c, fs)
+            B = B + from_sections(n, c, fs)
         got = schouten_bracket(A, B)
         raw_a = [(to_raw(c), [section_to_raw(s) for s in fs]) for c, fs in decs_a]
         raw_b = [(to_raw(c), [section_to_raw(s) for s in fs]) for c, fs in decs_b]
@@ -95,8 +94,8 @@ def _frame_decomposables(M):
 
 def _random_multivector(rng, n, degree):
     """c * s_1 ^ ... ^ s_k for general (non-isotropic) random sections."""
-    return LMultivector.from_sections(n, rand_poly(rng, n, 1, 1),
-                                      [rand_section(rng, n, 1) for _ in range(degree)])
+    return from_sections(n, rand_poly(rng, n, 1, 1),
+                         [rand_section(rng, n, 1) for _ in range(degree)])
 
 
 def _pairs_first_factor(A, B):
@@ -692,13 +691,15 @@ def test_lie_derivative_out_of_shape_raises():
 
 
 def test_inherited_constructors_build_lmultivectors():
-    # zero, from_function and from_sections build an LMultivector whatever
-    # subclass they are called on
+    # zero and from_function build an LMultivector whatever subclass they
+    # are called on, and a wedge of sections, from which
+    # generators.from_sections builds, is an LMultivector too
     n = 3
     f = ComplexPolynomial.variable(n, 0) * ComplexPolynomial.variable(n, 1, conjugated=True)
     factors = [GeneralizedSection.frame(n, 0), GeneralizedSection.frame(n, 2 * n + 1)]
     for cls in (DeformationBivector, GeneralizedSection):
         assert cls.from_function(f) == LMultivector.from_function(f)
-        assert cls.from_sections(n, 2, factors) == LMultivector.from_sections(n, 2, factors)
-        assert cls.from_sections(n, f, factors[:1]) == LMultivector.from_sections(n, f, factors[:1])
+    assert type(factors[0].wedge(factors[1])) is LMultivector
+    assert from_sections(n, 2, factors) == factors[0].wedge(factors[1]).scale(2)
+    assert from_sections(n, f, factors[:1]) == LMultivector(n, 1, {(0,): f})
     assert DeformationBivector.zero(n, 2) == LMultivector.zero(n, 2)

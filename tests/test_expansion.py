@@ -17,7 +17,7 @@ from gkw.calculus import (Form, GeneralizedSection, LMultivector, VectorField,
 from gkw.deformation import DeformationBivector
 from gkw.poly import QI
 
-from generators import rand_poly, rand_qi, rand_section
+from generators import from_sections, rand_poly, rand_qi, rand_section
 
 NS = [1, 2, 3, 4]
 
@@ -146,10 +146,10 @@ def test_from_sections_matches_the_product_loop(n):
         for k in range(4):
             factors = [rand_section(rng, n, 2, 1) for _ in range(k)]
             coeff = rand_poly(rng, n, 3, 2) if rng.random() < 0.7 else int(rng.integers(-3, 4))
-            got = LMultivector.from_sections(n, coeff, factors)
+            got = from_sections(n, coeff, factors)
             assert_same(got, old.from_sections(n, coeff, factors))
     s = GeneralizedSection.frame(n, 0)
-    assert LMultivector.from_sections(n, 1, [s, s]).is_zero
+    assert from_sections(n, 1, [s, s]).is_zero
 
 
 @pytest.mark.parametrize("n", NS)

@@ -12,7 +12,7 @@ from gkw import frames
 from gkw.calculus import VectorField
 from gkw.catalog import build_case, hyperkahler_data
 
-from generators import rand_poly
+from generators import rand_poly, real_coframe
 
 NS = (1, 2, 3)
 
@@ -43,7 +43,7 @@ def test_numeric_frames_match_the_hand_built_matrices(n):
 @pytest.mark.parametrize("n", NS)
 def test_real_coordinates_and_coframe(n):
     x = frames.real_coordinates(n)
-    cov = frames.real_coframe(n)
+    cov = real_coframe(n)
     assert x == tuple(f(n, q) for q in range(n) for f in (naive.x_poly, naive.y_poly))
     assert cov == tuple(f(n, q) for q in range(n) for f in (naive.dx_form, naive.dy_form))
 

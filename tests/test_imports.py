@@ -3,8 +3,13 @@ in it (an AST scan; the package ``__init__`` re-exports and is exempt), a
 module of the package imports inside a function only to break an import
 cycle of the package, and every function, class and method the package
 defines is referenced from the package, the tests, the benchmark or the
-scripts."""
+scripts.  numpy loads ``numpy.random`` lazily, and only the report, which
+samples, imports it: importing gkw and building every catalog case leaves
+it unloaded."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +117,20 @@ def test_scan_sees_an_unreferenced_definition():
                        "    def k(self): pass\n"}
     user = "f()\nC().k()\nh = 1\n"
     assert unreferenced_definitions(package, [user]) == ["m.py:C.h", "m.py:g"]
+
+
+def test_numpy_random_loads_with_the_report_only():
+    script = ("import sys\n"
+              "import gkw\n"
+              "from gkw.catalog import build_case, catalog_names\n"
+              "for name in catalog_names():\n"
+              "    build_case(name)\n"
+              "print('numpy.random' in sys.modules)\n"
+              "import gkw.report\n"
+              "print('numpy.random' in sys.modules)\n")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -7,14 +7,13 @@ from gkw.catalog import build_case, catalog_names
 from gkw.linear import (ComplexSubspace, IndeterminateRankError,
                         KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                         eta, extract_bihermitian, numerical_rank, pairing,
-                        reduce_gcs, reduce_pair,
-                        restricted_projection_dim, subspace_intersection_dim)
+                        reduce_gcs, reduce_pair, subspace_intersection_dim)
 from gkw.pipeline import sample_level_set
 
-from generators import (ReductionTally, hk_block_pair, rand_antisym,
-                        rand_compatible_kahler, rand_complex_structure, rand_gc,
-                        rand_gc_with_admissible_q,
-                        rand_pair_with_admissible_q, rand_symplectic_map)
+from generators import (ReductionTally, add, b_transform, hk_block_pair, intersect, perp,
+                        rand_antisym, rand_compatible_kahler, rand_complex_structure,
+                        rand_gc, rand_gc_with_admissible_q, rand_pair_with_admissible_q,
+                        rand_symplectic_map, restricted_projection_dim)
 import naive_linear as naive
 
 
@@ -50,12 +49,12 @@ def test_pairing_values():
 def test_perp_examples():
     m = 2
     V = ComplexSubspace.from_columns(np.vstack([np.eye(m), np.zeros((m, m))]))
-    assert V.perp().dim == m
-    assert np.linalg.norm(V.perp().basis[m:, :]) < 1e-12  # perp(V) = V
+    assert perp(V).dim == m
+    assert np.linalg.norm(perp(V).basis[m:, :]) < 1e-12  # perp(V) = V
     whole = ComplexSubspace.from_columns(np.eye(2 * m, dtype=complex))
-    assert whole.perp().dim == 0
+    assert perp(whole).dim == 0
     one = ComplexSubspace.from_columns(np.eye(2 * m, 1, dtype=complex))
-    assert one.perp().dim == 2 * m - 1
+    assert perp(one).dim == 2 * m - 1
 
 
 def test_numerical_rank_gap_detection():
@@ -149,7 +148,7 @@ def test_product_type_additivity():
 def test_b_transform_identity_and_exactness():
     rng = np.random.default_rng(4)
     J = rand_gc(rng, 4)
-    assert np.allclose(J.b_transform(np.zeros((4, 4))).J, J.J)
+    assert np.allclose(b_transform(J, np.zeros((4, 4))).J, J.J)
     m = 4
     B = rand_antisym(rng, m)
     eB = np.eye(2 * m); eB[m:, :m] = B
@@ -163,7 +162,7 @@ def test_b_transform_type_invariance_100_random():
         m = 2 * int(rng.integers(1, 4))
         J = rand_gc(rng, m)
         B = rand_antisym(rng, m)
-        JB = J.b_transform(B)
+        JB = b_transform(J, B)
         assert JB.type_of() == J.type_of()
         # eigenbundle of the transform is e^B(L)
         L = J.eigenbundle().basis
@@ -198,7 +197,7 @@ def test_projected_rank_identity_random():
             if inter != 0:
                 continue
             lhs = restricted_projection_dim(J, R)
-            LR = J.eigenbundle().add(R)
+            LR = add(J.eigenbundle(), R)
             rhs = LR.projection_to_tangent().dim - R.dim
             assert lhs == rhs
             checked += 1
@@ -283,7 +282,7 @@ def _hat_projection_overlap(pair, qb):
     """dim(pi(L2-hat) cap Q_C): the true amount the final projection drops."""
     P = ComplexSubspace.from_columns(qb.P.astype(complex))
     J2P = ComplexSubspace.from_columns(pair.J2.J.astype(complex) @ qb.P)
-    S = pair.J2.eigenbundle().intersect(P.perp()).intersect(J2P.perp())
+    S = intersect(intersect(pair.J2.eigenbundle(), perp(P)), perp(J2P))
     QC = ComplexSubspace.from_columns(qb.Q.astype(complex))
     d, _ = subspace_intersection_dim(S.projection_to_tangent(), QC,
                                      require_determinate=False)

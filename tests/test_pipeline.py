@@ -1,11 +1,13 @@
 """Level-set sampling, pointwise quotients, type tables, closure checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gkw import frames
 from gkw.catalog import build_case, closure_families
 from gkw.linear import ValidationError
-from gkw.pipeline import (pairs_once, quotient_at_point, quotient_bihermitian,
+from gkw.pipeline import (MEMBERSHIP_TOL, pairs_once, quotient_at_point, quotient_bihermitian,
                           run_closure_families, sample_level_set, type_table,
                           verify_type_formula)
 from gkw.report import RunConfig, run
@@ -28,6 +30,14 @@ def test_sampling_determinism():
     b1 = sample_level_set(case.scenario, 10, 3)
     b2 = sample_level_set(case.scenario, 10, 3)
     assert all(np.array_equal(p, q) for p, q in zip(b1.points, b2.points))
+
+
+def test_sampling_from_a_generator_draws_as_from_its_seed():
+    case = build_case("cpn-2")
+    b1 = sample_level_set(case.scenario, 10, np.random.default_rng(3))
+    b2 = sample_level_set(case.scenario, 10, 3)
+    assert all(np.array_equal(p, q) for p, q in zip(b1.points, b2.points))
+    assert b1.labels == b2.labels
 
 
 def test_grassmann_sampler_row_orthonormal():
@@ -97,6 +107,23 @@ def test_closure_families_all_catalog():
         assert rows, name
         bad = [r for r in rows if not r["pass"]]
         assert not bad, (name, bad)
+
+
+def test_brackets_outside_the_checked_eigenbundle_fail_membership():
+    # cpn-2's df-perp+L1 brackets lie in L1 but not in the deformed L_eps of
+    # J2; checked against J2, their membership residual fails the row
+    case = build_case("cpn-2")
+    batch = sample_level_set(case.scenario, 6, 7)
+    fam = next(f for f in closure_families(case) if f.name == "df-perp+L1")
+    pair_at = case.scenario.recipe.pair_at
+    rows = run_closure_families([fam], batch.points)
+    assert rows and all(r["pass"] for r in rows)
+    against_j2 = dataclasses.replace(fam, symbolic_check=None,
+                                     structure_at=lambda z: pair_at(z).J2)
+    rows = run_closure_families([against_j2], batch.points)
+    failed = [r for r in rows if r["membership_residual"] > MEMBERSHIP_TOL]
+    assert failed
+    assert all(r["pass"] is False for r in failed)
 
 
 def test_quotient_bihermitian_flags():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gkw.poly import QI, ComplexPolynomial, LinearSubstitution
 
+from generators import rand_sparse_poly
 from naive_calculus import p_diff
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -42,10 +43,50 @@ def test_conjugation_is_ring_map(p, q):
     assert (p + q).conjugate() == p.conjugate() + q.conjugate()
 
 
+def derived_polys(p, q):
+    """Every ring, conjugation and Wirtinger result of p and q, with the
+    sums, differences and products that cancel terms."""
+    n = p.n
+    out = [p + q, p - q, p + (-p), p - p, -p, p * q, (p + q) * (p - q), p * 0, p * QI(0, 2),
+           p + 3, (p + q) - q, p.conjugate(), (p * q.conjugate()).conjugate()]
+    out += [r.wirtinger(j, holomorphic=h) for r in (p, p * q) for j in range(n)
+            for h in (True, False)]
+    return out
+
+
 def test_canonical_form_no_zero_coefficients():
     n = 2
     p = ComplexPolynomial(n, {(1, 0, 0, 0): QI(1)}) - ComplexPolynomial.variable(n, 0)
     assert p.is_zero and p.terms == {}
+    z0, z1 = ComplexPolynomial.variable(n, 0), ComplexPolynomial.variable(n, 1)
+    assert (z0 + z1) * (z0 - z1) == ComplexPolynomial(n, {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1})
+    # the results built without the public constructor's checks are the
+    # public constructor's results, with no zero coefficient
+    rng = np.random.default_rng(2600)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            p, q = rand_sparse_poly(rng, n), rand_sparse_poly(rng, n)
+            for r in derived_polys(p, q) + derived_polys(p, p * QI(-1)):
+                assert r == ComplexPolynomial(r.n, r.terms)
+                assert all(r.terms.values())
+
+
+def used_positions(p):
+    return sum(1 << q for q in range(2 * p.n) if any(e[q] for e in p.terms))
+
+
+def test_mask_is_the_exponent_positions_in_use():
+    n = 2
+    zb1 = ComplexPolynomial.variable(n, 1, conjugated=True)
+    assert zb1.mask == 0b1000
+    assert (ComplexPolynomial.variable(n, 0) * zb1 + 5).mask == 0b1001
+    assert ComplexPolynomial.const(n, 2).mask == 0 and ComplexPolynomial.zero(n).mask == 0
+    rng = np.random.default_rng(2601)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            p, q = rand_sparse_poly(rng, n), rand_sparse_poly(rng, n)
+            for r in [p, q] + derived_polys(p, q):
+                assert r.mask == used_positions(r)
 
 
 def test_wirtinger_worked_examples():
@@ -69,19 +110,25 @@ def test_wirtinger_leibniz():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_wirtinger_matches_the_raw_oracle(n):
     """Non-real coefficients, exponents up to 3, every one of the 2n
-    directions: the same terms in the same order as ``p_diff``."""
+    directions: the same terms in the same order as ``p_diff``, and zero
+    exactly along the directions outside the mask (sparse polynomials miss
+    some of the z and zbar variables)."""
     rng = np.random.default_rng(1900 + n)
+    polys = []
     for _ in range(25):
         terms = {}
         for _ in range(int(rng.integers(1, 7))):
             e = tuple(int(rng.integers(0, 4)) for _ in range(2 * n))
             terms[e] = QI(Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 5))),
                           Fraction(int(rng.choice([-3, -2, -1, 1, 2, 3])), int(rng.integers(1, 5))))
-        p = ComplexPolynomial(n, terms)
+        polys.append(ComplexPolynomial(n, terms))
+    polys += [rand_sparse_poly(rng, n) for _ in range(40)]
+    for p in polys:
         raw = {e: (c.re, c.im) for e, c in p.terms.items()}
         for idx in range(2 * n):
             got = p.wirtinger(idx % n, holomorphic=idx < n)
             assert [(e, (c.re, c.im)) for e, c in got.terms.items()] == list(p_diff(raw, idx).items())
+            assert got.is_zero == (not p.mask >> idx & 1)
 
 
 def test_evaluate_matches_float_arithmetic():
