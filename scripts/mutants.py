@@ -59,10 +59,21 @@ MUTANTS = (
            "if iso > ISOTROPY_TOL * 1e30:",
            ("tests/test_linear.py",)),
     Mutant("w-hat-euclidean-complement", "linear.py",
-           "What = nullspace(np.hstack([qb.P, pair.G @ qb.P]).T @ eta(pair.m))",
-           "What = nullspace(np.hstack([eta(pair.m) @ qb.P, qb.P]).T)",
+           "What = nullspace(np.hstack([qb.P, pair.G @ qb.P]).T @ eta(pair.m), "
+           "2 * qb.k)",
+           "What = nullspace(np.hstack([eta(pair.m) @ qb.P, qb.P]).T, 2 * qb.k)",
            ("tests/test_linear.py::test_reduce_pair_type_formula_100_random",
             "tests/test_linear.py::test_reduction_matches_the_complex_detour_on_seeded_generators")),
+    Mutant("nullspace-keeps-largest", "linear.py",
+           "vh[..., n - dim:, :]",
+           "vh[..., :dim, :]",
+           ("tests/test_known_dimensions.py::"
+            "test_each_known_dimension_basis_is_a_nullspace_at_the_rank_threshold",)),
+    Mutant("deformed-eigenbundle-not-orthonormal", "linear.py",
+           "J, u = _real_structures(u, out, u)",
+           "J, u = _real_structures(u, out, Leps)",
+           ("tests/test_known_dimensions.py::"
+            "test_a_deformed_structure_keeps_the_orthonormal_eigenbundle_it_was_built_from",)),
     Mutant("quotient-dual-block-scaled", "linear.py",
            "C = np.kron(np.eye(2), Vc)",
            "C = np.kron(np.diag([1.0, 2.0]), Vc)",
@@ -87,6 +98,19 @@ MUTANTS = (
            "    if expected_up:\n",
            "    if False:\n",
            ("tests/test_cli.py::test_an_upstairs_type_off_by_one_fails_the_type_table",)),
+    Mutant("moment-map-drops-invariance", "pipeline.py",
+           '"pass": bool(worst < tol and inv < tol)',
+           '"pass": bool(worst < tol)',
+           ("tests/test_actions.py::test_a_moment_map_off_the_central_level_fails_invariance",)),
+    Mutant("type-formula-drops-j1", "pipeline.py",
+           "ok = (r.type_j2 == rhs2) and (r.type_j1 == rhs1)",
+           "ok = r.type_j2 == rhs2",
+           ("tests/test_pipeline.py::test_a_quotient_j1_type_off_by_two_fails_its_row",)),
+    Mutant("closure-drops-symbolic", "pipeline.py",
+           "ok = ok and sym",
+           "ok = ok",
+           ("tests/test_pipeline.py::"
+            "test_a_bracket_leaving_the_level_set_fails_the_symbolic_check",)),
     Mutant("closure-drops-membership", "pipeline.py",
            "ok = ok and res < MEMBERSHIP_TOL",
            "ok = ok",

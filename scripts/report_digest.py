@@ -32,12 +32,17 @@ SEEDS = (7, 8)
 SAMPLES = 12
 
 
+def verdict(doc):
+    """The bytes a verdict line digests: the report ``doc`` without its
+    float values."""
+    return json.dumps(strip_floats(doc), sort_keys=True).encode()
+
+
 def with_verdict(label, payload):
     """The json line (label, payload), then its verdict line: the label with
     ``json`` read as ``verdict``, and the report without its float values."""
     yield label, payload
-    skeleton = strip_floats(json.loads(payload))
-    yield label.replace("json", "verdict", 1), json.dumps(skeleton, sort_keys=True).encode()
+    yield label.replace("json", "verdict", 1), verdict(json.loads(payload))
 
 
 def reports():

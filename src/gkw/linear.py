@@ -5,27 +5,35 @@ Everything lives on W = V + V* with V = R^m in the fixed coordinate order
 extended bilinearly (not hermitianly) to the complexification.  Structures
 are stored as real 2m x 2m matrices; eigenbundle work happens in C^{2m}.
 
+Every subspace whose dimension the mathematics fixes is read at that
+dimension: ``nullspace(A, dim)`` keeps the right singular vectors of the
+``dim`` smallest singular values of A, with no threshold and no shape check.
 The reduction by P = Q + J1(Q) stays in R^{2m}, as Q, J1(Q), P and
-G = -J1 J2 are real: each of its subspaces is one real nullspace at
-RANK_TOL.  With E = eta(m): the quotient frame V_c = ker [J1(Q), Q]^T, the
-complement of Q in ann(J1(Q)), is its own dual basis in ann(Q), so
+G = -J1 J2 are real: each of its subspaces is one real nullspace.  With
+E = eta(m): the quotient frame V_c = ker [J1(Q), Q]^T (dimension m - 2q),
+the complement of Q in ann(J1(Q)), is its own dual basis in ann(Q), so
 C = diag(V_c, V_c) pairs as eta(k); a pair's representatives are W-hat =
 ker([P, GP]^T E) = P-perp cap G(P)-perp, a structure's W_0 = ker [E P, P]^T
-(the Euclidean complement of P in P-perp); and C+- = ker(G -+ 1).
+(the Euclidean complement of P in P-perp), both of dimension 2k; and
+C+- = ker(G -+ 1), each of dimension m.
 
 The validation checks of a structure and of a pair act on the last two axes
 of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
 a single structure is checked as a stack of one.  A structure check is
-J^2 = -1 with eta-orthogonality (these make the +i eigenbundle L isotropic:
-<v, w> = <Jv, Jw> = -<v, w> on L), then dim L = m and L cap conj(L) = 0.  A
+J^2 = -1 with eta-orthogonality, and nothing more: a real J with J^2 = -1 is
+diagonalizable with eigenvalues +-i, and its -i eigenspace is the conjugate
+of its +i eigenspace L, so C^{2m} = L + conj(L) with dim L = m; and
+eta-orthogonality makes L isotropic (<v, w> = <Jv, Jw> = -<v, w> on L).  A
 pair check is G = -J1 J2 with G^2 = 1 (for two structures, exactly when
 they commute), then G^T eta positive definite; G is eta-orthogonal because
 J1 and J2 are.  A row of a stack is rejected at its first failed check,
 with that check's error.
 
-Every rank threshold is an explicit argument.  Structures are validated,
-deformed and reduced at the fixed RANK_TOL and VALIDATION_TOL, so a
-structure never depends on the threshold of the run that asks about it.
+Every rank threshold is an explicit argument.  The ranks a structure's
+construction still decides (a deformation's admissibility, the span of Q,
+``from_eigenbundle``'s input) are cut at the fixed RANK_TOL, and structures
+are validated at the fixed VALIDATION_TOL, so a structure never depends on
+the threshold of the run that asks about it.
 Only the ranks a report shows take the run's threshold: a structure's type
 (``LinearGC.type_with_gap(tol)``), decided once per structure and threshold,
 so a structure shared by many points or asked by several report sections
@@ -136,22 +144,17 @@ def orthonormal_columns(A, tol=RANK_TOL):
     return u[:, :int((s > _threshold(s, tol)).sum())]
 
 
-def _null_dims(A, tol):
-    """Full SVD factor vh of each matrix in the stack A and the dimension
-    of its numerical nullspace, spanned by the conjugates of the last rows
-    of vh."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    return vh, A.shape[-1] - (s > _threshold(s, tol)).sum(-1)
-
-
-def nullspace(A, tol=RANK_TOL):
-    """Orthonormal basis of the numerical nullspace of A: real for a real A,
-    complex otherwise."""
+def nullspace(A, dim):
+    """Orthonormal basis of the nullspace of A, of the dimension ``dim``
+    that the caller knows: the right singular vectors of the ``dim``
+    smallest singular values, with no threshold.  Real for a real A,
+    complex otherwise; a stack (..., r, n) gives a stack (..., n, dim)."""
     A = np.asarray(A)
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=complex if np.iscomplexobj(A) else float)
-    vh, dim = _null_dims(A, tol)
-    return vh[A.shape[1] - dim:].conj().T
+    n = A.shape[-1]
+    if A.shape[-2] == 0:
+        return np.eye(n, dtype=complex if np.iscomplexobj(A) else float)[:, n - dim:]
+    vh = np.linalg.svd(A, full_matrices=True)[2]
+    return np.swapaxes(vh[..., n - dim:, :].conj(), -1, -2)
 
 
 class _Outcomes:
@@ -249,17 +252,18 @@ class LinearGC:
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2:
             raise ValidationError("J must be square of even dimension 2m")
         out = _Outcomes(1)
-        _, Lh = _check_structures(J[None], out)
+        _check_structures(J[None], out)
         out.raise_first()
-        object.__setattr__(self, "_L", ComplexSubspace(Lh[0].T))
+        L = nullspace(J - 1j * np.eye(J.shape[0]), self.m)
+        object.__setattr__(self, "_L", ComplexSubspace(L))
 
     @property
     def m(self) -> int:
         return self.J.shape[0] // 2
 
     def eigenbundle(self) -> ComplexSubspace:
-        """The +i eigenspace L in the complexification, found and checked
-        with the structure."""
+        """The +i eigenspace L in the complexification, an orthonormal basis
+        found with the structure."""
         return self._L
 
     def type_of(self) -> int:
@@ -313,9 +317,17 @@ class LinearGC:
     @classmethod
     def from_eigenbundle(cls, L: ComplexSubspace) -> "LinearGC":
         """Unique real structure with +i eigenspace L (L max isotropic,
-        L cap conj(L) = 0)."""
+        L cap conj(L) = 0).  L must be maximal and [L, conj L] of full rank,
+        decided at RANK_TOL; a rank within the gap window raises
+        IndeterminateRankError."""
+        if L.dim != L.ambient_dim // 2:
+            raise ValidationError("eigenbundle must be maximal")
+        rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]),
+                                    require_determinate=True)
+        if rank != L.ambient_dim:
+            raise ValidationError("L cap conj(L) != 0: no real structure")
         out = _Outcomes(1)
-        (J,) = _real_structures(L.basis[None], np.array([L.dim]), out)
+        (J,) = _real_structures(L.basis[None], out)
         out.raise_first()
         return cls(J[0])
 
@@ -334,52 +346,38 @@ class LinearGC:
         return LinearGC(J)
 
 
-def _check_structures(J, out: _Outcomes):
-    """The checks of LinearGC on a stack J of real 2m x 2m matrices (the
-    rows of ``out`` still alive), in order: J^2 = -1 and eta-orthogonality
-    (which make the +i eigenbundle L = nullspace(J - i) isotropic), then
-    dim L = m and L cap conj(L) = 0.  Returns (J, Lh) for the rows that
-    pass, with the columns of Lh[k].T spanning L of row k."""
+def _check_structures(J, out: _Outcomes, *carry):
+    """The check of LinearGC on a stack J of real 2m x 2m matrices (the
+    rows of ``out`` still alive): J^2 = -1 and eta-orthogonality.  These
+    imply the rest: a real J with J^2 = -1 is diagonalizable with
+    eigenvalues +-i, and its +-i eigenspaces are conjugate, so its +i
+    eigenbundle L has dim L = m and L cap conj(L) = 0; eta-orthogonality
+    makes L isotropic.  Returns the ``carry`` arrays cut to the rows that
+    pass."""
     d = J.shape[-1]
-    m = d // 2
-    E = eta(m)
+    E = eta(d // 2)
     scale = np.maximum(1.0, _norm2(J))
     r_sq = _fro(J @ J + np.eye(d)) / scale
     r_orth = _fro(np.swapaxes(J, -1, -2) @ E @ J - E) / scale ** 2
     bad = (r_sq > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)
-    (J,) = out.reject(bad, lambda k: ValidationError(
+    return out.reject(bad, lambda k: ValidationError(
         f"not a generalized complex structure: |J^2+I|={r_sq[k]:.3e}, "
         f"|J^T eta J - eta|={r_orth[k]:.3e} (J^2 = -1 and eta-orthogonality, "
-        f"which make the +i eigenbundle isotropic)"), J)
-    vh, dim = _null_dims(J.astype(complex) - 1j * np.eye(d), RANK_TOL)
-    (J, vh) = out.reject(dim != m, lambda k: ValidationError(
-        f"eigenbundle has dimension {dim[k]}, expected {m}"), J, vh)
-    Lh = vh[:, m:, :].conj()
-    L = np.swapaxes(Lh, -1, -2)
-    rank, *_ = _ranks(np.concatenate([L, L.conj()], axis=-1), RANK_TOL)
-    return out.reject(rank != 2 * m, lambda k: ValidationError("L cap conj(L) != 0"), J, Lh)
+        f"which make the +i eigenbundle isotropic)"), *carry)
 
 
-def _real_structures(B, dims, out: _Outcomes):
-    """The checks of LinearGC.from_eigenbundle on a stack B of bases
-    (2m x dims[k]) of candidate eigenbundles: L is maximal, [L, conj L] has
-    a determinate full rank and S diag(i, -i) S^-1 is real for S = [L,
-    conj L].  Returns (J,) for the rows that pass, real and contiguous."""
-    d = B.shape[-2]
-    mm = d // 2
-    (B,) = out.reject(dims != mm, lambda k: ValidationError("eigenbundle must be maximal"), B)
-    if not len(B):
-        return (np.zeros((0, d, d)),)
-    S = np.concatenate([B, B.conj()], axis=-1)
-    rank, gap_ok, s, thr = _ranks(S, RANK_TOL)
-    (S, rank) = out.reject(~gap_ok, lambda k: _indeterminate(s[k], thr[k]), S, rank)
-    (S,) = out.reject(rank != d, lambda k: ValidationError(
-        "L cap conj(L) != 0: no real structure"), S)
-    J = S @ np.diag([1j] * mm + [-1j] * mm) @ np.linalg.inv(S)
+def _real_structures(L, out: _Outcomes, *carry):
+    """J = S diag(i, -i) S^-1 for S = [L, conj L], on a stack L of bases
+    (2m x m) of eigenbundles whose [L, conj L] the caller knows to have
+    full rank; a row whose J is not real is rejected.  Returns (J, *carry)
+    for the rows that pass, J real and contiguous."""
+    m = L.shape[-2] // 2
+    S = np.concatenate([L, L.conj()], axis=-1)
+    J = S @ np.diag([1j] * m + [-1j] * m) @ np.linalg.inv(S)
     not_real = _fro(J.imag) > 1e-8 * np.maximum(1.0, _fro(J.real))
-    (J,) = out.reject(not_real, lambda k: ValidationError(
-        "reconstructed structure is not real"), J)
-    return (np.ascontiguousarray(J.real),)
+    (J, *carry) = out.reject(not_real, lambda k: ValidationError(
+        "reconstructed structure is not real"), J, *carry)
+    return (np.ascontiguousarray(J.real), *carry)
 
 
 def b_field_matrix(B, m):
@@ -475,10 +473,8 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     iso = float(np.abs(P.T @ eta(m) @ P).max()) if q else 0.0
     if iso > ISOTROPY_TOL:
         raise ValidationError(f"P = Q + J(Q) is not isotropic: residual {iso:.3e}")
-    Vc = nullspace(np.hstack([JQ, Q]).T)
-    k = Vc.shape[1]
-    if k != m - 2 * q:
-        raise ValidationError(f"quotient dimension {k} != m - 2q = {m - 2 * q}")
+    k = m - 2 * q
+    Vc = nullspace(np.hstack([JQ, Q]).T, k)
     C = np.kron(np.eye(2), Vc)    # diag(Vc, Vc)
     return QuotientBasis(Q=Q, P=P, C=C, k=k, isotropy=iso)
 
@@ -501,7 +497,7 @@ def reduce_gcs(J: LinearGC, Q) -> tuple[LinearGC, QuotientBasis]:
     qb = quotient_basis(J, Q)
     if qb.k == J.m:
         return J, qb
-    W0 = nullspace(np.hstack([eta(J.m) @ qb.P, qb.P]).T)
+    W0 = nullspace(np.hstack([eta(J.m) @ qb.P, qb.P]).T, 2 * qb.k)
     (Jq,) = _quotient_matrices(W0, qb, J.J)
     return LinearGC(Jq), qb
 
@@ -512,10 +508,7 @@ def reduce_pair(pair: KahlerPairNum, Q) -> tuple[KahlerPairNum, QuotientBasis]:
     qb = quotient_basis(pair.J1, Q)
     if qb.k == pair.m:
         return pair, qb
-    What = nullspace(np.hstack([qb.P, pair.G @ qb.P]).T @ eta(pair.m))
-    if What.shape[1] != 2 * qb.k:
-        raise ValidationError(
-            f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")
+    What = nullspace(np.hstack([qb.P, pair.G @ qb.P]).T @ eta(pair.m), 2 * qb.k)
     J1q, J2q = _quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
     return KahlerPairNum(LinearGC(J1q), LinearGC(J2q)), qb
 
@@ -533,25 +526,28 @@ def contraction_operator(pairs, m):
 
 
 def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
-    """The checks of deform_gcs on a stack K of contraction operators:
-    L_eps = L2 + t K eta L2 meets its conjugate only in 0 (with a clear
-    rank gap), then the real structure with eigenbundle L_eps and its
-    LinearGC checks.  Returns (J, Lh) for the rows that pass, as
-    _check_structures does."""
+    """The checks of deform_gcs on a stack K of contraction operators.
+    Admissibility is one decision: [L_eps, conj L_eps] has rank 2m with a
+    clear gap at RANK_TOL, for L_eps = L2 + t K eta L2; so L_eps has
+    dimension m and meets its conjugate only in 0.  Then J = S diag(i, -i)
+    S^-1 for S = [u, conj u], u an orthonormal basis of L_eps, must be real
+    and pass the structure check.  Returns (J, u) for the rows that pass;
+    u is the eigenbundle of J."""
     m = J2.m
     L2 = J2.eigenbundle().basis
     Leps = L2 + t * (K @ (eta(m) @ L2))
     rank, gap_ok, _, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), RANK_TOL)
     (Leps,) = out.reject((rank != 2 * m) | ~gap_ok, lambda k: ValidationError(
         f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0"), Leps)
-    u, s, _ = np.linalg.svd(Leps, full_matrices=False)
-    (J,) = _real_structures(u, (s > _threshold(s, RANK_TOL)).sum(-1), out)
-    return _check_structures(J, out)
+    u = np.linalg.svd(Leps, full_matrices=False)[0]
+    J, u = _real_structures(u, out, u)
+    return _check_structures(J, out, J, u)
 
 
-def _structures(J, Lh) -> list:
-    """The LinearGC of each row that passed _check_structures."""
-    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(Lh[k].T))
+def _structures(J, L) -> list:
+    """The LinearGC of each row that passed _check_structures, with
+    eigenbundle L[k]."""
+    return [_checked(LinearGC, J=J[k].copy(), _L=ComplexSubspace(L[k]))
             for k in range(len(J))]
 
 
@@ -573,9 +569,9 @@ def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
     K = np.asarray(K)
     stack = K if K.ndim == 3 else K[None]
     out = _Outcomes(len(stack))
-    J, Lh = _deformed_structures(pair.J2, stack, t, out)
-    J, Lh = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, Lh)
-    for i, J2 in zip(out.alive, _structures(J, Lh)):
+    J, L = _deformed_structures(pair.J2, stack, t, out)
+    J, L = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, L)
+    for i, J2 in zip(out.alive, _structures(J, L)):
         out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2)
     if K.ndim == 3:
         return out.results
@@ -652,9 +648,7 @@ def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
     G = pair.G
     out = {}
     for s in (1, -1):
-        Cb = nullspace(G - s * np.eye(2 * m))
-        if Cb.shape[1] != m:
-            raise ValidationError("metric eigenspace split failed tolerance")
+        Cb = nullspace(G - s * np.eye(2 * m), m)
         lift = Cb @ np.linalg.inv(Cb[:m, :])
         g = s * (lift.T @ E @ lift)
         out[s] = ((g + g.T) / 2, (pair.J1.J @ lift)[:m, :])

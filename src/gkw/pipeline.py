@@ -6,9 +6,11 @@ frame Q and the moment-map differentials dF it checked at each accepted
 point) and builds each sample's structure pair once (``pairs_once``; a
 deformed recipe checks its pairs in stacks of at most ``PAIR_STACK_ROWS``
 points).  A pair passes the checks of ``linear``: per structure J^2 = -1
-and eta-orthogonality (so its eigenbundle is isotropic), then the
-eigenbundle's dimension and L cap conj(L) = 0; per pair G^2 = 1 (so J1 and
-J2 commute), G eta-orthogonal and G^T eta positive.  The earliest failure
+and eta-orthogonality, which imply that its +i eigenbundle L is isotropic
+with dim L = m and L cap conj(L) = 0; per pair G^2 = 1 (so J1 and J2
+commute) and G^T eta positive (G is eta-orthogonal as J1 and J2 are).  The
+reduction reads each of its subspaces at the dimension the mathematics
+fixes (``linear.nullspace``), with no rank threshold.  The earliest failure
 decides: ``pairs_once`` raises the error of the earliest point whose pair
 fails, as a loop of ``pair_at`` would, so a report holds valid pairs only;
 the catalog's deformation-scale fit rejects a probe round by the same rule.

@@ -5,8 +5,8 @@ import numpy as np
 
 from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
 from gkw.frames import _frame_rows
-from gkw.linear import (ANTISYMMETRY_TOL, ComplexSubspace, KahlerPairNum, LinearGC,
-                        ValidationError, b_conjugate, b_field_matrix, eta, nullspace,
+from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
+                        LinearGC, ValidationError, b_conjugate, b_field_matrix, eta,
                         numerical_rank, subspace_intersection_dim)
 from gkw.poly import QI, QI_I, ComplexPolynomial
 
@@ -385,18 +385,29 @@ def real_coframe(n: int):
                  for row in _frame_rows(n)[0])
 
 
+def complex_nullspace(A, tol=RANK_TOL):
+    """Orthonormal complex basis of the numerical nullspace of A, of the
+    dimension that singular values above tol * max(1, smax) leave."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape[0] == 0:
+        return np.eye(A.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int((s > tol * max(1.0, s[0])).sum())
+    return vh[rank:].conj().T
+
+
 def perp(S: ComplexSubspace) -> ComplexSubspace:
     """Perpendicular w.r.t. the bilinear pairing eta (not hermitian)."""
     m = S.ambient_dim // 2
     if S.dim == 0:
         return ComplexSubspace(np.eye(S.ambient_dim, dtype=complex))
-    return ComplexSubspace(nullspace(S.basis.T @ eta(m)))
+    return ComplexSubspace(complex_nullspace(S.basis.T @ eta(m)))
 
 
 def intersect(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
     if S.dim == 0 or T.dim == 0:
         return ComplexSubspace(S.basis[:, :0])
-    N = nullspace(np.hstack([S.basis, -T.basis]))
+    N = complex_nullspace(np.hstack([S.basis, -T.basis]))
     if N.shape[1] == 0:
         return ComplexSubspace(S.basis[:, :0])
     return ComplexSubspace.from_columns(S.basis @ N[:S.dim, :])

@@ -6,28 +6,57 @@ independent copy.  Every subspace is found in C^{2m} and its real span
 taken back; W-hat is the intersection of two complex nullspaces; the dual
 basis of the quotient frame is a least-squares solve whose pairing is
 checked afterwards; C+- come from an eigendecomposition of G, split at a
-window around +-1.
+window around +-1.  Each of these subspaces is a nullspace thresholded at
+RANK_TOL, and its dimension is checked against the one the mathematics
+fixes.
+
+The structure check is the earlier one too (``structure``): after J^2 = -1
+and eta-orthogonality, the +i eigenbundle L, a thresholded nullspace of
+J - i, must have dimension m and meet its conjugate only in 0.  A
+deformation (``deform_gcs``) also counts the thresholded span of L_eps and
+decides the rank of [u, conj u] again before that check.
 """
 import numpy as np
 
 from gkw.linear import (ISOTROPY_TOL, RANK_TOL, BiHermitianData, ComplexSubspace,
                         KahlerPairNum, LinearGC, QuotientBasis, ValidationError,
-                        _quotient_matrices, eta, orthonormal_columns)
+                        _quotient_matrices, eta, numerical_rank, orthonormal_columns)
 
-from generators import intersect
+from generators import complex_nullspace, intersect
 
 PAIRING_TOL = 1e-8   # |C^T eta C - eta(k)| of the least-squares dual basis
 SPLIT_TOL = 1e-8     # |w -+ 1| of an eigenvalue of G counted in C+-
 
 
-def complex_nullspace(A, tol=RANK_TOL):
-    """Orthonormal complex basis of the numerical nullspace of A."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape[0] == 0:
-        return np.eye(A.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int((s > tol * max(1.0, s[0])).sum())
-    return vh[rank:].conj().T
+def structure(J) -> LinearGC:
+    """LinearGC(J), then the checks that J^2 = -1 with eta-orthogonality
+    imply: dim L = m and L cap conj(L) = 0, each decided at RANK_TOL."""
+    J = LinearGC(J)
+    m = J.m
+    L = complex_nullspace(J.J - 1j * np.eye(2 * m))
+    if L.shape[1] != m:
+        raise ValidationError(f"eigenbundle has dimension {L.shape[1]}, expected {m}")
+    if numerical_rank(np.hstack([L, L.conj()]))[0] != 2 * m:
+        raise ValidationError("L cap conj(L) != 0")
+    return J
+
+
+def deform_gcs(J2: LinearGC, K, t: float) -> LinearGC:
+    """The structure with eigenbundle L_eps = L2 + t K eta L2: admissible
+    when [L_eps, conj L_eps] has rank 2m with a clear gap; then the span u
+    of L_eps thresholded at RANK_TOL must be maximal with [u, conj u] of a
+    determinate full rank (``from_eigenbundle``), and the structure must
+    pass ``structure``."""
+    m = J2.m
+    L2 = J2.eigenbundle().basis
+    Leps = L2 + t * (K @ (eta(m) @ L2))
+    rank, gap_ok, _ = numerical_rank(np.hstack([Leps, Leps.conj()]))
+    if rank != 2 * m or not gap_ok:
+        raise ValidationError(
+            f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0")
+    u, s, _ = np.linalg.svd(Leps, full_matrices=False)
+    span = ComplexSubspace(u[:, :int((s > RANK_TOL * max(1.0, s[0])).sum())])
+    return structure(LinearGC.from_eigenbundle(span).J)
 
 
 def real_span(X):
@@ -75,7 +104,7 @@ def reduce_gcs(J: LinearGC, Q):
     Pperp = real_span(complex_nullspace(qb.P.T @ eta(J.m)))
     W0 = orthonormal_columns(Pperp - qb.P @ np.linalg.lstsq(qb.P, Pperp, rcond=None)[0])
     (Jq,) = _quotient_matrices(W0, qb, J.J)
-    return LinearGC(Jq), qb
+    return structure(Jq), qb
 
 
 def reduce_pair(pair: KahlerPairNum, Q):
@@ -90,7 +119,7 @@ def reduce_pair(pair: KahlerPairNum, Q):
         raise ValidationError(
             f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")
     J1q, J2q = _quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
-    return KahlerPairNum(LinearGC(J1q), LinearGC(J2q)), qb
+    return KahlerPairNum(structure(J1q), structure(J2q)), qb
 
 
 def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:

@@ -11,6 +11,7 @@ from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_leve
                          standard_moment_map, unitary_lie_basis)
 from gkw.calculus import (VectorField, exterior_derivative, interior_product,
                           standard_symplectic_form)
+from gkw.catalog import build_case
 from gkw.frames import real_coordinates
 from gkw.linear import LinearGC, ValidationError
 from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
@@ -175,6 +176,26 @@ def test_verify_moment_map_pass_and_fail():
     rows_bad = verify_moment_map(lambda z: JJ, act, mm, pts)
     assert all(not r["pass"] for r in rows_bad)
     assert min(r["membership"] for r in rows_bad) > 1e-2
+
+
+def test_a_moment_map_off_the_central_level_fails_invariance():
+    # grassmann-2-3's U(2) moment map with J_omega at sampled frames whose
+    # second row is doubled: Z Z-dagger is no longer central, so the
+    # contraction iota_{xi_M} dmu^eta reads 3 while membership still holds
+    scen = build_case("grassmann-2-3").scenario
+    act = scen.action
+    J1 = LinearGC.from_symplectic(frames.omega_std_map(scen.n))
+    points = sample_level_set(scen, 4, 7).points
+    assert all(r["pass"] for r in verify_moment_map(lambda z: J1, act, scen.moment, points))
+    off = []
+    for z in points:
+        w = np.array(z, dtype=complex)
+        w[[act.flat(1, j) for j in range(act.m)]] *= 2
+        off.append(w)
+    rows = verify_moment_map(lambda z: J1, act, scen.moment, off)
+    assert all(r["membership"] < 1e-12 for r in rows)
+    assert all(abs(r["invariance"] - 3.0) < 1e-12 for r in rows)
+    assert all(r["pass"] is False for r in rows)
 
 
 def test_shift_by_bfield_and_roundtrip():

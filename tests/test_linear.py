@@ -126,7 +126,7 @@ def test_structure_check_rejects_a_square_root_of_minus_one_that_is_not_orthogon
     S = np.diag([2.0, 1.0, 1.0, 1.0])
     J = S @ LinearGC.from_complex(std_complex(1)).J @ np.linalg.inv(S)
     assert np.array_equal(J @ J, -np.eye(4))
-    L = linear.nullspace(J - 1j * np.eye(4))
+    L = linear.nullspace(J - 1j * np.eye(4), 2)
     assert np.abs(L.T @ eta(2) @ L).max() > 0.1
     with pytest.raises(ValidationError, match=r"^not a generalized complex structure: "
                        r"\|J\^2\+I\|=0\.000e\+00, \|J\^T eta J - eta\|=1\.976e-01 \(J\^2 = -1 "
@@ -461,16 +461,16 @@ def test_type_is_decided_once_per_rank_threshold(monkeypatch):
 
 def test_nullspace_is_real_for_a_real_matrix_and_complex_for_a_complex_one():
     A = np.array([[1, 2, 3], [2, 4, 6]])
-    N = linear.nullspace(A)
+    N = linear.nullspace(A, 2)
     assert N.dtype == np.float64 and N.shape == (3, 2)
     assert np.abs(A @ N).max() < 1e-12 and np.abs(N.T @ N - np.eye(2)).max() < 1e-12
-    assert linear.nullspace(np.zeros((0, 3))).dtype == np.float64
+    assert linear.nullspace(np.zeros((0, 3)), 3).dtype == np.float64
     Ac = np.array([[1.0, 1j, 0.0]])
-    Nc = linear.nullspace(Ac)
+    Nc = linear.nullspace(Ac, 2)
     assert Nc.dtype == np.complex128 and Nc.shape == (3, 2)
     assert np.abs(Ac @ Nc).max() < 1e-12
     assert np.abs(Nc.conj().T @ Nc - np.eye(2)).max() < 1e-12
-    assert linear.nullspace(np.zeros((0, 3), dtype=complex)).dtype == np.complex128
+    assert linear.nullspace(np.zeros((0, 3), dtype=complex), 3).dtype == np.complex128
 
 
 def test_quotient_basis_pairs_as_the_standard_eta():

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from gkw import frames
+from gkw.calculus import (GeneralizedSection, VectorField, interior_product,
+                          standard_symplectic_form)
 from gkw.catalog import build_case, closure_families
 from gkw.linear import ValidationError
-from gkw.pipeline import (MEMBERSHIP_TOL, pairs_once, quotient_at_point, quotient_bihermitian,
-                          run_closure_families, sample_level_set, type_table,
-                          verify_type_formula)
+from gkw.pipeline import (MEMBERSHIP_TOL, ClosureFamily, df_contraction_is_zero, pairs_once,
+                          quotient_at_point, quotient_bihermitian, run_closure_families,
+                          sample_level_set, type_table, verify_type_formula)
+from gkw.poly import QI, ComplexPolynomial
 from gkw.report import RunConfig, run
 
 
@@ -94,6 +97,32 @@ def test_verify_type_formula_and_corruption_control():
     rows_bad = verify_type_formula(case.scenario, tab)
     assert not rows_bad[0]["pass"]
     assert all(r["pass"] for r in rows_bad[1:])
+
+
+def test_a_quotient_j1_type_off_by_two_fails_its_row():
+    case = build_case("cpn-2")
+    tab = type_table(case.scenario, 8, 7)
+    tab.rows[0] = dataclasses.replace(tab.rows[0], type_j1=tab.rows[0].type_j1 + 2)
+    rows = verify_type_formula(case.scenario, tab)
+    assert rows[0]["pass"] is False
+    assert all(r["pass"] for r in rows[1:])
+
+
+def test_a_bracket_leaving_the_level_set_fails_the_symbolic_check():
+    # d/dz0 and z0 d/dz1, each with its -i iota_X omega form: the bracket's
+    # vector part d/dz1 is not tangent to cpn-2's level sets
+    case = build_case("cpn-2")
+    n = case.scenario.n
+    omega = standard_symplectic_form(n)
+    fields = [VectorField(n, {0: ComplexPolynomial.one(n)}),
+              VectorField(n, {1: ComplexPolynomial.variable(n, 0)})]
+    sections = [GeneralizedSection(X, interior_product(X, omega).scale(QI(0, -1)))
+                for X in fields]
+    fam = ClosureFamily(name="leaves-level", sections=sections,
+                        symbolic_check=df_contraction_is_zero(case.scenario.moment))
+    (row,) = run_closure_families([fam], [])
+    assert row["symbolic_zero"] is False
+    assert row["pass"] is False
 
 
 def test_closure_families_all_catalog():
