@@ -129,6 +129,18 @@ MUTANTS = (
            "                    pass\n",
            ("tests/test_stacked.py::test_pairs_once_raises_the_earliest_failing_points_error",
             "tests/test_pipeline.py::test_a_failed_pair_raises_where_the_pairs_are_built")),
+    Mutant("bihermitian-ignores-valid", "report.py",
+           'ok = ok and qb.checks["valid"]',
+           "ok = ok",
+           ("tests/test_pipeline.py::test_opposite_orientations_fail_the_bihermitian_section",)),
+    Mutant("validate-drops-same-orientation", "linear.py",
+           ' and checks["same_orientation"])',
+           ")",
+           ("tests/test_pipeline.py::test_opposite_orientations_fail_the_bihermitian_section",)),
+    Mutant("orientation-drops-parity", "linear.py",
+           "return (-1) ** (m // 2) * int(",
+           "return int(",
+           ("tests/test_linear.py::test_orientation_sign",)),
 )
 
 # name -> why the mutant cannot change a verdict

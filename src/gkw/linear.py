@@ -33,11 +33,15 @@ Every rank threshold is an explicit argument.  The ranks a structure's
 construction still decides (a deformation's admissibility, the span of Q,
 ``from_eigenbundle``'s input) are cut at the fixed RANK_TOL, and structures
 are validated at the fixed VALIDATION_TOL, so a structure never depends on
-the threshold of the run that asks about it.
+the threshold of the run that asks about it.  The span of Q is decided
+once: the orthonormal frame ``quotient_basis`` keeps is the one P is built
+from and the one k_M is read from.
 Only the ranks a report shows take the run's threshold: a structure's type
 (``LinearGC.type_with_gap(tol)``), decided once per structure and threshold,
 so a structure shared by many points or asked by several report sections
-costs one rank decision.
+costs one rank decision.  pi(L) comes with the type: the SVD of the V-block
+of L that decides it also gives pi(L), the left singular vectors of the
+rank it keeps (``LinearGC.tangent_projection(tol)``).
 """
 from __future__ import annotations
 
@@ -93,13 +97,21 @@ def _threshold(s, tol):
     return tol * np.maximum(1.0, s[..., :1])
 
 
-def _ranks(A, tol):
-    """(rank, gap_ok, s, threshold) of each matrix in the stack A."""
-    s = np.linalg.svd(A, compute_uv=False)
+def _decide_rank(s, tol):
+    """(rank, gap_ok, threshold) for singular values s (..., k) in
+    descending order: the count above the threshold, and whether none lies
+    within a factor GAP_FACTOR of it."""
     thr = _threshold(s, tol)
     rank = (s > thr).sum(-1)
     gap_ok = ~((s > thr / GAP_FACTOR) & (s < thr * GAP_FACTOR)).any(-1)
-    return rank, gap_ok, s, thr[..., 0]
+    return rank, gap_ok, thr[..., 0]
+
+
+def _ranks(A, tol):
+    """(rank, gap_ok, s, threshold) of each matrix in the stack A."""
+    s = np.linalg.svd(A, compute_uv=False)
+    rank, gap_ok, thr = _decide_rank(s, tol)
+    return rank, gap_ok, s, thr
 
 
 def _norm2(A):
@@ -274,15 +286,28 @@ class LinearGC:
         rank, _, _ = numerical_rank(L.basis[:self.m, :], require_determinate=True)
         return self.m - rank
 
+    def _type_decision(self, tol):
+        """(type, gap_ok, u) at rank threshold ``tol``, all from one SVD of
+        the V-block of L, kept per threshold: u holds its left singular
+        vectors, and the first m - type of them span pi(L)."""
+        memo = self.__dict__.setdefault("_types", {})
+        if tol not in memo:
+            u, s, _ = np.linalg.svd(self._L.basis[:self.m, :], full_matrices=False)
+            rank, gap_ok, _ = _decide_rank(s, tol)
+            memo[tol] = (self.m - int(rank), bool(gap_ok), u)
+        return memo[tol]
+
     def type_with_gap(self, tol=RANK_TOL):
         """(type, gap_ok): the value at rank threshold ``tol`` plus the audit
         flag; used by table builders that report borderline rows instead of
         raising.  Decided once per structure and threshold."""
-        memo = self.__dict__.setdefault("_types", {})
-        if tol not in memo:
-            rank, gap_ok, _ = numerical_rank(self.eigenbundle().basis[:self.m, :], tol)
-            memo[tol] = (self.m - rank, gap_ok)
-        return memo[tol]
+        return self._type_decision(tol)[:2]
+
+    def tangent_projection(self, tol=RANK_TOL) -> ComplexSubspace:
+        """pi(L), the V-block span of the eigenbundle, at the rank that
+        ``type_with_gap(tol)`` decides."""
+        type_, _, u = self._type_decision(tol)
+        return ComplexSubspace(u[:, :self.m - type_])
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -330,20 +355,6 @@ class LinearGC:
         (J,) = _real_structures(L.basis[None], out)
         out.raise_first()
         return cls(J[0])
-
-    def product(self, other: "LinearGC") -> "LinearGC":
-        """Block structure on V1 + V2 with interleaved V/V* blocks."""
-        m1, m2 = self.m, other.m
-        m = m1 + m2
-        J = np.zeros((2 * m, 2 * m))
-        sl = (slice(0, m1), slice(m1, m), slice(m, m + m1), slice(m + m1, 2 * m))
-        a = (slice(0, m1), slice(m1, 2 * m1))
-        b = (slice(0, m2), slice(m2, 2 * m2))
-        for r in range(2):
-            for c in range(2):
-                J[sl[2 * r], sl[2 * c]] = self.J[a[r], a[c]]
-                J[sl[2 * r + 1], sl[2 * c + 1]] = other.J[b[r], b[c]]
-        return LinearGC(J)
 
 
 def _check_structures(J, out: _Outcomes, *carry):
@@ -616,24 +627,17 @@ class BiHermitianData:
 
 
 def orientation_sign(J) -> int:
-    """Orientation class of an almost complex structure on R^m."""
+    """Orientation class of an almost complex structure J on R^m: the sign
+    of det[x_1, J x_1, ..., x_{m/2}, J x_{m/2}] for a complex basis x of
+    (R^m, J).  u = x - iJx is a basis of the +i eigenspace, read at its
+    dimension m/2, and [x, Jx] = [Re u, -Im u], hence the sign (-1)^{m/2};
+    any other basis of the eigenspace gives the same sign, as the real form
+    of a complex change of basis has determinant |det|^2 > 0."""
     J = np.asarray(J, dtype=float)
     m = J.shape[0]
-    cols: list[np.ndarray] = []
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = 1.0
-        if cols:
-            Bas = np.array(cols).T
-            resid = e - Bas @ np.linalg.lstsq(Bas, e, rcond=None)[0]
-            if np.linalg.norm(resid) < 1e-8:
-                continue
-            e = resid
-        cols.append(e)
-        cols.append(J @ e)
-        if len(cols) == m:
-            break
-    return int(np.sign(np.linalg.det(np.array(cols).T)))
+    u = nullspace(J - 1j * np.eye(m), m // 2)
+    frame = np.stack([u.real, u.imag], axis=-1).reshape(m, m)   # Re u_1, Im u_1, ...
+    return (-1) ** (m // 2) * int(np.sign(np.linalg.det(frame)))
 
 
 def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
@@ -641,19 +645,18 @@ def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
 
     On C+, J2 = J1 and on C-, J2 = -J1, so the two transports carry the
     full pair.  The overall sign on the C+ transport is chosen so a genuine
-    Kahler pair returns Jplus = Jminus = J.
+    Kahler pair returns Jplus = Jminus = J.  The metric is the one C+
+    induces: G^T eta is positive definite, so C+ is a positive subspace,
+    C- = C+-perp is negative, and the two are the graphs of b + g and b - g
+    over V for one b and g, which makes the metric C- induces the same g.
     """
     m = pair.m
-    E = eta(m)
     G = pair.G
-    out = {}
+    lifts = []
     for s in (1, -1):
         Cb = nullspace(G - s * np.eye(2 * m), m)
-        lift = Cb @ np.linalg.inv(Cb[:m, :])
-        g = s * (lift.T @ E @ lift)
-        out[s] = ((g + g.T) / 2, (pair.J1.J @ lift)[:m, :])
-    gp, Ap = out[1]
-    gm, Am = out[-1]
-    if np.linalg.norm(gp - gm) > 1e-8 * max(1.0, np.linalg.norm(gp)):
-        raise ValidationError("C+ and C- induce different tangent metrics")
-    return BiHermitianData(g=gp, Jplus=-Ap, Jminus=Am)
+        lifts.append(Cb @ np.linalg.inv(Cb[:m, :]))
+    lift_plus, lift_minus = lifts
+    g = lift_plus.T @ eta(m) @ lift_plus
+    return BiHermitianData(g=(g + g.T) / 2, Jplus=-(pair.J1.J @ lift_plus)[:m, :],
+                           Jminus=(pair.J1.J @ lift_minus)[:m, :])

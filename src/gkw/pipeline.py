@@ -17,8 +17,11 @@ the catalog's deformation-scale fit rejects a probe round by the same rule.
 The quotient at each point reuses that pair, Q and dF, and is one
 ``QuotientRow``: the upstairs and quotient types, dim(k_M cap pi L2), the
 residual diagnostics (P-isotropy as ``quotient_basis`` checked it), the
-quotient pair and its basis.  ``type_table`` collects those rows, and the
-report's type-table, formula and bi-Hermitian sections read them directly.
+quotient pair and its basis.  k_M is the frame of Q that ``quotient_basis``
+orthonormalized to build P, and pi(L2) comes from the SVD that decides
+type(J2), so neither span is decided a second time.  ``type_table``
+collects those rows, and the report's type-table, formula and bi-Hermitian
+sections read them directly.
 """
 from __future__ import annotations
 
@@ -565,12 +568,11 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     r_moment = float(np.linalg.norm(pair.J1.J @ lift - expect)
                      / max(1.0, np.linalg.norm(DF)))
     pair_q, qb = reduce_pair(pair, Q)
-    piL2 = pair.J2.eigenbundle().projection_to_tangent(tol)
-    kM = ComplexSubspace.from_columns(Q.astype(complex), tol)
-    dim_int, gap_int = subspace_intersection_dim(kM, piL2, require_determinate=False,
-                                                 tol=tol)
     t1u, g1u = pair.J1.type_with_gap(tol)
     t2u, g2u = pair.J2.type_with_gap(tol)
+    kM = ComplexSubspace(qb.Q.astype(complex))
+    dim_int, gap_int = subspace_intersection_dim(kM, pair.J2.tangent_projection(tol),
+                                                 require_determinate=False, tol=tol)
     t1q, g1q = pair_q.J1.type_with_gap(tol)
     t2q, g2q = pair_q.J2.type_with_gap(tol)
     return QuotientRow(

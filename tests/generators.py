@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from gkw.actions import TorusAction, standard_moment_map
 from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
 from gkw.frames import _frame_rows
 from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
                         LinearGC, ValidationError, b_conjugate, b_field_matrix, eta,
                         numerical_rank, subspace_intersection_dim)
+from gkw.pipeline import ConstantPairRecipe, Scenario, ScalingSampler, _standard_pair
 from gkw.poly import QI, QI_I, ComplexPolynomial
 
 
@@ -155,6 +157,36 @@ def gl_conjugate(J, A):
     return LinearGC(O @ J.J @ Oi)
 
 
+def product(J1: LinearGC, J2: LinearGC) -> LinearGC:
+    """Block structure on V1 + V2 with interleaved V/V* blocks."""
+    m1, m2 = J1.m, J2.m
+    m = m1 + m2
+    J = np.zeros((2 * m, 2 * m))
+    sl = (slice(0, m1), slice(m1, m), slice(m, m + m1), slice(m + m1, 2 * m))
+    a = (slice(0, m1), slice(m1, 2 * m1))
+    b = (slice(0, m2), slice(m2, 2 * m2))
+    for r in range(2):
+        for c in range(2):
+            J[sl[2 * r], sl[2 * c]] = J1.J[a[r], a[c]]
+            J[sl[2 * r + 1], sl[2 * c + 1]] = J2.J[b[r], b[c]]
+    return LinearGC(J)
+
+
+def product_cp1xc_scenario() -> Scenario:
+    """C^3 = C^2 x C with J1 = J_omega + J_I and J2 = J_I + J_omega, a
+    constant pair whose J1 has type 1, reduced by the circle of weights
+    (1, 1, 0) at level 1: the quotient is CP^1 x C with types (1, 1), and
+    its I+ and I- have opposite orientations."""
+    c2, c1 = _standard_pair(2), _standard_pair(1)
+    recipe = ConstantPairRecipe(3, product(c2.J1, c1.J2).J, product(c2.J2, c1.J1).J,
+                                label="product-cp1xc")
+    action = TorusAction(((1, 1, 0),))
+    moment = standard_moment_map(action)
+    return Scenario(name="product-cp1xc", n=3, recipe=recipe, action=action,
+                    moment=moment, level=(Fraction(1),),
+                    sampler=ScalingSampler(moment, [1.0]))
+
+
 def rand_gc(rng, m):
     """Random generalized complex structure on R^m (m even)."""
     kind = rng.integers(0, 4)
@@ -164,7 +196,7 @@ def rand_gc(rng, m):
         J = LinearGC.from_complex(rand_complex_structure(rng, m))
     elif kind == 2 and m >= 4:
         m1 = 2 * int(rng.integers(1, m // 2))
-        J = rand_gc(rng, m1).product(rand_gc(rng, m - m1))
+        J = product(rand_gc(rng, m1), rand_gc(rng, m - m1))
     else:
         J = LinearGC.from_symplectic(rand_symplectic_map(rng, m))
     if rng.random() < 0.5:
@@ -216,7 +248,7 @@ def rand_pair_with_admissible_q(rng, m, qdim=1, allow_hk=True):
         if pair is None:
             pair = blk
         else:
-            pair = KahlerPairNum(pair.J1.product(blk.J1), pair.J2.product(blk.J2))
+            pair = KahlerPairNum(product(pair.J1, blk.J1), product(pair.J2, blk.J2))
     # omega map of J1 (its lower-left block)
     M = pair.J1.J[m:, :m]
     Q = np.zeros((m, 0))
@@ -255,7 +287,7 @@ def rand_gc_with_admissible_q(rng, m, qdim=1):
     M = rand_symplectic_map(rng, m1)
     J = LinearGC.from_symplectic(M)
     if m1 < m:
-        J = J.product(LinearGC.from_complex(rand_complex_structure(rng, m - m1)))
+        J = product(J, LinearGC.from_complex(rand_complex_structure(rng, m - m1)))
     Q = np.zeros((m, 0))
     for _ in range(qdim):
         for _attempt in range(50):

@@ -15,6 +15,10 @@ and eta-orthogonality, the +i eigenbundle L, a thresholded nullspace of
 J - i, must have dimension m and meet its conjugate only in 0.  A
 deformation (``deform_gcs``) also counts the thresholded span of L_eps and
 decides the rank of [u, conj u] again before that check.
+
+``orientation_sign`` is the earlier Gram-Schmidt one: standard basis
+vectors, each taken with its image under J after its least-squares residual
+against the columns so far, skipping a vector whose residual is below 1e-8.
 """
 import numpy as np
 
@@ -142,3 +146,25 @@ def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
     if np.linalg.norm(gp - gm) > 1e-8 * max(1.0, np.linalg.norm(gp)):
         raise ValidationError("C+ and C- induce different tangent metrics")
     return BiHermitianData(g=gp, Jplus=-Ap, Jminus=Am)
+
+
+def orientation_sign(J) -> int:
+    """Sign of det[e, Je, ...] over the standard basis vectors e that
+    leave the span of the columns chosen so far."""
+    J = np.asarray(J, dtype=float)
+    m = J.shape[0]
+    cols: list[np.ndarray] = []
+    for k in range(m):
+        e = np.zeros(m)
+        e[k] = 1.0
+        if cols:
+            Bas = np.array(cols).T
+            resid = e - Bas @ np.linalg.lstsq(Bas, e, rcond=None)[0]
+            if np.linalg.norm(resid) < 1e-8:
+                continue
+            e = resid
+        cols.append(e)
+        cols.append(J @ e)
+        if len(cols) == m:
+            break
+    return int(np.sign(np.linalg.det(np.array(cols).T)))

@@ -11,9 +11,10 @@ from gkw.linear import (ComplexSubspace, IndeterminateRankError,
 from gkw.pipeline import sample_level_set
 
 from generators import (ReductionTally, add, b_transform, hk_block_pair, intersect, perp,
-                        rand_antisym, rand_compatible_kahler, rand_complex_structure,
-                        rand_gc, rand_gc_with_admissible_q, rand_pair_with_admissible_q,
-                        rand_symplectic_map, restricted_projection_dim)
+                        product, rand_antisym, rand_compatible_kahler,
+                        rand_complex_structure, rand_gc, rand_gc_with_admissible_q,
+                        rand_pair_with_admissible_q, rand_symplectic_map,
+                        restricted_projection_dim)
 import naive_linear as naive
 
 
@@ -138,9 +139,9 @@ def test_product_type_additivity():
     rng = np.random.default_rng(3)
     J1 = LinearGC.from_symplectic(rand_symplectic_map(rng, 2))
     J2 = LinearGC.from_symplectic(rand_symplectic_map(rng, 4))
-    assert J1.product(J2).type_of() == 0
+    assert product(J1, J2).type_of() == 0
     Jc = LinearGC.from_complex(std_complex(1))
-    mix = J1.product(Jc)
+    mix = product(J1, Jc)
     assert mix.type_of() == 1
     assert mix.m == 4
 
@@ -438,22 +439,42 @@ def test_orientation_sign():
     assert orientation_sign(J) == orientation_sign(-J)   # m = 4: flip keeps it
     J1 = std_complex(1)
     assert orientation_sign(J1) != orientation_sign(-J1)  # m = 2: flip changes
+    for k in (1, 2, 3, 4):   # J x_j = y_j orients (x_1, y_1, ...) positively
+        assert orientation_sign(std_complex(k)) == 1
+
+
+def test_orientation_sign_matches_the_gram_schmidt_oracle():
+    # A J0 A^-1 has the orientation of J0 times sign det A
+    rng = np.random.default_rng(1414)
+    for m in (2, 4, 6, 8):
+        seen = set()
+        for _ in range(40):
+            A = rng.standard_normal((m, m))
+            J = A @ std_complex(m // 2) @ np.linalg.inv(A)
+            for K in (J, -J):
+                sign = linear.orientation_sign(K)
+                assert sign == naive.orientation_sign(K)
+                seen.add(sign)
+            assert linear.orientation_sign(J) == int(np.sign(np.linalg.det(A)))
+        assert seen == {1, -1}
 
 
 def test_type_is_decided_once_per_rank_threshold(monkeypatch):
     # the top block of J_omega's eigenbundle has singular values 1/sqrt(2):
-    # clear of the default threshold, within the gap factor of 0.1
+    # clear of the default threshold, within the gap factor of 0.1; pi(L)
+    # comes from the same decision as the type
     J = LinearGC.from_symplectic(std_omega_map(2))
     calls = []
-    real = linear.numerical_rank
+    real = linear._decide_rank
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(linear, "numerical_rank", counting)
+    monkeypatch.setattr(linear, "_decide_rank", counting)
     for _ in range(2):
         assert J.type_with_gap() == (0, True)
         assert J.type_with_gap(0.1) == (0, False)
+        assert J.tangent_projection(0.1).dim == 4
     assert len(calls) == 2
 
 

@@ -1,19 +1,26 @@
 """Level-set sampling, pointwise quotients, type tables, closure checks."""
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from gkw import frames
+from gkw import frames, report
 from gkw.calculus import (GeneralizedSection, VectorField, interior_product,
                           standard_symplectic_form)
-from gkw.catalog import build_case, closure_families
-from gkw.linear import ValidationError
+from gkw.catalog import build_case, catalog_names, closure_families
+from gkw.linear import (ISOTROPY_TOL, RANK_TOL, VALIDATION_TOL, ComplexSubspace,
+                        ValidationError, extract_bihermitian, orientation_sign,
+                        subspace_intersection_dim)
 from gkw.pipeline import (MEMBERSHIP_TOL, ClosureFamily, df_contraction_is_zero, pairs_once,
                           quotient_at_point, quotient_bihermitian, run_closure_families,
-                          sample_level_set, type_table, verify_type_formula)
+                          sample_level_set, type_table, verify_moment_map,
+                          verify_type_formula)
 from gkw.poly import QI, ComplexPolynomial
 from gkw.report import RunConfig, run
+
+import naive_linear as naive
+from generators import product_cp1xc_scenario
 
 
 def test_sampling_level_freeness_and_quota():
@@ -257,3 +264,73 @@ def test_sampler_frames_are_the_quotient_frames(name):
         own = quotient_at_point(scen, z, lab)
         assert given.diagnostics == own.diagnostics
         assert np.array_equal(given.pair_quot.J2.J, own.pair_quot.J2.J)
+
+
+# -- decisions shared with the quotient's construction ---------------------------
+
+@lru_cache(maxsize=None)
+def _catalog_rows(name, seed):
+    """(Q, pair, row) of each type-table row of a case at 12 samples, the
+    pairs built as a report builds them."""
+    scenario = build_case(name).scenario
+    batch = sample_level_set(scenario, 12, seed)
+    pair_at = pairs_once(scenario.recipe, batch.points)
+    table = type_table(scenario, batch=batch, pair_at=pair_at)
+    return [(Q, pair_at(z), row) for z, Q, row in zip(batch.points, batch.Q, table.rows)]
+
+
+def _projector(S: ComplexSubspace):
+    return S.basis @ S.basis.conj().T
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("name", catalog_names())
+def test_k_m_and_pi_l2_are_the_spans_a_second_decision_would_give(name, seed):
+    # k_M is the frame quotient_basis orthonormalized, pi(L2) comes with
+    # type(J2); thresholding each span again, at the run's tol, gives the same
+    # subspaces and the same dim(k_M cap pi L2)
+    for Q, pair, row in _catalog_rows(name, seed):
+        kM = ComplexSubspace(row.qbasis.Q.astype(complex))
+        for tol in (RANK_TOL, 1e-6, 1e-4):
+            again = ComplexSubspace.from_columns(Q.astype(complex), tol)
+            assert again.dim == kM.dim
+            assert np.abs(_projector(again) - _projector(kM)).max() < 1e-12
+            piL2 = pair.J2.tangent_projection(tol)
+            again = pair.J2.eigenbundle().projection_to_tangent(tol)
+            assert again.dim == piL2.dim
+            assert np.abs(_projector(again) - _projector(piL2)).max() < 1e-12
+        old_kM = ComplexSubspace.from_columns(Q.astype(complex))
+        old_piL2 = pair.J2.eigenbundle().projection_to_tangent()
+        assert subspace_intersection_dim(old_kM, old_piL2, False)[0] == row.dim_k_cap_piL2
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("name", catalog_names())
+def test_orientation_of_every_bihermitian_row_matches_the_gram_schmidt_oracle(name, seed):
+    for _, _, row in _catalog_rows(name, seed):
+        data = extract_bihermitian(row.pair_quot)
+        for J in (data.Jplus, data.Jminus):
+            assert orientation_sign(J) == naive.orientation_sign(J)
+
+
+def test_opposite_orientations_fail_the_bihermitian_section():
+    # J1 = J_omega + J_I has type 1, and so has the quotient's J1: I+ and I-
+    # orient the quotient oppositely, and that alone fails every row
+    scenario = product_cp1xc_scenario()
+    batch = sample_level_set(scenario, 12, 7)
+    table = type_table(scenario, batch=batch)
+    for r in table.rows:
+        assert (r.type_j1, r.type_j2, r.dim_k_cap_piL2) == (1, 1, 0)
+        assert (r.type_j1_up, r.type_j2_up) == (1, 2)
+    assert all(x["pass"] for x in verify_type_formula(scenario, table))
+    moment = verify_moment_map(lambda z: scenario.recipe.pair_at(z).J1, scenario.action,
+                               scenario.moment, batch.points)
+    assert all(x["pass"] for x in moment)
+    section = report._bihermitian_section(table)
+    assert section["pass"] is False
+    assert len(section["rows"]) == 8
+    for row in section["rows"]:
+        assert row["valid"] is False and row["same_orientation"] is False
+        assert row["g_min_eigenvalue"] > VALIDATION_TOL
+        assert max(row[k] for k in ("jplus_square", "jminus_square", "jplus_orthogonal",
+                                    "jminus_orthogonal")) < ISOTROPY_TOL
