@@ -83,12 +83,12 @@ MUTANTS = (
            'r["moment_condition"] < MOMENT_CONDITION_TOL * 1e30',
            ("tests/test_cli.py::test_a_moment_map_off_by_a_factor_fails_the_type_table",)),
     Mutant("scenario-invariance-always-true", "report.py",
-           '"pass": invariant_along(',
-           '"pass": True or invariant_along(',
+           "invariant_along(eps, fields)",
+           "True or invariant_along(eps, fields)",
            ("tests/test_cli.py::test_scenario_file_deformation_is_certified_invariant",)),
     Mutant("maurer-cartan-section-always-true", "report.py",
-           '"exact_zero": res.is_zero, "pass": res.is_zero}',
-           '"exact_zero": res.is_zero, "pass": True}',
+           '"exact_zero": zero, "pass": zero}',
+           '"exact_zero": zero, "pass": True}',
            ("tests/test_cli.py::test_scenario_file_off_maurer_cartan_fails_its_section",)),
     Mutant("recorded-t-wrong", "catalog.py",
            '"hirzebruch-2": lambda: build_hirzebruch(2, Fraction(1, 32)),',
@@ -107,7 +107,7 @@ MUTANTS = (
            "ok = r.type_j2 == rhs2",
            ("tests/test_pipeline.py::test_a_quotient_j1_type_off_by_two_fails_its_row",)),
     Mutant("closure-drops-symbolic", "pipeline.py",
-           "ok = ok and sym",
+           "ok = ok and t.symbolic_zero",
            "ok = ok",
            ("tests/test_pipeline.py::"
             "test_a_bracket_leaving_the_level_set_fails_the_symbolic_check",)),
@@ -134,13 +134,18 @@ MUTANTS = (
            "ok = ok",
            ("tests/test_pipeline.py::test_opposite_orientations_fail_the_bihermitian_section",)),
     Mutant("validate-drops-same-orientation", "linear.py",
-           ' and checks["same_orientation"])',
+           '\n              & checks["same_orientation"])',
            ")",
            ("tests/test_pipeline.py::test_opposite_orientations_fail_the_bihermitian_section",)),
     Mutant("orientation-drops-parity", "linear.py",
-           "return (-1) ** (m // 2) * int(",
-           "return int(",
+           "sign = (-1) ** (m // 2) * np.sign(",
+           "sign = np.sign(",
            ("tests/test_linear.py::test_orientation_sign",)),
+    Mutant("exact-results-kept-by-case-name", "report.py",
+           'memo = case.__dict__.setdefault("_exact", {})',
+           'memo = globals().setdefault("_kept_by_name", {}).setdefault(case.name, {})',
+           ("tests/test_exact_memo.py::"
+            "test_a_replaced_case_does_not_read_the_results_kept_for_its_original",)),
 )
 
 # name -> why the mutant cannot change a verdict

@@ -30,10 +30,10 @@ J1 and J2 are.  A row of a stack is rejected at its first failed check,
 with that check's error.
 
 Every rank threshold is an explicit argument.  The ranks a structure's
-construction still decides (a deformation's admissibility, the span of Q,
-``from_eigenbundle``'s input) are cut at the fixed RANK_TOL, and structures
-are validated at the fixed VALIDATION_TOL, so a structure never depends on
-the threshold of the run that asks about it.  The span of Q is decided
+construction still decides (a deformation's admissibility, the span of Q)
+are cut at the fixed RANK_TOL, and structures are validated at the fixed
+VALIDATION_TOL, so a structure never depends on the threshold of the run
+that asks about it.  The span of Q is decided
 once: the orthonormal frame ``quotient_basis`` keeps is the one P is built
 from and the one k_M is read from.
 Only the ranks a report shows take the run's threshold: a structure's type
@@ -120,8 +120,11 @@ def _norm2(A):
 
 
 def _fro(A):
-    """Frobenius norm of each real matrix in the stack A."""
-    return np.sqrt((A * A).sum(axis=(-2, -1)))
+    """Frobenius norm of each real matrix in the stack A: the square root
+    of one dot product of its entries, the sum ``np.linalg.norm`` takes of
+    a single matrix, so a stack of one gives its value to the last bit."""
+    flat = A.reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
 def _indeterminate(s, thr) -> IndeterminateRankError:
@@ -211,10 +214,6 @@ class ComplexSubspace:
 
     basis: np.ndarray
 
-    @classmethod
-    def from_columns(cls, cols, tol=RANK_TOL):
-        return cls(orthonormal_columns(np.asarray(cols, dtype=complex), tol))
-
     @property
     def ambient_dim(self):
         return self.basis.shape[0]
@@ -231,14 +230,6 @@ class ComplexSubspace:
             return 0.0
         r = v - self.basis @ (self.basis.conj().T @ v)
         return float(np.linalg.norm(r) / nv)
-
-    def contains(self, vec, tol=RANK_TOL) -> bool:
-        return self.residual(vec) < tol
-
-    def projection_to_tangent(self, tol=RANK_TOL) -> "ComplexSubspace":
-        """pi(S): the V-block span (first half of the coordinates)."""
-        m = self.ambient_dim // 2
-        return ComplexSubspace.from_columns(self.basis[:m, :], tol)
 
 
 def subspace_intersection_dim(A: ComplexSubspace, B: ComplexSubspace,
@@ -277,14 +268,6 @@ class LinearGC:
         """The +i eigenspace L in the complexification, an orthonormal basis
         found with the structure."""
         return self._L
-
-    def type_of(self) -> int:
-        """Codimension of pi(L) in V_C; integer from a thresholded rank.
-        Raises IndeterminateRankError on a borderline spectrum rather than
-        guessing."""
-        L = self.eigenbundle()
-        rank, _, _ = numerical_rank(L.basis[:self.m, :], require_determinate=True)
-        return self.m - rank
 
     def _type_decision(self, tol):
         """(type, gap_ok, u) at rank threshold ``tol``, all from one SVD of
@@ -338,23 +321,6 @@ class LinearGC:
         J[:m, :m] = -Jc
         J[m:, m:] = Jc.T
         return cls(J)
-
-    @classmethod
-    def from_eigenbundle(cls, L: ComplexSubspace) -> "LinearGC":
-        """Unique real structure with +i eigenspace L (L max isotropic,
-        L cap conj(L) = 0).  L must be maximal and [L, conj L] of full rank,
-        decided at RANK_TOL; a rank within the gap window raises
-        IndeterminateRankError."""
-        if L.dim != L.ambient_dim // 2:
-            raise ValidationError("eigenbundle must be maximal")
-        rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]),
-                                    require_determinate=True)
-        if rank != L.ambient_dim:
-            raise ValidationError("L cap conj(L) != 0: no real structure")
-        out = _Outcomes(1)
-        (J,) = _real_structures(L.basis[None], out)
-        out.raise_first()
-        return cls(J[0])
 
 
 def _check_structures(J, out: _Outcomes, *carry):
@@ -591,56 +557,71 @@ def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
 
 
 # -- bi-Hermitian extraction ---------------------------------------------------
+#
+# Extraction, its checks and the orientation act on the last two axes of
+# their arrays, as the structure and pair checks do: one pass handles a
+# stack of pairs, and a single pair is a stack of one.
 
 @dataclass(frozen=True)
 class BiHermitianData:
+    """The metric g and complex structures I+ (Jplus) and I- (Jminus) on V,
+    each m x m, or stacks (S, m, m) of them, one entry per pair."""
+
     g: np.ndarray
     Jplus: np.ndarray
     Jminus: np.ndarray
 
     def validate(self):
-        m = self.g.shape[0]
-        ev = np.linalg.eigvalsh((self.g + self.g.T) / 2)
-        gscale = max(1.0, float(np.linalg.norm(self.g, 2)))
-        jscale = max(1.0, float(np.linalg.norm(self.Jplus, 2)) ** 2)
+        """(ok, checks): g positive, I+- squaring to -1 and g-orthogonal, and
+        I+ and I- orienting V alike.  On a stack, ok and every check are
+        arrays with one entry per pair; on a single one, Python scalars."""
+        single = self.g.ndim == 2
+        g, Jp, Jm = (a[None] if single else a for a in (self.g, self.Jplus, self.Jminus))
+        m = g.shape[-1]
+        jscale = np.maximum(1.0, _norm2(Jp)) ** 2
+        oscale = np.maximum(1.0, _norm2(g)) * jscale
         checks = {
-            "g_min_eigenvalue": float(ev.min()),
-            "jplus_square": float(np.linalg.norm(self.Jplus @ self.Jplus + np.eye(m))) / jscale,
-            "jminus_square": float(np.linalg.norm(self.Jminus @ self.Jminus + np.eye(m))) / jscale,
-            "jplus_orthogonal": float(np.linalg.norm(
-                self.Jplus.T @ self.g @ self.Jplus - self.g)) / (gscale * jscale),
-            "jminus_orthogonal": float(np.linalg.norm(
-                self.Jminus.T @ self.g @ self.Jminus - self.g)) / (gscale * jscale),
-            "same_orientation": orientation_sign(self.Jplus) == orientation_sign(self.Jminus),
+            "g_min_eigenvalue": np.linalg.eigvalsh((g + np.swapaxes(g, -1, -2)) / 2)[..., 0],
+            "jplus_square": _fro(Jp @ Jp + np.eye(m)) / jscale,
+            "jminus_square": _fro(Jm @ Jm + np.eye(m)) / jscale,
+            "jplus_orthogonal": _fro(np.swapaxes(Jp, -1, -2) @ g @ Jp - g) / oscale,
+            "jminus_orthogonal": _fro(np.swapaxes(Jm, -1, -2) @ g @ Jm - g) / oscale,
+            "same_orientation": orientation_sign(Jp) == orientation_sign(Jm),
         }
-        ok = (checks["g_min_eigenvalue"] > VALIDATION_TOL
-              and checks["jplus_square"] < ISOTROPY_TOL
-              and checks["jminus_square"] < ISOTROPY_TOL
-              and checks["jplus_orthogonal"] < ISOTROPY_TOL
-              and checks["jminus_orthogonal"] < ISOTROPY_TOL
-              and checks["same_orientation"])
+        ok = ((checks["g_min_eigenvalue"] > VALIDATION_TOL)
+              & (checks["jplus_square"] < ISOTROPY_TOL)
+              & (checks["jminus_square"] < ISOTROPY_TOL)
+              & (checks["jplus_orthogonal"] < ISOTROPY_TOL)
+              & (checks["jminus_orthogonal"] < ISOTROPY_TOL)
+              & checks["same_orientation"])
+        if single:
+            return bool(ok[0]), {k: v[0].item() for k, v in checks.items()}
         return ok, checks
 
-    def distinct(self) -> bool:
-        return bool(np.linalg.norm(self.Jplus - self.Jminus) > DISTINCT_TOL
-                    and np.linalg.norm(self.Jplus + self.Jminus) > DISTINCT_TOL)
+    def distinct(self):
+        """I+ differs from both I- and -I- (an array on a stack)."""
+        apart = ((_fro(self.Jplus - self.Jminus) > DISTINCT_TOL)
+                 & (_fro(self.Jplus + self.Jminus) > DISTINCT_TOL))
+        return apart if self.g.ndim > 2 else bool(apart)
 
 
-def orientation_sign(J) -> int:
+def orientation_sign(J):
     """Orientation class of an almost complex structure J on R^m: the sign
     of det[x_1, J x_1, ..., x_{m/2}, J x_{m/2}] for a complex basis x of
     (R^m, J).  u = x - iJx is a basis of the +i eigenspace, read at its
     dimension m/2, and [x, Jx] = [Re u, -Im u], hence the sign (-1)^{m/2};
     any other basis of the eigenspace gives the same sign, as the real form
-    of a complex change of basis has determinant |det|^2 > 0."""
+    of a complex change of basis has determinant |det|^2 > 0.  A stack
+    (S, m, m) gives an integer array of S signs."""
     J = np.asarray(J, dtype=float)
-    m = J.shape[0]
+    m = J.shape[-1]
     u = nullspace(J - 1j * np.eye(m), m // 2)
-    frame = np.stack([u.real, u.imag], axis=-1).reshape(m, m)   # Re u_1, Im u_1, ...
-    return (-1) ** (m // 2) * int(np.sign(np.linalg.det(frame)))
+    frame = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:-1] + (m,))
+    sign = (-1) ** (m // 2) * np.sign(np.linalg.det(frame)).astype(int)
+    return sign if J.ndim > 2 else int(sign)
 
 
-def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
+def extract_bihermitian(pairs) -> BiHermitianData:
     """Transport J1 through the +1 and -1 eigenbundles of G = -J1 J2.
 
     On C+, J2 = J1 and on C-, J2 = -J1, so the two transports carry the
@@ -649,14 +630,25 @@ def extract_bihermitian(pair: KahlerPairNum) -> BiHermitianData:
     induces: G^T eta is positive definite, so C+ is a positive subspace,
     C- = C+-perp is negative, and the two are the graphs of b + g and b - g
     over V for one b and g, which makes the metric C- induces the same g.
+
+    ``pairs`` is one KahlerPairNum, or a sequence of pairs on one V,
+    extracted as one stack: then every array of the result has a leading
+    axis with one entry per pair.
     """
-    m = pair.m
-    G = pair.G
+    single = isinstance(pairs, KahlerPairNum)
+    stack = [pairs] if single else list(pairs)
+    m = stack[0].m
+    J1 = np.stack([p.J1.J for p in stack])
+    G = -J1 @ np.stack([p.J2.J for p in stack])
     lifts = []
     for s in (1, -1):
         Cb = nullspace(G - s * np.eye(2 * m), m)
-        lifts.append(Cb @ np.linalg.inv(Cb[:m, :]))
+        lifts.append(Cb @ np.linalg.inv(Cb[:, :m, :]))
     lift_plus, lift_minus = lifts
-    g = lift_plus.T @ eta(m) @ lift_plus
-    return BiHermitianData(g=(g + g.T) / 2, Jplus=-(pair.J1.J @ lift_plus)[:m, :],
-                           Jminus=(pair.J1.J @ lift_minus)[:m, :])
+    g = np.swapaxes(lift_plus, -1, -2) @ eta(m) @ lift_plus
+    g = (g + np.swapaxes(g, -1, -2)) / 2
+    Jplus = -(J1 @ lift_plus)[:, :m, :]
+    Jminus = (J1 @ lift_minus)[:, :m, :]
+    if single:
+        return BiHermitianData(g=g[0], Jplus=Jplus[0], Jminus=Jminus[0])
+    return BiHermitianData(g=g, Jplus=Jplus, Jminus=Jminus)

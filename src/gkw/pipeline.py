@@ -33,7 +33,8 @@ import numpy as np
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
-from .calculus import Form, courant_bracket, exterior_derivative, interior_product, pairing_poly
+from .calculus import (Form, GeneralizedSection, courant_bracket, exterior_derivative,
+                       interior_product, pairing_poly)
 from .deformation import DeformationBivector, LMultivector
 from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
@@ -640,20 +641,24 @@ class QuotientBiHermitian:
 
 
 def quotient_bihermitian(scenario: Scenario, z) -> QuotientBiHermitian:
-    row = quotient_at_point(scenario, z)
-    return bihermitian_of(row.pair_quot, row.type_j1, row.type_j2)
+    return bihermitian_rows([quotient_at_point(scenario, z)])[0]
 
 
-def bihermitian_of(pair_quot: KahlerPairNum, type_j1, type_j2) -> QuotientBiHermitian:
-    """Bi-Hermitian data of an already computed quotient pair."""
-    data = extract_bihermitian(pair_quot)
+def bihermitian_rows(rows) -> list:
+    """Bi-Hermitian data of the quotient pairs of type-table rows, one
+    QuotientBiHermitian per row: the pairs are extracted and checked as one
+    stack."""
+    if not rows:
+        return []
+    data = extract_bihermitian([r.pair_quot for r in rows])
     ok, checks = data.validate()
-    checks["valid"] = ok
-    return QuotientBiHermitian(
-        data=data,
-        distinct=data.distinct(),
-        even_type=(type_j1 % 2 == 0) or (type_j2 % 2 == 0),
-        checks=checks)
+    distinct = data.distinct()
+    return [QuotientBiHermitian(
+        data=BiHermitianData(g=data.g[i], Jplus=data.Jplus[i], Jminus=data.Jminus[i]),
+        distinct=bool(distinct[i]),
+        even_type=(r.type_j1 % 2 == 0) or (r.type_j2 % 2 == 0),
+        checks={**{k: v[i].item() for k, v in checks.items()}, "valid": bool(ok[i])})
+        for i, r in enumerate(rows)]
 
 
 # -- moment-map verification --------------------------------------------------
@@ -741,36 +746,68 @@ class ClosureFamily:
     max_pairs: int = 6
 
 
-def run_closure_families(families, samples):
-    rows = []
+@dataclass(frozen=True)
+class ClosureBracket:
+    """A tested pair (i, j) of a family's sections, its Courant bracket and
+    the verdict of the family's symbolic check on it (None: no check)."""
+
+    pair: tuple
+    bracket: GeneralizedSection
+    symbolic_zero: bool | None
+
+
+def closure_brackets(families) -> list:
+    """The exact pass of ``run_closure_families``, which needs no sample:
+    per family, its name and the ClosureBracket of each pair it tests (the
+    first ``max_pairs`` pairs i < j)."""
+    out = []
     for fam in families:
         secs = fam.sections
-        done = 0
-        for i in range(len(secs)):
-            for j in range(i + 1, len(secs)):
-                if done >= fam.max_pairs:
-                    break
-                br = courant_bracket(secs[i], secs[j])
-                row = {"family": fam.name, "pair": (i, j)}
-                ok = True
-                if fam.symbolic_check is not None:
-                    sym = bool(fam.symbolic_check(br))
-                    row["symbolic_zero"] = sym
-                    ok = ok and sym
-                if fam.structure_at is not None:
-                    res = 0.0
-                    for z in samples:
-                        L = fam.structure_at(z).eigenbundle()
-                        res = max(res, L.residual(frames.section_at(br, z)))
-                    row["membership_residual"] = float(res)
-                    ok = ok and res < MEMBERSHIP_TOL
-                row["pass"] = bool(ok)
-                rows.append(row)
-                done += 1
-        if done == 0:
-            rows.append({"family": fam.name, "pair": None, "pass": False,
+        pairs = [(i, j) for i in range(len(secs)) for j in range(i + 1, len(secs))]
+        brackets = []
+        for i, j in pairs[:fam.max_pairs]:
+            br = courant_bracket(secs[i], secs[j])
+            sym = None if fam.symbolic_check is None else bool(fam.symbolic_check(br))
+            brackets.append(ClosureBracket((i, j), br, sym))
+        out.append((fam.name, tuple(brackets)))
+    return out
+
+
+def closure_membership(brackets, structures, samples) -> list:
+    """The rows of ``run_closure_families`` from its exact pass
+    ``brackets`` (``closure_brackets``): with each family's ``structure_at``
+    in ``structures`` (None: no membership check), the membership residual
+    of every bracket at the samples is computed here.  A row passes when its
+    symbolic check and its membership residual do."""
+    rows = []
+    for (name, tested), structure_at in zip(brackets, structures):
+        for t in tested:
+            row = {"family": name, "pair": t.pair}
+            ok = True
+            if t.symbolic_zero is not None:
+                row["symbolic_zero"] = t.symbolic_zero
+                ok = ok and t.symbolic_zero
+            if structure_at is not None:
+                res = 0.0
+                for z in samples:
+                    L = structure_at(z).eigenbundle()
+                    res = max(res, L.residual(frames.section_at(t.bracket, z)))
+                row["membership_residual"] = float(res)
+                ok = ok and res < MEMBERSHIP_TOL
+            row["pass"] = bool(ok)
+            rows.append(row)
+        if not tested:
+            rows.append({"family": name, "pair": None, "pass": False,
                          "note": "family has fewer than two sections"})
     return rows
+
+
+def run_closure_families(families, samples):
+    """One row per tested pair of each family: its symbolic verdict and
+    its membership residual at the samples (``closure_membership`` of
+    ``closure_brackets``)."""
+    return closure_membership(closure_brackets(families),
+                              [fam.structure_at for fam in families], samples)
 
 
 def tangent_to_level(moment: MomentMapPoly):

@@ -6,13 +6,14 @@ sample count, tolerances, and the convention set in force.
 """
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 # numpy loads its random module lazily, at the first draw; loaded here, with
@@ -23,14 +24,14 @@ from numpy.random import default_rng
 from . import __version__
 from .actions import TorusAction, standard_moment_map
 from .calculus import VectorField
-from .catalog import (CatalogCase, build_case, catalog_names, closure_families,
+from .catalog import (build_case, catalog_names, closure_families,
                       cpn_su2_invariance, invariant_along)
 from .deformation import DeformationBivector
 from .linear import ISOTROPY_TOL, RANK_TOL, VALIDATION_TOL
 from .pipeline import (FREENESS_TOL, LEVEL_TOL, MEMBERSHIP_TOL, MOMENT_CONDITION_TOL,
                        DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
-                       Scenario, Stratum, bihermitian_of, pairs_once,
-                       run_closure_families, sample_level_set, type_table,
+                       Scenario, Stratum, bihermitian_rows, closure_brackets,
+                       closure_membership, pairs_once, sample_level_set, type_table,
                        verify_moment_map, verify_type_formula)
 from .poly import QI, ComplexPolynomial
 
@@ -254,27 +255,81 @@ def _moment_section(scenario, batch, pair_at):
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _mc_section(scenario):
+# -- exact results ---------------------------------------------------------------
+#
+# The Maurer-Cartan residual, the invariance certificates and the closure
+# brackets with their symbolic checks depend on the scenario alone: not on
+# the seed, the sample count or --tol.  For a catalog case each is computed
+# once per CatalogCase object and kept on it as plain values, never as a
+# section a report hands out; a run builds its sections afresh from them,
+# and computes the closure's membership residuals, the one part that reads
+# its pairs, itself.
+
+def _maurer_cartan_zero(case, scenario):
+    """Whether the Maurer-Cartan residual of a deformed scenario's eps is
+    exactly zero; None where there is no deformation."""
     recipe = scenario.recipe
     if isinstance(recipe, DeformedKahlerRecipe) and not recipe.eps.is_zero:
-        res = recipe.eps.maurer_cartan_residual()
-        return {"applicable": True, "exact_zero": res.is_zero, "pass": res.is_zero}
-    return {"applicable": False, "pass": True}
+        return recipe.eps.maurer_cartan_residual().is_zero
+    return None
 
 
-def _invariance_section(case: CatalogCase | None, scenario):
-    """Exact invariance of a deformed scenario's eps, from a catalog case or
-    a scenario file: L_X eps = 0 along every fundamental field, and for
-    cpn-2 along su(2) as well."""
+def _invariance_checks(case, scenario):
+    """(name, pass) of each exact invariance certificate of a deformed
+    scenario's eps, from a catalog case or a scenario file: L_X eps = 0
+    along every fundamental field, and for cpn-2 along su(2) as well."""
     checks = []
     if isinstance(scenario.recipe, DeformedKahlerRecipe):
         group = "torus" if isinstance(scenario.action, TorusAction) else "unitary"
-        checks.append({"name": f"{group}-invariance(exact)",
-                       "pass": invariant_along(scenario.recipe.eps,
-                                               [s.vec for s in scenario.fields])})
+        eps, fields = scenario.recipe.eps, [s.vec for s in scenario.fields]
+        checks.append((f"{group}-invariance(exact)", invariant_along(eps, fields)))
         if case is not None and case.name == "cpn-2":
-            checks.append({"name": "su2-invariance(exact)", "pass": cpn_su2_invariance(case)})
-    return {"checks": checks, "pass": all(c["pass"] for c in checks)}
+            checks.append(("su2-invariance(exact)", cpn_su2_invariance(case)))
+    return tuple(checks)
+
+
+def _same_pair(pair):
+    return pair
+
+
+def _closure_brackets(case, scenario):
+    """Per closure family of a catalog case: its exact pass
+    (``closure_brackets``) and its structure as a function of the pair at a
+    sample (None: no membership check).  The families are built over the
+    identity lookup, so their ``structure_at`` maps a pair, not a point, to
+    the structure a bracket must lie in.  A scenario file has no families."""
+    if case is None:
+        return ()
+    families = closure_families(case, pair_at=_same_pair)
+    return tuple(zip(closure_brackets(families), (f.structure_at for f in families)))
+
+
+_EXACT = {"maurer_cartan": _maurer_cartan_zero, "invariance": _invariance_checks,
+          "closure": _closure_brackets}
+
+
+def _exact(part, case, scenario):
+    """``_EXACT[part](case, scenario)``.  For a catalog case it is computed
+    once per CatalogCase object and kept in the object's ``__dict__``, which
+    ``dataclasses.replace`` does not copy: a case rebuilt or replaced with
+    other fields computes its own."""
+    if case is None:
+        return _EXACT[part](case, scenario)
+    memo = case.__dict__.setdefault("_exact", {})
+    if part not in memo:
+        memo[part] = _EXACT[part](case, scenario)
+    return memo[part]
+
+
+def _mc_section(zero):
+    if zero is None:
+        return {"applicable": False, "pass": True}
+    return {"applicable": True, "exact_zero": zero, "pass": zero}
+
+
+def _invariance_section(checks):
+    return {"checks": [{"name": name, "pass": ok} for name, ok in checks],
+            "pass": all(ok for _, ok in checks)}
 
 
 TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
@@ -308,19 +363,19 @@ def _formula_section(scenario, table):
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _closure_section(case, batch, pair_at):
-    if case is None:
-        return {"rows": [], "pass": True}
-    fams = closure_families(case, pair_at)
-    rows = run_closure_families(fams, batch.points[:6])
+def _closure_section(closure, batch, pair_at):
+    """The closure rows from the exact pass ``closure`` (``_closure_brackets``),
+    with membership residuals in this run's pairs at its first six samples."""
+    structures = [None if of_pair is None else (lambda z, of_pair=of_pair: of_pair(pair_at(z)))
+                  for _, of_pair in closure]
+    rows = closure_membership([b for b, _ in closure], structures, batch.points[:6])
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
 def _bihermitian_section(table, expect_distinct=None):
     rows = []
     ok = True
-    for r in table.rows[:8]:
-        qb = bihermitian_of(r.pair_quot, r.type_j1, r.type_j2)
+    for r, qb in zip(table.rows[:8], bihermitian_rows(table.rows[:8])):
         row = {"sample": r.point_id, "stratum": r.stratum,
                "distinct": qb.distinct, "even_type": qb.even_type}
         row.update({k: (v if isinstance(v, bool) else float(v))
@@ -365,8 +420,8 @@ def run(config: RunConfig) -> dict:
     sections = {}
     sections["validation"] = _validation_section(batch, pair_at, config.tol)
     sections["moment_map"] = _moment_section(scenario, batch, pair_at)
-    sections["maurer_cartan"] = _mc_section(scenario)
-    sections["invariance"] = _invariance_section(case, scenario)
+    sections["maurer_cartan"] = _mc_section(_exact("maurer_cartan", case, scenario))
+    sections["invariance"] = _invariance_section(_exact("invariance", case, scenario))
     indeterminate = False
     if config.command in ("deform", "reduce"):
         expected_up = case.expected_upstairs_j2 if case else None
@@ -377,7 +432,8 @@ def run(config: RunConfig) -> dict:
         indeterminate = sec["indeterminate_rows"]
         if config.command == "reduce":
             sections["type_formula"] = _formula_section(scenario, table)
-            sections["closure"] = _closure_section(case, batch, pair_at)
+            sections["closure"] = _closure_section(_exact("closure", case, scenario),
+                                                   batch, pair_at)
             sections["bihermitian"] = _bihermitian_section(
                 table, expect_distinct=case.expected_distinct if case else None)
     overall = all(s.get("pass", True) for s in sections.values())
@@ -388,13 +444,50 @@ def run(config: RunConfig) -> dict:
             "pass": overall, "exit_code": exit_code}
 
 
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                        "openblas_set_num_threads")
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_setter():
+    """The function that sets the thread count of the BLAS numpy loaded,
+    found with ctypes in the BLAS libraries mapped into this process
+    (``/proc/self/maps``); None where that file cannot be read or no such
+    library exports one of ``_BLAS_THREAD_SETTERS``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
 def _map_cases(fn, names) -> list:
     """``[fn(name) for name in names]``, with the cases shared out among one
     forked worker per usable CPU.  ``imap`` keeps the order of ``names``,
     so the results, and the first exception raised (re-raised here with its
     type and message), are those of the plain loop, which runs instead on
     one usable CPU or where fork or CPU affinity is not available.  Forked
-    workers inherit the ``build_case`` cache of the caller."""
+    workers inherit what the caller holds: the ``build_case`` cache, each
+    built case's exact results (``_exact``), and a BLAS limited to one
+    thread, so that the workers run no more BLAS threads than there are
+    CPUs.  The caller sets that limit before it forks, and keeps it: OpenBLAS
+    starts its thread server in a forked process that sets its thread count,
+    and raising the caller's count again wakes the caller's server thread;
+    either thread spins on a CPU the workers need.  Without a known setter
+    (``_blas_thread_setter``) the workers keep the library's default."""
     try:
         workers = min(len(names), len(os.sched_getaffinity(0)))
         context = multiprocessing.get_context("fork")
@@ -402,6 +495,9 @@ def _map_cases(fn, names) -> list:
         workers = 1
     if workers <= 1:
         return [fn(name) for name in names]
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
     with context.Pool(workers) as pool:
         return list(pool.imap(fn, names))
 
@@ -417,6 +513,11 @@ def _sweep_row(name: str, config: RunConfig) -> dict:
 
 def run_sweep(config: RunConfig) -> dict:
     names = catalog_names()
+    for name in names:
+        # built, with the exact results of its reduce, before the workers fork
+        case = build_case(name)
+        for part in _EXACT:
+            _exact(part, case, case.scenario)
     cases = dict(zip(names, _map_cases(partial(_sweep_row, config=config), names)))
     ok = all(c["pass"] for c in cases.values())
     indeterminate = any(c["exit_code"] == 4 for c in cases.values())

@@ -7,8 +7,9 @@ from gkw.actions import TorusAction, standard_moment_map
 from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
 from gkw.frames import _frame_rows
 from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
-                        LinearGC, ValidationError, b_conjugate, b_field_matrix, eta,
-                        numerical_rank, subspace_intersection_dim)
+                        LinearGC, ValidationError, _Outcomes, _real_structures, b_conjugate,
+                        b_field_matrix, eta, numerical_rank, orthonormal_columns,
+                        subspace_intersection_dim)
 from gkw.pipeline import ConstantPairRecipe, Scenario, ScalingSampler, _standard_pair
 from gkw.poly import QI, QI_I, ComplexPolynomial
 
@@ -417,6 +418,45 @@ def real_coframe(n: int):
                  for row in _frame_rows(n)[0])
 
 
+def from_columns(cols, tol=RANK_TOL) -> ComplexSubspace:
+    """The subspace spanned by the columns, thresholded at ``tol``."""
+    return ComplexSubspace(orthonormal_columns(np.asarray(cols, dtype=complex), tol))
+
+
+def contains(S: ComplexSubspace, vec, tol=RANK_TOL) -> bool:
+    return S.residual(vec) < tol
+
+
+def projection_to_tangent(S: ComplexSubspace, tol=RANK_TOL) -> ComplexSubspace:
+    """pi(S): the V-block span (first half of the coordinates)."""
+    return from_columns(S.basis[:S.ambient_dim // 2, :], tol)
+
+
+def type_of(J: LinearGC) -> int:
+    """Codimension of pi(L) in V_C; integer from a thresholded rank.
+    Raises IndeterminateRankError on a borderline spectrum rather than
+    guessing."""
+    rank, _, _ = numerical_rank(J.eigenbundle().basis[:J.m, :], require_determinate=True)
+    return J.m - rank
+
+
+def from_eigenbundle(L: ComplexSubspace) -> LinearGC:
+    """Unique real structure with +i eigenspace L (L max isotropic,
+    L cap conj(L) = 0).  L must be maximal and [L, conj L] of full rank,
+    decided at RANK_TOL; a rank within the gap window raises
+    IndeterminateRankError."""
+    if L.dim != L.ambient_dim // 2:
+        raise ValidationError("eigenbundle must be maximal")
+    rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]),
+                                require_determinate=True)
+    if rank != L.ambient_dim:
+        raise ValidationError("L cap conj(L) != 0: no real structure")
+    out = _Outcomes(1)
+    (J,) = _real_structures(L.basis[None], out)
+    out.raise_first()
+    return LinearGC(J[0])
+
+
 def complex_nullspace(A, tol=RANK_TOL):
     """Orthonormal complex basis of the numerical nullspace of A, of the
     dimension that singular values above tol * max(1, smax) leave."""
@@ -442,16 +482,16 @@ def intersect(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
     N = complex_nullspace(np.hstack([S.basis, -T.basis]))
     if N.shape[1] == 0:
         return ComplexSubspace(S.basis[:, :0])
-    return ComplexSubspace.from_columns(S.basis @ N[:S.dim, :])
+    return from_columns(S.basis @ N[:S.dim, :])
 
 
 def add(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
-    return ComplexSubspace.from_columns(np.hstack([S.basis, T.basis]))
+    return from_columns(np.hstack([S.basis, T.basis]))
 
 
 def restricted_projection_dim(J: LinearGC, R: ComplexSubspace) -> int:
     """dim pi(L cap R-perp cap J(R)-perp), defined when J(R) cap R = 0."""
-    JR = ComplexSubspace.from_columns(J.J.astype(complex) @ R.basis)
+    JR = from_columns(J.J.astype(complex) @ R.basis)
     inter_dim, _ = subspace_intersection_dim(JR, R)
     if inter_dim != 0:
         raise ValidationError("precondition J(R) cap R = 0 fails")

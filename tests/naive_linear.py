@@ -26,7 +26,7 @@ from gkw.linear import (ISOTROPY_TOL, RANK_TOL, BiHermitianData, ComplexSubspace
                         KahlerPairNum, LinearGC, QuotientBasis, ValidationError,
                         _quotient_matrices, eta, numerical_rank, orthonormal_columns)
 
-from generators import complex_nullspace, intersect
+from generators import complex_nullspace, from_eigenbundle, intersect
 
 PAIRING_TOL = 1e-8   # |C^T eta C - eta(k)| of the least-squares dual basis
 SPLIT_TOL = 1e-8     # |w -+ 1| of an eigenvalue of G counted in C+-
@@ -60,7 +60,7 @@ def deform_gcs(J2: LinearGC, K, t: float) -> LinearGC:
             f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0")
     u, s, _ = np.linalg.svd(Leps, full_matrices=False)
     span = ComplexSubspace(u[:, :int((s > RANK_TOL * max(1.0, s[0])).sum())])
-    return structure(LinearGC.from_eigenbundle(span).J)
+    return structure(from_eigenbundle(span).J)
 
 
 def real_span(X):

@@ -11,7 +11,7 @@ from gkw.poly import QI, ComplexPolynomial
 
 import naive_deformation
 from generators import (from_sections, group_element_exact, rand_lbar_section, rand_poly,
-                        rand_qi, rand_section)
+                        rand_qi, rand_section, type_of)
 from naive_calculus import expand_decomposable, naive_schouten, p_add, p_diff, p_scale
 from test_calculus import section_to_raw, to_raw
 
@@ -154,7 +154,7 @@ def test_eps_fixes_symplectic_structure_mixed_type():
     from gkw.pipeline import sample_level_set
     z = sample_level_set(scen, 3, 9).points[-1]
     pair = scen.recipe.pair_at(z)   # KahlerPairNum validates commuting
-    assert pair.J1.type_of() == 0
+    assert type_of(pair.J1) == 0
 
 
 def test_algebroid_differential_examples():

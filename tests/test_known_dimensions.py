@@ -20,8 +20,8 @@ from gkw.linear import (RANK_TOL, ComplexSubspace, IndeterminateRankError, Valid
                         reduce_gcs, reduce_pair)
 from gkw.pipeline import DeformedKahlerRecipe, _standard_pair, sample_level_set
 
-from generators import (ReductionTally, rand_compatible_kahler, rand_gc,
-                        rand_gc_with_admissible_q, rand_pair_with_admissible_q)
+from generators import (ReductionTally, from_columns, from_eigenbundle, rand_compatible_kahler,
+                        rand_gc, rand_gc_with_admissible_q, rand_pair_with_admissible_q)
 import naive_linear as naive
 
 
@@ -191,10 +191,10 @@ def test_from_eigenbundle_keeps_its_input_checks():
     # that it is maximal and meets its conjugate only in 0, at a clear gap
     L = _standard_pair(1).J2.eigenbundle().basis
     with pytest.raises(ValidationError, match="^eigenbundle must be maximal$"):
-        linear.LinearGC.from_eigenbundle(ComplexSubspace(L[:, :1]))
+        from_eigenbundle(ComplexSubspace(L[:, :1]))
     with pytest.raises(ValidationError, match=r"^L cap conj\(L\) != 0: no real structure$"):
-        linear.LinearGC.from_eigenbundle(ComplexSubspace.from_columns(np.eye(4)[:, :2]))
+        from_eigenbundle(from_columns(np.eye(4)[:, :2]))
     # [L, conj L] has singular values 7.1e-10 here, within the gap window
     near = np.column_stack([L[:, 0], L[:, 0].conj() + 1e-9 * L[:, 1]])
     with pytest.raises(IndeterminateRankError, match="^rank indeterminate"):
-        linear.LinearGC.from_eigenbundle(ComplexSubspace.from_columns(near))
+        from_eigenbundle(from_columns(near))

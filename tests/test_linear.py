@@ -4,17 +4,18 @@ import pytest
 
 from gkw import linear
 from gkw.catalog import build_case, catalog_names
-from gkw.linear import (ComplexSubspace, IndeterminateRankError,
+from gkw.linear import (IndeterminateRankError,
                         KahlerPairNum, LinearGC, ValidationError, deform_gcs,
                         eta, extract_bihermitian, numerical_rank, pairing,
                         reduce_gcs, reduce_pair, subspace_intersection_dim)
 from gkw.pipeline import sample_level_set
 
-from generators import (ReductionTally, add, b_transform, hk_block_pair, intersect, perp,
-                        product, rand_antisym, rand_compatible_kahler,
+from generators import (ReductionTally, add, b_transform, contains, from_columns,
+                        from_eigenbundle, hk_block_pair, intersect, perp, product,
+                        projection_to_tangent, rand_antisym, rand_compatible_kahler,
                         rand_complex_structure, rand_gc, rand_gc_with_admissible_q,
                         rand_pair_with_admissible_q, rand_symplectic_map,
-                        restricted_projection_dim)
+                        restricted_projection_dim, type_of)
 import naive_linear as naive
 
 
@@ -49,12 +50,12 @@ def test_pairing_values():
 
 def test_perp_examples():
     m = 2
-    V = ComplexSubspace.from_columns(np.vstack([np.eye(m), np.zeros((m, m))]))
+    V = from_columns(np.vstack([np.eye(m), np.zeros((m, m))]))
     assert perp(V).dim == m
     assert np.linalg.norm(perp(V).basis[m:, :]) < 1e-12  # perp(V) = V
-    whole = ComplexSubspace.from_columns(np.eye(2 * m, dtype=complex))
+    whole = from_columns(np.eye(2 * m, dtype=complex))
     assert perp(whole).dim == 0
-    one = ComplexSubspace.from_columns(np.eye(2 * m, 1, dtype=complex))
+    one = from_columns(np.eye(2 * m, 1, dtype=complex))
     assert perp(one).dim == 2 * m - 1
 
 
@@ -71,12 +72,12 @@ def test_numerical_rank_gap_detection():
 
 def test_from_symplectic_type_and_eigenbundle():
     J = LinearGC.from_symplectic(std_omega_map(1))
-    assert J.type_of() == 0
+    assert type_of(J) == 0
     # eigenbundle contains dx-vec - i dy-cov? for omega = dy^dx the map has
     # M ex = -dy; the from_symplectic contract is {X - i iota_X omega}:
     w = np.array([1, 0, 0, 1j]) * 1.0   # ex - i * (M ex = -dy) = ex + i dy
     L = J.eigenbundle()
-    assert L.contains(w)
+    assert contains(L, w)
 
 
 def test_from_symplectic_eigenbundle_dxdy_orientation():
@@ -84,8 +85,8 @@ def test_from_symplectic_eigenbundle_dxdy_orientation():
     M = -std_omega_map(1)   # map for dx^dy: M ex = dy
     J = LinearGC.from_symplectic(M)
     L = J.eigenbundle()
-    assert L.contains(np.array([1, 0, 0, -1j]))
-    assert L.contains(np.array([0, 1, 1j, 0]))
+    assert contains(L, np.array([1, 0, 0, -1j]))
+    assert contains(L, np.array([0, 1, 1j, 0]))
     with pytest.raises(ValidationError):
         LinearGC.from_symplectic(np.zeros((2, 2)))
 
@@ -93,13 +94,13 @@ def test_from_symplectic_eigenbundle_dxdy_orientation():
 def test_from_complex_type_and_projection():
     n = 2
     J = LinearGC.from_complex(std_complex(n))
-    assert J.type_of() == n
-    piL = J.eigenbundle().projection_to_tangent()
+    assert type_of(J) == n
+    piL = projection_to_tangent(J.eigenbundle())
     assert piL.dim == n
     # pi(L) = T01: contains ex + i ey per coordinate
     v = np.zeros(2 * n, dtype=complex)
     v[0], v[1] = 1, 1j
-    assert piL.contains(v)
+    assert contains(piL, v)
     with pytest.raises(ValidationError):
         LinearGC.from_complex(np.eye(4))
 
@@ -139,10 +140,10 @@ def test_product_type_additivity():
     rng = np.random.default_rng(3)
     J1 = LinearGC.from_symplectic(rand_symplectic_map(rng, 2))
     J2 = LinearGC.from_symplectic(rand_symplectic_map(rng, 4))
-    assert product(J1, J2).type_of() == 0
+    assert type_of(product(J1, J2)) == 0
     Jc = LinearGC.from_complex(std_complex(1))
     mix = product(J1, Jc)
-    assert mix.type_of() == 1
+    assert type_of(mix) == 1
     assert mix.m == 4
 
 
@@ -164,7 +165,7 @@ def test_b_transform_type_invariance_100_random():
         J = rand_gc(rng, m)
         B = rand_antisym(rng, m)
         JB = b_transform(J, B)
-        assert JB.type_of() == J.type_of()
+        assert type_of(JB) == type_of(J)
         # eigenbundle of the transform is e^B(L)
         L = J.eigenbundle().basis
         eB = np.eye(2 * m); eB[m:, :m] = B
@@ -176,7 +177,7 @@ def test_from_eigenbundle_roundtrip():
     rng = np.random.default_rng(17)
     for _ in range(20):
         J = rand_gc(rng, 4)
-        J2 = LinearGC.from_eigenbundle(J.eigenbundle())
+        J2 = from_eigenbundle(J.eigenbundle())
         assert np.allclose(J.J, J2.J, atol=1e-8)
 
 
@@ -191,15 +192,15 @@ def test_projected_rank_identity_random():
         while checked < 100 * (1 if m == 4 else 1):
             J = rand_gc(rng, m)
             r = int(rng.integers(1, 4))
-            R = ComplexSubspace.from_columns(
+            R = from_columns(
                 rng.standard_normal((2 * m, r)) + 1j * rng.standard_normal((2 * m, r)))
-            JR = ComplexSubspace.from_columns(J.J.astype(complex) @ R.basis)
+            JR = from_columns(J.J.astype(complex) @ R.basis)
             inter, _ = subspace_intersection_dim(JR, R, require_determinate=False)
             if inter != 0:
                 continue
             lhs = restricted_projection_dim(J, R)
             LR = add(J.eigenbundle(), R)
-            rhs = LR.projection_to_tangent().dim - R.dim
+            rhs = projection_to_tangent(LR).dim - R.dim
             assert lhs == rhs
             checked += 1
         checked = 0
@@ -208,8 +209,8 @@ def test_projected_rank_identity_random():
 def test_projected_rank_identity_r_zero():
     rng = np.random.default_rng(5)
     J = rand_gc(rng, 4)
-    R = ComplexSubspace.from_columns(np.zeros((8, 0), dtype=complex))
-    assert restricted_projection_dim(J, R) == J.eigenbundle().projection_to_tangent().dim
+    R = from_columns(np.zeros((8, 0), dtype=complex))
+    assert restricted_projection_dim(J, R) == projection_to_tangent(J.eigenbundle()).dim
 
 
 # -- reduction ----------------------------------------------------------------------
@@ -227,7 +228,7 @@ def test_reduce_gcs_trivial_and_sphere_circle():
         xv[2 * q + 1] = zz.real
     Jq, qb = reduce_gcs(J, xv.reshape(-1, 1))
     assert qb.k == 2
-    assert Jq.type_of() == 0
+    assert type_of(Jq) == 0
 
 
 def test_reduce_gcs_type_preserved_100_random():
@@ -238,7 +239,7 @@ def test_reduce_gcs_type_preserved_100_random():
             qdim = int(rng.integers(1, m // 2))
             J, Q = rand_gc_with_admissible_q(rng, m, qdim)
             Jq, qb = reduce_gcs(J, Q)
-            assert Jq.type_of() == J.type_of()
+            assert type_of(Jq) == type_of(J)
             done += 1
     assert done >= 100
 
@@ -266,14 +267,14 @@ def test_reduce_pair_type_formula_100_random():
             if not reduced:
                 continue
             (pair, Q), (pq, qb) = made, reduced
-            QC = ComplexSubspace.from_columns(Q.astype(complex))
-            piL2 = pair.J2.eigenbundle().projection_to_tangent()
+            QC = from_columns(Q.astype(complex))
+            piL2 = projection_to_tangent(pair.J2.eigenbundle())
             dcap, gap_ok = subspace_intersection_dim(QC, piL2, require_determinate=False)
             if not gap_ok:
                 continue
-            t2 = pair.J2.type_of()
-            assert pq.J1.type_of() == pair.J1.type_of()
-            assert pq.J2.type_of() == t2 - Q.shape[1] + 2 * dcap
+            t2 = type_of(pair.J2)
+            assert type_of(pq.J1) == type_of(pair.J1)
+            assert type_of(pq.J2) == t2 - Q.shape[1] + 2 * dcap
             count += 1
             done += 1
     assert done >= 100
@@ -281,11 +282,11 @@ def test_reduce_pair_type_formula_100_random():
 
 def _hat_projection_overlap(pair, qb):
     """dim(pi(L2-hat) cap Q_C): the true amount the final projection drops."""
-    P = ComplexSubspace.from_columns(qb.P.astype(complex))
-    J2P = ComplexSubspace.from_columns(pair.J2.J.astype(complex) @ qb.P)
+    P = from_columns(qb.P.astype(complex))
+    J2P = from_columns(pair.J2.J.astype(complex) @ qb.P)
     S = intersect(intersect(pair.J2.eigenbundle(), perp(P)), perp(J2P))
-    QC = ComplexSubspace.from_columns(qb.Q.astype(complex))
-    d, _ = subspace_intersection_dim(S.projection_to_tangent(), QC,
+    QC = from_columns(qb.Q.astype(complex))
+    d, _ = subspace_intersection_dim(projection_to_tangent(S), QC,
                                      require_determinate=False)
     return d
 
@@ -312,16 +313,16 @@ def test_reduce_pair_corrected_type_identity_general():
         if not reduced:
             continue
         (pair, Q), (pq, qb) = made, reduced
-        QC = ComplexSubspace.from_columns(Q.astype(complex))
-        piL2 = pair.J2.eigenbundle().projection_to_tangent()
+        QC = from_columns(Q.astype(complex))
+        piL2 = projection_to_tangent(pair.J2.eigenbundle())
         dcap, gap_ok = subspace_intersection_dim(QC, piL2, require_determinate=False)
         if not gap_ok:
             continue
         hat = _hat_projection_overlap(pair, qb)
-        t2 = pair.J2.type_of()
-        assert pq.J2.type_of() == t2 - Q.shape[1] + dcap + hat
+        t2 = type_of(pair.J2)
+        assert type_of(pq.J2) == t2 - Q.shape[1] + dcap + hat
         if hat != dcap:
-            assert pq.J2.type_of() != t2 - Q.shape[1] + 2 * dcap
+            assert type_of(pq.J2) != t2 - Q.shape[1] + 2 * dcap
             saw_disagreement = True
         count += 1
     assert saw_disagreement, "expected at least one hat-overlap counterexample"
@@ -337,11 +338,11 @@ def test_reduce_pair_nonzero_intersection_cases():
         v /= np.linalg.norm(v)
         Q = v.reshape(-1, 1)
         pq, qb = reduce_pair(pair, Q)
-        QC = ComplexSubspace.from_columns(Q.astype(complex))
-        piL2 = pair.J2.eigenbundle().projection_to_tangent()
+        QC = from_columns(Q.astype(complex))
+        piL2 = projection_to_tangent(pair.J2.eigenbundle())
         dcap, _ = subspace_intersection_dim(QC, piL2)
         assert dcap == 1
-        assert pq.J2.type_of() == pair.J2.type_of() - 1 + 2
+        assert type_of(pq.J2) == type_of(pair.J2) - 1 + 2
 
 
 # -- pairs and extraction --------------------------------------------------------
@@ -426,7 +427,7 @@ def test_deform_gcs_types():
     K = contraction_operator([(a1, a2), (b1, b2)], 2 * n)
     J2 = LinearGC.from_complex(std_complex(n))
     Je = deform_gcs(J2, K, 0.25)
-    assert Je.type_of() == n - 2
+    assert type_of(Je) == n - 2
     # zero deformation: unchanged
     J0 = deform_gcs(J2, np.zeros((4 * n, 4 * n)), 1.0)
     assert np.allclose(J0.J, J2.J, atol=1e-9)

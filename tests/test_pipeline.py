@@ -20,7 +20,7 @@ from gkw.poly import QI, ComplexPolynomial
 from gkw.report import RunConfig, run
 
 import naive_linear as naive
-from generators import product_cp1xc_scenario
+from generators import from_columns, product_cp1xc_scenario, projection_to_tangent
 
 
 def test_sampling_level_freeness_and_quota():
@@ -292,15 +292,15 @@ def test_k_m_and_pi_l2_are_the_spans_a_second_decision_would_give(name, seed):
     for Q, pair, row in _catalog_rows(name, seed):
         kM = ComplexSubspace(row.qbasis.Q.astype(complex))
         for tol in (RANK_TOL, 1e-6, 1e-4):
-            again = ComplexSubspace.from_columns(Q.astype(complex), tol)
+            again = from_columns(Q.astype(complex), tol)
             assert again.dim == kM.dim
             assert np.abs(_projector(again) - _projector(kM)).max() < 1e-12
             piL2 = pair.J2.tangent_projection(tol)
-            again = pair.J2.eigenbundle().projection_to_tangent(tol)
+            again = projection_to_tangent(pair.J2.eigenbundle(), tol)
             assert again.dim == piL2.dim
             assert np.abs(_projector(again) - _projector(piL2)).max() < 1e-12
-        old_kM = ComplexSubspace.from_columns(Q.astype(complex))
-        old_piL2 = pair.J2.eigenbundle().projection_to_tangent()
+        old_kM = from_columns(Q.astype(complex))
+        old_piL2 = projection_to_tangent(pair.J2.eigenbundle())
         assert subspace_intersection_dim(old_kM, old_piL2, False)[0] == row.dim_k_cap_piL2
 
 

@@ -1,6 +1,7 @@
 """Stacked checks of deformed pairs: ``DeformedKahlerRecipe.pairs_at``, the
 deformation-scale fit and the run's ``pairs_once`` that use it, against
-per-point ``pair_at`` and the per-point fitting loop."""
+per-point ``pair_at`` and the per-point fitting loop; and the stacked
+bi-Hermitian section against its pairs one by one."""
 import dataclasses
 from fractions import Fraction
 
@@ -8,12 +9,14 @@ import numpy as np
 import pytest
 
 from gkw import catalog
-from gkw.catalog import PROBE_COUNT, PROBE_ROUNDS, PROBE_SEED, T_MIN, build_case
+from gkw.catalog import (PROBE_COUNT, PROBE_ROUNDS, PROBE_SEED, T_MIN, build_case,
+                         catalog_names)
 from gkw.cli import main
 from gkw.linear import (IndeterminateRankError, KahlerPairNum, ValidationError,
-                        deform_pair, eta)
+                        deform_pair, eta, extract_bihermitian, orientation_sign)
 from gkw.pipeline import (PAIR_STACK_ROWS, DeformedKahlerRecipe, _standard_pair,
-                          pairs_once, sample_level_set)
+                          bihermitian_rows, pairs_once, sample_level_set, type_table)
+from generators import product_cp1xc_scenario
 
 DEFORMED = ["cpn-2", "cpn-3", "cpn-4", "grassmann-1-3", "grassmann-2-3",
             "toric-cp2", "toric-blowup1", "hirzebruch-1", "hirzebruch-2"]
@@ -98,6 +101,54 @@ def test_standard_pair_is_shared_and_read_only():
     for J in (pair.J1, pair.J2):
         assert not J.J.flags.writeable
         assert not J.eigenbundle().basis.flags.writeable
+
+
+# -- the stacked bi-Hermitian section ----------------------------------------------
+
+BIHERMITIAN_FIELDS = ("g", "Jplus", "Jminus")
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("name", catalog_names() + ["product-cp1xc"])
+def test_stacked_bihermitian_equals_its_pairs_one_by_one(name, seed):
+    # product-cp1xc fails same_orientation on every row, so both outcomes
+    # of that check are compared
+    scenario = (product_cp1xc_scenario() if name == "product-cp1xc"
+                else build_case(name).scenario)
+    rows = type_table(scenario, count=12, seed=seed).rows
+    pairs = [r.pair_quot for r in rows]
+    stacked = extract_bihermitian(pairs)
+    ok, checks = stacked.validate()
+    distinct = stacked.distinct()
+    signs = {f: orientation_sign(getattr(stacked, f)) for f in ("Jplus", "Jminus")}
+    assert all(len(a) == len(pairs) for a in (ok, distinct, *checks.values(), *signs.values()))
+    for i, (pair, qb) in enumerate(zip(pairs, bihermitian_rows(rows))):
+        single = extract_bihermitian(pair)
+        for f in BIHERMITIAN_FIELDS:
+            assert np.array_equal(getattr(stacked, f)[i], getattr(single, f))
+            assert np.array_equal(getattr(qb.data, f), getattr(single, f))
+        one_ok, one_checks = single.validate()
+        assert {k: v[i].item() for k, v in checks.items()} == one_checks
+        assert qb.checks == {**one_checks, "valid": one_ok} and bool(ok[i]) is one_ok
+        assert bool(distinct[i]) is single.distinct() is qb.distinct
+        for f in ("Jplus", "Jminus"):
+            assert signs[f][i] == orientation_sign(getattr(single, f))
+    if name == "product-cp1xc":
+        assert not ok.any()
+
+
+def test_a_single_pair_is_a_stack_of_one():
+    pair = build_case("cpn-2").scenario.recipe.pair_at(np.array([1, 0.5j, 0.25]))
+    single, stacked = extract_bihermitian(pair), extract_bihermitian([pair])
+    for f in BIHERMITIAN_FIELDS:
+        assert getattr(single, f).shape == getattr(stacked, f).shape[1:]
+        assert np.array_equal(getattr(single, f), getattr(stacked, f)[0])
+    ok, checks = single.validate()
+    assert type(ok) is bool and type(single.distinct()) is bool
+    assert all(type(v) is (bool if k == "same_orientation" else float)
+               for k, v in checks.items())
+    assert type(orientation_sign(single.Jplus)) is int
+    assert bihermitian_rows([]) == []
 
 
 # -- the stacked run -------------------------------------------------------------
