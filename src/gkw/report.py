@@ -6,14 +6,13 @@ sample count, tolerances, and the convention set in force.
 """
 from __future__ import annotations
 
-import ctypes
 import io
 import json
 import multiprocessing
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 # numpy loads its random module lazily, at the first draw; loaded here, with
@@ -444,50 +443,14 @@ def run(config: RunConfig) -> dict:
             "pass": overall, "exit_code": exit_code}
 
 
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                        "openblas_set_num_threads")
-
-
-@lru_cache(maxsize=None)
-def _blas_thread_setter():
-    """The function that sets the thread count of the BLAS numpy loaded,
-    found with ctypes in the BLAS libraries mapped into this process
-    (``/proc/self/maps``); None where that file cannot be read or no such
-    library exports one of ``_BLAS_THREAD_SETTERS``."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "blas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
-    return None
-
-
 def _map_cases(fn, names) -> list:
     """``[fn(name) for name in names]``, with the cases shared out among one
     forked worker per usable CPU.  ``imap`` keeps the order of ``names``,
     so the results, and the first exception raised (re-raised here with its
     type and message), are those of the plain loop, which runs instead on
     one usable CPU or where fork or CPU affinity is not available.  Forked
-    workers inherit what the caller holds: the ``build_case`` cache, each
-    built case's exact results (``_exact``), and a BLAS limited to one
-    thread, so that the workers run no more BLAS threads than there are
-    CPUs.  The caller sets that limit before it forks, and keeps it: OpenBLAS
-    starts its thread server in a forked process that sets its thread count,
-    and raising the caller's count again wakes the caller's server thread;
-    either thread spins on a CPU the workers need.  Without a known setter
-    (``_blas_thread_setter``) the workers keep the library's default."""
+    workers inherit what the caller holds: the ``build_case`` cache and
+    each built case's exact results (``_exact``)."""
     try:
         workers = min(len(names), len(os.sched_getaffinity(0)))
         context = multiprocessing.get_context("fork")
@@ -495,9 +458,6 @@ def _map_cases(fn, names) -> list:
         workers = 1
     if workers <= 1:
         return [fn(name) for name in names]
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
     with context.Pool(workers) as pool:
         return list(pool.imap(fn, names))
 
@@ -511,13 +471,25 @@ def _sweep_row(name: str, config: RunConfig) -> dict:
             "sections": {k: v.get("pass", True) for k, v in rep["sections"].items()}}
 
 
+_swept = False      # whether this process has run a sweep
+
+
 def run_sweep(config: RunConfig) -> dict:
+    """``reduce`` over the whole catalog, one row per case, in the forked
+    workers of ``_map_cases``.  A process's first sweep, such as the one
+    of ``gkw sweep``, leaves each case's exact results to the workers,
+    which share that work out.  From its second sweep on, the caller
+    builds every case and fills its exact results (``_exact``) before the
+    workers fork, so that the workers of repeated sweeps inherit them and
+    compute only what reads the seed's samples."""
+    global _swept
     names = catalog_names()
-    for name in names:
-        # built, with the exact results of its reduce, before the workers fork
-        case = build_case(name)
-        for part in _EXACT:
-            _exact(part, case, case.scenario)
+    if _swept:
+        for name in names:
+            case = build_case(name)
+            for part in _EXACT:
+                _exact(part, case, case.scenario)
+    _swept = True
     cases = dict(zip(names, _map_cases(partial(_sweep_row, config=config), names)))
     ok = all(c["pass"] for c in cases.values())
     indeterminate = any(c["exit_code"] == 4 for c in cases.values())

@@ -1,5 +1,4 @@
 """CLI driver: determinism, exit codes, emission formats, scenario files."""
-import ctypes
 import dataclasses
 import json
 import multiprocessing.pool
@@ -422,44 +421,6 @@ def test_sweep_equals_the_plain_loop_over_its_rows(monkeypatch, seed, tol):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert emit(run_sweep(config), "json") == forked
     assert not maps
-
-
-def _blas_threads():
-    """The thread count of the BLAS numpy loaded, from the getter beside the
-    setter ``report._map_cases`` uses."""
-    getter_name = report._blas_thread_setter().__name__.replace("_set_", "_get_")
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "blas" in line.lower()})
-    for path in paths:
-        getter = getattr(ctypes.CDLL(path), getter_name, None)
-        if getter is not None:
-            getter.restype = ctypes.c_int
-            return getter()
-    raise AssertionError(f"no {getter_name} in {paths}")
-
-
-_BOTH_WORKERS = None    # a barrier the forked workers inherit
-
-
-def _square_in_worker(x):
-    # each of two tasks waits for the other: the two workers hold one each
-    _BOTH_WORKERS.wait(timeout=60)
-    return os.getpid(), _blas_threads(), len(os.listdir("/proc/self/task")), x * x
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs two usable CPUs")
-def test_each_forked_worker_runs_blas_on_one_thread(monkeypatch):
-    # and starts no BLAS thread: each worker runs on its one OS thread
-    if report._blas_thread_setter() is None:
-        pytest.skip("numpy's BLAS exports no known thread count setter")
-    monkeypatch.setattr(sys.modules[__name__], "_BOTH_WORKERS",
-                        multiprocessing.get_context("fork").Barrier(2))
-    results = report._map_cases(_square_in_worker, [3, 4])
-    assert len({pid for pid, *_ in results} - {os.getpid()}) == 2
-    assert [(threads, tasks) for _, threads, tasks, _ in results] == [(1, 1), (1, 1)]
-    assert [r for *_, r in results] == [x * x for x in (3, 4)]
-    assert _blas_threads() == 1     # the caller keeps the limit it forked with
 
 
 def test_catalog_equals_the_plain_loop_over_its_cases():

@@ -3,8 +3,10 @@ Maurer-Cartan residual, the invariance certificates and the closure
 brackets with their symbolic checks.  They are kept per CatalogCase object,
 as values that no report hands out, and give the reports and closure rows
 that computing them afresh gives, cold or warm, in a plain loop or in the
-sweep's forked workers."""
+sweep's forked workers.  A process keeps them in the sweep's caller from
+its second sweep on."""
 import dataclasses
+import os
 
 import pytest
 
@@ -81,13 +83,28 @@ def test_kept_closure_rows_are_those_of_run_closure_families(monkeypatch, name, 
 
 
 def test_sweep_equals_the_plain_loop_with_the_results_cold_and_warm(monkeypatch):
+    # a process's first sweep leaves the exact results to its workers; from
+    # its second sweep on, the caller keeps them before the workers fork
     config = RunConfig("sweep", seed=8)
     with monkeypatch.context() as m:
         _afresh(m)
         plain = {name: report._sweep_row(name, config) for name in catalog_names()}
     catalog.build_case.cache_clear()    # new case objects: nothing kept
-    cold = run_sweep(config)
+    monkeypatch.setattr(report, "_swept", False)
+    in_caller = []
+    exact = report._exact
+
+    def exact_in_caller(part, case, scenario):
+        in_caller.append(part)
+        return exact(part, case, scenario)
+
+    monkeypatch.setattr(report, "_exact", exact_in_caller)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    first = run_sweep(config)
+    assert bool(in_caller) == (usable == 1)     # the plain loop runs in the caller
+    second = run_sweep(config)
     assert all("_exact" in build_case(name).__dict__ for name in catalog_names())
     warm = run_sweep(config)
-    assert cold["sections"]["sweep"] == plain == warm["sections"]["sweep"]
-    assert emit(cold, "json") == emit(warm, "json")
+    for sweep in (first, second, warm):
+        assert sweep["sections"]["sweep"] == plain
+        assert emit(sweep, "json") == emit(first, "json")
