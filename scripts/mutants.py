@@ -146,6 +146,14 @@ MUTANTS = (
            'memo = globals().setdefault("_kept_by_name", {}).setdefault(case.name, {})',
            ("tests/test_exact_memo.py::"
             "test_a_replaced_case_does_not_read_the_results_kept_for_its_original",)),
+    Mutant("sweep-rows-caller-first", "report.py",
+           "results = [rows.get(i) for i in range(len(names))]",
+           "results = list(rows.values())",
+           ("tests/test_cli.py::test_sweep_equals_the_plain_loop_over_its_rows",)),
+    Mutant("sweep-raises-the-last-error", "report.py",
+           "raise errors[0]",
+           "raise errors[-1]",
+           ("tests/test_cli.py::test_a_case_error_reaches_the_caller_as_the_plain_loop_raises_it",)),
 )
 
 # name -> why the mutant cannot change a verdict

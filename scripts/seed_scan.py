@@ -5,12 +5,13 @@
 
 Each run is ``gkw reduce --case NAME --samples N --seed S`` through
 ``gkw.cli`` (its report goes to the null device), so an exit code
-here is the one the command returns.  The runs are shared out among one
-forked worker per usable CPU (``report._map_cases``).  Prints one summary
-line, the exit-code histogram (``exit CODE: COUNT``) and then every run that
-did not exit 0 (``not 0: CASE seed=S exit CODE``), in case-then-seed order;
-exits 1 if there is any such run, else 0.  Defaults: every catalog case,
-seeds 1-60, 16 samples.
+here is the one the command returns.  The runs are shared out between
+the calling process and one forked worker per further usable CPU
+(``report._map_cases``), each claiming the next run not yet claimed.
+Prints one summary line, the exit-code histogram (``exit CODE: COUNT``)
+and then every run that did not exit 0 (``not 0: CASE seed=S exit CODE``),
+in case-then-seed order; exits 1 if there is any such run, else 0.
+Defaults: every catalog case, seeds 1-60, 16 samples.
 """
 import argparse
 import os

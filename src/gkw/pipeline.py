@@ -362,11 +362,15 @@ class PolytopeSampler:
 
     def __init__(self, poly):
         self.poly = poly
-        self.verts = [[float(c) for c in v] for v in poly.vertices()]
+        exact = poly.vertices()
+        self.verts = [[float(c) for c in v] for v in exact]
         lo = np.min(self.verts, axis=0)
         hi = np.max(self.verts, axis=0)
         self.bbox = (lo, hi)
-        self.facet_verts = {}
+        # per facet, its vertices in the order of the one exact enumeration
+        self.facet_verts = [[v for v, x in zip(self.verts, exact)
+                             if sum(a * xi for a, xi in zip(eta_, x)) == c]
+                            for eta_, c in zip(poly.normals, poly.offsets)]
         self.facets = [([float(a) for a in eta_], float(c))
                        for eta_, c in zip(poly.normals, poly.offsets)]
 
@@ -379,10 +383,7 @@ class PolytopeSampler:
         raise ValidationError("polytope rejection sampling failed")
 
     def _facet_x(self, rng, j):
-        verts = self.facet_verts.get(j)
-        if verts is None:
-            verts = self.facet_verts[j] = [[float(c) for c in v]
-                                           for v in self.poly.facet_vertices(j)]
+        verts = self.facet_verts[j]
         if len(verts) < 2:
             raise ValidationError(f"facet {j} has no interior")
         t = 0.15 + 0.7 * rng.random()

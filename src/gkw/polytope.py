@@ -79,10 +79,6 @@ class PolytopeSpec:
             raise ValueError("polytope has no vertices; check the facet data")
         return verts
 
-    def facet_vertices(self, j):
-        return [v for v in self.vertices()
-                if sum(Fraction(a) * x for a, x in zip(self.normals[j], v)) == self.offsets[j]]
-
     def default_level(self):
         """xi = W c in the kernel-torus dual basis (independent of x)."""
         W = self.kernel_weights()

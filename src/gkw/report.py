@@ -443,23 +443,73 @@ def run(config: RunConfig) -> dict:
             "pass": overall, "exit_code": exit_code}
 
 
+def _claim_rows(fn, names, claimed, lock) -> dict:
+    """``{index: (True, fn(name)) or (False, the exception it raised)}`` of
+    every row of ``names`` that this process claims: the next index of the
+    count ``claimed``, shared among the processes of ``_map_cases``, until
+    the count passes the last row."""
+    rows = {}
+    while True:
+        with lock:
+            i = claimed.value
+            claimed.value = i + 1
+        if i >= len(names):
+            return rows
+        try:
+            rows[i] = (True, fn(names[i]))
+        except Exception as exc:
+            rows[i] = (False, exc)
+
+
+def _send_rows(recv, send, *claim):
+    """A forked worker of ``_map_cases``: its claimed rows, sent to the caller."""
+    recv.close()    # the read end is the caller's: its closing breaks a blocked send
+    send.send(_claim_rows(*claim))
+
+
 def _map_cases(fn, names) -> list:
-    """``[fn(name) for name in names]``, with the cases shared out among one
-    forked worker per usable CPU.  ``imap`` keeps the order of ``names``,
-    so the results, and the first exception raised (re-raised here with its
-    type and message), are those of the plain loop, which runs instead on
-    one usable CPU or where fork or CPU affinity is not available.  Forked
-    workers inherit what the caller holds: the ``build_case`` cache and
-    each built case's exact results (``_exact``)."""
+    """``[fn(name) for name in names]``, run by the caller and one forked
+    worker per further usable CPU (``os.sched_getaffinity``).  Each process
+    claims the next row of ``names`` not yet claimed, and each worker sends
+    its rows back through a pipe; the results, and the first exception in
+    ``names`` order (re-raised here with its type and message), are those of
+    the plain loop, which is what the claiming amounts to on one usable CPU
+    or where fork is not available.  A worker that exits without its rows
+    raises a RuntimeError naming them.  The workers inherit what the caller
+    holds: the ``build_case`` cache and the lazily built state of every case
+    the caller has run, its exact results (``_exact``) among it; and no
+    worker outlives the call."""
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if fork else None)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    claim = (fn, names, context.RawValue("l", 0), context.Lock())
+    workers, conns = [], []
     try:
-        workers = min(len(names), len(os.sched_getaffinity(0)))
-        context = multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):
-        workers = 1
-    if workers <= 1:
-        return [fn(name) for name in names]
-    with context.Pool(workers) as pool:
-        return list(pool.imap(fn, names))
+        for _ in range(min(len(names), usable) - 1 if fork else 0):
+            recv, send = context.Pipe(duplex=False)
+            workers.append(context.Process(target=_send_rows, args=(recv, send, *claim)))
+            workers[-1].start()
+            send.close()    # the worker holds the only write end: its exit is EOF
+            conns.append(recv)
+        rows = _claim_rows(*claim)
+        for recv in conns:
+            try:
+                rows.update(recv.recv())
+            except EOFError:    # the worker exited without its rows
+                pass
+    finally:
+        for recv in conns:
+            recv.close()
+        for worker in workers:
+            worker.join()
+    results = [rows.get(i) for i in range(len(names))]
+    lost = [name for name, row in zip(names, results) if row is None]
+    if lost:
+        raise RuntimeError(f"a forked worker exited without the rows of {lost}")
+    errors = [value for ok, value in results if not ok]
+    if errors:
+        raise errors[0]
+    return [value for _, value in results]
 
 
 def _sweep_row(name: str, config: RunConfig) -> dict:
@@ -471,25 +521,15 @@ def _sweep_row(name: str, config: RunConfig) -> dict:
             "sections": {k: v.get("pass", True) for k, v in rep["sections"].items()}}
 
 
-_swept = False      # whether this process has run a sweep
-
-
 def run_sweep(config: RunConfig) -> dict:
-    """``reduce`` over the whole catalog, one row per case, in the forked
-    workers of ``_map_cases``.  A process's first sweep, such as the one
-    of ``gkw sweep``, leaves each case's exact results to the workers,
-    which share that work out.  From its second sweep on, the caller
-    builds every case and fills its exact results (``_exact``) before the
-    workers fork, so that the workers of repeated sweeps inherit them and
-    compute only what reads the seed's samples."""
-    global _swept
+    """``reduce`` over the whole catalog, one row per case, shared out by
+    ``_map_cases`` between the caller and its forked workers.  The caller
+    keeps what its own rows build: each case's exact results (``_exact``)
+    and its lazily built state, such as compiled polynomial programs.  The
+    workers of a later sweep in the same process inherit it and compute
+    only what they do not find, so no serial pass over the cases runs
+    before a fork, and a one-shot ``gkw sweep`` pays for none."""
     names = catalog_names()
-    if _swept:
-        for name in names:
-            case = build_case(name)
-            for part in _EXACT:
-                _exact(part, case, case.scenario)
-    _swept = True
     cases = dict(zip(names, _map_cases(partial(_sweep_row, config=config), names)))
     ok = all(c["pass"] for c in cases.values())
     indeterminate = any(c["exit_code"] == 4 for c in cases.values())

@@ -391,6 +391,12 @@ def slacks(poly, x):
             for eta, c in zip(poly.normals, poly.offsets)]
 
 
+def facet_vertices(poly, j):
+    """The exact vertices of a PolytopeSpec on its facet j."""
+    return [v for v in poly.vertices()
+            if sum(Fraction(a) * x for a, x in zip(poly.normals[j], v)) == poly.offsets[j]]
+
+
 # -- helpers of the tests only ----------------------------------------------------
 
 def b_transform(J: LinearGC, B) -> LinearGC:

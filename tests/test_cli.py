@@ -1,9 +1,10 @@
 """CLI driver: determinism, exit codes, emission formats, scenario files."""
 import dataclasses
 import json
-import multiprocessing.pool
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -399,7 +400,8 @@ def test_tol_override_resolves_borderline_ranks(tmp_path, capsys):
     assert code == 0
 
 
-# -- sweep and catalog: the cases are shared out among forked workers --------
+# -- sweep and catalog: the cases are shared out among the caller and forked
+# workers
 
 
 @pytest.mark.parametrize("seed, tol", [(7, 1e-9), (8, 1e-9), (7, 1e-3)])
@@ -407,20 +409,20 @@ def test_sweep_equals_the_plain_loop_over_its_rows(monkeypatch, seed, tol):
     # at --tol 1e-3 the rows differ from case to case (exit codes 0 and 4),
     # so a row filed under the wrong case shows
     config = RunConfig("sweep", seed=seed, tol=tol)
-    maps = []
-    imap = multiprocessing.pool.Pool.imap
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap",
-                        lambda pool, *args: maps.append(pool) or imap(pool, *args))
+    forks = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda proc: forks.append(proc) or start(proc))
     forked = emit(run_sweep(config), "json")
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    assert len(maps) == (usable > 1)
+    assert len(forks) == min(usable, len(catalog_names())) - 1
     rows = {name: report._sweep_row(name, config) for name in catalog_names()}
     assert json.loads(forked)["sections"]["sweep"] == rows
-    # one usable CPU: the same function in a plain loop
-    maps.clear()
+    # one usable CPU: the caller alone, which is the plain loop
+    forks.clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert emit(run_sweep(config), "json") == forked
-    assert not maps
+    assert not forks
 
 
 def test_catalog_equals_the_plain_loop_over_its_cases():
@@ -450,13 +452,13 @@ def test_a_case_error_reaches_the_caller_as_the_plain_loop_raises_it(monkeypatch
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
 def test_one_usable_cpu_takes_the_inline_path_with_the_same_bytes():
-    # the subprocess pins itself to one CPU and forbids pools
+    # the subprocess pins itself to one CPU and forbids forks
     script = "\n".join([
-        "import multiprocessing.pool, os, sys",
+        "import os, sys",
         f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})",
         "def refuse(*args, **kwargs):",
-        "    raise AssertionError('a worker pool on one usable CPU')",
-        "multiprocessing.pool.Pool.__init__ = refuse",
+        "    raise AssertionError('a fork on one usable CPU')",
+        "os.fork = refuse",
         "from gkw.report import RunConfig, emit, run_sweep",
         "sys.stdout.buffer.write(emit(run_sweep(RunConfig('sweep', seed=7)), 'json'))",
     ])
@@ -464,3 +466,85 @@ def test_one_usable_cpu_takes_the_inline_path_with_the_same_bytes():
                           timeout=600, env=_subprocess_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == emit(run_sweep(RunConfig("sweep", seed=7)), "json")
+
+
+@pytest.fixture
+def forked_workers(monkeypatch):
+    """``_map_cases`` with one forked worker beside the caller (a test may
+    patch in more), on any machine that can fork, and at most a minute for
+    the test."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("_map_cases did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _split_rows(caller_row, worker_row):
+    """A row function that runs ``worker_row`` in a forked worker and
+    ``caller_row`` in the caller, whose rows wait until the worker has
+    started one: each process runs at least one row."""
+    caller, started = os.getpid(), multiprocessing.get_context("fork").Event()
+
+    def row(name):
+        if os.getpid() != caller:
+            started.set()
+            return worker_row(name)
+        assert started.wait(30), "no forked worker started a row"
+        return caller_row(name)
+    return row
+
+
+def test_a_worker_that_exits_without_its_rows_raises_naming_them(forked_workers):
+    names = list("abcdef")
+    in_caller = []
+    fn = _split_rows(lambda name: in_caller.append(name) or name, lambda name: os._exit(1))
+    with pytest.raises(RuntimeError) as raised:
+        report._map_cases(fn, names)
+    lost = [name for name in names if name not in in_caller]
+    assert len(lost) == 1       # the worker exits in the first row it claims
+    assert str(raised.value) == f"a forked worker exited without the rows of {lost}"
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("raiser", [None, "worker", "caller"])
+def test_no_worker_outlives_map_cases(forked_workers, raiser):
+    def row_in(where):
+        def row(name):
+            if where == raiser:
+                raise ValueError(f"{where} at {name}")
+            return name.upper()
+        return row
+
+    names = list("abcdef")
+    fn = _split_rows(row_in("caller"), row_in("worker"))
+    if raiser is None:
+        assert report._map_cases(fn, names) == [name.upper() for name in names]
+    else:
+        with pytest.raises(ValueError, match=f"^{raiser} at "):
+            report._map_cases(fn, names)
+    assert not multiprocessing.active_children()
+
+
+def test_each_row_runs_once_with_more_workers_than_cpus(forked_workers, monkeypatch):
+    # the caller and three workers: a lost update of the shared claim count
+    # would run a row twice or not at all
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    runs = multiprocessing.get_context("fork").Value("l", 0)
+
+    def row(name):
+        with runs.get_lock():
+            runs.value += 1
+        return name
+
+    names = [f"row-{i}" for i in range(5000)]
+    assert report._map_cases(_split_rows(row, row), names) == names
+    assert runs.value == len(names)
+    assert not multiprocessing.active_children()

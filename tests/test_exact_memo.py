@@ -3,8 +3,8 @@ Maurer-Cartan residual, the invariance certificates and the closure
 brackets with their symbolic checks.  They are kept per CatalogCase object,
 as values that no report hands out, and give the reports and closure rows
 that computing them afresh gives, cold or warm, in a plain loop or in the
-sweep's forked workers.  A process keeps them in the sweep's caller from
-its second sweep on."""
+sweep's forked workers.  The sweep's caller keeps them for the rows it runs
+itself, and computes none for a row a worker runs."""
 import dataclasses
 import os
 
@@ -83,27 +83,34 @@ def test_kept_closure_rows_are_those_of_run_closure_families(monkeypatch, name, 
 
 
 def test_sweep_equals_the_plain_loop_with_the_results_cold_and_warm(monkeypatch):
-    # a process's first sweep leaves the exact results to its workers; from
-    # its second sweep on, the caller keeps them before the workers fork
+    # the caller computes exact results only for the rows it runs itself:
+    # no serial pass over the cases runs before the workers fork
     config = RunConfig("sweep", seed=8)
     with monkeypatch.context() as m:
         _afresh(m)
         plain = {name: report._sweep_row(name, config) for name in catalog_names()}
     catalog.build_case.cache_clear()    # new case objects: nothing kept
-    monkeypatch.setattr(report, "_swept", False)
-    in_caller = []
-    exact = report._exact
+    ran, in_caller = [], []
+    exact, plain_run = report._exact, report.run
 
     def exact_in_caller(part, case, scenario):
-        in_caller.append(part)
+        in_caller.append(case.name)
         return exact(part, case, scenario)
 
+    def run_in_caller(config):
+        ran.append(config.case)
+        return plain_run(config)
+
     monkeypatch.setattr(report, "_exact", exact_in_caller)
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    monkeypatch.setattr(report, "run", run_in_caller)
     first = run_sweep(config)
-    assert bool(in_caller) == (usable == 1)     # the plain loop runs in the caller
+    assert in_caller and set(in_caller) == set(ran)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if usable == 1:
+        assert ran == catalog_names()   # the plain loop runs in the caller
     second = run_sweep(config)
-    assert all("_exact" in build_case(name).__dict__ for name in catalog_names())
+    assert set(in_caller) == set(ran)
+    assert all("_exact" in build_case(name).__dict__ for name in ran)
     warm = run_sweep(config)
     for sweep in (first, second, warm):
         assert sweep["sections"]["sweep"] == plain

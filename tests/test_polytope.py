@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from gkw.pipeline import PolytopeSampler
 from gkw.polytope import (PolytopeSpec, cp1xcp1_blowup4_polytope,
                           cp2_blowup1_polytope, cp2_polytope, find_alpha,
                           hirzebruch_polytope)
 
-from generators import interior_point, slacks
+from generators import facet_vertices, interior_point, slacks
 
 
 def test_primitive_normal_enforced():
@@ -22,13 +23,22 @@ def test_redundant_facet_rejected_at_construction():
                      (0, 0, Fraction(1, 2), Fraction(1, 2), 1))
 
 
-@pytest.mark.parametrize("make", [cp2_polytope, cp2_blowup1_polytope,
-                                  lambda: hirzebruch_polytope(1),
-                                  lambda: hirzebruch_polytope(2),
-                                  cp1xcp1_blowup4_polytope])
+STOCK = [cp2_polytope, cp2_blowup1_polytope, lambda: hirzebruch_polytope(1),
+         lambda: hirzebruch_polytope(2), cp1xcp1_blowup4_polytope]
+
+
+@pytest.mark.parametrize("make", STOCK)
 def test_stock_polytopes_construct(make):
     poly = make()
-    assert all(len(poly.facet_vertices(j)) >= poly.d for j in range(poly.num_facets))
+    assert all(len(facet_vertices(poly, j)) >= poly.d for j in range(poly.num_facets))
+
+
+@pytest.mark.parametrize("make", STOCK)
+def test_the_sampler_reads_each_facets_vertices_from_one_enumeration(make):
+    poly = make()
+    sampler = PolytopeSampler(poly)
+    assert sampler.facet_verts == [[[float(c) for c in v] for v in facet_vertices(poly, j)]
+                                   for j in range(poly.num_facets)]
 
 
 def test_cp2_kernel_and_vertices():
