@@ -124,6 +124,14 @@ MUTANTS = (
            "s = terms.get(e, QI_ZERO) + c\n            if s:",
            "s = terms.get(e, QI_ZERO) + c\n            if True:",
            ("tests/test_poly.py::test_canonical_form_no_zero_coefficients",)),
+    Mutant("moment-map-reads-the-first-field", "pipeline.py",
+           "np.concatenate([Q[:, a], ",
+           "np.concatenate([Q[:, 0], ",
+           ("tests/test_actions.py::test_a_moment_map_off_the_central_level_fails_invariance",)),
+    Mutant("deformed-l2-checked-against-j1", "catalog.py",
+           "structure_of=lambda pair: pair.J2",
+           "structure_of=lambda pair: pair.J1",
+           ("tests/test_pipeline.py::test_brackets_outside_the_checked_eigenbundle_fail_membership",)),
     Mutant("pairs-once-swallows-errors", "pipeline.py",
            "                    raise pair\n",
            "                    pass\n",

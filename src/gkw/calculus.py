@@ -359,10 +359,6 @@ class GeneralizedSection(LMultivector):
     def from_vector(cls, X):
         return cls(X, Form.zero(X.n, 1))
 
-    @classmethod
-    def from_form(cls, a):
-        return cls(VectorField.zero(a.n), a)
-
     @property
     def is_real(self):
         return self == self.conjugate()

@@ -426,18 +426,17 @@ def _invariant_gm_perp_sections(scenario):
     return secs
 
 
-def closure_families(case: CatalogCase, pair_at=None):
+def closure_families(case: CatalogCase):
     """Closure section families for a catalog case: a df-perp family whose
     brackets must stay perpendicular to the level set and inside the first
     eigenbundle, an invariant family perpendicular to the orbit directions,
     and (for deformed cases) a frame family of the deformed eigenbundle.
-
-    ``pair_at`` supplies the pointwise pairs (default: the recipe's)."""
+    Each family names its eigenbundle's structure as a function of the pair
+    at a sample (``structure_of``)."""
     scen = case.scenario
     n = scen.n
     fams = []
     recipe = scen.recipe
-    pair_at = pair_at or recipe.pair_at
     if isinstance(recipe, RealifiedRecipe) and isinstance(recipe.base, ConstantPairRecipe):
         # flat hyper-Kahler: fields xi_M and the sigma-minus Hamiltonian
         # field of mu_K; eigenbundle sections of the constant base pair
@@ -455,7 +454,7 @@ def closure_families(case: CatalogCase, pair_at=None):
         fams.append(ClosureFamily(
             name="df-perp+L1(base)", sections=secs,
             symbolic_check=df_contraction_is_zero(scen.moment),
-            structure_at=lambda z: base_pair.J1))
+            structure_of=lambda pair: base_pair.J1))
     else:
         omega = standard_symplectic_form(n)
         if isinstance(scen.action, TorusAction):
@@ -467,14 +466,14 @@ def closure_families(case: CatalogCase, pair_at=None):
         fams.append(ClosureFamily(
             name="df-perp+L1", sections=secs,
             symbolic_check=df_contraction_is_zero(scen.moment),
-            structure_at=lambda z: pair_at(z).J1))
+            structure_of=lambda pair: pair.J1))
     fams.append(ClosureFamily(
         name="invariant-gM-perp", sections=_invariant_gm_perp_sections(scen),
         symbolic_check=gm_pairing_is_zero(scen.action)))
     if isinstance(recipe, DeformedKahlerRecipe) and not recipe.eps.is_zero:
         fams.append(ClosureFamily(
             name="deformed-L2", sections=recipe.upstairs_sections(),
-            structure_at=lambda z: pair_at(z).J2, max_pairs=4))
+            structure_of=lambda pair: pair.J2, max_pairs=4))
     return fams
 
 

@@ -33,6 +33,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be at least 1, got {args.samples}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     config = RunConfig(command=args.command, case=args.case,

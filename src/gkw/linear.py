@@ -215,10 +215,6 @@ class ComplexSubspace:
     basis: np.ndarray
 
     @property
-    def ambient_dim(self):
-        return self.basis.shape[0]
-
-    @property
     def dim(self):
         return self.basis.shape[1]
 

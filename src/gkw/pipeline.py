@@ -3,10 +3,12 @@ reduce, verify type formulas and bracket closure, extract bi-Hermitian data.
 
 A run samples the level set once (the sampler keeps the fundamental-field
 frame Q and the moment-map differentials dF it checked at each accepted
-point) and builds each sample's structure pair once (``pairs_once``; a
-deformed recipe checks its pairs in stacks of at most ``PAIR_STACK_ROWS``
-points).  A pair passes the checks of ``linear``: per structure J^2 = -1
-and eta-orthogonality, which imply that its +i eigenbundle L is isotropic
+point) and builds each sample's structure pair once (``pairs_once``, a list
+in point order; a deformed recipe checks its pairs in stacks of at most
+``PAIR_STACK_ROWS`` points).  Every later stage reads a sample's point,
+pair, Q and dF by its index, and evaluates none of them again.  A pair
+passes the checks of ``linear``: per structure J^2 = -1 and
+eta-orthogonality, which imply that its +i eigenbundle L is isotropic
 with dim L = m and L cap conj(L) = 0; per pair G^2 = 1 (so J1 and J2
 commute) and G^T eta positive (G is eta-orthogonal as J1 and J2 are).  The
 reduction reads each of its subspaces at the dimension the mathematics
@@ -307,6 +309,14 @@ class Scenario:
         """d of the real moment-map components."""
         return self.moment.df
 
+    def field_frame_at(self, z) -> np.ndarray:
+        """Q at z: the fundamental fields' tangent parts, 2n x dim(G), real."""
+        return np.column_stack([frames.section_at(s, z)[:2 * self.n].real for s in self.fields])
+
+    def df_frame_at(self, z) -> np.ndarray:
+        """dF at z: the moment-map differentials, 2n x dim(K), real."""
+        return np.column_stack([frames.one_form_at(df, z).real for df in self.dfs])
+
     def stratum_label(self, z) -> str:
         for s in self.strata:
             if s.holds(z):
@@ -464,7 +474,6 @@ def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Gener
     rng = np.random.default_rng(seed)
     n = scenario.n
     level = np.array([float(x) for x in scenario.level])
-    fields, dfs = scenario.fields, scenario.dfs
 
     per = max(1, int(round(0.3 * count))) if scenario.strata else 0
     quotas = [s for s in scenario.strata for _ in range(per)]
@@ -483,12 +492,12 @@ def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Gener
             if np.abs(fv - level).max() > LEVEL_TOL:
                 rejected.append((want, f"level residual {np.abs(fv - level).max():.2e}"))
                 continue
-            Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in fields])
+            Q = scenario.field_frame_at(z)
             sv = np.linalg.svd(Q, compute_uv=False)
             if sv[-1] < FREENESS_TOL:
                 rejected.append((want, f"action not free: sv {sv[-1]:.2e}"))
                 continue
-            DF = np.column_stack([frames.one_form_at(df, z).real for df in dfs])
+            DF = scenario.df_frame_at(z)
             sv2 = np.linalg.svd(DF, compute_uv=False)
             if sv2[-1] < FREENESS_TOL:
                 rejected.append((want, f"level not regular: sv {sv2[-1]:.2e}"))
@@ -511,13 +520,13 @@ def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Gener
     return SampleBatch(points, labels, rejected, Qs, DFs)
 
 
-def pairs_once(recipe, points):
-    """Build the recipe's pair once at each point; return the lookup
-    z -> pair over those points.  A recipe with ``pairs_at`` builds them in
-    stacks of at most PAIR_STACK_ROWS points, the same pairs ``pair_at``
-    builds one by one.  The error of the earliest point whose pair fails
-    is raised here, and no later stack is built: the error a loop of
-    ``pair_at`` over the points raises first."""
+def pairs_once(recipe, points) -> list:
+    """The recipe's pair at each point, built once, in point order.  A
+    recipe with ``pairs_at`` builds them in stacks of at most
+    PAIR_STACK_ROWS points, the same pairs ``pair_at`` builds one by one.
+    The error of the earliest point whose pair fails is raised here, and no
+    later stack is built: the error a loop of ``pair_at`` over the points
+    raises first."""
     if hasattr(recipe, "pairs_at"):
         pairs = []
         for i in range(0, len(points), PAIR_STACK_ROWS):
@@ -525,10 +534,8 @@ def pairs_once(recipe, points):
                 if isinstance(pair, Exception):
                     raise pair
                 pairs.append(pair)
-    else:
-        pairs = [recipe.pair_at(z) for z in points]
-    built = {np.asarray(z, dtype=complex).tobytes(): pair for z, pair in zip(points, pairs)}
-    return lambda z: built[np.asarray(z, dtype=complex).tobytes()]
+        return pairs
+    return [recipe.pair_at(z) for z in points]
 
 
 # -- quotients ------------------------------------------------------------------
@@ -557,13 +564,12 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     ``point_id`` numbers the row in its table.  The row's ranks (the four
     types and dim(k_M cap pi L2)) are decided at threshold ``tol``; the
     quotient itself is built at the fixed RANK_TOL."""
-    n = scenario.n
     if pair is None:
         pair = scenario.recipe.pair_at(z)
     if Q is None:
-        Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in scenario.fields])
+        Q = scenario.field_frame_at(z)
     if DF is None:
-        DF = np.column_stack([frames.one_form_at(df, z).real for df in scenario.dfs])
+        DF = scenario.df_frame_at(z)
     # moment condition J1(xi_M) = df
     lift = np.vstack([Q, np.zeros_like(Q)])
     expect = np.vstack([np.zeros_like(DF), DF])
@@ -593,21 +599,21 @@ class TypeTable:
     rows: list
 
 
-def type_table(scenario: Scenario, count=20, seed=7, batch=None, pair_at=None,
+def type_table(scenario: Scenario, count=20, seed=7, batch=None, pairs=None,
                tol=RANK_TOL) -> TypeTable:
     """The quotient at each sample, one row per point in point-id order,
     with its ranks decided at threshold ``tol``.
 
     A caller that has already sampled the level set and built the pairs
-    passes them as ``batch`` and ``pair_at`` (then ``count`` and ``seed``
-    are not used)."""
+    passes them as ``batch`` and ``pairs`` (``pairs_once``; then ``count``
+    and ``seed`` are not used)."""
     if batch is None:
         batch = sample_level_set(scenario, count, seed)
-    pair_at = pair_at or scenario.recipe.pair_at
-    rows = [quotient_at_point(scenario, z, lab, pair=pair_at(z), Q=Q, DF=DF, point_id=i,
-                              tol=tol)
-            for i, (z, lab, Q, DF) in enumerate(zip(batch.points, batch.labels,
-                                                    batch.Q, batch.DF))]
+    if pairs is None:
+        pairs = pairs_once(scenario.recipe, batch.points)
+    rows = [quotient_at_point(scenario, z, lab, pair=pair, Q=Q, DF=DF, point_id=i, tol=tol)
+            for i, (z, lab, pair, Q, DF) in enumerate(zip(batch.points, batch.labels, pairs,
+                                                          batch.Q, batch.DF, strict=True))]
     return TypeTable(rows)
 
 
@@ -664,15 +670,16 @@ def bihermitian_rows(rows) -> list:
 
 # -- moment-map verification --------------------------------------------------
 
-def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
+def verify_moment_map(structures, action, moment: MomentMapPoly, batch,
                       tol=MEMBERSHIP_TOL):
     """At each sample and Lie-algebra basis element: membership residual of
     xi_M - i dmu^xi in the +i eigenbundle of the structure, plus the
     invariance contraction iota_{xi_M} dmu^eta (zero when condition one of
     the moment definition holds for a torus, and at central levels for U(n)).
 
-    ``structure_at``: callable z -> LinearGC (the J1 the moment map pairs
-    with).  Failures are rows, not exceptions.
+    ``structures``: the LinearGC at each sample of ``batch``, in point
+    order (the J1 the moment map pairs with).  xi_M and df^xi are columns
+    of the batch's Q and dF.  Failures are rows, not exceptions.
     """
     k = action.k
     fields = action.fundamental_fields()
@@ -685,16 +692,12 @@ def verify_moment_map(structure_at, action, moment: MomentMapPoly, samples,
                 if val is not None:
                     contractions.append(val)
     rows = []
-    for idx, z in enumerate(samples):
-        J = structure_at(z)
+    for idx, (z, J, Q, DF) in enumerate(zip(batch.points, structures, batch.Q, batch.DF,
+                                            strict=True)):
         L = J.eigenbundle()
         worst = 0.0
         for a in range(k):
-            n = fields[a].n
-            w = np.zeros(4 * n, dtype=complex)
-            w[:2 * n] = frames.section_at(fields[a], z)[:2 * n]
-            w[2 * n:] = (frames.one_form_at(dhs[a], z)
-                         - 1j * frames.one_form_at(dfs[a], z))
+            w = np.concatenate([Q[:, a], frames.one_form_at(dhs[a], z) - 1j * DF[:, a]])
             worst = max(worst, L.residual(w))
         inv = 0.0
         for val in contractions:
@@ -736,14 +739,15 @@ def realify(scenario: Scenario, theta="metric") -> Scenario:
 class ClosureFamily:
     """A family of polynomial sections with its closure checks.
 
-    symbolic_check(bracket) -> bool runs an exact identity; structure_at,
-    when given, supplies the pointwise eigenbundle for membership residuals.
+    symbolic_check(bracket) -> bool runs an exact identity; structure_of,
+    when given, maps the structure pair at a sample to the LinearGC whose
+    eigenbundle the brackets must lie in (membership residuals).
     """
 
     name: str
     sections: list
     symbolic_check: object = None
-    structure_at: object = None
+    structure_of: object = None
     max_pairs: int = 6
 
 
@@ -774,24 +778,25 @@ def closure_brackets(families) -> list:
     return out
 
 
-def closure_membership(brackets, structures, samples) -> list:
+def closure_membership(brackets, structures, samples, pairs) -> list:
     """The rows of ``run_closure_families`` from its exact pass
-    ``brackets`` (``closure_brackets``): with each family's ``structure_at``
+    ``brackets`` (``closure_brackets``): with each family's ``structure_of``
     in ``structures`` (None: no membership check), the membership residual
-    of every bracket at the samples is computed here.  A row passes when its
-    symbolic check and its membership residual do."""
+    of every bracket at the samples, in the pairs at them (``pairs``, in
+    point order), is computed here.  A row passes when its symbolic check
+    and its membership residual do."""
     rows = []
-    for (name, tested), structure_at in zip(brackets, structures):
+    for (name, tested), structure_of in zip(brackets, structures):
         for t in tested:
             row = {"family": name, "pair": t.pair}
             ok = True
             if t.symbolic_zero is not None:
                 row["symbolic_zero"] = t.symbolic_zero
                 ok = ok and t.symbolic_zero
-            if structure_at is not None:
+            if structure_of is not None:
                 res = 0.0
-                for z in samples:
-                    L = structure_at(z).eigenbundle()
+                for z, pair in zip(samples, pairs, strict=True):
+                    L = structure_of(pair).eigenbundle()
                     res = max(res, L.residual(frames.section_at(t.bracket, z)))
                 row["membership_residual"] = float(res)
                 ok = ok and res < MEMBERSHIP_TOL
@@ -803,12 +808,13 @@ def closure_membership(brackets, structures, samples) -> list:
     return rows
 
 
-def run_closure_families(families, samples):
-    """One row per tested pair of each family: its symbolic verdict and
-    its membership residual at the samples (``closure_membership`` of
-    ``closure_brackets``)."""
-    return closure_membership(closure_brackets(families),
-                              [fam.structure_at for fam in families], samples)
+def run_closure_families(families, samples, pairs=None):
+    """One row per tested pair of each family: its symbolic verdict and its
+    membership residual in ``pairs``, the pairs at the samples in point
+    order (``closure_membership`` of ``closure_brackets``); without
+    ``pairs``, its symbolic verdict alone."""
+    structures = [None if pairs is None else fam.structure_of for fam in families]
+    return closure_membership(closure_brackets(families), structures, samples, pairs)
 
 
 def tangent_to_level(moment: MomentMapPoly):

@@ -228,11 +228,3 @@ def cp2_blowup1_polytope() -> PolytopeSpec:
 
 def hirzebruch_polytope(k: int) -> PolytopeSpec:
     return PolytopeSpec(((-1, 0), (0, -1), (0, 1), (1, k)), (0, 0, 1, k + 1))
-
-
-def cp1xcp1_blowup4_polytope() -> PolytopeSpec:
-    """CP^1 x CP^1 blown up at the four fixed points (octagon); the
-    deformation-functional search is infeasible here."""
-    return PolytopeSpec(
-        ((-1, 0), (0, -1), (1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)),
-        (0, 0, 2, 2, 3, Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2)))

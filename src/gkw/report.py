@@ -124,8 +124,14 @@ def _check_scenario_schema(doc):
         _check_fraction(x, "each entry of scenario field 'level'")
     strata = doc.get("strata", [])
     _check_type(strata, list, "scenario field 'strata'")
+    labels = set()
     for s in strata:
-        _field(s, "label", str, "stratum")
+        label = _field(s, "label", str, "stratum")
+        if label == "generic":
+            raise ValueError("stratum field 'label' 'generic' is reserved")
+        if label in labels:
+            raise ValueError(f"stratum field 'label' {label!r} is listed twice")
+        labels.add(label)
         _check_ints(_field(s, "zero_coords", list, "stratum"), "stratum field 'zero_coords'")
     structure = _field(doc, "structure", dict, "scenario")
     if _field(structure, "kind", str, "structure") != "deformed":
@@ -144,6 +150,8 @@ def _check_scenario_schema(doc):
                                      f"im_den, exponents], got {term!r}")
                 _check_ints(term[:4], f"{what}: the numerators and denominators of a term")
                 _check_ints(term[4], f"{what}: the exponents of a term", 2 * n)
+                if min(term[4]) < 0:
+                    raise ValueError(f"{what}: a term has a negative exponent: {term!r}")
                 if 0 in term[1:4:2]:
                     raise ValueError(f"{what}: a term has a zero denominator: {term!r}")
 
@@ -158,6 +166,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
     action = TorusAction(tuple(tuple(r) for r in act["weights"]))
     if action.n != n:
         raise ValueError("weight matrix width != ambient dimension")
+    if n <= action.k:
+        raise ValueError(f"scenario field 'ambient_complex_dim' must exceed the torus rank "
+                         f"{action.k}, so that the quotient has positive dimension, got {n}")
     moment = standard_moment_map(action)
     level = tuple(Fraction(x) for x in doc["level"])
     if len(level) != action.k:
@@ -235,12 +246,11 @@ def _header(config: RunConfig, scenario=None):
     return h
 
 
-def _validation_section(batch, pair_at, tol=RANK_TOL):
+def _validation_section(pairs, tol=RANK_TOL):
     """The upstairs types at each sample; ``pairs_once`` already raised at
     a failed pair, so every row passes."""
     rows = []
-    for i, z in enumerate(batch.points):
-        pair = pair_at(z)
+    for i, pair in enumerate(pairs):
         t1, g1 = pair.J1.type_with_gap(tol)
         t2, g2 = pair.J2.type_with_gap(tol)
         rows.append({"sample": i, "pass": True, "types_upstairs": [t1, t2],
@@ -248,9 +258,9 @@ def _validation_section(batch, pair_at, tol=RANK_TOL):
     return {"rows": rows, "pass": True}
 
 
-def _moment_section(scenario, batch, pair_at):
-    rows = verify_moment_map(lambda z: pair_at(z).J1,
-                             scenario.action, scenario.moment, batch.points)
+def _moment_section(scenario, batch, pairs):
+    rows = verify_moment_map([pair.J1 for pair in pairs],
+                             scenario.action, scenario.moment, batch)
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
@@ -287,20 +297,15 @@ def _invariance_checks(case, scenario):
     return tuple(checks)
 
 
-def _same_pair(pair):
-    return pair
-
-
 def _closure_brackets(case, scenario):
     """Per closure family of a catalog case: its exact pass
-    (``closure_brackets``) and its structure as a function of the pair at a
-    sample (None: no membership check).  The families are built over the
-    identity lookup, so their ``structure_at`` maps a pair, not a point, to
-    the structure a bracket must lie in.  A scenario file has no families."""
+    (``closure_brackets``) and its ``structure_of``, the structure a bracket
+    must lie in as a function of the pair at a sample (None: no membership
+    check).  A scenario file has no families."""
     if case is None:
         return ()
-    families = closure_families(case, pair_at=_same_pair)
-    return tuple(zip(closure_brackets(families), (f.structure_at for f in families)))
+    families = closure_families(case)
+    return tuple(zip(closure_brackets(families), (f.structure_of for f in families)))
 
 
 _EXACT = {"maurer_cartan": _maurer_cartan_zero, "invariance": _invariance_checks,
@@ -335,8 +340,8 @@ TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
                 "type_j1_up", "type_j2_up", "indeterminate")
 
 
-def _table_section(scenario, batch, pair_at, tol, expected=None, expected_up=None):
-    table = type_table(scenario, batch=batch, pair_at=pair_at, tol=tol)
+def _table_section(scenario, batch, pairs, tol, expected=None, expected_up=None):
+    table = type_table(scenario, batch=batch, pairs=pairs, tol=tol)
     rows = [{**{f: getattr(r, f) for f in TABLE_FIELDS}, **r.diagnostics}
             for r in table.rows]
     ok = all(r["moment_condition"] < MOMENT_CONDITION_TOL for r in rows)
@@ -362,12 +367,11 @@ def _formula_section(scenario, table):
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _closure_section(closure, batch, pair_at):
+def _closure_section(closure, batch, pairs):
     """The closure rows from the exact pass ``closure`` (``_closure_brackets``),
     with membership residuals in this run's pairs at its first six samples."""
-    structures = [None if of_pair is None else (lambda z, of_pair=of_pair: of_pair(pair_at(z)))
-                  for _, of_pair in closure]
-    rows = closure_membership([b for b, _ in closure], structures, batch.points[:6])
+    rows = closure_membership([b for b, _ in closure], [s for _, s in closure],
+                              batch.points[:6], pairs[:6])
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
@@ -415,16 +419,16 @@ def run(config: RunConfig) -> dict:
         raise ConfigError("need --case or --scenario")
 
     batch = sample_level_set(scenario, config.samples, default_rng(config.seed))
-    pair_at = pairs_once(scenario.recipe, batch.points)
+    pairs = pairs_once(scenario.recipe, batch.points)
     sections = {}
-    sections["validation"] = _validation_section(batch, pair_at, config.tol)
-    sections["moment_map"] = _moment_section(scenario, batch, pair_at)
+    sections["validation"] = _validation_section(pairs, config.tol)
+    sections["moment_map"] = _moment_section(scenario, batch, pairs)
     sections["maurer_cartan"] = _mc_section(_exact("maurer_cartan", case, scenario))
     sections["invariance"] = _invariance_section(_exact("invariance", case, scenario))
     indeterminate = False
     if config.command in ("deform", "reduce"):
         expected_up = case.expected_upstairs_j2 if case else None
-        table, sec = _table_section(scenario, batch, pair_at, config.tol,
+        table, sec = _table_section(scenario, batch, pairs, config.tol,
                                     expected=(case.expected_strata if case and config.command == "reduce" else None),
                                     expected_up=expected_up)
         sections["type_table"] = sec
@@ -432,7 +436,7 @@ def run(config: RunConfig) -> dict:
         if config.command == "reduce":
             sections["type_formula"] = _formula_section(scenario, table)
             sections["closure"] = _closure_section(_exact("closure", case, scenario),
-                                                   batch, pair_at)
+                                                   batch, pairs)
             sections["bihermitian"] = _bihermitian_section(
                 table, expect_distinct=case.expected_distinct if case else None)
     overall = all(s.get("pass", True) for s in sections.values())

@@ -5,13 +5,15 @@ import numpy as np
 
 from gkw.actions import TorusAction, standard_moment_map
 from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
-from gkw.frames import _frame_rows
+from gkw.frames import _frame_rows, one_form_at, section_at
 from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
                         LinearGC, ValidationError, _Outcomes, _real_structures, b_conjugate,
                         b_field_matrix, eta, numerical_rank, orthonormal_columns,
                         subspace_intersection_dim)
-from gkw.pipeline import ConstantPairRecipe, Scenario, ScalingSampler, _standard_pair
+from gkw.pipeline import (ConstantPairRecipe, SampleBatch, Scenario, ScalingSampler,
+                          _standard_pair)
 from gkw.poly import QI, QI_I, ComplexPolynomial
+from gkw.polytope import PolytopeSpec
 
 
 REDUCTION_REJECT_SHARE = 0.05
@@ -186,6 +188,17 @@ def product_cp1xc_scenario() -> Scenario:
     return Scenario(name="product-cp1xc", n=3, recipe=recipe, action=action,
                     moment=moment, level=(Fraction(1),),
                     sampler=ScalingSampler(moment, [1.0]))
+
+
+def batch_at(action, moment, points) -> SampleBatch:
+    """The points as a batch that no sampler drew: at each, the
+    fundamental-field frame Q and the moment-map differentials dF, as the
+    sampler keeps them."""
+    fields = action.fundamental_fields()
+    n = fields[0].n
+    Q = [np.column_stack([section_at(s, z)[:2 * n].real for s in fields]) for z in points]
+    DF = [np.column_stack([one_form_at(df, z).real for df in moment.df]) for z in points]
+    return SampleBatch(list(points), ["generic"] * len(points), [], Q, DF)
 
 
 def rand_gc(rng, m):
@@ -379,6 +392,14 @@ def _tan_half(t: Fraction):
     return (1 - t * t) / d, 2 * t / d
 
 
+def cp1xcp1_blowup4_polytope() -> PolytopeSpec:
+    """CP^1 x CP^1 blown up at the four fixed points (octagon); the
+    deformation-functional search is infeasible here."""
+    return PolytopeSpec(
+        ((-1, 0), (0, -1), (1, 0), (0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)),
+        (0, 0, 2, 2, 3, Fraction(3, 2), Fraction(3, 2), Fraction(-1, 2)))
+
+
 def interior_point(poly):
     """The mean of the exact vertices of a PolytopeSpec."""
     verts = poly.vertices()
@@ -417,11 +438,21 @@ def from_sections(n, coeff, factors) -> LMultivector:
     return out
 
 
+def section_from_form(a: Form) -> GeneralizedSection:
+    """The generalized section with zero vector part and form part a."""
+    return GeneralizedSection(VectorField.zero(a.n), a)
+
+
 def real_coframe(n: int):
     """dx_1, dy_1, ..., dx_n, dy_n as constant 1-forms: the real covector
     e^r takes d/dz_a to T[r][a]."""
     return tuple(Form(n, 1, {(a,): ComplexPolynomial.const(n, c) for a, c in row})
                  for row in _frame_rows(n)[0])
+
+
+def ambient_dim(S: ComplexSubspace) -> int:
+    """d for a subspace S of C^d."""
+    return S.basis.shape[0]
 
 
 def from_columns(cols, tol=RANK_TOL) -> ComplexSubspace:
@@ -435,7 +466,7 @@ def contains(S: ComplexSubspace, vec, tol=RANK_TOL) -> bool:
 
 def projection_to_tangent(S: ComplexSubspace, tol=RANK_TOL) -> ComplexSubspace:
     """pi(S): the V-block span (first half of the coordinates)."""
-    return from_columns(S.basis[:S.ambient_dim // 2, :], tol)
+    return from_columns(S.basis[:ambient_dim(S) // 2, :], tol)
 
 
 def type_of(J: LinearGC) -> int:
@@ -451,11 +482,11 @@ def from_eigenbundle(L: ComplexSubspace) -> LinearGC:
     L cap conj(L) = 0).  L must be maximal and [L, conj L] of full rank,
     decided at RANK_TOL; a rank within the gap window raises
     IndeterminateRankError."""
-    if L.dim != L.ambient_dim // 2:
+    if L.dim != ambient_dim(L) // 2:
         raise ValidationError("eigenbundle must be maximal")
     rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]),
                                 require_determinate=True)
-    if rank != L.ambient_dim:
+    if rank != ambient_dim(L):
         raise ValidationError("L cap conj(L) != 0: no real structure")
     out = _Outcomes(1)
     (J,) = _real_structures(L.basis[None], out)
@@ -476,9 +507,9 @@ def complex_nullspace(A, tol=RANK_TOL):
 
 def perp(S: ComplexSubspace) -> ComplexSubspace:
     """Perpendicular w.r.t. the bilinear pairing eta (not hermitian)."""
-    m = S.ambient_dim // 2
+    m = ambient_dim(S) // 2
     if S.dim == 0:
-        return ComplexSubspace(np.eye(S.ambient_dim, dtype=complex))
+        return ComplexSubspace(np.eye(ambient_dim(S), dtype=complex))
     return ComplexSubspace(complex_nullspace(S.basis.T @ eta(m)))
 
 

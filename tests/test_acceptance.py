@@ -19,14 +19,14 @@ from gkw.calculus import VectorField, courant_bracket, exterior_derivative
 from gkw.catalog import build_case, catalog_names, closure_families, hyperkahler_pair
 from gkw.deformation import DeformationBivector, schouten_bracket
 from gkw.linear import LinearGC, eta, reduce_gcs, reduce_pair, subspace_intersection_dim
-from gkw.pipeline import (DeformedKahlerRecipe, quotient_bihermitian,
+from gkw.pipeline import (DeformedKahlerRecipe, pairs_once, quotient_bihermitian,
                           run_closure_families, sample_level_set, type_table,
                           verify_moment_map, verify_type_formula)
 from gkw.poly import ComplexPolynomial
 
-from generators import (ReductionTally, add, b_transform, from_columns, from_sections,
-                        point_to_real, projection_to_tangent, rand_antisym, rand_gc,
-                        rand_gc_with_admissible_q, rand_lbar_section,
+from generators import (ReductionTally, add, b_transform, cp1xcp1_blowup4_polytope,
+                        from_columns, from_sections, point_to_real, projection_to_tangent,
+                        rand_antisym, rand_gc, rand_gc_with_admissible_q, rand_lbar_section,
                         rand_pair_with_admissible_q, rand_section, restricted_projection_dim,
                         type_of)
 from naive_calculus import naive_courant, naive_schouten
@@ -200,8 +200,8 @@ def test_criterion_07_btransform_and_realification():
     scen = case.scenario
     assert scen.moment.is_real
     batch = sample_level_set(scen, 20, 7)
-    rows = verify_moment_map(lambda z: scen.recipe.pair_at(z).J1, scen.action,
-                             scen.moment, batch.points, tol=1e-10)
+    rows = verify_moment_map([scen.recipe.pair_at(z).J1 for z in batch.points], scen.action,
+                             scen.moment, batch, tol=1e-10)
     ok = ok and all(r["pass"] for r in rows)
     assert report(7, "B-transform type invariance on 100 random (J, B); "
                      "realified moment map real to < 1e-10 at samples", ok)
@@ -231,7 +231,7 @@ def test_criterion_08_hyperkahler_flat():
         worst_df = max(worst_df, np.linalg.norm(out - np.concatenate([-X @ xv, -dmuK])))
     mm = MomentMapPoly((f,), (muK,))
     base = LinearGC(J1m)
-    rows = verify_moment_map(lambda z: base, case.scenario.action, mm, batch.points)
+    rows = verify_moment_map([base] * len(batch.points), case.scenario.action, mm, batch)
     ok = (res_pair < 1e-10 and pos > 1e-10 and worst_df < 1e-12
           and all(r["pass"] for r in rows))
     assert report(8, f"hyper-Kahler: pair residuals {res_pair:.1e} < 1e-10, "
@@ -271,8 +271,7 @@ def test_criterion_09_bihermitian_extraction():
 
 
 def test_criterion_10_toric_feasibility():
-    from gkw.polytope import (cp1xcp1_blowup4_polytope, cp2_polytope, find_alpha,
-                              hirzebruch_polytope)
+    from gkw.polytope import cp2_polytope, find_alpha, hirzebruch_polytope
     r1 = find_alpha(cp2_polytope())
     r2 = find_alpha(hirzebruch_polytope(1))
     r3 = find_alpha(hirzebruch_polytope(2))
@@ -291,7 +290,8 @@ def test_criterion_11_closure_tests():
     for name in catalog_names():
         case = build_case(name)
         batch = sample_level_set(case.scenario, 5, 13)
-        rows = run_closure_families(closure_families(case), batch.points)
+        rows = run_closure_families(closure_families(case), batch.points,
+                                    pairs_once(case.scenario.recipe, batch.points))
         for r in rows:
             ok = ok and r["pass"]
             if "symbolic_zero" in r:

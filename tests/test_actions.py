@@ -19,7 +19,8 @@ from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import grassmannian_matrix_polynomials, group_element_exact, real_coframe
+from generators import (batch_at, grassmannian_matrix_polynomials, group_element_exact,
+                        real_coframe)
 
 
 def test_fundamental_field_real_frame():
@@ -168,12 +169,13 @@ def test_verify_moment_map_pass_and_fail():
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         pts.append(w * np.sqrt(1.0 / (0.5 * np.linalg.norm(w) ** 2)))
     J1 = LinearGC.from_symplectic(frames.omega_std_map(n))
-    rows = verify_moment_map(lambda z: J1, act, mm, pts)
+    batch = batch_at(act, mm, pts)
+    rows = verify_moment_map([J1] * len(pts), act, mm, batch)
     assert all(r["pass"] for r in rows)
     # the complex-type structure is never Hamiltonian: pi(L_J) has no real
     # vectors, so membership fails at every sample
     JJ = LinearGC.from_complex(frames.complex_structure_std(n))
-    rows_bad = verify_moment_map(lambda z: JJ, act, mm, pts)
+    rows_bad = verify_moment_map([JJ] * len(pts), act, mm, batch)
     assert all(not r["pass"] for r in rows_bad)
     assert min(r["membership"] for r in rows_bad) > 1e-2
 
@@ -185,14 +187,14 @@ def test_a_moment_map_off_the_central_level_fails_invariance():
     scen = build_case("grassmann-2-3").scenario
     act = scen.action
     J1 = LinearGC.from_symplectic(frames.omega_std_map(scen.n))
-    points = sample_level_set(scen, 4, 7).points
-    assert all(r["pass"] for r in verify_moment_map(lambda z: J1, act, scen.moment, points))
+    batch = sample_level_set(scen, 4, 7)
+    assert all(r["pass"] for r in verify_moment_map([J1] * 4, act, scen.moment, batch))
     off = []
-    for z in points:
+    for z in batch.points:
         w = np.array(z, dtype=complex)
         w[[act.flat(1, j) for j in range(act.m)]] *= 2
         off.append(w)
-    rows = verify_moment_map(lambda z: J1, act, scen.moment, off)
+    rows = verify_moment_map([J1] * 4, act, scen.moment, batch_at(act, scen.moment, off))
     assert all(r["membership"] < 1e-12 for r in rows)
     assert all(abs(r["invariance"] - 3.0) < 1e-12 for r in rows)
     assert all(r["pass"] is False for r in rows)
@@ -235,13 +237,13 @@ def test_shift_by_bfield_and_roundtrip():
     scen = Scenario(name="shifted", n=n, recipe=rec, action=act,
                     moment=shifted, level=level, sampler=TwoLevelSampler())
     batch = sample_level_set(scen, 8, 3)
-    rows = verify_moment_map(lambda z: rec.pair_at(z).J1, act, shifted, batch.points)
+    rows = verify_moment_map([rec.pair_at(z).J1 for z in batch.points], act, shifted, batch)
     assert all(r["pass"] for r in rows), rows
     real_scen = realify(scen)
     assert real_scen.moment.is_real
     assert real_scen.moment.f == mm.f
-    rows2 = verify_moment_map(lambda z: real_scen.recipe.pair_at(z).J1, act,
-                              real_scen.moment, batch.points, tol=1e-10)
+    rows2 = verify_moment_map([real_scen.recipe.pair_at(z).J1 for z in batch.points], act,
+                              real_scen.moment, batch, tol=1e-10)
     assert all(r["pass"] for r in rows2), rows2
 
 

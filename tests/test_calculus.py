@@ -12,7 +12,8 @@ from gkw.frames import real_coordinates
 from gkw.poly import QI_HALF, ComplexPolynomial
 
 from generators import (ddy_field, rand_poly, rand_qi, rand_section, rand_section_parts,
-                        rand_sparse_poly, rand_sparse_section, real_coframe)
+                        rand_sparse_poly, rand_sparse_section, real_coframe,
+                        section_from_form)
 from naive_calculus import (TwoPartSection, naive_courant, naive_d, naive_iota_form, p_add,
                             p_diff, p_mul, p_scale, two_part_pairing_poly,
                             unfolded_courant_bracket)
@@ -138,9 +139,9 @@ def test_courant_worked_examples():
     dx, dy = real_coframe(n)
     X = VectorField(n, {a: x * p for a, p in ddy_field(n, 0).comps.items()})
     s1 = GeneralizedSection.from_vector(X)
-    br = courant_bracket(s1, GeneralizedSection.from_form(dy))
+    br = courant_bracket(s1, section_from_form(dy))
     assert br.vec.is_zero and br.form == dx.scale(QI_HALF)
-    assert courant_bracket(s1, GeneralizedSection.from_form(dx)).is_zero
+    assert courant_bracket(s1, section_from_form(dx)).is_zero
     n = 2
     assert courant_bracket(GeneralizedSection.frame(n, 0),
                            GeneralizedSection.frame(n, 1)).is_zero
@@ -289,7 +290,7 @@ def test_section_views_are_typed_and_rebuild_the_section(n):
             s.vec = vec
     for a in range(4 * n):
         want = (GeneralizedSection.from_vector(VectorField.frame(n, a)) if a < 2 * n
-                else GeneralizedSection.from_form(Form.frame(n, a - 2 * n)))
+                else section_from_form(Form.frame(n, a - 2 * n)))
         assert GeneralizedSection.frame(n, a) == want
 
 

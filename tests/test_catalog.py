@@ -13,7 +13,7 @@ from gkw.linear import ValidationError, eta
 from gkw.pipeline import sample_level_set, type_table, verify_type_formula
 from gkw.polytope import cp2_blowup1_polytope, cp2_polytope
 
-from generators import point_to_real
+from generators import cp1xcp1_blowup4_polytope, point_to_real
 
 
 def test_catalog_names_cover_advertised_cases():
@@ -88,7 +88,6 @@ def test_build_cpn_requires_n_at_least_two():
 
 
 def test_build_toric_rejects_infeasible():
-    from gkw.polytope import cp1xcp1_blowup4_polytope
     with pytest.raises(ValidationError):
         build_toric(cp1xcp1_blowup4_polytope(), name="blowup4")
 

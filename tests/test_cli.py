@@ -123,6 +123,15 @@ def test_exit_code_config_error(capsys):
     assert code2 == 2
 
 
+@pytest.mark.parametrize("samples", ["-1", "0"])
+def test_samples_below_one_is_a_config_error(capsys, samples):
+    # -1 used to exit 3 ("rejection rate above 90%"), 0 to pass an empty report
+    code = main(["reduce", "--case", "cpn-2", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--samples" in captured.err
+
+
 def test_exit_code_scenario_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -292,9 +301,20 @@ def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
      "zero denominator"),
     (lambda d: d["structure"]["deformation"]["Z"]["2"][0].__setitem__(4, [0]),
      "exponents"),
+    (lambda d: d["structure"]["deformation"]["Y"]["1"][0].__setitem__(4, [-1, 0, 0, 0, 0, 0]),
+     "'Y' at frame index '1': a term has a negative exponent"),
+    (lambda d: d["strata"].append({"label": "generic", "zero_coords": [1]}),
+     "'label' 'generic' is reserved"),
+    (lambda d: d["strata"].append({"label": "z0=0", "zero_coords": [1]}),
+     "'label' 'z0=0' is listed twice"),
+    # C^1 by its circle is a point: no quotient to reduce onto
+    (lambda d: d.update(ambient_complex_dim=1, action={"kind": "torus", "weights": [[1]]},
+                        strata=[], structure={"kind": "genuine-kahler"}),
+     "'ambient_complex_dim' must exceed the torus rank"),
 ], ids=["no-structure", "dim-a-string", "level-null",
         "no-t", "t-divides-by-zero", "no-weight-rows", "frame-index-out-of-range",
-        "zero-denominator", "short-exponents"])
+        "zero-denominator", "short-exponents", "negative-exponent", "generic-label",
+        "label-listed-twice", "quotient-a-point"])
 def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit, field):
     path = _scenario_file(tmp_path, edit)
     code = main(["reduce", "--scenario", str(path), "--samples", "4"])

@@ -69,11 +69,11 @@ def test_a_mutated_report_leaves_the_next_run_unchanged(name):
 def test_kept_closure_rows_are_those_of_run_closure_families(monkeypatch, name, seed):
     case = dataclasses.replace(build_case(name))    # a copy with nothing kept yet
     batch = sample_level_set(case.scenario, 12, seed)
-    pair_at = pairs_once(case.scenario.recipe, batch.points)
-    want = run_closure_families(closure_families(case, pair_at), batch.points[:6])
+    pairs = pairs_once(case.scenario.recipe, batch.points)
+    want = run_closure_families(closure_families(case), batch.points[:6], pairs[:6])
     for _ in ("cold", "warm"):
         got = report._closure_section(report._exact("closure", case, case.scenario),
-                                      batch, pair_at)
+                                      batch, pairs)
         assert got["rows"] == want
     config = RunConfig("reduce", case=name, samples=12, seed=seed)
     kept = run(config)

@@ -139,24 +139,30 @@ def test_closure_families_all_catalog():
         batch = sample_level_set(case.scenario, 5, 13)
         fams = closure_families(case)
         assert fams, name
-        rows = run_closure_families(fams, batch.points)
+        rows = run_closure_families(fams, batch.points,
+                                    pairs_once(case.scenario.recipe, batch.points))
         assert rows, name
         bad = [r for r in rows if not r["pass"]]
         assert not bad, (name, bad)
 
 
-def test_brackets_outside_the_checked_eigenbundle_fail_membership():
+@pytest.mark.parametrize("name, family, other", [
+    ("cpn-2", "df-perp+L1", lambda pair: pair.J2),
+    ("toric-cp2", "deformed-L2", lambda pair: pair.J1),
+], ids=["df-perp-against-j2", "deformed-l2-against-j1"])
+def test_brackets_outside_the_checked_eigenbundle_fail_membership(name, family, other):
     # cpn-2's df-perp+L1 brackets lie in L1 but not in the deformed L_eps of
-    # J2; checked against J2, their membership residual fails the row
-    case = build_case("cpn-2")
+    # J2; toric-cp2's deformed-L2 brackets lie in the L_eps of the pair at
+    # each sample, and the first of them, which is not zero, leaves L1.
+    # Checked against the other structure, their membership fails the row
+    case = build_case(name)
     batch = sample_level_set(case.scenario, 6, 7)
-    fam = next(f for f in closure_families(case) if f.name == "df-perp+L1")
-    pair_at = case.scenario.recipe.pair_at
-    rows = run_closure_families([fam], batch.points)
+    fam = next(f for f in closure_families(case) if f.name == family)
+    pairs = pairs_once(case.scenario.recipe, batch.points)
+    rows = run_closure_families([fam], batch.points, pairs)
     assert rows and all(r["pass"] for r in rows)
-    against_j2 = dataclasses.replace(fam, symbolic_check=None,
-                                     structure_at=lambda z: pair_at(z).J2)
-    rows = run_closure_families([against_j2], batch.points)
+    against = dataclasses.replace(fam, symbolic_check=None, structure_of=other)
+    rows = run_closure_families([against], batch.points, pairs)
     failed = [r for r in rows if r["membership_residual"] > MEMBERSHIP_TOL]
     assert failed
     assert all(r["pass"] is False for r in failed)
@@ -274,9 +280,9 @@ def _catalog_rows(name, seed):
     pairs built as a report builds them."""
     scenario = build_case(name).scenario
     batch = sample_level_set(scenario, 12, seed)
-    pair_at = pairs_once(scenario.recipe, batch.points)
-    table = type_table(scenario, batch=batch, pair_at=pair_at)
-    return [(Q, pair_at(z), row) for z, Q, row in zip(batch.points, batch.Q, table.rows)]
+    pairs = pairs_once(scenario.recipe, batch.points)
+    table = type_table(scenario, batch=batch, pairs=pairs)
+    return list(zip(batch.Q, pairs, table.rows))
 
 
 def _projector(S: ComplexSubspace):
@@ -323,8 +329,8 @@ def test_opposite_orientations_fail_the_bihermitian_section():
         assert (r.type_j1, r.type_j2, r.dim_k_cap_piL2) == (1, 1, 0)
         assert (r.type_j1_up, r.type_j2_up) == (1, 2)
     assert all(x["pass"] for x in verify_type_formula(scenario, table))
-    moment = verify_moment_map(lambda z: scenario.recipe.pair_at(z).J1, scenario.action,
-                               scenario.moment, batch.points)
+    moment = verify_moment_map([r.J1 for r in pairs_once(scenario.recipe, batch.points)],
+                               scenario.action, scenario.moment, batch)
     assert all(x["pass"] for x in moment)
     section = report._bihermitian_section(table)
     assert section["pass"] is False

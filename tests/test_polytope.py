@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 from gkw.pipeline import PolytopeSampler
-from gkw.polytope import (PolytopeSpec, cp1xcp1_blowup4_polytope,
-                          cp2_blowup1_polytope, cp2_polytope, find_alpha,
+from gkw.polytope import (PolytopeSpec, cp2_blowup1_polytope, cp2_polytope, find_alpha,
                           hirzebruch_polytope)
 
-from generators import facet_vertices, interior_point, slacks
+from generators import cp1xcp1_blowup4_polytope, facet_vertices, interior_point, slacks
 
 
 def test_primitive_normal_enforced():

@@ -170,9 +170,9 @@ def test_pairs_once_matches_pair_at_across_stacks(monkeypatch, name, count):
     scen = build_case(name).scenario
     points = sample_level_set(scen, count, 7).points
     sizes = _stack_sizes(monkeypatch)
-    pair_at = pairs_once(scen.recipe, points)
+    pairs = pairs_once(scen.recipe, points)
     assert sizes == [PAIR_STACK_ROWS] * (count // PAIR_STACK_ROWS) + [count % PAIR_STACK_ROWS]
-    _assert_same_outcomes([pair_at(z) for z in points], _per_point(scen.recipe, points))
+    _assert_same_outcomes(pairs, _per_point(scen.recipe, points))
 
 
 def test_pairs_once_raises_the_earliest_failing_points_error(monkeypatch, capsys):
