@@ -5,12 +5,13 @@
 
 Each mutant replaces one text of a file under ``src/gkw``, a text that
 occurs there exactly once, by another.  It is applied to a copy of
-``src``, ``tests`` and ``pyproject.toml`` in a temporary directory, and
-its tests run there with ``pytest -x -q`` (so ``gkw`` is imported from the
-mutated copy); the mutant is killed when they fail.  The tests of every
-mutant run first on the unmutated copy, and must pass there; that run's
-time, times 10 and at least 60 s, limits each mutant's run, and a mutant
-whose tests run past it (say, a loop that no longer ends) is killed.
+``src``, ``tests``, ``perfbench`` and ``pyproject.toml`` in a temporary
+directory, and its tests run there with ``pytest -x -q`` (so ``gkw`` is
+imported from the mutated copy); the mutant is killed when they fail.  The
+tests of every mutant run first on the unmutated copy, and must pass there;
+that run's time, times 10 and at least 60 s, limits each mutant's run, and
+a mutant whose tests run past it (say, a loop that no longer ends) is
+killed.
 
 Prints one line per mutant: ``killed``, ``timeout`` (killed by the time
 limit), ``survived``, or ``equivalent`` for a survivor listed in
@@ -107,7 +108,7 @@ MUTANTS = (
            "ok = r.type_j2 == rhs2",
            ("tests/test_pipeline.py::test_a_quotient_j1_type_off_by_two_fails_its_row",)),
     Mutant("closure-drops-symbolic", "pipeline.py",
-           "ok = ok and t.symbolic_zero",
+           "ok = ok and symbolic_zero",
            "ok = ok",
            ("tests/test_pipeline.py::"
             "test_a_bracket_leaving_the_level_set_fails_the_symbolic_check",)),
@@ -115,6 +116,10 @@ MUTANTS = (
            "ok = ok and res < MEMBERSHIP_TOL",
            "ok = ok",
            ("tests/test_pipeline.py::test_brackets_outside_the_checked_eigenbundle_fail_membership",)),
+    Mutant("closure-tests-one-pair-fewer", "pipeline.py",
+           "for i, j in pairs[:self.max_pairs]:",
+           "for i, j in pairs[:self.max_pairs - 1]:",
+           ("tests/test_bench_golden.py",)),
     Mutant("mask-drops-conjugates", "poly.py",
            "for q, column in enumerate(zip(*self.terms)):",
            "for q, column in enumerate(list(zip(*self.terms))[:self.n]):",
@@ -162,6 +167,10 @@ MUTANTS = (
            "raise errors[0]",
            "raise errors[-1]",
            ("tests/test_cli.py::test_a_case_error_reaches_the_caller_as_the_plain_loop_raises_it",)),
+    Mutant("indeterminate-drops-intersection-gap", "pipeline.py",
+           "indeterminate=not (gap_int and g1u",
+           "indeterminate=not (g1u",
+           ("tests/test_cli.py::test_a_borderline_intersection_alone_flags_its_row",)),
 )
 
 # name -> why the mutant cannot change a verdict
@@ -169,9 +178,10 @@ EQUIVALENT: dict = {}
 
 
 def copy_tree(dest: Path):
-    """The parts of the repository the tests of a mutant read."""
+    """The parts of the repository the tests of a mutant read (the golden
+    test reads the benchmark's workloads and golden files)."""
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 

@@ -403,26 +403,20 @@ def _unitary_df_perp_fields(action: UnitaryAction):
 
 
 def _invariant_gm_perp_sections(scenario):
-    """Invariant sections of g_M-perp: weight-zero fields + d(invariants)."""
-    n = scenario.n
-    secs = []
-    if isinstance(scenario.action, TorusAction):
-        for a in range(min(n, 3)):
-            X = VectorField(n, {a: ComplexPolynomial.variable(n, a)})
-            inv = (ComplexPolynomial.variable(n, a)
-                   * ComplexPolynomial.variable(n, a, conjugated=True))
-            secs.append(GeneralizedSection(X, exterior_derivative(inv)))
+    """Invariant sections of g_M-perp, one per coordinate group (each
+    coordinate under a torus, each column under U(n); the first three): the
+    weight-zero field sum z_c d/dz_c over the group + d(sum |z_c|^2)."""
+    n, act = scenario.n, scenario.action
+    if isinstance(act, TorusAction):
+        groups = [[a] for a in range(n)]
     else:
-        act = scenario.action
-        for a in range(min(act.m, 3)):
-            comps = {act.flat(i, a): ComplexPolynomial.variable(n, act.flat(i, a))
-                     for i in range(act.n)}
-            X = VectorField(n, comps)
-            inv = ComplexPolynomial.zero(n)
-            for i in range(act.n):
-                inv = inv + (ComplexPolynomial.variable(n, act.flat(i, a))
-                             * ComplexPolynomial.variable(n, act.flat(i, a), conjugated=True))
-            secs.append(GeneralizedSection(X, exterior_derivative(inv)))
+        groups = [[act.flat(i, a) for i in range(act.n)] for a in range(act.m)]
+    secs = []
+    for group in groups[:3]:
+        z = {c: ComplexPolynomial.variable(n, c) for c in group}
+        inv = sum((z[c] * ComplexPolynomial.variable(n, c, conjugated=True) for c in group),
+                  ComplexPolynomial.zero(n))
+        secs.append(GeneralizedSection(VectorField(n, z), exterior_derivative(inv)))
     return secs
 
 

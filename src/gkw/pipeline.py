@@ -35,8 +35,8 @@ import numpy as np
 
 from . import frames
 from .actions import MomentMapPoly, TorusAction, UnitaryAction
-from .calculus import (Form, GeneralizedSection, courant_bracket, exterior_derivative,
-                       interior_product, pairing_poly)
+from .calculus import (Form, courant_bracket, exterior_derivative, interior_product,
+                       pairing_poly)
 from .deformation import DeformationBivector, LMultivector
 from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
@@ -697,8 +697,11 @@ def verify_moment_map(structures, action, moment: MomentMapPoly, batch,
         L = J.eigenbundle()
         worst = 0.0
         for a in range(k):
-            w = np.concatenate([Q[:, a], frames.one_form_at(dhs[a], z) - 1j * DF[:, a]])
-            worst = max(worst, L.residual(w))
+            if moment.h[a].is_zero:     # dh^a = 0: nothing to evaluate
+                form = -1j * DF[:, a]
+            else:
+                form = frames.one_form_at(dhs[a], z) - 1j * DF[:, a]
+            worst = max(worst, L.residual(np.concatenate([Q[:, a], form])))
         inv = 0.0
         for val in contractions:
             inv = max(inv, abs(val.evaluate(z)))
@@ -735,13 +738,15 @@ def realify(scenario: Scenario, theta="metric") -> Scenario:
 
 # -- closure families -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ClosureFamily:
     """A family of polynomial sections with its closure checks.
 
     symbolic_check(bracket) -> bool runs an exact identity; structure_of,
     when given, maps the structure pair at a sample to the LinearGC whose
-    eigenbundle the brackets must lie in (membership residuals).
+    eigenbundle the brackets must lie in (membership residuals).  The
+    family's exact pass, ``tested``, needs no sample and is computed once
+    per family object.
     """
 
     name: str
@@ -750,71 +755,47 @@ class ClosureFamily:
     structure_of: object = None
     max_pairs: int = 6
 
-
-@dataclass(frozen=True)
-class ClosureBracket:
-    """A tested pair (i, j) of a family's sections, its Courant bracket and
-    the verdict of the family's symbolic check on it (None: no check)."""
-
-    pair: tuple
-    bracket: GeneralizedSection
-    symbolic_zero: bool | None
-
-
-def closure_brackets(families) -> list:
-    """The exact pass of ``run_closure_families``, which needs no sample:
-    per family, its name and the ClosureBracket of each pair it tests (the
-    first ``max_pairs`` pairs i < j)."""
-    out = []
-    for fam in families:
-        secs = fam.sections
+    @cached_property
+    def tested(self) -> tuple:
+        """((i, j), Courant bracket, symbolic verdict or None: no check) of
+        each pair the family tests, the first ``max_pairs`` pairs i < j."""
+        secs = self.sections
         pairs = [(i, j) for i in range(len(secs)) for j in range(i + 1, len(secs))]
-        brackets = []
-        for i, j in pairs[:fam.max_pairs]:
+        out = []
+        for i, j in pairs[:self.max_pairs]:
             br = courant_bracket(secs[i], secs[j])
-            sym = None if fam.symbolic_check is None else bool(fam.symbolic_check(br))
-            brackets.append(ClosureBracket((i, j), br, sym))
-        out.append((fam.name, tuple(brackets)))
-    return out
+            sym = None if self.symbolic_check is None else bool(self.symbolic_check(br))
+            out.append(((i, j), br, sym))
+        return tuple(out)
 
 
-def closure_membership(brackets, structures, samples, pairs) -> list:
-    """The rows of ``run_closure_families`` from its exact pass
-    ``brackets`` (``closure_brackets``): with each family's ``structure_of``
-    in ``structures`` (None: no membership check), the membership residual
-    of every bracket at the samples, in the pairs at them (``pairs``, in
-    point order), is computed here.  A row passes when its symbolic check
-    and its membership residual do."""
+def run_closure_families(families, samples, pairs=None) -> list:
+    """One row per tested pair of each family (``ClosureFamily.tested``):
+    its symbolic verdict and, given ``pairs`` (the pairs at the samples, in
+    point order) and a family ``structure_of``, its membership residual at
+    every sample.  A row passes when its symbolic check and its membership
+    residual do."""
     rows = []
-    for (name, tested), structure_of in zip(brackets, structures):
-        for t in tested:
-            row = {"family": name, "pair": t.pair}
+    for fam in families:
+        for ij, bracket, symbolic_zero in fam.tested:
+            row = {"family": fam.name, "pair": ij}
             ok = True
-            if t.symbolic_zero is not None:
-                row["symbolic_zero"] = t.symbolic_zero
-                ok = ok and t.symbolic_zero
-            if structure_of is not None:
+            if symbolic_zero is not None:
+                row["symbolic_zero"] = symbolic_zero
+                ok = ok and symbolic_zero
+            if pairs is not None and fam.structure_of is not None:
                 res = 0.0
                 for z, pair in zip(samples, pairs, strict=True):
-                    L = structure_of(pair).eigenbundle()
-                    res = max(res, L.residual(frames.section_at(t.bracket, z)))
+                    L = fam.structure_of(pair).eigenbundle()
+                    res = max(res, L.residual(frames.section_at(bracket, z)))
                 row["membership_residual"] = float(res)
                 ok = ok and res < MEMBERSHIP_TOL
             row["pass"] = bool(ok)
             rows.append(row)
-        if not tested:
-            rows.append({"family": name, "pair": None, "pass": False,
+        if not fam.tested:
+            rows.append({"family": fam.name, "pair": None, "pass": False,
                          "note": "family has fewer than two sections"})
     return rows
-
-
-def run_closure_families(families, samples, pairs=None):
-    """One row per tested pair of each family: its symbolic verdict and its
-    membership residual in ``pairs``, the pairs at the samples in point
-    order (``closure_membership`` of ``closure_brackets``); without
-    ``pairs``, its symbolic verdict alone."""
-    structures = [None if pairs is None else fam.structure_of for fam in families]
-    return closure_membership(closure_brackets(families), structures, samples, pairs)
 
 
 def tangent_to_level(moment: MomentMapPoly):

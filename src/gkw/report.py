@@ -29,8 +29,8 @@ from .deformation import DeformationBivector
 from .linear import ISOTROPY_TOL, RANK_TOL, VALIDATION_TOL
 from .pipeline import (FREENESS_TOL, LEVEL_TOL, MEMBERSHIP_TOL, MOMENT_CONDITION_TOL,
                        DeformedKahlerRecipe, GenuineKahlerRecipe, ScalingSampler,
-                       Scenario, Stratum, bihermitian_rows, closure_brackets,
-                       closure_membership, pairs_once, sample_level_set, type_table,
+                       Scenario, Stratum, bihermitian_rows, pairs_once,
+                       run_closure_families, sample_level_set, type_table,
                        verify_moment_map, verify_type_formula)
 from .poly import QI, ComplexPolynomial
 
@@ -111,6 +111,7 @@ def _check_scenario_schema(doc):
     """The json types of every field of a scenario file, checked before
     anything is built from it, so that a malformed file raises a ValueError
     naming its first bad field."""
+    _check_type(doc, dict, "a scenario file's json")
     n = _field(doc, "ambient_complex_dim", int, "scenario")
     if n < 1:
         raise ValueError(f"scenario field 'ambient_complex_dim' must be at least 1, got {n}")
@@ -267,12 +268,12 @@ def _moment_section(scenario, batch, pairs):
 # -- exact results ---------------------------------------------------------------
 #
 # The Maurer-Cartan residual, the invariance certificates and the closure
-# brackets with their symbolic checks depend on the scenario alone: not on
-# the seed, the sample count or --tol.  For a catalog case each is computed
-# once per CatalogCase object and kept on it as plain values, never as a
-# section a report hands out; a run builds its sections afresh from them,
-# and computes the closure's membership residuals, the one part that reads
-# its pairs, itself.
+# families' exact passes depend on the scenario alone: not on the seed, the
+# sample count or --tol.  For a catalog case each is computed once per
+# CatalogCase object and kept on it, never as a section a report hands out
+# (the closure as its families, each keeping its tested pairs); a run
+# builds its sections afresh from them, and computes the closure's
+# membership residuals, the one part that reads its pairs, itself.
 
 def _maurer_cartan_zero(case, scenario):
     """Whether the Maurer-Cartan residual of a deformed scenario's eps is
@@ -297,19 +298,15 @@ def _invariance_checks(case, scenario):
     return tuple(checks)
 
 
-def _closure_brackets(case, scenario):
-    """Per closure family of a catalog case: its exact pass
-    (``closure_brackets``) and its ``structure_of``, the structure a bracket
-    must lie in as a function of the pair at a sample (None: no membership
-    check).  A scenario file has no families."""
-    if case is None:
-        return ()
-    families = closure_families(case)
-    return tuple(zip(closure_brackets(families), (f.structure_of for f in families)))
+def _closure_families(case, scenario):
+    """The closure families of a catalog case, each of which keeps its
+    exact pass (``ClosureFamily.tested``) once computed.  A scenario file
+    has none."""
+    return () if case is None else tuple(closure_families(case))
 
 
 _EXACT = {"maurer_cartan": _maurer_cartan_zero, "invariance": _invariance_checks,
-          "closure": _closure_brackets}
+          "closure": _closure_families}
 
 
 def _exact(part, case, scenario):
@@ -367,11 +364,10 @@ def _formula_section(scenario, table):
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 
-def _closure_section(closure, batch, pairs):
-    """The closure rows from the exact pass ``closure`` (``_closure_brackets``),
-    with membership residuals in this run's pairs at its first six samples."""
-    rows = closure_membership([b for b, _ in closure], [s for _, s in closure],
-                              batch.points[:6], pairs[:6])
+def _closure_section(families, batch, pairs):
+    """The closure rows of ``families`` (``_closure_families``), with
+    membership residuals in this run's pairs at its first six samples."""
+    rows = run_closure_families(families, batch.points[:6], pairs[:6])
     return {"rows": rows, "pass": all(r["pass"] for r in rows)}
 
 

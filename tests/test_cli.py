@@ -323,6 +323,16 @@ def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit,
     assert err.startswith("scenario error:") and field in err
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "x"], ids=["a-list", "a-string"])
+def test_a_scenario_file_that_is_not_a_json_object_exits_3_saying_so(tmp_path, capsys, doc):
+    path = tmp_path / "not-an-object.json"
+    path.write_text(json.dumps(doc))
+    code = main(["reduce", "--scenario", str(path), "--samples", "4"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("scenario error: a scenario file's json must be an object")
+
+
 def _subprocess_env():
     """The environment with the imported gkw package importable, whether or
     not it is installed."""
@@ -418,6 +428,17 @@ def test_tol_override_resolves_borderline_ranks(tmp_path, capsys):
     code, _ = run_cli(["reduce", "--scenario", str(path), "--samples", "4",
                        "--tol", "1e-12", "--format", "json"], capsys)
     assert code == 0
+
+
+def test_a_borderline_intersection_alone_flags_its_row(capsys):
+    # at --tol 0.05, four of cpn-2's rows at seed 7 are borderline only in
+    # dim(k_M cap pi L2), every type there with a clear gap: the
+    # intersection's own gap is what flags them
+    code, out = run_cli(["reduce", "--case", "cpn-2", "--samples", "12", "--seed", "7",
+                         "--tol", "0.05", "--format", "json"], capsys)
+    assert code == 4
+    rows = json.loads(out)["sections"]["type_table"]["rows"]
+    assert len(rows) == 12 and all(r["indeterminate"] for r in rows)
 
 
 # -- sweep and catalog: the cases are shared out among the caller and forked

@@ -1,10 +1,11 @@
 """The exact results a run keeps per catalog case (``report._exact``): the
 Maurer-Cartan residual, the invariance certificates and the closure
-brackets with their symbolic checks.  They are kept per CatalogCase object,
-as values that no report hands out, and give the reports and closure rows
-that computing them afresh gives, cold or warm, in a plain loop or in the
-sweep's forked workers.  The sweep's caller keeps them for the rows it runs
-itself, and computes none for a row a worker runs."""
+families, each of which keeps its exact pass (``ClosureFamily.tested``:
+the brackets with their symbolic checks).  They are kept per CatalogCase
+object, as values that no report hands out, and give the reports and
+closure rows that computing them afresh gives, cold or warm, in a plain
+loop or in the sweep's forked workers.  The sweep's caller keeps them for
+the rows it runs itself, and computes none for a row a worker runs."""
 import dataclasses
 import os
 
@@ -26,8 +27,8 @@ def _values(part, result):
     """The comparable values of one part of the exact results."""
     if part != "closure":
         return result
-    return [(name, [(t.pair, t.symbolic_zero) for t in tested], of_pair is None)
-            for (name, tested), of_pair in result]
+    return [(f.name, [(ij, symbolic_zero) for ij, _, symbolic_zero in f.tested],
+             f.structure_of is None) for f in result]
 
 
 def test_a_replaced_case_does_not_read_the_results_kept_for_its_original():
