@@ -42,6 +42,14 @@ class Mutant:
     tests: tuple    # pytest arguments: test files or node ids
 
 
+# the Schouten bracket and its Courant case against the term-by-term oracles
+_BRACKET_ORACLES = (
+    "tests/test_calculus.py::test_courant_oracle_equivalence_50_seeded",
+    "tests/test_calculus.py::test_sparse_coefficients_match_the_raw_oracles",
+    "tests/test_deformation.py::test_schouten_oracle_equivalence_50_seeded",
+    "tests/test_deformation.py::test_schouten_oracle_general_sections",
+)
+
 MUTANTS = (
     Mutant("eta-orthogonality-off", "linear.py",
            "bad = (r_sq > VALIDATION_TOL) | (r_orth > VALIDATION_TOL)",
@@ -171,6 +179,19 @@ MUTANTS = (
            "indeterminate=not (gap_int and g1u",
            "indeterminate=not (g1u",
            ("tests/test_cli.py::test_a_borderline_intersection_alone_flags_its_row",)),
+    Mutant("bracket-drops-dual-pairing", "calculus.py",
+           "if a < m and g.mask >> a & 1 or abs(a - b0) == m:",
+           "if a < m and g.mask >> a & 1:",
+           _BRACKET_ORACLES),
+    Mutant("bracket-reads-own-mask", "calculus.py",
+           "if a < m and g.mask >> a & 1",
+           "if a < m and f.mask >> a & 1",
+           _BRACKET_ORACLES),
+    Mutant("contractions-kept-once-for-every-action", "actions.py",
+           "kept[action] = tuple(",
+           "kept[action] = kept.get(next(iter(kept), None)) or tuple(",
+           ("tests/test_actions.py::"
+            "test_a_second_action_on_one_moment_map_gets_its_own_contractions",)),
 )
 
 # name -> why the mutant cannot change a verdict

@@ -161,6 +161,22 @@ class MomentMapPoly:
         """d of each imaginary component, computed once."""
         return tuple(exterior_derivative(h) for h in self.h)
 
+    @cached_property
+    def _contractions(self) -> dict:
+        return {}
+
+    def contractions(self, action) -> tuple:
+        """The nonzero exact functions iota_{xi_a} df^b and iota_{xi_a} dh^b
+        over the fundamental fields xi_a of ``action`` (a, then b, then df
+        before dh), built once per action and kept on this moment map."""
+        kept = self._contractions
+        if action not in kept:
+            comps = [d for pair in zip(self.df, self.dh) for d in pair]
+            kept[action] = tuple(
+                val for X in action.fundamental_fields() for comp in comps
+                if (val := interior_product(X.vec, comp).comps.get(())) is not None)
+        return kept[action]
+
 
 def moment_from_hamiltonian_identity(fields) -> MomentMapPoly:
     """mu^xi(z) = 1/2 omega(xi_M(z), z): the exact quadratic potential of a

@@ -400,11 +400,14 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
         sum_i (-1)^i f (pi(e_ai)(g) e_b0 - <e_ai, e_b0> dg) ^ e_(A - ai) ^ e_(B - b0)
       - sum_j (-1)^j g (pi(e_bj)(f) e_a0 - <e_a0, e_bj> df) ^ e_(A - a0) ^ e_(B - bj).
 
-    Only live terms are built.  A covector factor e_ai (ai >= 2n) acts on no
-    function, so it contributes only through its pairing with e_b0, and a
-    covector position not dual to the other term's leading index is skipped
-    without entering ``_leibniz``, which takes each derivative before it
-    sorts the key.
+    Only live terms are built, and liveness is decided before a term's rest
+    key is sliced: position ai enters ``_leibniz`` only when it is a vector
+    position (ai < 2n) whose bit is set in the other coefficient's mask
+    (g's for ai, f's for bj), or when it is dual to the other term's
+    leading index (|ai - b0| = 2n).  Any other position adds nothing: a
+    covector acts on no function, and a vector along a direction outside
+    the mask differentiates to zero.  ``_leibniz`` takes each derivative
+    before it sorts the key.
     """
     n = A.n
     p, q = A.degree, B.degree
@@ -425,11 +428,11 @@ def schouten_bracket(A: LMultivector, B: LMultivector) -> LMultivector:
         for idxB, g in B.comps.items():
             b0 = idxB[0]
             for i, a in enumerate(idxA):
-                if a < m or a - m == b0:
+                if a < m and g.mask >> a & 1 or abs(a - b0) == m:
                     rest = idxA[:i] + idxA[i + 1:] + idxB[1:]
                     _leibniz(terms, n, f, g, a, b0, rest, (-1) ** i)
             for j, b in enumerate(idxB):
-                if b < m or b - m == a0:
+                if b < m and f.mask >> b & 1 or abs(b - a0) == m:
                     rest = idxA[1:] + idxB[:j] + idxB[j + 1:]
                     _leibniz(terms, n, g, f, b, a0, rest, -(-1) ** j)
     return LMultivector(n, p + q - 1, terms)

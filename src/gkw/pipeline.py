@@ -679,18 +679,13 @@ def verify_moment_map(structures, action, moment: MomentMapPoly, batch,
 
     ``structures``: the LinearGC at each sample of ``batch``, in point
     order (the J1 the moment map pairs with).  xi_M and df^xi are columns
-    of the batch's Q and dF.  Failures are rows, not exceptions.
+    of the batch's Q and dF.  The exact contractions iota_{xi_a} dmu^b are
+    built once per moment map and action (``MomentMapPoly.contractions``).
+    Failures are rows, not exceptions.
     """
     k = action.k
-    fields = action.fundamental_fields()
-    dfs, dhs = moment.df, moment.dh
-    contractions = []
-    for a in range(k):
-        for b in range(k):
-            for comp in (dfs[b], dhs[b]):
-                val = interior_product(fields[a].vec, comp).comps.get((), None)
-                if val is not None:
-                    contractions.append(val)
+    dhs = moment.dh
+    contractions = moment.contractions(action)
     rows = []
     for idx, (z, J, Q, DF) in enumerate(zip(batch.points, structures, batch.Q, batch.DF,
                                             strict=True)):

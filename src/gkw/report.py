@@ -139,11 +139,19 @@ def _check_scenario_schema(doc):
         return
     _check_fraction(structure.get("t"), "structure field 't'")
     deformation = _field(structure, "deformation", dict, "structure")
-    for name in ("Y", "Z"):
+    for name in _deformation_form(deformation):
         for key, terms in _field(deformation, name, dict, "deformation").items():
-            what = f"deformation field {name!r} at frame index {key!r}"
-            if not (str(key).isdecimal() and int(key) < 2 * n):
-                raise ValueError(f"{what}: the index must be one of 0 .. {2 * n - 1}")
+            if name in ("Y", "Z"):
+                what = f"deformation field {name!r} at frame index {key!r}"
+                if not (str(key).isdecimal() and int(key) < 2 * n):
+                    raise ValueError(f"{what}: the index must be one of 0 .. {2 * n - 1}")
+            else:
+                what = f"deformation field {name!r} at index pair {key!r}"
+                ij = str(key).split(",")
+                if not (len(ij) == 2 and all(x.isdecimal() for x in ij)
+                        and int(ij[0]) < int(ij[1]) < n):
+                    raise ValueError(f"{what}: the pair must be 'i,j' with "
+                                     f"0 <= i < j <= {n - 1}")
             _check_type(terms, list, what)
             for term in terms:
                 if not (isinstance(term, list) and len(term) == 5):
@@ -155,6 +163,21 @@ def _check_scenario_schema(doc):
                     raise ValueError(f"{what}: a term has a negative exponent: {term!r}")
                 if 0 in term[1:4:2]:
                     raise ValueError(f"{what}: a term has a zero denominator: {term!r}")
+
+
+def _deformation_form(deformation):
+    """The field names of the one form a deformation is written in: the
+    fields ``Y``/``Z`` of eps = Y^Z + iota_Y omega ^ iota_Z omega, or the
+    coefficients ``hol``/``form`` of ``DeformationBivector`` keyed "i,j"
+    (as ``scenario_to_dict`` writes them).  A ValueError unless exactly one
+    form's fields are present."""
+    forms = [names for names in (("Y", "Z"), ("hol", "form"))
+             if any(name in deformation for name in names)]
+    if len(forms) != 1:
+        raise ValueError("structure field 'deformation' must hold either the fields 'Y' "
+                         "and 'Z' or the fields 'hol' and 'form', "
+                         + ("not both" if forms else "got neither"))
+    return forms[0]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -189,9 +212,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         recipe = GenuineKahlerRecipe(n)
     elif st["kind"] == "deformed":
         dd = st["deformation"]
-        Y = VectorField(n, {int(k): _poly_from_terms(n, v) for k, v in dd["Y"].items()})
-        Z = VectorField(n, {int(k): _poly_from_terms(n, v) for k, v in dd["Z"].items()})
-        eps = DeformationBivector.from_vector_fields(Y, Z)
+        if _deformation_form(dd) == ("Y", "Z"):
+            Y, Z = (VectorField(n, {int(k): _poly_from_terms(n, v) for k, v in dd[name].items()})
+                    for name in ("Y", "Z"))
+            eps = DeformationBivector.from_vector_fields(Y, Z)
+        else:
+            hol, form = ({tuple(map(int, k.split(","))): _poly_from_terms(n, v)
+                          for k, v in dd[name].items()} for name in ("hol", "form"))
+            eps = DeformationBivector(n, hol, form)
         recipe = DeformedKahlerRecipe(n, eps, Fraction(st["t"]))
     else:
         raise ValueError(f"unknown structure kind {st['kind']!r}")

@@ -200,6 +200,42 @@ def test_a_moment_map_off_the_central_level_fails_invariance():
     assert all(r["pass"] is False for r in rows)
 
 
+def test_a_second_moment_check_on_the_same_action_builds_no_contraction(monkeypatch):
+    # the contractions iota_{xi_a} dmu^b are kept on the moment map, so a
+    # second check of the same (moment map, action) builds none of them
+    import gkw.actions
+    import gkw.pipeline
+    scen = build_case("grassmann-2-3").scenario
+    moment = MomentMapPoly(scen.moment.f, scen.moment.h)     # nothing kept yet
+    J1 = LinearGC.from_symplectic(frames.omega_std_map(scen.n))
+    batch = sample_level_set(scen, 4, 7)
+    calls = []
+
+    def counted(X, w):
+        calls.append(1)
+        return interior_product(X, w)
+    for module in (gkw.actions, gkw.pipeline):
+        monkeypatch.setattr(module, "interior_product", counted)
+    first = verify_moment_map([J1] * 4, scen.action, moment, batch)
+    assert calls
+    calls.clear()
+    assert verify_moment_map([J1] * 4, scen.action, moment, batch) == first
+    assert not calls
+
+
+def test_a_second_action_on_one_moment_map_gets_its_own_contractions():
+    # U(2) on C^2 and a rank-4 torus on C^2 have k = 4 each; the torus
+    # fields commute with the diagonal U(2) moments only, so the two
+    # actions' contractions differ
+    u = UnitaryAction(2, 1)
+    torus = TorusAction(((1, 0), (0, 1), (1, 1), (1, -1)))
+    mm = grassmannian_moment_map(u)
+    first, second = mm.contractions(u), mm.contractions(torus)
+    assert first == MomentMapPoly(mm.f, mm.h).contractions(u)
+    assert second == MomentMapPoly(mm.f, mm.h).contractions(torus)
+    assert first != second
+
+
 def test_shift_by_bfield_and_roundtrip():
     # B = dx0 ^ dy0 (constant): iota_{xi}B = dPhi with Phi = (-1/2|z0|^2, 0)
     n = 2

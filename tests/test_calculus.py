@@ -234,6 +234,26 @@ def test_courant_matches_the_unfolded_formula_on_every_catalog_closure_pair():
     assert pairs >= 345
 
 
+def test_an_exact_certificates_operation_enters_the_leibniz_rule_only_where_it_is_live(
+        monkeypatch):
+    # one operation of the benchmark's exact-certificates workload at seed
+    # 7 brackets terms whose Leibniz rule adds 434 terms; entering the
+    # helper at every vector position as well took 9,790 entries
+    from gkw import calculus
+    from test_bench_golden import _workloads_module
+    wl = _workloads_module().ExactCertificates()
+    [op] = wl.prepare(7)
+    wl.run(op)      # warm-up: builds the cases and their lazily kept state
+    leibniz, calls = calculus._leibniz, []
+
+    def counted(*args):
+        calls.append(1)
+        return leibniz(*args)
+    monkeypatch.setattr(calculus, "_leibniz", counted)
+    assert wl.run(op).exit_code == 0
+    assert 0 < len(calls) <= 442
+
+
 def test_pairing_polynomial():
     n = 1
     s = GeneralizedSection(VectorField.frame(n, 0), Form.frame(n, 0))

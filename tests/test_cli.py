@@ -201,6 +201,21 @@ def test_scenario_strata_roundtrip():
     assert scenario_from_dict(doc).strata == scenario.strata
 
 
+@pytest.mark.parametrize("name", ["cpn-2", "cpn-3", "cpn-4", "kahler-c3"])
+def test_a_written_scenario_reads_back_as_its_case(tmp_path, capsys, name):
+    # the deformation travels as the hol/form coefficients the writer emits
+    scenario = build_case(name).scenario
+    doc = json.loads(json.dumps(scenario_to_dict(scenario)))
+    eps = getattr(scenario.recipe, "eps", None)
+    assert getattr(scenario_from_dict(doc).recipe, "eps", None) == eps
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    args = ["--samples", "12", "--seed", "7", "--format", "csv"]
+    by_case = run_cli(["deform", "--case", name, *args], capsys)
+    assert by_case[0] == 0
+    assert run_cli(["deform", "--scenario", str(path), *args], capsys) == by_case
+
+
 def _scenario_with_strata(tmp_path, strata):
     path = tmp_path / "strata.json"
     path.write_text(json.dumps({
@@ -311,10 +326,19 @@ def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
     (lambda d: d.update(ambient_complex_dim=1, action={"kind": "torus", "weights": [[1]]},
                         strata=[], structure={"kind": "genuine-kahler"}),
      "'ambient_complex_dim' must exceed the torus rank"),
+    (lambda d: d["structure"]["deformation"].update(hol={}, form={}),
+     "'deformation' must hold either the fields 'Y' and 'Z' or the fields 'hol' and "
+     "'form', not both"),
+    (lambda d: d["structure"].update(deformation={}), "'deformation' must hold either "
+     "the fields 'Y' and 'Z' or the fields 'hol' and 'form', got neither"),
+    (lambda d: d["structure"].update(deformation={"hol": {"2,1": []}, "form": {}}),
+     "'hol' at index pair '2,1'"),
+    (lambda d: d["structure"].update(deformation={"hol": {}}), "'form'"),
 ], ids=["no-structure", "dim-a-string", "level-null",
         "no-t", "t-divides-by-zero", "no-weight-rows", "frame-index-out-of-range",
         "zero-denominator", "short-exponents", "negative-exponent", "generic-label",
-        "label-listed-twice", "quotient-a-point"])
+        "label-listed-twice", "quotient-a-point", "both-deformation-forms",
+        "neither-deformation-form", "pair-out-of-order", "form-missing"])
 def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit, field):
     path = _scenario_file(tmp_path, edit)
     code = main(["reduce", "--scenario", str(path), "--samples", "4"])
