@@ -4,12 +4,15 @@
     python3 scripts/report_digest.py --against digests.txt
 
 One line per report: json and csv of ``reduce`` and ``deform`` for every
-catalog case at seeds 7 and 8 (12 samples), then the json of ``sweep`` at
-seed 7, then the json of ``catalog`` without its header, so that the last
-line follows only what the catalog builders produce.  Each json line is
-followed by a ``verdict`` line: the digest of the same report with every
-float value removed (``perfbench.workloads.strip_floats``), so a change
-that moves only float diagnostics shows that its verdicts did not move.
+catalog case at seeds 7 and 8 (12 samples), then the same of the README's
+example scenario file (its header's ``scenario_file`` read as the file's
+base name, so the line does not depend on where the file was written),
+then the json of ``sweep`` at seed 7, then the json of ``catalog`` without
+its header, so that the last line follows only what the catalog builders
+produce.  Each json line is followed by a ``verdict`` line: the digest of
+the same report with every float value removed
+(``perfbench.workloads.strip_floats``), so a change that moves only float
+diagnostics shows that its verdicts did not move.
 Save the output on one commit; on another, ``--against FILE`` prints only
 the labels whose digest differs from FILE (or that either side lacks) and
 exits 1 if there is any, 0 if every report is byte-identical.
@@ -18,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,6 +34,7 @@ from perfbench.workloads import strip_floats  # noqa: E402
 
 SEEDS = (7, 8)
 SAMPLES = 12
+SCENARIO_FILE = "example.json"
 
 
 def verdict(doc):
@@ -45,14 +50,35 @@ def with_verdict(label, payload):
     yield label.replace("json", "verdict", 1), verdict(json.loads(payload))
 
 
+def readme_scenario():
+    """The text of the example document in the README's "Scenario files"
+    section: its first json block."""
+    section = (ROOT / "README.md").read_text().split("## Scenario files", 1)[1]
+    return section.split("```json\n", 1)[1].split("```", 1)[0]
+
+
+def json_and_csv(label, rep):
+    """The json lines of report ``rep`` (``with_verdict``), then its csv line."""
+    yield from with_verdict(f"{label} json", emit(rep, "json"))
+    yield f"{label} csv", emit(rep, "csv")
+
+
 def reports():
     """(label, report bytes) in the fixed order of the digest lines."""
     for name in catalog_names():
         for command in ("reduce", "deform"):
             for seed in SEEDS:
                 rep = run(RunConfig(command, case=name, samples=SAMPLES, seed=seed))
-                yield from with_verdict(f"{command} {name} seed={seed} json", emit(rep, "json"))
-                yield f"{command} {name} seed={seed} csv", emit(rep, "csv")
+                yield from json_and_csv(f"{command} {name} seed={seed}", rep)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / SCENARIO_FILE
+        path.write_text(readme_scenario())
+        for command in ("reduce", "deform"):
+            for seed in SEEDS:
+                rep = run(RunConfig(command, scenario_file=str(path), samples=SAMPLES,
+                                    seed=seed))
+                rep["header"]["scenario_file"] = SCENARIO_FILE
+                yield from json_and_csv(f"{command} readme-scenario seed={seed}", rep)
     yield from with_verdict("sweep seed=7 json", emit(run_sweep(RunConfig("sweep", seed=7)), "json"))
     catalog = run(RunConfig("catalog"))
     yield from with_verdict("catalog json (no header)",
