@@ -151,9 +151,14 @@ MUTANTS = (
            ("tests/test_stacked.py::test_pairs_once_raises_the_earliest_failing_points_error",
             "tests/test_pipeline.py::test_a_failed_pair_raises_where_the_pairs_are_built")),
     Mutant("bihermitian-ignores-valid", "report.py",
-           'ok = ok and qb.checks["valid"]',
-           "ok = ok",
+           'ok = all(r["valid"] for r in rows)',
+           "ok = True",
            ("tests/test_pipeline.py::test_opposite_orientations_fail_the_bihermitian_section",)),
+    Mutant("bihermitian-row-reads-the-first-distinct", "pipeline.py",
+           "bool(distinct[i])",
+           "bool(distinct[0])",
+           ("tests/test_pipeline.py::test_quotient_bihermitian_flags",
+            "tests/test_stacked.py::test_stacked_bihermitian_equals_its_pairs_one_by_one")),
     Mutant("validate-drops-same-orientation", "linear.py",
            '\n              & checks["same_orientation"])',
            ")",
@@ -187,6 +192,14 @@ MUTANTS = (
            "if a < m and g.mask >> a & 1",
            "if a < m and f.mask >> a & 1",
            _BRACKET_ORACLES),
+    Mutant("b-shift-accepts-a-non-real-b", "pipeline.py",
+           'raise ValueError("B must be real")',
+           "pass",
+           ("tests/test_actions.py::test_a_non_real_b_field_is_rejected_not_truncated",)),
+    Mutant("two-form-map-keeps-its-imaginary-part", "frames.py",
+           'raise ValidationError("the map of the 2-form at the point is not real")',
+           "return M",
+           ("tests/test_actions.py::test_a_non_real_b_field_is_rejected_not_truncated",)),
     Mutant("contractions-kept-once-for-every-action", "actions.py",
            "kept[action] = tuple(",
            "kept[action] = kept.get(next(iter(kept), None)) or tuple(",

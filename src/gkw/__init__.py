@@ -17,7 +17,6 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction,
                       grassmannian_moment_map, shift_by_bfield,
                       standard_moment_map)
 from .polytope import PolytopeSpec, find_alpha
-from .pipeline import (Scenario, quotient_at_point, quotient_bihermitian,
-                       realify, sample_level_set, type_table,
-                       verify_moment_map, verify_type_formula)
+from .pipeline import (Scenario, quotient_at_point, realify, sample_level_set,
+                       type_table, verify_moment_map, verify_type_formula)
 from .catalog import CatalogCase, build_case, catalog_names

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calculus import Form, VectorField
+from .linear import ValidationError
 from .poly import QI, QI_HALF, QI_ZERO, ComplexPolynomial
 
 
@@ -191,7 +192,8 @@ def section_at(s, z) -> np.ndarray:
 
 
 def two_form_map_at(w, z) -> np.ndarray:
-    """Evaluate a symbolic 2-form to the real matrix of X -> iota_X w."""
+    """Evaluate a symbolic 2-form to the real matrix of X -> iota_X w; a
+    ValidationError where the map at z is not real."""
     if w.degree != 2:
         raise ValueError("expected a 2-form")
     n = w.n
@@ -204,5 +206,5 @@ def two_form_map_at(w, z) -> np.ndarray:
     # iota_{Tt u} w = Tc Kz u for u in z-frame; real map = Tc Kz Tt^-1
     M = covector_frame_matrix(n) @ Kz @ tangent_frame_inverse(n)
     if np.linalg.norm(M.imag) > 1e-9 * max(1.0, np.linalg.norm(M.real)):
-        return M
+        raise ValidationError("the map of the 2-form at the point is not real")
     return M.real

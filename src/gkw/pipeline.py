@@ -1,29 +1,31 @@
 """End-to-end reduction: sample level sets, build P = g_M + df pointwise,
 reduce, verify type formulas and bracket closure, extract bi-Hermitian data.
 
-A run samples the level set once (the sampler keeps the fundamental-field
-frame Q and the moment-map differentials dF it checked at each accepted
-point) and builds each sample's structure pair once (``pairs_once``, a list
-in point order; a deformed recipe checks its pairs in stacks of at most
-``PAIR_STACK_ROWS`` points).  Every later stage reads a sample's point,
-pair, Q and dF by its index, and evaluates none of them again.  A pair
-passes the checks of ``linear``: per structure J^2 = -1 and
-eta-orthogonality, which imply that its +i eigenbundle L is isotropic
-with dim L = m and L cap conj(L) = 0; per pair G^2 = 1 (so J1 and J2
-commute) and G^T eta positive (G is eta-orthogonal as J1 and J2 are).  The
-reduction reads each of its subspaces at the dimension the mathematics
-fixes (``linear.nullspace``), with no rank threshold.  The earliest failure
-decides: ``pairs_once`` raises the error of the earliest point whose pair
-fails, as a loop of ``pair_at`` would, so a report holds valid pairs only;
-the catalog's deformation-scale fit rejects a probe round by the same rule.
-The quotient at each point reuses that pair, Q and dF, and is one
+A run's record is what it samples and builds once: the ``SampleBatch`` of
+the level set (each accepted point, its stratum label, and the
+fundamental-field frame Q and moment-map differentials dF the sampler
+checked there, the one place they are evaluated) and each sample's
+structure pair (``pairs_once``, a list in point order; a deformed recipe
+checks its pairs in stacks of at most ``PAIR_STACK_ROWS`` points).  Every
+pointwise stage takes a sample's point, label, pair, Q and dF from that
+record by its index, and from nowhere else.  A pair passes the checks of
+``linear``: per structure J^2 = -1 and eta-orthogonality, which imply that
+its +i eigenbundle L is isotropic with dim L = m and L cap conj(L) = 0; per
+pair G^2 = 1 (so J1 and J2 commute) and G^T eta positive (G is
+eta-orthogonal as J1 and J2 are).  The reduction reads each of its
+subspaces at the dimension the mathematics fixes (``linear.nullspace``),
+with no rank threshold.  The earliest failure decides: ``pairs_once``
+raises the error of the earliest point whose pair fails, as a loop of
+``pair_at`` would, so a report holds valid pairs only; the catalog's
+deformation-scale fit rejects a probe round by the same rule.
+The quotient at each point reads that pair, Q and dF, and is one
 ``QuotientRow``: the upstairs and quotient types, dim(k_M cap pi L2), the
 residual diagnostics (P-isotropy as ``quotient_basis`` checked it), the
 quotient pair and its basis.  k_M is the frame of Q that ``quotient_basis``
 orthonormalized to build P, and pi(L2) comes from the SVD that decides
 type(J2), so neither span is decided a second time.  ``type_table``
-collects those rows, and the report's type-table, formula and bi-Hermitian
-sections read them directly.
+is the list of those rows, and the report's type-table, formula and
+bi-Hermitian sections read it directly.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .actions import MomentMapPoly, TorusAction, UnitaryAction
 from .calculus import (Form, courant_bracket, exterior_derivative, interior_product,
                        pairing_poly)
 from .deformation import DeformationBivector, LMultivector
-from .linear import (RANK_TOL, BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
+from .linear import (RANK_TOL, ComplexSubspace, KahlerPairNum, LinearGC,
                      QuotientBasis, ValidationError, b_conjugate,
                      contraction_operator, deform_pair, extract_bihermitian,
                      reduce_pair, subspace_intersection_dim)
@@ -150,13 +152,15 @@ class DeformedKahlerRecipe:
 
 
 class BShiftedRecipe:
-    """e^B-transform of a base recipe by a closed polynomial 2-form B."""
+    """e^B-transform of a base recipe by a real closed polynomial 2-form B."""
 
     kind = "b-shifted"
 
     def __init__(self, base, B: Form):
         if B.degree != 2:
             raise ValueError("B must be a 2-form")
+        if B != B.conjugate():
+            raise ValueError("B must be real")
         self.base = base
         self.n = base.n
         self.B = B
@@ -303,19 +307,6 @@ class Scenario:
     def fields(self) -> list:
         """The fundamental fields, one per Lie-algebra basis element."""
         return self.action.fundamental_fields()
-
-    @property
-    def dfs(self) -> tuple:
-        """d of the real moment-map components."""
-        return self.moment.df
-
-    def field_frame_at(self, z) -> np.ndarray:
-        """Q at z: the fundamental fields' tangent parts, 2n x dim(G), real."""
-        return np.column_stack([frames.section_at(s, z)[:2 * self.n].real for s in self.fields])
-
-    def df_frame_at(self, z) -> np.ndarray:
-        """dF at z: the moment-map differentials, 2n x dim(K), real."""
-        return np.column_stack([frames.one_form_at(df, z).real for df in self.dfs])
 
     def stratum_label(self, z) -> str:
         for s in self.strata:
@@ -492,12 +483,14 @@ def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Gener
             if np.abs(fv - level).max() > LEVEL_TOL:
                 rejected.append((want, f"level residual {np.abs(fv - level).max():.2e}"))
                 continue
-            Q = scenario.field_frame_at(z)
+            # Q: the fundamental fields' tangent parts, 2n x dim(G), real
+            Q = np.column_stack([frames.section_at(s, z)[:2 * n].real for s in scenario.fields])
             sv = np.linalg.svd(Q, compute_uv=False)
             if sv[-1] < FREENESS_TOL:
                 rejected.append((want, f"action not free: sv {sv[-1]:.2e}"))
                 continue
-            DF = scenario.df_frame_at(z)
+            # dF: the real moment-map differentials, 2n x dim(K), real
+            DF = np.column_stack([frames.one_form_at(df, z).real for df in scenario.moment.df])
             sv2 = np.linalg.svd(DF, compute_uv=False)
             if sv2[-1] < FREENESS_TOL:
                 rejected.append((want, f"level not regular: sv {sv2[-1]:.2e}"))
@@ -557,19 +550,14 @@ class QuotientRow:
     qbasis: QuotientBasis
 
 
-def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
-                      DF=None, point_id=0, tol=RANK_TOL) -> QuotientRow:
-    """The quotient at z of ``pair`` (by default the recipe's pair at z);
-    ``Q`` and ``DF`` are the sampler's frames at z when it has them, and
-    ``point_id`` numbers the row in its table.  The row's ranks (the four
-    types and dim(k_M cap pi L2)) are decided at threshold ``tol``; the
-    quotient itself is built at the fixed RANK_TOL."""
-    if pair is None:
-        pair = scenario.recipe.pair_at(z)
-    if Q is None:
-        Q = scenario.field_frame_at(z)
-    if DF is None:
-        DF = scenario.df_frame_at(z)
+def quotient_at_point(scenario: Scenario, z, label, pair, Q, DF, point_id=0,
+                      tol=RANK_TOL) -> QuotientRow:
+    """The quotient of ``pair`` at the sample z of the run's record: its
+    stratum ``label``, its pair (``pairs_once``) and the sampler's frames
+    ``Q`` and ``DF`` there, none of which is evaluated again; ``point_id``
+    numbers the row in its table.  The row's ranks (the four types and
+    dim(k_M cap pi L2)) are decided at threshold ``tol``; the quotient
+    itself is built at the fixed RANK_TOL."""
     # moment condition J1(xi_M) = df
     lift = np.vstack([Q, np.zeros_like(Q)])
     expect = np.vstack([np.zeros_like(DF), DF])
@@ -585,7 +573,7 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
     t2q, g2q = pair_q.J2.type_with_gap(tol)
     return QuotientRow(
         point_id=point_id,
-        stratum=label if label is not None else scenario.stratum_label(z),
+        stratum=label,
         type_j1=t1q, type_j2=t2q,
         dim_k_cap_piL2=dim_int,
         type_j1_up=t1u, type_j2_up=t2u,
@@ -594,36 +582,23 @@ def quotient_at_point(scenario: Scenario, z, label=None, pair=None, Q=None,
         pair_quot=pair_q, qbasis=qb)
 
 
-@dataclass
-class TypeTable:
-    rows: list
-
-
-def type_table(scenario: Scenario, count=20, seed=7, batch=None, pairs=None,
-               tol=RANK_TOL) -> TypeTable:
-    """The quotient at each sample, one row per point in point-id order,
-    with its ranks decided at threshold ``tol``.
-
-    A caller that has already sampled the level set and built the pairs
-    passes them as ``batch`` and ``pairs`` (``pairs_once``; then ``count``
-    and ``seed`` are not used)."""
-    if batch is None:
-        batch = sample_level_set(scenario, count, seed)
-    if pairs is None:
-        pairs = pairs_once(scenario.recipe, batch.points)
-    rows = [quotient_at_point(scenario, z, lab, pair=pair, Q=Q, DF=DF, point_id=i, tol=tol)
+def type_table(scenario: Scenario, batch: SampleBatch, pairs, tol=RANK_TOL) -> list:
+    """The run's type table from its record, the sampler's ``batch`` and
+    the ``pairs`` built at its points (``pairs_once``): the quotient at
+    each sample (``quotient_at_point``), one row per point in point-id
+    order, with its ranks decided at threshold ``tol``."""
+    return [quotient_at_point(scenario, z, lab, pair, Q, DF, point_id=i, tol=tol)
             for i, (z, lab, pair, Q, DF) in enumerate(zip(batch.points, batch.labels, pairs,
                                                           batch.Q, batch.DF, strict=True))]
-    return TypeTable(rows)
 
 
-def verify_type_formula(scenario: Scenario, table: TypeTable):
+def verify_type_formula(scenario: Scenario, rows):
     """Check type(J~2) = type(J2) - dim(G)/2 - dim(K)/2 + 2 dim(k_M cap pi L2)
     row by row; both sides were computed independently.  Here K = G, so
     dim(G) = dim(K) = action.k."""
     dim_g = dim_k = scenario.action.k
     results = []
-    for r in table.rows:
+    for r in rows:
         rhs2 = r.type_j2_up - (dim_g + dim_k) // 2 + 2 * r.dim_k_cap_piL2
         rhs1 = r.type_j1_up
         ok = (r.type_j2 == rhs2) and (r.type_j1 == rhs1)
@@ -639,33 +614,21 @@ def verify_type_formula(scenario: Scenario, table: TypeTable):
 
 # -- bi-Hermitian ------------------------------------------------------------------
 
-@dataclass
-class QuotientBiHermitian:
-    data: BiHermitianData
-    distinct: bool
-    even_type: bool
-    checks: dict
-
-
-def quotient_bihermitian(scenario: Scenario, z) -> QuotientBiHermitian:
-    return bihermitian_rows([quotient_at_point(scenario, z)])[0]
-
-
 def bihermitian_rows(rows) -> list:
-    """Bi-Hermitian data of the quotient pairs of type-table rows, one
-    QuotientBiHermitian per row: the pairs are extracted and checked as one
+    """The bi-Hermitian section's row of each type-table row: its sample and
+    stratum, whether I+ and I- of its quotient pair are distinct, whether a
+    quotient type is even, the checks of ``BiHermitianData.validate`` and
+    their verdict ``valid``.  The pairs are extracted and checked as one
     stack."""
     if not rows:
         return []
     data = extract_bihermitian([r.pair_quot for r in rows])
     ok, checks = data.validate()
     distinct = data.distinct()
-    return [QuotientBiHermitian(
-        data=BiHermitianData(g=data.g[i], Jplus=data.Jplus[i], Jminus=data.Jminus[i]),
-        distinct=bool(distinct[i]),
-        even_type=(r.type_j1 % 2 == 0) or (r.type_j2 % 2 == 0),
-        checks={**{k: v[i].item() for k, v in checks.items()}, "valid": bool(ok[i])})
-        for i, r in enumerate(rows)]
+    return [{"sample": r.point_id, "stratum": r.stratum, "distinct": bool(distinct[i]),
+             "even_type": (r.type_j1 % 2 == 0) or (r.type_j2 % 2 == 0),
+             **{k: v[i].item() for k, v in checks.items()}, "valid": bool(ok[i])}
+            for i, r in enumerate(rows)]
 
 
 # -- moment-map verification --------------------------------------------------

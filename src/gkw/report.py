@@ -61,13 +61,6 @@ def _poly_to_terms(p: ComplexPolynomial):
              list(e)] for e, c in sorted(p.terms.items())]
 
 
-def _poly_from_terms(n, terms):
-    acc = {}
-    for rn, rd, inum, iden, exps in terms:
-        acc[tuple(exps)] = QI(Fraction(rn, rd), Fraction(inum, iden))
-    return ComplexPolynomial(n, acc)
-
-
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
@@ -88,12 +81,12 @@ def _field(obj, key, kind, where):
     return value
 
 
-def _check_fraction(value, what):
-    """A ValueError naming ``what`` unless ``value`` is a string or an
-    integer that reads as a fraction."""
+def _fraction(value, what) -> Fraction:
+    """The fraction a string or an integer ``value`` reads as; else a
+    ValueError naming ``what``."""
     _check_type(value, (str, int), what)
     try:
-        Fraction(value)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be a fraction, got {value!r}") from None
 
@@ -107,125 +100,112 @@ def _check_ints(values, what, length=None):
         raise ValueError(f"{what} must be a list{size} integers, got {values!r}")
 
 
-def _check_scenario_schema(doc):
-    """The json types of every field of a scenario file, checked before
-    anything is built from it, so that a malformed file raises a ValueError
-    naming its first bad field."""
+def scenario_from_dict(doc) -> Scenario:
+    """The scenario of a scenario file's json: a torus action with the
+    standard moment map, a rank-one level, and a genuine or deformed Kahler
+    pair.  The document is read in one pass: each field is checked as it is
+    read and built from at once, so a malformed file raises a ValueError
+    naming its first bad field.  A deformation is written in one of two
+    forms: the fields ``Y``/``Z`` of eps = Y^Z + iota_Y omega ^ iota_Z
+    omega, or the coefficients ``hol``/``form`` of ``DeformationBivector``
+    keyed "i,j" (as ``scenario_to_dict`` writes them)."""
     _check_type(doc, dict, "a scenario file's json")
     n = _field(doc, "ambient_complex_dim", int, "scenario")
     if n < 1:
         raise ValueError(f"scenario field 'ambient_complex_dim' must be at least 1, got {n}")
-    action = _field(doc, "action", dict, "scenario")
-    weights = _field(action, "weights", list, "action")
+    act = _field(doc, "action", dict, "scenario")
+    weights = _field(act, "weights", list, "action")
     if not weights:
         raise ValueError("action field 'weights' must hold at least one row")
     for row in weights:
         _check_ints(row, "each row of action field 'weights'")
-    for x in _field(doc, "level", list, "scenario"):
-        _check_fraction(x, "each entry of scenario field 'level'")
-    strata = doc.get("strata", [])
-    _check_type(strata, list, "scenario field 'strata'")
-    labels = set()
-    for s in strata:
-        label = _field(s, "label", str, "stratum")
-        if label == "generic":
-            raise ValueError("stratum field 'label' 'generic' is reserved")
-        if label in labels:
-            raise ValueError(f"stratum field 'label' {label!r} is listed twice")
-        labels.add(label)
-        _check_ints(_field(s, "zero_coords", list, "stratum"), "stratum field 'zero_coords'")
-    structure = _field(doc, "structure", dict, "scenario")
-    if _field(structure, "kind", str, "structure") != "deformed":
-        return
-    _check_fraction(structure.get("t"), "structure field 't'")
-    deformation = _field(structure, "deformation", dict, "structure")
-    for name in _deformation_form(deformation):
-        for key, terms in _field(deformation, name, dict, "deformation").items():
-            if name in ("Y", "Z"):
-                what = f"deformation field {name!r} at frame index {key!r}"
-                if not (str(key).isdecimal() and int(key) < 2 * n):
-                    raise ValueError(f"{what}: the index must be one of 0 .. {2 * n - 1}")
-            else:
-                what = f"deformation field {name!r} at index pair {key!r}"
-                ij = str(key).split(",")
-                if not (len(ij) == 2 and all(x.isdecimal() for x in ij)
-                        and int(ij[0]) < int(ij[1]) < n):
-                    raise ValueError(f"{what}: the pair must be 'i,j' with "
-                                     f"0 <= i < j <= {n - 1}")
-            _check_type(terms, list, what)
-            for term in terms:
-                if not (isinstance(term, list) and len(term) == 5):
-                    raise ValueError(f"{what}: a term must be [re_num, re_den, im_num, "
-                                     f"im_den, exponents], got {term!r}")
-                _check_ints(term[:4], f"{what}: the numerators and denominators of a term")
-                _check_ints(term[4], f"{what}: the exponents of a term", 2 * n)
-                if min(term[4]) < 0:
-                    raise ValueError(f"{what}: a term has a negative exponent: {term!r}")
-                if 0 in term[1:4:2]:
-                    raise ValueError(f"{what}: a term has a zero denominator: {term!r}")
-
-
-def _deformation_form(deformation):
-    """The field names of the one form a deformation is written in: the
-    fields ``Y``/``Z`` of eps = Y^Z + iota_Y omega ^ iota_Z omega, or the
-    coefficients ``hol``/``form`` of ``DeformationBivector`` keyed "i,j"
-    (as ``scenario_to_dict`` writes them).  A ValueError unless exactly one
-    form's fields are present."""
-    forms = [names for names in (("Y", "Z"), ("hol", "form"))
-             if any(name in deformation for name in names)]
-    if len(forms) != 1:
-        raise ValueError("structure field 'deformation' must hold either the fields 'Y' "
-                         "and 'Z' or the fields 'hol' and 'form', "
-                         + ("not both" if forms else "got neither"))
-    return forms[0]
-
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    """Parse the json mirror of a (torus, standard-moment) scenario."""
-    _check_scenario_schema(doc)
-    n = doc["ambient_complex_dim"]
-    act = doc["action"]
     if act.get("kind") != "torus":
         raise ValueError("scenario files support torus actions")
-    action = TorusAction(tuple(tuple(r) for r in act["weights"]))
+    action = TorusAction(tuple(tuple(r) for r in weights))
     if action.n != n:
         raise ValueError("weight matrix width != ambient dimension")
     if n <= action.k:
         raise ValueError(f"scenario field 'ambient_complex_dim' must exceed the torus rank "
                          f"{action.k}, so that the quotient has positive dimension, got {n}")
-    moment = standard_moment_map(action)
-    level = tuple(Fraction(x) for x in doc["level"])
+    level = tuple(_fraction(x, "each entry of scenario field 'level'")
+                  for x in _field(doc, "level", list, "scenario"))
     if len(level) != action.k:
         raise ValueError("level length != torus rank")
-    strata = []
-    for s in doc.get("strata", []):
-        coords = tuple(s["zero_coords"])
-        if not all(0 <= c < n for c in coords):
-            raise ValueError(f"stratum {s['label']!r}: zero_coords {list(coords)} "
-                             f"out of range for ambient_complex_dim {n}")
-        strata.append(Stratum(s["label"], coords))
     if action.k != 1:
         raise ValueError("scenario files support rank-one levels (scaling sampler)")
-    sampler = ScalingSampler(moment, [float(level[0])])
-    st = doc["structure"]
-    if st["kind"] == "genuine-kahler":
+    strata = doc.get("strata", [])
+    _check_type(strata, list, "scenario field 'strata'")
+    by_label = {}
+    for s in strata:
+        label = _field(s, "label", str, "stratum")
+        if label == "generic":
+            raise ValueError("stratum field 'label' 'generic' is reserved")
+        if label in by_label:
+            raise ValueError(f"stratum field 'label' {label!r} is listed twice")
+        coords = _field(s, "zero_coords", list, "stratum")
+        _check_ints(coords, "stratum field 'zero_coords'")
+        if not all(0 <= c < n for c in coords):
+            raise ValueError(f"stratum {label!r}: zero_coords {coords} "
+                             f"out of range for ambient_complex_dim {n}")
+        by_label[label] = Stratum(label, tuple(coords))
+    structure = _field(doc, "structure", dict, "scenario")
+    kind = _field(structure, "kind", str, "structure")
+    if kind == "genuine-kahler":
         recipe = GenuineKahlerRecipe(n)
-    elif st["kind"] == "deformed":
-        dd = st["deformation"]
-        if _deformation_form(dd) == ("Y", "Z"):
-            Y, Z = (VectorField(n, {int(k): _poly_from_terms(n, v) for k, v in dd[name].items()})
-                    for name in ("Y", "Z"))
-            eps = DeformationBivector.from_vector_fields(Y, Z)
+    elif kind == "deformed":
+        t = _fraction(structure.get("t"), "structure field 't'")
+        deformation = _field(structure, "deformation", dict, "structure")
+        forms = [names for names in (("Y", "Z"), ("hol", "form"))
+                 if any(name in deformation for name in names)]
+        if len(forms) != 1:
+            raise ValueError("structure field 'deformation' must hold either the fields 'Y' "
+                             "and 'Z' or the fields 'hol' and 'form', "
+                             + ("not both" if forms else "got neither"))
+        parts = []
+        for name in forms[0]:
+            coeffs = {}
+            for key, terms in _field(deformation, name, dict, "deformation").items():
+                if name in ("Y", "Z"):
+                    what = f"deformation field {name!r} at frame index {key!r}"
+                    if not (str(key).isdecimal() and int(key) < 2 * n):
+                        raise ValueError(f"{what}: the index must be one of 0 .. {2 * n - 1}")
+                    index = int(key)
+                else:
+                    what = f"deformation field {name!r} at index pair {key!r}"
+                    ij = str(key).split(",")
+                    if not (len(ij) == 2 and all(x.isdecimal() for x in ij)
+                            and int(ij[0]) < int(ij[1]) < n):
+                        raise ValueError(f"{what}: the pair must be 'i,j' with "
+                                         f"0 <= i < j <= {n - 1}")
+                    index = (int(ij[0]), int(ij[1]))
+                _check_type(terms, list, what)
+                poly = {}
+                for term in terms:
+                    if not (isinstance(term, list) and len(term) == 5):
+                        raise ValueError(f"{what}: a term must be [re_num, re_den, im_num, "
+                                         f"im_den, exponents], got {term!r}")
+                    _check_ints(term[:4], f"{what}: the numerators and denominators of a term")
+                    _check_ints(term[4], f"{what}: the exponents of a term", 2 * n)
+                    if min(term[4]) < 0:
+                        raise ValueError(f"{what}: a term has a negative exponent: {term!r}")
+                    if 0 in term[1:4:2]:
+                        raise ValueError(f"{what}: a term has a zero denominator: {term!r}")
+                    rn, rd, inum, iden, exps = term
+                    poly[tuple(exps)] = QI(Fraction(rn, rd), Fraction(inum, iden))
+                coeffs[index] = ComplexPolynomial(n, poly)
+            parts.append(coeffs)
+        if forms[0] == ("Y", "Z"):
+            eps = DeformationBivector.from_vector_fields(*(VectorField(n, c) for c in parts))
         else:
-            hol, form = ({tuple(map(int, k.split(","))): _poly_from_terms(n, v)
-                          for k, v in dd[name].items()} for name in ("hol", "form"))
-            eps = DeformationBivector(n, hol, form)
-        recipe = DeformedKahlerRecipe(n, eps, Fraction(st["t"]))
+            eps = DeformationBivector(n, *parts)
+        recipe = DeformedKahlerRecipe(n, eps, t)
     else:
-        raise ValueError(f"unknown structure kind {st['kind']!r}")
+        raise ValueError(f"unknown structure kind {kind!r}")
+    moment = standard_moment_map(action)
     return Scenario(name=doc.get("name", "scenario"), n=n, recipe=recipe,
                     action=action, moment=moment, level=level,
-                    sampler=sampler, strata=tuple(strata))
+                    sampler=ScalingSampler(moment, [float(level[0])]),
+                    strata=tuple(by_label.values()))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -366,18 +346,18 @@ TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
 
 
 def _table_section(scenario, batch, pairs, tol, expected=None, expected_up=None):
-    table = type_table(scenario, batch=batch, pairs=pairs, tol=tol)
+    table = type_table(scenario, batch, pairs, tol)
     rows = [{**{f: getattr(r, f) for f in TABLE_FIELDS}, **r.diagnostics}
-            for r in table.rows]
+            for r in table]
     ok = all(r["moment_condition"] < MOMENT_CONDITION_TOL for r in rows)
     expected_ok = True
     if expected:
-        for r in table.rows:
+        for r in table:
             want = expected.get(r.stratum)
             if want is not None and (r.type_j1, r.type_j2) != tuple(want):
                 expected_ok = False
     if expected_up:
-        for r in table.rows:
+        for r in table:
             want = expected_up.get(r.stratum)
             if want is not None and r.type_j2_up != want:
                 expected_ok = False
@@ -400,15 +380,8 @@ def _closure_section(families, batch, pairs):
 
 
 def _bihermitian_section(table, expect_distinct=None):
-    rows = []
-    ok = True
-    for r, qb in zip(table.rows[:8], bihermitian_rows(table.rows[:8])):
-        row = {"sample": r.point_id, "stratum": r.stratum,
-               "distinct": qb.distinct, "even_type": qb.even_type}
-        row.update({k: (v if isinstance(v, bool) else float(v))
-                    for k, v in qb.checks.items()})
-        ok = ok and qb.checks["valid"]
-        rows.append(row)
+    rows = bihermitian_rows(table[:8])
+    ok = all(r["valid"] for r in rows)
     section = {"rows": rows, "pass": ok}
     if expect_distinct is not None and rows:
         gen = [r for r in rows if r["stratum"] == "generic"]

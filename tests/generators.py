@@ -11,7 +11,7 @@ from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairN
                         b_field_matrix, eta, numerical_rank, orthonormal_columns,
                         subspace_intersection_dim)
 from gkw.pipeline import (ConstantPairRecipe, SampleBatch, Scenario, ScalingSampler,
-                          _standard_pair)
+                          _standard_pair, pairs_once, sample_level_set, type_table)
 from gkw.poly import QI, QI_I, ComplexPolynomial
 from gkw.polytope import PolytopeSpec
 
@@ -188,6 +188,15 @@ def product_cp1xc_scenario() -> Scenario:
     return Scenario(name="product-cp1xc", n=3, recipe=recipe, action=action,
                     moment=moment, level=(Fraction(1),),
                     sampler=ScalingSampler(moment, [1.0]))
+
+
+def table(scenario, count, seed):
+    """(batch, pairs, rows) of ``scenario`` at ``count`` samples and
+    ``seed``, built as a report builds them: the level set sampled, the
+    pairs built once at its points, and the type table read from both."""
+    batch = sample_level_set(scenario, count, seed)
+    pairs = pairs_once(scenario.recipe, batch.points)
+    return batch, pairs, type_table(scenario, batch, pairs)
 
 
 def batch_at(action, moment, points) -> SampleBatch:

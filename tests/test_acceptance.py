@@ -19,16 +19,16 @@ from gkw.calculus import VectorField, courant_bracket, exterior_derivative
 from gkw.catalog import build_case, catalog_names, closure_families, hyperkahler_pair
 from gkw.deformation import DeformationBivector, schouten_bracket
 from gkw.linear import LinearGC, eta, reduce_gcs, reduce_pair, subspace_intersection_dim
-from gkw.pipeline import (DeformedKahlerRecipe, pairs_once, quotient_bihermitian,
-                          run_closure_families, sample_level_set, type_table,
-                          verify_moment_map, verify_type_formula)
+from gkw.pipeline import (DeformedKahlerRecipe, bihermitian_rows, pairs_once,
+                          run_closure_families, sample_level_set, verify_moment_map,
+                          verify_type_formula)
 from gkw.poly import ComplexPolynomial
 
 from generators import (ReductionTally, add, b_transform, cp1xcp1_blowup4_polytope,
                         from_columns, from_sections, point_to_real, projection_to_tangent,
                         rand_antisym, rand_gc, rand_gc_with_admissible_q, rand_lbar_section,
                         rand_pair_with_admissible_q, rand_section, restricted_projection_dim,
-                        type_of)
+                        table, type_of)
 from naive_calculus import naive_courant, naive_schouten
 from test_calculus import section_to_raw, to_raw
 
@@ -45,40 +45,40 @@ def report(num, desc, ok):
 def _strata_table(name, samples, seed):
     case = build_case(name)
     t0 = time.monotonic()
-    tab = type_table(case.scenario, samples, seed)
+    _, _, tab = table(case.scenario, samples, seed)
     elapsed = time.monotonic() - t0
     return case, tab, elapsed
 
 
 def test_criterion_01_cp2_strata():
     case, tab, elapsed = _strata_table("cpn-2", 20, 7)
-    on_stratum = [r for r in tab.rows if r.stratum == "z0=0"]
-    ok = (len(tab.rows) == 20 and len(on_stratum) >= 5
-          and all(r.type_j1 == 0 for r in tab.rows)
+    on_stratum = [r for r in tab if r.stratum == "z0=0"]
+    ok = (len(tab) == 20 and len(on_stratum) >= 5
+          and all(r.type_j1 == 0 for r in tab)
           and all(r.type_j2 == 2 for r in on_stratum)
-          and all(r.type_j2 == 0 for r in tab.rows if r.stratum == "generic")
+          and all(r.type_j2 == 0 for r in tab if r.stratum == "generic")
           and elapsed < 60.0)
     assert report(1, f"CP^2 strata {{z0=0: 2, generic: 0}} in {elapsed:.1f}s", ok)
 
 
 def test_criterion_02_cp3_strata():
     case, tab, elapsed = _strata_table("cpn-3", 20, 7)
-    on_stratum = [r for r in tab.rows if r.stratum == "z0=0"]
+    on_stratum = [r for r in tab if r.stratum == "z0=0"]
     ok = (len(on_stratum) >= 5
-          and all(r.type_j1 == 0 for r in tab.rows)
+          and all(r.type_j1 == 0 for r in tab)
           and all(r.type_j2 == 3 for r in on_stratum)
-          and all(r.type_j2 == 1 for r in tab.rows if r.stratum == "generic")
+          and all(r.type_j2 == 1 for r in tab if r.stratum == "generic")
           and elapsed < 120.0)
     assert report(2, f"CP^3 strata {{z0=0: 3, generic: 1}} in {elapsed:.1f}s", ok)
 
 
 def test_criterion_03_grassmannian():
     case, tab, _ = _strata_table("grassmann-2-3", 12, 7)
-    up_ok = (all(r.type_j2_up == 6 for r in tab.rows if r.stratum == "col0=0")
-             and all(r.type_j2_up == 4 for r in tab.rows if r.stratum == "generic"))
+    up_ok = (all(r.type_j2_up == 6 for r in tab if r.stratum == "col0=0")
+             and all(r.type_j2_up == 4 for r in tab if r.stratum == "generic"))
     formula_rows = verify_type_formula(case.scenario, tab)
     both_sides_ok = all(r["pass"] for r in formula_rows)
-    generic_zero = all(r.type_j2 == 0 for r in tab.rows if r.stratum == "generic")
+    generic_zero = all(r.type_j2 == 0 for r in tab if r.stratum == "generic")
     ok = up_ok and both_sides_ok and generic_zero
     report(3, "Gr(2,3): upstairs {6,4}"
               f" [{'ok' if up_ok else 'bad'}], formula row-for-row"
@@ -245,24 +245,23 @@ def test_criterion_09_bihermitian_extraction():
     for name in catalog_names():
         case = build_case(name)
         scen = case.scenario
-        batch = sample_level_set(scen, 8, 7)
+        _, _, rows = table(scen, 8, 7)
         deformed = isinstance(scen.recipe, DeformedKahlerRecipe) \
             and not scen.recipe.eps.is_zero
-        for z, lab in zip(batch.points, batch.labels):
-            if lab != "generic":
+        for qb in bihermitian_rows(rows):
+            if qb["stratum"] != "generic":
                 continue
-            qb = quotient_bihermitian(scen, z)
-            good = (qb.checks["g_min_eigenvalue"] > 1e-10
-                    and qb.checks["jplus_square"] < 1e-9
-                    and qb.checks["jminus_square"] < 1e-9
-                    and qb.checks["jplus_orthogonal"] < 1e-9
-                    and qb.checks["jminus_orthogonal"] < 1e-9)
-            if deformed and not qb.distinct:
+            good = (qb["g_min_eigenvalue"] > 1e-10
+                    and qb["jplus_square"] < 1e-9
+                    and qb["jminus_square"] < 1e-9
+                    and qb["jplus_orthogonal"] < 1e-9
+                    and qb["jminus_orthogonal"] < 1e-9)
+            if deformed and not qb["distinct"]:
                 good = False
                 note = f"{name}: distinct=False at generic samples"
                 if note not in details:
                     details.append(note)
-            if name == "kahler-c3" and qb.distinct:
+            if name == "kahler-c3" and qb["distinct"]:
                 good = False
             ok = ok and good
     report(9, "bi-Hermitian validity at generic quotients; distinctness true "

@@ -9,7 +9,7 @@ from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_leve
                          grassmannian_moment_map, linear_field,
                          moment_from_hamiltonian_identity, shift_by_bfield,
                          standard_moment_map, unitary_lie_basis)
-from gkw.calculus import (VectorField, exterior_derivative, interior_product,
+from gkw.calculus import (Form, VectorField, exterior_derivative, interior_product,
                           standard_symplectic_form)
 from gkw.catalog import build_case
 from gkw.frames import real_coordinates
@@ -281,6 +281,25 @@ def test_shift_by_bfield_and_roundtrip():
     rows2 = verify_moment_map([real_scen.recipe.pair_at(z).J1 for z in batch.points], act,
                               real_scen.moment, batch, tol=1e-10)
     assert all(r["pass"] for r in rows2), rows2
+
+
+def test_a_non_real_b_field_is_rejected_not_truncated():
+    # B = dz0 ^ dz1 is closed but not real: its map has imaginary part 1.0,
+    # and cast to float it would shift the pair by Re B instead of by B
+    n = 2
+    B = Form(n, 2, {(0, 1): ComplexPolynomial.one(n)})
+    assert exterior_derivative(B).is_zero and B != B.conjugate()
+    z = np.array([0.3 + 0.1j, -0.2j])
+    with pytest.raises(ValueError, match="^B must be real$"):
+        BShiftedRecipe(GenuineKahlerRecipe(n), B)
+    with pytest.raises(ValidationError, match="not real"):
+        frames.two_form_map_at(B, z)
+    # its real part, B + conj(B), is accepted, and its map is real
+    real = B + B.conjugate()
+    M = frames.two_form_map_at(real, z)
+    assert M.dtype == float and np.abs(M).max() > 0
+    pair = BShiftedRecipe(GenuineKahlerRecipe(n), real).pair_at(z)
+    assert pair.J1.J.dtype == float
 
 
 def test_realify_identity_when_real():

@@ -10,10 +10,10 @@ from gkw.catalog import (build_case, build_cpn, build_grassmannian, build_hirzeb
                          cpn_su2_invariance, hyperkahler_data, hyperkahler_pair,
                          torus_invariance, unitary_invariance)
 from gkw.linear import ValidationError, eta
-from gkw.pipeline import sample_level_set, type_table, verify_type_formula
+from gkw.pipeline import sample_level_set, verify_type_formula
 from gkw.polytope import cp2_blowup1_polytope, cp2_polytope
 
-from generators import cp1xcp1_blowup4_polytope, point_to_real
+from generators import cp1xcp1_blowup4_polytope, point_to_real, table
 
 
 def test_catalog_names_cover_advertised_cases():
@@ -30,9 +30,9 @@ def test_catalog_names_cover_advertised_cases():
     "hirzebruch-1", "grassmann-1-3", "grassmann-2-3", "hyperkahler-flat"])
 def test_expected_strata_match_computed(name):
     case = build_case(name)
-    tab = type_table(case.scenario, 10, 7)
+    _, _, tab = table(case.scenario, 10, 7)
     seen = {}
-    for r in tab.rows:
+    for r in tab:
         seen.setdefault(r.stratum, set()).add((r.type_j1, r.type_j2))
         assert r.type_j2_up == case.expected_upstairs_j2[r.stratum]
     for lab, types in seen.items():
@@ -46,7 +46,7 @@ def test_grassmannian_expected_strata_follow_the_generic_intersection(n, m):
     # frames, which is 0 here, so the generic quotient type is n*m - 2 - n^2
     case = build_grassmannian(n, m)
     assert case.expected_distinct is True
-    for r in type_table(case.scenario, 8, 7).rows:
+    for r in table(case.scenario, 8, 7)[2]:
         assert (r.type_j1, r.type_j2) == case.expected_strata[r.stratum], (r.stratum, r.point_id)
         assert r.type_j2_up == case.expected_upstairs_j2[r.stratum]
 
@@ -57,10 +57,10 @@ def test_cross_builder_cp2_consistency():
     va = sorted(tuple(v) for v in a.expected_strata.values())
     vb = sorted(tuple(v) for v in b.expected_strata.values())
     assert va == vb
-    ta = type_table(a.scenario, 8, 3)
-    tb = type_table(b.scenario, 8, 3)
-    sa = sorted({(r.type_j1, r.type_j2) for r in ta.rows})
-    sb = sorted({(r.type_j1, r.type_j2) for r in tb.rows})
+    _, _, ta = table(a.scenario, 8, 3)
+    _, _, tb = table(b.scenario, 8, 3)
+    sa = sorted({(r.type_j1, r.type_j2) for r in ta})
+    sb = sorted({(r.type_j1, r.type_j2) for r in tb})
     assert sa == sb
 
 

@@ -12,15 +12,14 @@ from gkw.catalog import build_case, catalog_names, closure_families
 from gkw.linear import (ISOTROPY_TOL, RANK_TOL, VALIDATION_TOL, ComplexSubspace,
                         ValidationError, extract_bihermitian, orientation_sign,
                         subspace_intersection_dim)
-from gkw.pipeline import (MEMBERSHIP_TOL, ClosureFamily, df_contraction_is_zero, pairs_once,
-                          quotient_at_point, quotient_bihermitian, run_closure_families,
-                          sample_level_set, type_table, verify_moment_map,
-                          verify_type_formula)
+from gkw.pipeline import (MEMBERSHIP_TOL, ClosureFamily, bihermitian_rows,
+                          df_contraction_is_zero, pairs_once, run_closure_families,
+                          sample_level_set, verify_moment_map, verify_type_formula)
 from gkw.poly import QI, ComplexPolynomial
 from gkw.report import RunConfig, run
 
 import naive_linear as naive
-from generators import from_columns, product_cp1xc_scenario, projection_to_tangent
+from generators import from_columns, product_cp1xc_scenario, projection_to_tangent, table
 
 
 def test_sampling_level_freeness_and_quota():
@@ -74,8 +73,7 @@ def test_toric_sampler_hits_level_and_stratum():
 
 def test_quotient_at_point_kahler_baseline():
     case = build_case("kahler-c3")
-    z = sample_level_set(case.scenario, 1, 2).points[0]
-    qf = quotient_at_point(case.scenario, z)
+    _, _, (qf,) = table(case.scenario, 1, 2)
     assert (qf.type_j1, qf.type_j2) == (0, 2)
     assert (qf.type_j1_up, qf.type_j2_up) == (0, 3)
     assert qf.diagnostics["moment_condition"] < 1e-10
@@ -85,22 +83,20 @@ def test_quotient_at_point_kahler_baseline():
 
 def test_quotient_types_deformed_strata():
     case = build_case("cpn-2")
-    scen = case.scenario
-    batch = sample_level_set(scen, 10, 7)
-    for z, lab in zip(batch.points, batch.labels):
-        qf = quotient_at_point(scen, z, lab)
-        want = case.expected_strata[lab]
+    _, _, rows = table(case.scenario, 10, 7)
+    for qf in rows:
+        want = case.expected_strata[qf.stratum]
         assert (qf.type_j1, qf.type_j2) == tuple(want)
         assert qf.dim_k_cap_piL2 == 0
 
 
 def test_verify_type_formula_and_corruption_control():
     case = build_case("cpn-2")
-    tab = type_table(case.scenario, 8, 7)
+    _, _, tab = table(case.scenario, 8, 7)
     rows = verify_type_formula(case.scenario, tab)
     assert all(r["pass"] for r in rows)
     # negative control: corrupt one entry and the row check must fail
-    tab.rows[0].type_j2 += 1
+    tab[0].type_j2 += 1
     rows_bad = verify_type_formula(case.scenario, tab)
     assert not rows_bad[0]["pass"]
     assert all(r["pass"] for r in rows_bad[1:])
@@ -108,8 +104,8 @@ def test_verify_type_formula_and_corruption_control():
 
 def test_a_quotient_j1_type_off_by_two_fails_its_row():
     case = build_case("cpn-2")
-    tab = type_table(case.scenario, 8, 7)
-    tab.rows[0] = dataclasses.replace(tab.rows[0], type_j1=tab.rows[0].type_j1 + 2)
+    _, _, tab = table(case.scenario, 8, 7)
+    tab[0] = dataclasses.replace(tab[0], type_j1=tab[0].type_j1 + 2)
     rows = verify_type_formula(case.scenario, tab)
     assert rows[0]["pass"] is False
     assert all(r["pass"] for r in rows[1:])
@@ -170,15 +166,14 @@ def test_brackets_outside_the_checked_eigenbundle_fail_membership(name, family, 
 
 def test_quotient_bihermitian_flags():
     case = build_case("cpn-2")
-    batch = sample_level_set(case.scenario, 8, 7)
-    for z, lab in zip(batch.points, batch.labels):
-        qb = quotient_bihermitian(case.scenario, z)
-        assert qb.checks["valid"], qb.checks
-        assert qb.even_type
-        if lab == "generic":
-            assert qb.distinct
+    _, _, rows = table(case.scenario, 8, 7)
+    for qb in bihermitian_rows(rows):
+        assert qb["valid"], qb
+        assert qb["even_type"]
+        if qb["stratum"] == "generic":
+            assert qb["distinct"]
         else:
-            assert not qb.distinct
+            assert not qb["distinct"]
 
 
 def test_freeness_rejection_reasons_logged():
@@ -189,8 +184,8 @@ def test_freeness_rejection_reasons_logged():
 
 def test_hyperkahler_scenario_types():
     case = build_case("hyperkahler-flat")
-    tab = type_table(case.scenario, 6, 3)
-    for r in tab.rows:
+    _, _, tab = table(case.scenario, 6, 3)
+    for r in tab:
         assert (r.type_j1, r.type_j2) == (0, 1)
         assert (r.type_j1_up, r.type_j2_up) == (0, 0)
         assert r.dim_k_cap_piL2 == 1
@@ -261,15 +256,11 @@ def test_sampler_frames_are_the_quotient_frames(name):
     scen = build_case(name).scenario
     batch = sample_level_set(scen, 6, 5)
     n = scen.n
-    for z, lab, Q, DF in zip(batch.points, batch.labels, batch.Q, batch.DF):
+    for z, Q, DF in zip(batch.points, batch.Q, batch.DF, strict=True):
         assert np.array_equal(Q, np.column_stack(
             [frames.section_at(s, z)[:2 * n].real for s in scen.fields]))
         assert np.array_equal(DF, np.column_stack(
-            [frames.one_form_at(df, z).real for df in scen.dfs]))
-        given = quotient_at_point(scen, z, lab, Q=Q, DF=DF)
-        own = quotient_at_point(scen, z, lab)
-        assert given.diagnostics == own.diagnostics
-        assert np.array_equal(given.pair_quot.J2.J, own.pair_quot.J2.J)
+            [frames.one_form_at(df, z).real for df in scen.moment.df]))
 
 
 # -- decisions shared with the quotient's construction ---------------------------
@@ -278,11 +269,8 @@ def test_sampler_frames_are_the_quotient_frames(name):
 def _catalog_rows(name, seed):
     """(Q, pair, row) of each type-table row of a case at 12 samples, the
     pairs built as a report builds them."""
-    scenario = build_case(name).scenario
-    batch = sample_level_set(scenario, 12, seed)
-    pairs = pairs_once(scenario.recipe, batch.points)
-    table = type_table(scenario, batch=batch, pairs=pairs)
-    return list(zip(batch.Q, pairs, table.rows))
+    batch, pairs, rows = table(build_case(name).scenario, 12, seed)
+    return list(zip(batch.Q, pairs, rows))
 
 
 def _projector(S: ComplexSubspace):
@@ -323,16 +311,15 @@ def test_opposite_orientations_fail_the_bihermitian_section():
     # J1 = J_omega + J_I has type 1, and so has the quotient's J1: I+ and I-
     # orient the quotient oppositely, and that alone fails every row
     scenario = product_cp1xc_scenario()
-    batch = sample_level_set(scenario, 12, 7)
-    table = type_table(scenario, batch=batch)
-    for r in table.rows:
+    batch, pairs, rows = table(scenario, 12, 7)
+    for r in rows:
         assert (r.type_j1, r.type_j2, r.dim_k_cap_piL2) == (1, 1, 0)
         assert (r.type_j1_up, r.type_j2_up) == (1, 2)
-    assert all(x["pass"] for x in verify_type_formula(scenario, table))
-    moment = verify_moment_map([r.J1 for r in pairs_once(scenario.recipe, batch.points)],
+    assert all(x["pass"] for x in verify_type_formula(scenario, rows))
+    moment = verify_moment_map([pair.J1 for pair in pairs],
                                scenario.action, scenario.moment, batch)
     assert all(x["pass"] for x in moment)
-    section = report._bihermitian_section(table)
+    section = report._bihermitian_section(rows)
     assert section["pass"] is False
     assert len(section["rows"]) == 8
     for row in section["rows"]:

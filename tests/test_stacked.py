@@ -15,8 +15,8 @@ from gkw.cli import main
 from gkw.linear import (IndeterminateRankError, KahlerPairNum, ValidationError,
                         deform_pair, eta, extract_bihermitian, orientation_sign)
 from gkw.pipeline import (PAIR_STACK_ROWS, DeformedKahlerRecipe, _standard_pair,
-                          bihermitian_rows, pairs_once, sample_level_set, type_table)
-from generators import product_cp1xc_scenario
+                          bihermitian_rows, pairs_once, sample_level_set)
+from generators import product_cp1xc_scenario, table
 
 DEFORMED = ["cpn-2", "cpn-3", "cpn-4", "grassmann-1-3", "grassmann-2-3",
             "toric-cp2", "toric-blowup1", "hirzebruch-1", "hirzebruch-2"]
@@ -115,22 +115,25 @@ def test_stacked_bihermitian_equals_its_pairs_one_by_one(name, seed):
     # of that check are compared
     scenario = (product_cp1xc_scenario() if name == "product-cp1xc"
                 else build_case(name).scenario)
-    rows = type_table(scenario, count=12, seed=seed).rows
+    _, _, rows = table(scenario, 12, seed)
     pairs = [r.pair_quot for r in rows]
     stacked = extract_bihermitian(pairs)
     ok, checks = stacked.validate()
     distinct = stacked.distinct()
     signs = {f: orientation_sign(getattr(stacked, f)) for f in ("Jplus", "Jminus")}
     assert all(len(a) == len(pairs) for a in (ok, distinct, *checks.values(), *signs.values()))
-    for i, (pair, qb) in enumerate(zip(pairs, bihermitian_rows(rows))):
+    for i, (row, pair, qb) in enumerate(zip(rows, pairs, bihermitian_rows(rows), strict=True)):
         single = extract_bihermitian(pair)
         for f in BIHERMITIAN_FIELDS:
             assert np.array_equal(getattr(stacked, f)[i], getattr(single, f))
-            assert np.array_equal(getattr(qb.data, f), getattr(single, f))
         one_ok, one_checks = single.validate()
         assert {k: v[i].item() for k, v in checks.items()} == one_checks
-        assert qb.checks == {**one_checks, "valid": one_ok} and bool(ok[i]) is one_ok
-        assert bool(distinct[i]) is single.distinct() is qb.distinct
+        assert list(qb) == ["sample", "stratum", "distinct", "even_type", *one_checks, "valid"]
+        assert qb == {"sample": row.point_id, "stratum": row.stratum,
+                      "distinct": single.distinct(),
+                      "even_type": row.type_j1 % 2 == 0 or row.type_j2 % 2 == 0,
+                      **one_checks, "valid": one_ok} and bool(ok[i]) is one_ok
+        assert bool(distinct[i]) is single.distinct() is qb["distinct"]
         for f in ("Jplus", "Jminus"):
             assert signs[f][i] == orientation_sign(getattr(single, f))
     if name == "product-cp1xc":
