@@ -9,10 +9,9 @@ from .calculus import (Form, GeneralizedSection, VectorField, courant_bracket,
                        exterior_derivative, interior_product, lie_derivative,
                        pairing_poly, standard_symplectic_form)
 from .deformation import DeformationBivector, LMultivector, schouten_bracket
-from .linear import (BiHermitianData, ComplexSubspace, IndeterminateRankError,
-                     KahlerPairNum, LinearGC, ValidationError, deform_gcs,
-                     deform_pair, eta, extract_bihermitian, pairing,
-                     reduce_gcs, reduce_pair)
+from .linear import (BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
+                     ValidationError, deform_gcs, deform_pair, eta,
+                     extract_bihermitian, pairing, reduce_gcs, reduce_pair)
 from .actions import (MomentMapPoly, TorusAction, UnitaryAction,
                       grassmannian_moment_map, shift_by_bfield,
                       standard_moment_map)

@@ -78,8 +78,7 @@ def _fit_deformation_scale(make_scenario) -> Fraction:
 
     A round is built by ``pairs_once``, which raises the error of its
     earliest failing point: a ValidationError rejects t, any other error
-    (an IndeterminateRankError) propagates, and later rounds are not
-    drawn."""
+    propagates, and later rounds are not drawn."""
     rounds = {}
 
     def valid_at_probes(t):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .linear import RANK_TOL, IndeterminateRankError, ValidationError
+from .linear import RANK_TOL
 from .report import ConfigError, RunConfig, emit, run, run_sweep
 
 
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, IndeterminateRankError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 3
     try:

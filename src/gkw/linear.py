@@ -19,7 +19,13 @@ C+- = ker(G -+ 1), each of dimension m.
 
 The validation checks of a structure and of a pair act on the last two axes
 of their arrays, so one pass checks a whole stack (S, 2m, 2m) of them, and
-a single structure is checked as a stack of one.  A structure check is
+a single structure is checked as a stack of one.  Each pointwise operation
+has one shape, with per-row outcomes: ``deform_pair`` takes a stack of
+contraction operators and gives, per row, the validated pair or the error
+of its first failed check; ``extract_bihermitian`` takes a sequence of
+pairs, and the checks of its ``BiHermitianData`` and ``orientation_sign``
+give numpy values of whatever leading shape they are handed.  Only
+``pipeline.pairs_once`` raises a failed row's error.  A structure check is
 J^2 = -1 with eta-orthogonality, and nothing more: a real J with J^2 = -1 is
 diagonalizable with eigenvalues +-i, and its -i eigenspace is the conjugate
 of its +i eigenspace L, so C^{2m} = L + conj(L) with dim L = m; and
@@ -29,13 +35,14 @@ they commute), then G^T eta positive definite; G is eta-orthogonal because
 J1 and J2 are.  A row of a stack is rejected at its first failed check,
 with that check's error.
 
-Every rank threshold is an explicit argument.  The ranks a structure's
-construction still decides (a deformation's admissibility, the span of Q)
-are cut at the fixed RANK_TOL, and structures are validated at the fixed
-VALIDATION_TOL, so a structure never depends on the threshold of the run
-that asks about it.  The span of Q is decided
-once: the orthonormal frame ``quotient_basis`` keeps is the one P is built
-from and the one k_M is read from.
+Every rank threshold is an explicit argument, and a rank decision reports
+whether it is clear of its threshold (``gap_ok``) rather than raising.  The
+ranks a structure's construction still decides (a deformation's
+admissibility, the span of Q) are cut at the fixed RANK_TOL, and
+structures are validated at the fixed VALIDATION_TOL, so a structure never
+depends on the threshold of the run that asks about it.  The span of Q is
+decided once: the orthonormal frame ``quotient_basis`` keeps is the one P
+is built from and the one k_M is read from.
 Only the ranks a report shows take the run's threshold: a structure's type
 (``LinearGC.type_with_gap(tol)``), decided once per structure and threshold,
 so a structure shared by many points or asked by several report sections
@@ -61,10 +68,6 @@ GAP_FACTOR = 10.0       # rank is 'indeterminate' if any sv falls within
 
 class ValidationError(ValueError):
     """A structure failed its defining residual checks."""
-
-
-class IndeterminateRankError(ValueError):
-    """Singular values too close to the rank threshold to call."""
 
 
 @lru_cache(maxsize=None)
@@ -98,20 +101,19 @@ def _threshold(s, tol):
 
 
 def _decide_rank(s, tol):
-    """(rank, gap_ok, threshold) for singular values s (..., k) in
-    descending order: the count above the threshold, and whether none lies
-    within a factor GAP_FACTOR of it."""
+    """(rank, gap_ok) for singular values s (..., k) in descending order:
+    the count above the threshold, and whether none lies within a factor
+    GAP_FACTOR of it."""
     thr = _threshold(s, tol)
     rank = (s > thr).sum(-1)
     gap_ok = ~((s > thr / GAP_FACTOR) & (s < thr * GAP_FACTOR)).any(-1)
-    return rank, gap_ok, thr[..., 0]
+    return rank, gap_ok
 
 
 def _ranks(A, tol):
-    """(rank, gap_ok, s, threshold) of each matrix in the stack A."""
+    """(rank, gap_ok, s) of each matrix in the stack A."""
     s = np.linalg.svd(A, compute_uv=False)
-    rank, gap_ok, thr = _decide_rank(s, tol)
-    return rank, gap_ok, s, thr
+    return (*_decide_rank(s, tol), s)
 
 
 def _norm2(A):
@@ -127,12 +129,7 @@ def _fro(A):
     return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
-def _indeterminate(s, thr) -> IndeterminateRankError:
-    return IndeterminateRankError(
-        f"rank indeterminate: singular values {s} vs threshold {thr:.3e}")
-
-
-def numerical_rank(A, tol=RANK_TOL, require_determinate=False):
+def numerical_rank(A, tol=RANK_TOL):
     """Thresholded rank with a spectral-gap audit.
 
     Returns (rank, gap_ok, svals).  gap_ok is False when a singular value
@@ -142,9 +139,7 @@ def numerical_rank(A, tol=RANK_TOL, require_determinate=False):
     A = np.asarray(A)
     if A.size == 0:
         return 0, True, np.zeros(0)
-    rank, gap_ok, s, thr = _ranks(A, tol)
-    if require_determinate and not gap_ok:
-        raise _indeterminate(s, thr)
+    rank, gap_ok, s = _ranks(A, tol)
     return int(rank), bool(gap_ok), s
 
 
@@ -174,8 +169,8 @@ def nullspace(A, dim):
 
 class _Outcomes:
     """Per-row results of checks run on a stack: the rows still passing
-    every check so far, and for each row that failed the error its first
-    failed check raises when the row is checked on its own."""
+    every check so far, and for each row that failed the error of its first
+    failed check."""
 
     def __init__(self, count: int):
         self.alive = np.arange(count)
@@ -228,13 +223,11 @@ class ComplexSubspace:
         return float(np.linalg.norm(r) / nv)
 
 
-def subspace_intersection_dim(A: ComplexSubspace, B: ComplexSubspace,
-                              require_determinate=True, tol=RANK_TOL):
-    """dim(A cap B) with a rank-gap audit: dim = dimA + dimB - rank[A B]."""
+def subspace_intersection_dim(A: ComplexSubspace, B: ComplexSubspace, tol=RANK_TOL):
+    """(dim(A cap B), gap_ok) with a rank-gap audit: dim = dimA + dimB - rank[A B]."""
     if A.dim == 0 or B.dim == 0:
         return 0, True
-    rank, gap_ok, _ = numerical_rank(np.hstack([A.basis, B.basis]), tol,
-                                     require_determinate=require_determinate)
+    rank, gap_ok, _ = numerical_rank(np.hstack([A.basis, B.basis]), tol)
     return A.dim + B.dim - rank, gap_ok
 
 
@@ -272,14 +265,14 @@ class LinearGC:
         memo = self.__dict__.setdefault("_types", {})
         if tol not in memo:
             u, s, _ = np.linalg.svd(self._L.basis[:self.m, :], full_matrices=False)
-            rank, gap_ok, _ = _decide_rank(s, tol)
+            rank, gap_ok = _decide_rank(s, tol)
             memo[tol] = (self.m - int(rank), bool(gap_ok), u)
         return memo[tol]
 
     def type_with_gap(self, tol=RANK_TOL):
         """(type, gap_ok): the value at rank threshold ``tol`` plus the audit
-        flag; used by table builders that report borderline rows instead of
-        raising.  Decided once per structure and threshold."""
+        flag, with which table builders report borderline rows.  Decided
+        once per structure and threshold."""
         return self._type_decision(tol)[:2]
 
     def tangent_projection(self, tol=RANK_TOL) -> ComplexSubspace:
@@ -509,7 +502,7 @@ def _deformed_structures(J2: LinearGC, K, t: float, out: _Outcomes):
     m = J2.m
     L2 = J2.eigenbundle().basis
     Leps = L2 + t * (K @ (eta(m) @ L2))
-    rank, gap_ok, _, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), RANK_TOL)
+    rank, gap_ok, _ = _ranks(np.concatenate([Leps, Leps.conj()], axis=-1), RANK_TOL)
     (Leps,) = out.reject((rank != 2 * m) | ~gap_ok, lambda k: ValidationError(
         f"deformation not admissible at t={t}: L_eps cap conj(L_eps) != 0"), Leps)
     u = np.linalg.svd(Leps, full_matrices=False)[0]
@@ -532,36 +525,30 @@ def deform_gcs(J2: LinearGC, K: np.ndarray, t: float) -> LinearGC:
     return structures[0]
 
 
-def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float):
-    """Deform J2 by t*eps while keeping J1; revalidates the pair.
-
-    K is one contraction operator, or a stack (S, 4n, 4n) of them, one per
-    point.  A stack is checked in one pass and gives a list: per point the
-    validated pair, or the exception that the call with that point's
-    operator alone raises."""
-    K = np.asarray(K)
-    stack = K if K.ndim == 3 else K[None]
-    out = _Outcomes(len(stack))
-    J, L = _deformed_structures(pair.J2, stack, t, out)
+def deform_pair(pair: KahlerPairNum, K: np.ndarray, t: float) -> list:
+    """Deform J2 by t*eps while keeping J1 and revalidate the pair, at each
+    of a stack K (S, 4n, 4n) of contraction operators, one per point,
+    checked in one pass.  Returns the per-point outcomes: the validated
+    pair, or the error of the point's first failed check, which is not
+    raised here."""
+    out = _Outcomes(len(K))
+    J, L = _deformed_structures(pair.J2, K, t, out)
     J, L = _check_pairs(np.broadcast_to(pair.J1.J, J.shape), J, out, J, L)
     for i, J2 in zip(out.alive, _structures(J, L)):
         out.results[i] = _checked(KahlerPairNum, J1=pair.J1, J2=J2)
-    if K.ndim == 3:
-        return out.results
-    out.raise_first()
-    return out.results[0]
+    return out.results
 
 
 # -- bi-Hermitian extraction ---------------------------------------------------
 #
 # Extraction, its checks and the orientation act on the last two axes of
 # their arrays, as the structure and pair checks do: one pass handles a
-# stack of pairs, and a single pair is a stack of one.
+# stack of pairs, and a single pair is handed in as a stack of one.
 
 @dataclass(frozen=True)
 class BiHermitianData:
-    """The metric g and complex structures I+ (Jplus) and I- (Jminus) on V,
-    each m x m, or stacks (S, m, m) of them, one entry per pair."""
+    """The metric g and complex structures I+ (Jplus) and I- (Jminus) on V:
+    arrays (..., m, m) with one m x m matrix per pair."""
 
     g: np.ndarray
     Jplus: np.ndarray
@@ -569,10 +556,9 @@ class BiHermitianData:
 
     def validate(self):
         """(ok, checks): g positive, I+- squaring to -1 and g-orthogonal, and
-        I+ and I- orienting V alike.  On a stack, ok and every check are
-        arrays with one entry per pair; on a single one, Python scalars."""
-        single = self.g.ndim == 2
-        g, Jp, Jm = (a[None] if single else a for a in (self.g, self.Jplus, self.Jminus))
+        I+ and I- orienting V alike.  ok and every check are numpy values of
+        the data's leading shape, one entry per pair."""
+        g, Jp, Jm = self.g, self.Jplus, self.Jminus
         m = g.shape[-1]
         jscale = np.maximum(1.0, _norm2(Jp)) ** 2
         oscale = np.maximum(1.0, _norm2(g)) * jscale
@@ -590,15 +576,13 @@ class BiHermitianData:
               & (checks["jplus_orthogonal"] < ISOTROPY_TOL)
               & (checks["jminus_orthogonal"] < ISOTROPY_TOL)
               & checks["same_orientation"])
-        if single:
-            return bool(ok[0]), {k: v[0].item() for k, v in checks.items()}
         return ok, checks
 
     def distinct(self):
-        """I+ differs from both I- and -I- (an array on a stack)."""
-        apart = ((_fro(self.Jplus - self.Jminus) > DISTINCT_TOL)
-                 & (_fro(self.Jplus + self.Jminus) > DISTINCT_TOL))
-        return apart if self.g.ndim > 2 else bool(apart)
+        """I+ differs from both I- and -I-: a boolean numpy value of the
+        data's leading shape."""
+        return ((_fro(self.Jplus - self.Jminus) > DISTINCT_TOL)
+                & (_fro(self.Jplus + self.Jminus) > DISTINCT_TOL))
 
 
 def orientation_sign(J):
@@ -607,14 +591,14 @@ def orientation_sign(J):
     (R^m, J).  u = x - iJx is a basis of the +i eigenspace, read at its
     dimension m/2, and [x, Jx] = [Re u, -Im u], hence the sign (-1)^{m/2};
     any other basis of the eigenspace gives the same sign, as the real form
-    of a complex change of basis has determinant |det|^2 > 0.  A stack
-    (S, m, m) gives an integer array of S signs."""
+    of a complex change of basis has determinant |det|^2 > 0.  J (..., m, m)
+    gives an integer numpy value of its leading shape."""
     J = np.asarray(J, dtype=float)
     m = J.shape[-1]
     u = nullspace(J - 1j * np.eye(m), m // 2)
     frame = np.stack([u.real, u.imag], axis=-1).reshape(u.shape[:-1] + (m,))
     sign = (-1) ** (m // 2) * np.sign(np.linalg.det(frame)).astype(int)
-    return sign if J.ndim > 2 else int(sign)
+    return sign
 
 
 def extract_bihermitian(pairs) -> BiHermitianData:
@@ -627,15 +611,12 @@ def extract_bihermitian(pairs) -> BiHermitianData:
     C- = C+-perp is negative, and the two are the graphs of b + g and b - g
     over V for one b and g, which makes the metric C- induces the same g.
 
-    ``pairs`` is one KahlerPairNum, or a sequence of pairs on one V,
-    extracted as one stack: then every array of the result has a leading
-    axis with one entry per pair.
+    ``pairs`` is a sequence of pairs on one V, extracted as one stack:
+    every array of the result has a leading axis with one entry per pair.
     """
-    single = isinstance(pairs, KahlerPairNum)
-    stack = [pairs] if single else list(pairs)
-    m = stack[0].m
-    J1 = np.stack([p.J1.J for p in stack])
-    G = -J1 @ np.stack([p.J2.J for p in stack])
+    m = pairs[0].m
+    J1 = np.stack([p.J1.J for p in pairs])
+    G = -J1 @ np.stack([p.J2.J for p in pairs])
     lifts = []
     for s in (1, -1):
         Cb = nullspace(G - s * np.eye(2 * m), m)
@@ -645,6 +626,4 @@ def extract_bihermitian(pairs) -> BiHermitianData:
     g = (g + np.swapaxes(g, -1, -2)) / 2
     Jplus = -(J1 @ lift_plus)[:, :m, :]
     Jminus = (J1 @ lift_minus)[:, :m, :]
-    if single:
-        return BiHermitianData(g=g[0], Jplus=Jplus[0], Jminus=Jminus[0])
     return BiHermitianData(g=g, Jplus=Jplus, Jminus=Jminus)

@@ -117,13 +117,12 @@ class DeformedKahlerRecipe:
         return contraction_operator(pairs, 2 * self.n)
 
     def pair_at(self, z) -> KahlerPairNum:
-        if self.eps.is_zero:
-            return self._base
-        return deform_pair(self._base, self.contractions_at([z])[0], float(self.t))
+        return pairs_once(self, [z])[0]
 
     def pairs_at(self, points) -> list:
-        """``pair_at`` at every point, checked as one stack: per point the
-        validated pair, or the exception ``pair_at`` raises there."""
+        """The pair at every point, checked as one stack: per point the
+        validated pair, or the error of its first failed check, which
+        ``pairs_once`` raises."""
         if self.eps.is_zero:
             return [self._base] * len(points)
         return deform_pair(self._base, self.contractions_at(points), float(self.t))
@@ -209,8 +208,8 @@ class RealifiedRecipe:
         self.action = action
         probe = np.full(self.n, 0.37 + 0.21j)
         pair = base.pair_at(probe)
-        bih = extract_bihermitian(pair)
-        g = bih.g if g_const is None else np.asarray(g_const, dtype=float)
+        g = (extract_bihermitian([pair]).g[0] if g_const is None
+             else np.asarray(g_const, dtype=float))
         g_rat = [[Fraction(x).limit_denominator(1 << 20) for x in row] for row in g]
         if np.abs(np.array([[float(x) for x in row] for row in g_rat]) - g).max() > 1e-9:
             raise ValidationError("pair tangent metric is not rational-constant")
@@ -516,10 +515,10 @@ def sample_level_set(scenario: Scenario, count: int, seed: int | np.random.Gener
 def pairs_once(recipe, points) -> list:
     """The recipe's pair at each point, built once, in point order.  A
     recipe with ``pairs_at`` builds them in stacks of at most
-    PAIR_STACK_ROWS points, the same pairs ``pair_at`` builds one by one.
-    The error of the earliest point whose pair fails is raised here, and no
-    later stack is built: the error a loop of ``pair_at`` over the points
-    raises first."""
+    PAIR_STACK_ROWS points, which return a failed pair's error rather than
+    raise it (its ``pair_at`` is a stack of one); the error is raised here.
+    The earliest point whose pair fails decides, and no later stack is
+    built, as a loop over the points one at a time would raise it first."""
     if hasattr(recipe, "pairs_at"):
         pairs = []
         for i in range(0, len(points), PAIR_STACK_ROWS):
@@ -550,9 +549,8 @@ class QuotientRow:
     qbasis: QuotientBasis
 
 
-def quotient_at_point(scenario: Scenario, z, label, pair, Q, DF, point_id=0,
-                      tol=RANK_TOL) -> QuotientRow:
-    """The quotient of ``pair`` at the sample z of the run's record: its
+def quotient_at_point(label, pair, Q, DF, point_id=0, tol=RANK_TOL) -> QuotientRow:
+    """The quotient of ``pair`` at a sample of the run's record: its
     stratum ``label``, its pair (``pairs_once``) and the sampler's frames
     ``Q`` and ``DF`` there, none of which is evaluated again; ``point_id``
     numbers the row in its table.  The row's ranks (the four types and
@@ -567,8 +565,7 @@ def quotient_at_point(scenario: Scenario, z, label, pair, Q, DF, point_id=0,
     t1u, g1u = pair.J1.type_with_gap(tol)
     t2u, g2u = pair.J2.type_with_gap(tol)
     kM = ComplexSubspace(qb.Q.astype(complex))
-    dim_int, gap_int = subspace_intersection_dim(kM, pair.J2.tangent_projection(tol),
-                                                 require_determinate=False, tol=tol)
+    dim_int, gap_int = subspace_intersection_dim(kM, pair.J2.tangent_projection(tol), tol)
     t1q, g1q = pair_q.J1.type_with_gap(tol)
     t2q, g2q = pair_q.J2.type_with_gap(tol)
     return QuotientRow(
@@ -582,14 +579,14 @@ def quotient_at_point(scenario: Scenario, z, label, pair, Q, DF, point_id=0,
         pair_quot=pair_q, qbasis=qb)
 
 
-def type_table(scenario: Scenario, batch: SampleBatch, pairs, tol=RANK_TOL) -> list:
+def type_table(batch: SampleBatch, pairs, tol=RANK_TOL) -> list:
     """The run's type table from its record, the sampler's ``batch`` and
     the ``pairs`` built at its points (``pairs_once``): the quotient at
     each sample (``quotient_at_point``), one row per point in point-id
     order, with its ranks decided at threshold ``tol``."""
-    return [quotient_at_point(scenario, z, lab, pair, Q, DF, point_id=i, tol=tol)
-            for i, (z, lab, pair, Q, DF) in enumerate(zip(batch.points, batch.labels, pairs,
-                                                          batch.Q, batch.DF, strict=True))]
+    return [quotient_at_point(lab, pair, Q, DF, point_id=i, tol=tol)
+            for i, (lab, pair, Q, DF) in enumerate(zip(batch.labels, pairs, batch.Q, batch.DF,
+                                                       strict=True))]
 
 
 def verify_type_formula(scenario: Scenario, rows):
@@ -674,18 +671,14 @@ def realify(scenario: Scenario, theta="metric") -> Scenario:
     imaginary part already vanishes).
 
     theta picks the connection: "metric" uses the pair's (constant) tangent
-    metric, "euclidean" the flat ambient one; any constant metric matrix is
-    also accepted.  Different connections differ by exact B-transforms.
+    metric, "euclidean" the flat ambient one.  Different connections differ
+    by exact B-transforms.
     """
     if scenario.moment.is_real:
         return scenario
-    if isinstance(theta, str):
-        n = scenario.n
-        g_const = None if theta == "metric" else np.eye(2 * n)
-        if theta not in ("metric", "euclidean"):
-            raise ValueError(f"unknown connection recipe {theta!r}")
-    else:
-        g_const = np.asarray(theta, dtype=float)
+    if theta not in ("metric", "euclidean"):
+        raise ValueError(f"unknown connection recipe {theta!r}")
+    g_const = None if theta == "metric" else np.eye(2 * scenario.n)
     recipe = RealifiedRecipe(scenario.recipe, scenario.action, scenario.moment,
                              g_const=g_const)
     return Scenario(

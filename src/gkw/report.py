@@ -96,8 +96,8 @@ def _check_ints(values, what, length=None):
     (of ``length`` entries, if given)."""
     if not (isinstance(values, list) and all(type(v) is int for v in values)
             and length in (None, len(values))):
-        size = "" if length is None else f" of {length}"
-        raise ValueError(f"{what} must be a list{size} integers, got {values!r}")
+        size = "" if length is None else f" {length}"
+        raise ValueError(f"{what} must be a list of{size} integers, got {values!r}")
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -144,6 +144,9 @@ def scenario_from_dict(doc) -> Scenario:
             raise ValueError(f"stratum field 'label' {label!r} is listed twice")
         coords = _field(s, "zero_coords", list, "stratum")
         _check_ints(coords, "stratum field 'zero_coords'")
+        if not coords:
+            raise ValueError(f"stratum {label!r}: zero_coords must name at least one "
+                             f"coordinate (an empty list holds at every point)")
         if not all(0 <= c < n for c in coords):
             raise ValueError(f"stratum {label!r}: zero_coords {coords} "
                              f"out of range for ambient_complex_dim {n}")
@@ -345,8 +348,8 @@ TABLE_FIELDS = ("point_id", "stratum", "type_j1", "type_j2", "dim_k_cap_piL2",
                 "type_j1_up", "type_j2_up", "indeterminate")
 
 
-def _table_section(scenario, batch, pairs, tol, expected=None, expected_up=None):
-    table = type_table(scenario, batch, pairs, tol)
+def _table_section(batch, pairs, tol, expected=None, expected_up=None):
+    table = type_table(batch, pairs, tol)
     rows = [{**{f: getattr(r, f) for f in TABLE_FIELDS}, **r.diagnostics}
             for r in table]
     ok = all(r["moment_condition"] < MOMENT_CONDITION_TOL for r in rows)
@@ -425,7 +428,7 @@ def run(config: RunConfig) -> dict:
     indeterminate = False
     if config.command in ("deform", "reduce"):
         expected_up = case.expected_upstairs_j2 if case else None
-        table, sec = _table_section(scenario, batch, pairs, config.tol,
+        table, sec = _table_section(batch, pairs, config.tol,
                                     expected=(case.expected_strata if case and config.command == "reduce" else None),
                                     expected_up=expected_up)
         sections["type_table"] = sec

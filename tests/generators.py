@@ -8,8 +8,7 @@ from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
 from gkw.frames import _frame_rows, one_form_at, section_at
 from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
                         LinearGC, ValidationError, _Outcomes, _real_structures, b_conjugate,
-                        b_field_matrix, eta, numerical_rank, orthonormal_columns,
-                        subspace_intersection_dim)
+                        b_field_matrix, eta, numerical_rank, orthonormal_columns)
 from gkw.pipeline import (ConstantPairRecipe, SampleBatch, Scenario, ScalingSampler,
                           _standard_pair, pairs_once, sample_level_set, type_table)
 from gkw.poly import QI, QI_I, ComplexPolynomial
@@ -17,6 +16,21 @@ from gkw.polytope import PolytopeSpec
 
 
 REDUCTION_REJECT_SHARE = 0.05
+
+
+class IndeterminateRankError(ValueError):
+    """Singular values too close to the rank threshold to call."""
+
+
+def determinate_rank(A, tol=RANK_TOL) -> int:
+    """numerical_rank(A, tol), or IndeterminateRankError when a singular
+    value lies in the gap window around the threshold (``gap_ok`` False):
+    the borderline-draw check of the generators, which never guess."""
+    rank, gap_ok, s = numerical_rank(A, tol)
+    if not gap_ok:
+        raise IndeterminateRankError(f"rank indeterminate: singular values {s} vs "
+                                     f"threshold {tol * max(1.0, s[0]):.3e}")
+    return rank
 
 
 class ReductionTally:
@@ -196,7 +210,7 @@ def table(scenario, count, seed):
     pairs built once at its points, and the type table read from both."""
     batch = sample_level_set(scenario, count, seed)
     pairs = pairs_once(scenario.recipe, batch.points)
-    return batch, pairs, type_table(scenario, batch, pairs)
+    return batch, pairs, type_table(batch, pairs)
 
 
 def batch_at(action, moment, points) -> SampleBatch:
@@ -482,8 +496,7 @@ def type_of(J: LinearGC) -> int:
     """Codimension of pi(L) in V_C; integer from a thresholded rank.
     Raises IndeterminateRankError on a borderline spectrum rather than
     guessing."""
-    rank, _, _ = numerical_rank(J.eigenbundle().basis[:J.m, :], require_determinate=True)
-    return J.m - rank
+    return J.m - determinate_rank(J.eigenbundle().basis[:J.m, :])
 
 
 def from_eigenbundle(L: ComplexSubspace) -> LinearGC:
@@ -493,9 +506,7 @@ def from_eigenbundle(L: ComplexSubspace) -> LinearGC:
     IndeterminateRankError."""
     if L.dim != ambient_dim(L) // 2:
         raise ValidationError("eigenbundle must be maximal")
-    rank, _, _ = numerical_rank(np.hstack([L.basis, L.basis.conj()]),
-                                require_determinate=True)
-    if rank != ambient_dim(L):
+    if determinate_rank(np.hstack([L.basis, L.basis.conj()])) != ambient_dim(L):
         raise ValidationError("L cap conj(L) != 0: no real structure")
     out = _Outcomes(1)
     (J,) = _real_structures(L.basis[None], out)
@@ -538,9 +549,7 @@ def add(S: ComplexSubspace, T: ComplexSubspace) -> ComplexSubspace:
 def restricted_projection_dim(J: LinearGC, R: ComplexSubspace) -> int:
     """dim pi(L cap R-perp cap J(R)-perp), defined when J(R) cap R = 0."""
     JR = from_columns(J.J.astype(complex) @ R.basis)
-    inter_dim, _ = subspace_intersection_dim(JR, R)
-    if inter_dim != 0:
+    if determinate_rank(np.hstack([JR.basis, R.basis])) != JR.dim + R.dim:
         raise ValidationError("precondition J(R) cap R = 0 fails")
     S = intersect(intersect(J.eigenbundle(), perp(R)), perp(JR))
-    rank, _, _ = numerical_rank(S.basis[:J.m, :], require_determinate=True)
-    return rank
+    return determinate_rank(S.basis[:J.m, :])

@@ -142,7 +142,7 @@ def test_criterion_06_reduction_identity_suite():
             R = from_columns(
                 rng.standard_normal((2 * m, r)) + 1j * rng.standard_normal((2 * m, r)))
             JR = from_columns(J.J.astype(complex) @ R.basis)
-            inter, _ = subspace_intersection_dim(JR, R, require_determinate=False)
+            inter, _ = subspace_intersection_dim(JR, R)
             if inter != 0:
                 continue
             lhs = restricted_projection_dim(J, R)
@@ -177,7 +177,7 @@ def test_criterion_06_reduction_identity_suite():
             (pair, Q), (pq, _) = made, reduced
             QC = from_columns(Q.astype(complex))
             piL2 = projection_to_tangent(pair.J2.eigenbundle())
-            dcap, gap_ok = subspace_intersection_dim(QC, piL2, require_determinate=False)
+            dcap, gap_ok = subspace_intersection_dim(QC, piL2)
             if not gap_ok:
                 continue
             ok = ok and type_of(pq.J2) == type_of(pair.J2) - Q.shape[1] + 2 * dcap

@@ -334,11 +334,19 @@ def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
     (lambda d: d["structure"].update(deformation={"hol": {"2,1": []}, "form": {}}),
      "'hol' at index pair '2,1'"),
     (lambda d: d["structure"].update(deformation={"hol": {}}), "'form'"),
+    (lambda d: d["strata"][0].update(zero_coords=["x"]),
+     "stratum field 'zero_coords' must be a list of integers, got ['x']"),
+    (lambda d: d["action"].update(weights=[[1, "a"]]),
+     "each row of action field 'weights' must be a list of integers, got [1, 'a']"),
+    # an empty stratum holds at every point and would take every sample
+    (lambda d: d["strata"].append({"label": "everywhere", "zero_coords": []}),
+     "stratum 'everywhere': zero_coords must name at least one coordinate"),
 ], ids=["no-structure", "dim-a-string", "level-null",
         "no-t", "t-divides-by-zero", "no-weight-rows", "frame-index-out-of-range",
         "zero-denominator", "short-exponents", "negative-exponent", "generic-label",
         "label-listed-twice", "quotient-a-point", "both-deformation-forms",
-        "neither-deformation-form", "pair-out-of-order", "form-missing"])
+        "neither-deformation-form", "pair-out-of-order", "form-missing",
+        "zero-coords-not-integers", "weight-row-not-integers", "empty-stratum"])
 def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit, field):
     path = _scenario_file(tmp_path, edit)
     code = main(["reduce", "--scenario", str(path), "--samples", "4"])

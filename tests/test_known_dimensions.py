@@ -15,13 +15,13 @@ import pytest
 
 from gkw import linear
 from gkw.catalog import build_case, catalog_names
-from gkw.linear import (RANK_TOL, ComplexSubspace, IndeterminateRankError, ValidationError,
-                        contraction_operator, deform_gcs, eta, extract_bihermitian,
-                        reduce_gcs, reduce_pair)
+from gkw.linear import (RANK_TOL, ComplexSubspace, ValidationError, contraction_operator,
+                        deform_gcs, eta, extract_bihermitian, reduce_gcs, reduce_pair)
 from gkw.pipeline import DeformedKahlerRecipe, _standard_pair, sample_level_set
 
-from generators import (ReductionTally, from_columns, from_eigenbundle, rand_compatible_kahler,
-                        rand_gc, rand_gc_with_admissible_q, rand_pair_with_admissible_q)
+from generators import (IndeterminateRankError, ReductionTally, from_columns, from_eigenbundle,
+                        rand_compatible_kahler, rand_gc, rand_gc_with_admissible_q,
+                        rand_pair_with_admissible_q)
 import naive_linear as naive
 
 
@@ -31,6 +31,11 @@ def _outcome(f, *args):
         return f(*args)
     except (ValidationError, IndeterminateRankError) as exc:
         return exc
+
+
+def _extract_one(pair):
+    """The bi-Hermitian data of one pair, extracted as a stack of one."""
+    return extract_bihermitian([pair])
 
 
 class _Record:
@@ -53,9 +58,9 @@ class _Record:
 
     def reductions(self, pair, Q):
         reduced = self.compare(reduce_pair, naive.reduce_pair, pair, Q, same_frame=False)
-        self.compare(extract_bihermitian, naive.extract_bihermitian, pair)
+        self.compare(_extract_one, naive.extract_bihermitian, pair)
         if not isinstance(reduced, Exception):
-            self.compare(extract_bihermitian, naive.extract_bihermitian, reduced[0])
+            self.compare(_extract_one, naive.extract_bihermitian, reduced[0])
 
 
 def _isotropic_operator(rng, J2, count):

@@ -295,15 +295,15 @@ def test_k_m_and_pi_l2_are_the_spans_a_second_decision_would_give(name, seed):
             assert np.abs(_projector(again) - _projector(piL2)).max() < 1e-12
         old_kM = from_columns(Q.astype(complex))
         old_piL2 = projection_to_tangent(pair.J2.eigenbundle())
-        assert subspace_intersection_dim(old_kM, old_piL2, False)[0] == row.dim_k_cap_piL2
+        assert subspace_intersection_dim(old_kM, old_piL2)[0] == row.dim_k_cap_piL2
 
 
 @pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("name", catalog_names())
 def test_orientation_of_every_bihermitian_row_matches_the_gram_schmidt_oracle(name, seed):
     for _, _, row in _catalog_rows(name, seed):
-        data = extract_bihermitian(row.pair_quot)
-        for J in (data.Jplus, data.Jminus):
+        data = extract_bihermitian([row.pair_quot])
+        for J in (data.Jplus[0], data.Jminus[0]):
             assert orientation_sign(J) == naive.orientation_sign(J)
 
 

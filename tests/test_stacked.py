@@ -12,11 +12,11 @@ from gkw import catalog
 from gkw.catalog import (PROBE_COUNT, PROBE_ROUNDS, PROBE_SEED, T_MIN, build_case,
                          catalog_names)
 from gkw.cli import main
-from gkw.linear import (IndeterminateRankError, KahlerPairNum, ValidationError,
-                        deform_pair, eta, extract_bihermitian, orientation_sign)
+from gkw.linear import (BiHermitianData, KahlerPairNum, ValidationError, deform_pair, eta,
+                        extract_bihermitian, orientation_sign)
 from gkw.pipeline import (PAIR_STACK_ROWS, DeformedKahlerRecipe, _standard_pair,
                           bihermitian_rows, pairs_once, sample_level_set)
-from generators import product_cp1xc_scenario, table
+from generators import IndeterminateRankError, product_cp1xc_scenario, table
 
 DEFORMED = ["cpn-2", "cpn-3", "cpn-4", "grassmann-1-3", "grassmann-2-3",
             "toric-cp2", "toric-blowup1", "hirzebruch-1", "hirzebruch-2"]
@@ -82,12 +82,7 @@ def test_deform_pair_stack_rejects_each_row_at_its_first_failed_check():
     for pair, Ks, t in ((base, [generic, real_leps, np.zeros_like(generic)], 1.0),
                         (base3, [K3, np.zeros_like(K3)], 8.0)):
         stack = np.array(Ks)
-        single = []
-        for K in Ks:
-            try:
-                single.append(deform_pair(pair, K, t))
-            except ValidationError as exc:
-                single.append(exc)
+        single = [deform_pair(pair, K[None], t)[0] for K in Ks]
         _assert_same_outcomes(deform_pair(pair, stack, t), single)
         assert any(isinstance(r, Exception) for r in single)
     rows = deform_pair(base, np.array([generic, real_leps]), 1.0)
@@ -123,34 +118,35 @@ def test_stacked_bihermitian_equals_its_pairs_one_by_one(name, seed):
     signs = {f: orientation_sign(getattr(stacked, f)) for f in ("Jplus", "Jminus")}
     assert all(len(a) == len(pairs) for a in (ok, distinct, *checks.values(), *signs.values()))
     for i, (row, pair, qb) in enumerate(zip(rows, pairs, bihermitian_rows(rows), strict=True)):
-        single = extract_bihermitian(pair)
+        single = extract_bihermitian([pair])
         for f in BIHERMITIAN_FIELDS:
-            assert np.array_equal(getattr(stacked, f)[i], getattr(single, f))
+            assert np.array_equal(getattr(stacked, f)[i], getattr(single, f)[0])
         one_ok, one_checks = single.validate()
+        one_ok, one_distinct = bool(one_ok[0]), bool(single.distinct()[0])
+        one_checks = {k: v[0].item() for k, v in one_checks.items()}
         assert {k: v[i].item() for k, v in checks.items()} == one_checks
         assert list(qb) == ["sample", "stratum", "distinct", "even_type", *one_checks, "valid"]
         assert qb == {"sample": row.point_id, "stratum": row.stratum,
-                      "distinct": single.distinct(),
+                      "distinct": one_distinct,
                       "even_type": row.type_j1 % 2 == 0 or row.type_j2 % 2 == 0,
                       **one_checks, "valid": one_ok} and bool(ok[i]) is one_ok
-        assert bool(distinct[i]) is single.distinct() is qb["distinct"]
+        assert bool(distinct[i]) is one_distinct is qb["distinct"]
         for f in ("Jplus", "Jminus"):
-            assert signs[f][i] == orientation_sign(getattr(single, f))
+            assert signs[f][i] == orientation_sign(getattr(single, f))[0]
     if name == "product-cp1xc":
         assert not ok.any()
 
 
 def test_a_single_pair_is_a_stack_of_one():
+    # the checks of one pair's data without a leading axis give the values
+    # of its stack of one
     pair = build_case("cpn-2").scenario.recipe.pair_at(np.array([1, 0.5j, 0.25]))
-    single, stacked = extract_bihermitian(pair), extract_bihermitian([pair])
-    for f in BIHERMITIAN_FIELDS:
-        assert getattr(single, f).shape == getattr(stacked, f).shape[1:]
-        assert np.array_equal(getattr(single, f), getattr(stacked, f)[0])
-    ok, checks = single.validate()
-    assert type(ok) is bool and type(single.distinct()) is bool
-    assert all(type(v) is (bool if k == "same_orientation" else float)
-               for k, v in checks.items())
-    assert type(orientation_sign(single.Jplus)) is int
+    stacked = extract_bihermitian([pair])
+    single = BiHermitianData(*(getattr(stacked, f)[0] for f in BIHERMITIAN_FIELDS))
+    (ok, checks), (one_ok, one_checks) = single.validate(), stacked.validate()
+    assert ok == one_ok[0] and checks == {k: v[0] for k, v in one_checks.items()}
+    assert single.distinct() == stacked.distinct()[0]
+    assert orientation_sign(single.Jplus) == orientation_sign(stacked.Jplus)[0]
     assert bihermitian_rows([]) == []
 
 
