@@ -205,6 +205,14 @@ MUTANTS = (
            "kept[action] = kept.get(next(iter(kept), None)) or tuple(",
            ("tests/test_actions.py::"
             "test_a_second_action_on_one_moment_map_gets_its_own_contractions",)),
+    Mutant("shadowed-stratum-accepted", "report.py",
+           "if set(earlier.zeros) <= set(coords):",
+           "if False:",
+           ("tests/test_cli.py::test_malformed_scenario_fields_exit_3_with_a_message",)),
+    Mutant("writer-takes-any-sampler", "report.py",
+           "isinstance(scenario.sampler, ScalingSampler)",
+           "True",
+           ("tests/test_cli.py::test_the_writer_refuses_what_the_reader_cannot_give_back",)),
 )
 
 # name -> why the mutant cannot change a verdict

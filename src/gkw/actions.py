@@ -99,10 +99,6 @@ class UnitaryAction:
     m: int
 
     @property
-    def dim_group(self):
-        return self.n * self.n
-
-    @property
     def ambient_n(self):
         return self.n * self.m
 
@@ -114,7 +110,7 @@ class UnitaryAction:
 
     @property
     def k(self):
-        return self.dim_group
+        return self.n * self.n
 
     def fundamental_field(self, idx: int) -> GeneralizedSection:
         """Linearization of Z -> e^{t xi} Z at t = 0: velocity xi Z, the
@@ -125,7 +121,7 @@ class UnitaryAction:
         return GeneralizedSection.from_vector(linear_field(self.ambient_n, left))
 
     def fundamental_fields(self):
-        return [self.fundamental_field(i) for i in range(self.dim_group)]
+        return [self.fundamental_field(i) for i in range(self.k)]
 
 
 @dataclass(frozen=True)

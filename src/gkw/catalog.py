@@ -31,16 +31,15 @@ from .actions import (MomentMapPoly, TorusAction, UnitaryAction, _qi_of_entry,
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
                        interior_product, standard_symplectic_form)
 from .deformation import DeformationBivector
-from .exactlinalg import solve_affine
 from .linear import LinearGC, ValidationError, b_conjugate
 from .pipeline import (ClosureFamily, ConstantPairRecipe, DeformedKahlerRecipe, FrameSampler,
                        GenuineKahlerRecipe, PolytopeSampler, RaySampler,
                        RealifiedRecipe, ScalingSampler, Scenario, Stratum,
-                       df_contraction_is_zero, gm_pairing_is_zero, pairs_once,
+                       df_contraction_is_zero, gm_pairing_is_zero, pairs_once, realify,
                        sample_level_set, tangent_to_level)
 from .poly import QI, ComplexPolynomial
-from .polytope import (AlphaResult, PolytopeSpec, _feasible_point, cp2_blowup1_polytope,
-                       cp2_polytope, find_alpha, hirzebruch_polytope)
+from .polytope import (PolytopeSpec, cp2_blowup1_polytope, cp2_polytope, find_alpha,
+                       hirzebruch_polytope)
 
 PROBE_SEED = 20240229
 PROBE_COUNT = 16
@@ -155,11 +154,13 @@ def build_cpn(N: int, t: Fraction | None = None) -> CatalogCase:
         expected_distinct=True)
 
 
-def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
-                t: Fraction | None = None, level=None, name="toric") -> CatalogCase:
+def build_toric(poly: PolytopeSpec, t: Fraction | None = None, name="toric") -> CatalogCase:
     """Kernel-torus reduction of C^N to the toric variety of the polytope,
-    deformed along the first feasible facet pair."""
-    res = alpha if alpha is not None else find_alpha(poly)
+    deformed along the first feasible facet pair.  The level is the
+    polytope's own, xi = W c (``poly.default_level()``), and the polytope
+    sampler draws from ``poly``; another level is another polytope, the
+    same normals with other offsets."""
+    res = find_alpha(poly)
     if not res.feasible:
         raise ValidationError(f"no feasible deformation functional: {res.certificates}")
     exps = []
@@ -168,15 +169,8 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
             raise ValidationError(f"alpha gives a non-admissible exponent {e} at facet {k}")
         exps.append(int(e))
     N = poly.num_facets
-    W = poly.kernel_weights()
-    action = TorusAction(W)
+    action = TorusAction(poly.kernel_weights())
     moment = standard_moment_map(action)
-    if level is None:
-        level = poly.default_level()
-        sample_poly = poly
-    else:
-        level = tuple(Fraction(x) for x in level)
-        sample_poly = _shifted_polytope_for_level(poly, W, level)
     p, q = res.pair
     F = ComplexPolynomial.one(N)
     for k, e in enumerate(exps):
@@ -191,8 +185,8 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
     strata = tuple(Stratum(f"z{k}=0", (k,)) for k, e in enumerate(exps)
                    if e > 0 and k not in res.pair)
     scen = _deformed_scenario(
-        eps, t, name=name, action=action, moment=moment, level=level,
-        sampler=PolytopeSampler(sample_poly), strata=strata)
+        eps, t, name=name, action=action, moment=moment, level=poly.default_level(),
+        sampler=PolytopeSampler(poly), strata=strata)
     k_dim = action.k
     expected = {"generic": (0, (N - 2) - k_dim)}
     upstairs = {"generic": N - 2}
@@ -204,20 +198,6 @@ def build_toric(poly: PolytopeSpec, alpha: AlphaResult | None = None,
         expected_upstairs_j2=upstairs,
         doc=f"Toric reduction of C^{N} (facet pair {res.pair}, exponents {exps}).",
         expected_distinct=True)
-
-
-def _shifted_polytope_for_level(poly, W, level):
-    N = poly.num_facets
-    sol = solve_affine(W, level)
-    if sol is None:
-        raise ValidationError("level is not in the image of the moment map")
-    part, null = sol
-    ineqs = [([-v[j] for v in null], part[j]) for j in range(N)]
-    s = _feasible_point(ineqs, len(null)) if null else []
-    if s is None:
-        raise ValidationError("level is outside the moment image (no s >= 0)")
-    sstar = [part[j] + sum(si * v[j] for si, v in zip(s, null)) for j in range(N)]
-    return PolytopeSpec(poly.normals, tuple(sstar))
 
 
 def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase:
@@ -303,17 +283,14 @@ def hyperkahler_pair():
 
 def build_hyperkahler() -> CatalogCase:
     """Flat hyper-Kahler circle reduction at f = mu_I - mu_J = 0, realified
-    via the metric connection."""
+    (``realify``) via the metric connection."""
     J1, J2, omegas, X, (muI, muJ, muK) = hyperkahler_pair()
     f = muI - muJ
-    action = TorusAction(((1, -1),))
-    moment = MomentMapPoly((f,), (muK,))
-    base = ConstantPairRecipe(2, J1, J2, label="hyperkahler-flat")
-    recipe = RealifiedRecipe(base, action, moment)
-    scen = Scenario(
-        name="hyperkahler-flat", n=2, recipe=recipe, action=action,
-        moment=recipe.moment_real, level=(Fraction(0),),
-        sampler=RaySampler(f, 0.0), strata=())
+    name = "hyperkahler-flat"
+    scen = realify(Scenario(
+        name=name, n=2, recipe=ConstantPairRecipe(2, J1, J2, label=name),
+        action=TorusAction(((1, -1),)), moment=MomentMapPoly((f,), (muK,)),
+        level=(Fraction(0),), sampler=RaySampler(f)))
     return CatalogCase(
         name=scen.name, scenario=scen,
         expected_strata={"generic": (0, 1)},

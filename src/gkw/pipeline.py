@@ -194,22 +194,20 @@ class RealifiedRecipe:
     """Exact-B-transform making the moment map real (connection-based).
 
     gamma = (theta, h) = w / D with w a polynomial 1-form and D = det of the
-    fundamental-field Gram matrix of a constant metric g; the transform at a
-    point is e^{B(p)} with B = d(gamma) = dw/D - (dD ^ w)/D^2, evaluated by
-    the quotient rule.  Requires the pair's tangent metric to be constant
-    (true for the flat scenarios this workbench builds).
+    fundamental-field Gram matrix of the pair's tangent metric g; the
+    transform at a point is e^{B(p)} with B = d(gamma) = dw/D - (dD ^ w)/D^2,
+    evaluated by the quotient rule.  Requires g to be constant (true for the
+    flat scenarios this workbench builds).
     """
 
     kind = "realified"
 
-    def __init__(self, base, action, moment: MomentMapPoly, g_const=None):
+    def __init__(self, base, action, moment: MomentMapPoly):
         self.base = base
         self.n = base.n
         self.action = action
         probe = np.full(self.n, 0.37 + 0.21j)
-        pair = base.pair_at(probe)
-        g = (extract_bihermitian([pair]).g[0] if g_const is None
-             else np.asarray(g_const, dtype=float))
+        g = extract_bihermitian([base.pair_at(probe)]).g[0]
         g_rat = [[Fraction(x).limit_denominator(1 << 20) for x in row] for row in g]
         if np.abs(np.array([[float(x) for x in row] for row in g_rat]) - g).max() > 1e-9:
             raise ValidationError("pair tangent metric is not rational-constant")
@@ -425,19 +423,19 @@ class FrameSampler:
 
 
 class RaySampler:
-    """Root-solve f(u + s v) = level along random rays (quadratic f)."""
+    """Root-solve f(u + s v) = 0 along random rays: samples the zero level
+    set of a quadratic f."""
 
-    def __init__(self, fpoly: ComplexPolynomial, level=0.0):
+    def __init__(self, fpoly: ComplexPolynomial):
         self.f = fpoly
-        self.level = float(level)
 
     def raw(self, rng, n, stratum=None):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         # f(u + s v), s real: sample three values to get the quadratic
-        f0 = self.f.evaluate(u).real - self.level
-        f1 = self.f.evaluate(u + v).real - self.level
-        fm1 = self.f.evaluate(u - v).real - self.level
+        f0 = self.f.evaluate(u).real
+        f1 = self.f.evaluate(u + v).real
+        fm1 = self.f.evaluate(u - v).real
         a = (f1 + fm1 - 2 * f0) / 2
         b = (f1 - fm1) / 2
         c = f0
@@ -666,23 +664,16 @@ def verify_moment_map(structures, action, moment: MomentMapPoly, batch,
     return rows
 
 
-def realify(scenario: Scenario, theta="metric") -> Scenario:
-    """Exact-B-transform scenario with real moment map (identity when the
-    imaginary part already vanishes).
-
-    theta picks the connection: "metric" uses the pair's (constant) tangent
-    metric, "euclidean" the flat ambient one.  Different connections differ
-    by exact B-transforms.
-    """
+def realify(scenario: Scenario) -> Scenario:
+    """The scenario, with its name, under the exact B-transform that makes
+    its moment map real (``RealifiedRecipe``, whose connection is the pair's
+    constant tangent metric); the scenario itself when the imaginary part
+    already vanishes."""
     if scenario.moment.is_real:
         return scenario
-    if theta not in ("metric", "euclidean"):
-        raise ValueError(f"unknown connection recipe {theta!r}")
-    g_const = None if theta == "metric" else np.eye(2 * scenario.n)
-    recipe = RealifiedRecipe(scenario.recipe, scenario.action, scenario.moment,
-                             g_const=g_const)
+    recipe = RealifiedRecipe(scenario.recipe, scenario.action, scenario.moment)
     return Scenario(
-        name=scenario.name + "+realified", n=scenario.n, recipe=recipe,
+        name=scenario.name, n=scenario.n, recipe=recipe,
         action=scenario.action, moment=recipe.moment_real,
         level=scenario.level, sampler=scenario.sampler, strata=scenario.strata)
 

@@ -150,6 +150,10 @@ def scenario_from_dict(doc) -> Scenario:
         if not all(0 <= c < n for c in coords):
             raise ValueError(f"stratum {label!r}: zero_coords {coords} "
                              f"out of range for ambient_complex_dim {n}")
+        for earlier in by_label.values():
+            if set(earlier.zeros) <= set(coords):
+                raise ValueError(f"stratum {label!r}: zero_coords {coords} contain every "
+                                 f"coordinate of the earlier stratum {earlier.label!r}")
         by_label[label] = Stratum(label, tuple(coords))
     structure = _field(doc, "structure", dict, "scenario")
     kind = _field(structure, "kind", str, "structure")
@@ -212,15 +216,25 @@ def scenario_from_dict(doc) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    """The scenario file that ``scenario_from_dict`` reads back as
+    ``scenario``; a ValueError names the field that a file cannot hold."""
+    action, recipe = scenario.action, scenario.recipe
+    for field, holds, what in (
+            ("action", isinstance(action, TorusAction), "torus actions"),
+            ("level", action.k == 1, "rank-one levels"),
+            ("structure", isinstance(recipe, (GenuineKahlerRecipe, DeformedKahlerRecipe)),
+             "genuine or deformed Kahler pairs"),
+            ("sampler", isinstance(scenario.sampler, ScalingSampler), "the scaling sampler")):
+        if not holds:
+            raise ValueError(f"scenario field {field!r}: scenario files support {what} only")
     doc = {
         "name": scenario.name,
         "ambient_complex_dim": scenario.n,
-        "action": {"kind": "torus", "weights": [list(r) for r in scenario.action.weights]},
+        "action": {"kind": "torus", "weights": [list(r) for r in action.weights]},
         "level": [str(x) for x in scenario.level],
         "strata": [{"label": s.label, "zero_coords": list(s.zeros)} for s in scenario.strata],
-        "structure": scenario.recipe.describe(),
+        "structure": recipe.describe(),
     }
-    recipe = scenario.recipe
     if isinstance(recipe, DeformedKahlerRecipe):
         doc["structure"] = {
             "kind": "deformed", "t": str(recipe.t),

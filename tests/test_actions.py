@@ -131,7 +131,7 @@ def test_grassmannian_moment_identity_and_matrix():
     act = UnitaryAction(2, 3)
     mm = grassmannian_moment_map(act)
     omega = standard_symplectic_form(act.ambient_n)
-    for a in range(act.dim_group):
+    for a in range(act.k):
         assert exterior_derivative(mm.f[a]) == interior_product(
             act.fundamental_field(a).vec, omega)
     # matrix form equals Z Z-dagger entrywise, symbolically Hermitian

@@ -11,7 +11,7 @@ from gkw.catalog import (build_case, build_cpn, build_grassmannian, build_hirzeb
                          torus_invariance, unitary_invariance)
 from gkw.linear import ValidationError, eta
 from gkw.pipeline import sample_level_set, verify_type_formula
-from gkw.polytope import cp2_blowup1_polytope, cp2_polytope
+from gkw.polytope import PolytopeSpec, cp2_blowup1_polytope, cp2_polytope
 
 from generators import cp1xcp1_blowup4_polytope, point_to_real, table
 
@@ -93,15 +93,16 @@ def test_build_toric_rejects_infeasible():
 
 
 def test_build_toric_custom_level():
-    # a scaled level inside the image still samples correctly
-    poly = cp2_polytope()
-    level = (Fraction(1, 2),)
-    case = build_toric(poly, level=level, name="toric-cp2-small")
+    # another level is another polytope: the same normals, other offsets
+    poly = PolytopeSpec(cp2_polytope().normals, (0, 0, Fraction(1, 2)))
+    case = build_toric(poly, name="toric-cp2-small")
+    assert case.scenario.level == (Fraction(1, 2),)
     batch = sample_level_set(case.scenario, 6, 3)
     for z in batch.points:
         assert abs(case.scenario.moment.f[0].evaluate(z).real - 0.5) < 1e-12
-    with pytest.raises(ValidationError):
-        build_toric(poly, level=(Fraction(-1),), name="bad")
+    # a level outside the moment image has no polytope
+    with pytest.raises(ValueError, match="polytope has no vertices"):
+        PolytopeSpec(cp2_polytope().normals, (0, 0, -1))
 
 
 def test_hyperkahler_exact_data():
@@ -234,21 +235,33 @@ def test_realified_hyperkahler_maps_df_to_minus_field():
     assert worst < 1e-10
 
 
-def test_realify_connection_choices_agree_on_flat_metric():
-    # "metric" and "euclidean" coincide here because the extracted pair
-    # metric is the flat one
-    from gkw.pipeline import realify
-    from gkw.actions import MomentMapPoly
-    from gkw.catalog import hyperkahler_pair as hk
+def _hyperkahler_base_scenario():
+    """The flat hyper-Kahler scenario before realification: the constant
+    pair with the complex moment map mu_I - mu_J + i mu_K."""
+    from gkw.actions import MomentMapPoly, TorusAction
     from gkw.pipeline import ConstantPairRecipe, RaySampler, Scenario
-    J1, J2, _, X, (muI, muJ, muK) = hk()
-    act = __import__("gkw.actions", fromlist=["TorusAction"]).TorusAction(((1, -1),))
-    mm = MomentMapPoly((muI - muJ,), (muK,))
-    base = ConstantPairRecipe(2, J1, J2)
-    scen = Scenario(name="hk", n=2, recipe=base, action=act, moment=mm,
-                    level=(Fraction(0),), sampler=RaySampler(muI - muJ, 0.0))
-    ra = realify(scen, theta="metric")
-    rb = realify(scen, theta="euclidean")
-    rng = np.random.default_rng(1)
+    J1, J2, _, _, (muI, muJ, muK) = hyperkahler_pair()
+    return Scenario(name="hyperkahler-flat", n=2,
+                    recipe=ConstantPairRecipe(2, J1, J2, label="hyperkahler-flat"),
+                    action=TorusAction(((1, -1),)), moment=MomentMapPoly((muI - muJ,), (muK,)),
+                    level=(Fraction(0),), sampler=RaySampler(muI - muJ))
+
+
+def test_realify_connection_choices_agree_on_flat_metric():
+    # the connection is the pair's tangent metric, which on flat H is exactly
+    # the identity: the flat ambient connection would give the same B
+    from gkw.pipeline import realify
+    recipe = realify(_hyperkahler_base_scenario()).recipe
+    assert recipe._g == [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+
+
+def test_the_hyperkahler_case_is_realify_of_its_base():
+    from gkw.pipeline import realify
+    case = build_case("hyperkahler-flat").scenario
+    fresh = realify(_hyperkahler_base_scenario())
+    assert case.describe() == fresh.describe()
+    rng = np.random.default_rng(11)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    assert np.allclose(ra.recipe.b_map_at(z), rb.recipe.b_map_at(z), atol=1e-10)
+    assert np.array_equal(case.recipe.b_map_at(z), fresh.recipe.b_map_at(z))
+    a, b = case.recipe.pair_at(z), fresh.recipe.pair_at(z)
+    assert np.array_equal(a.J1.J, b.J1.J) and np.array_equal(a.J2.J, b.J2.J)

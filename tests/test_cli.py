@@ -201,6 +201,22 @@ def test_scenario_strata_roundtrip():
     assert scenario_from_dict(doc).strata == scenario.strata
 
 
+@pytest.mark.parametrize("name, field", [
+    ("cpn-2", None), ("cpn-3", None), ("cpn-4", None), ("kahler-c3", None),
+    ("grassmann-1-3", "action"), ("grassmann-2-3", "action"),
+    ("hirzebruch-1", "level"), ("hirzebruch-2", "level"), ("toric-blowup1", "level"),
+    ("hyperkahler-flat", "structure"), ("toric-cp2", "sampler")])
+def test_the_writer_refuses_what_the_reader_cannot_give_back(name, field):
+    scenario = build_case(name).scenario
+    if field is not None:
+        with pytest.raises(ValueError, match=f"^scenario field '{field}': "):
+            scenario_to_dict(scenario)
+        return
+    back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(scenario))))
+    assert type(back.sampler) is type(scenario.sampler)
+    assert (back.level, back.strata) == (scenario.level, scenario.strata)
+
+
 @pytest.mark.parametrize("name", ["cpn-2", "cpn-3", "cpn-4", "kahler-c3"])
 def test_a_written_scenario_reads_back_as_its_case(tmp_path, capsys, name):
     # the deformation travels as the hol/form coefficients the writer emits
@@ -341,12 +357,20 @@ def test_readme_scenario_file_passes_its_invariance_check(tmp_path, capsys):
     # an empty stratum holds at every point and would take every sample
     (lambda d: d["strata"].append({"label": "everywhere", "zero_coords": []}),
      "stratum 'everywhere': zero_coords must name at least one coordinate"),
+    # every point of a stratum that holds where an earlier one holds takes
+    # the earlier label, so its own samples are all rejected
+    (lambda d: d["strata"].append({"label": "b", "zero_coords": [0]}),
+     "stratum 'b': zero_coords [0] contain every coordinate of the earlier stratum 'z0=0'"),
+    (lambda d: d["strata"].append({"label": "b", "zero_coords": [0, 1]}),
+     "stratum 'b': zero_coords [0, 1] contain every coordinate of the earlier stratum "
+     "'z0=0'"),
 ], ids=["no-structure", "dim-a-string", "level-null",
         "no-t", "t-divides-by-zero", "no-weight-rows", "frame-index-out-of-range",
         "zero-denominator", "short-exponents", "negative-exponent", "generic-label",
         "label-listed-twice", "quotient-a-point", "both-deformation-forms",
         "neither-deformation-form", "pair-out-of-order", "form-missing",
-        "zero-coords-not-integers", "weight-row-not-integers", "empty-stratum"])
+        "zero-coords-not-integers", "weight-row-not-integers", "empty-stratum",
+        "duplicate-stratum", "shadowed-stratum"])
 def test_malformed_scenario_fields_exit_3_with_a_message(tmp_path, capsys, edit, field):
     path = _scenario_file(tmp_path, edit)
     code = main(["reduce", "--scenario", str(path), "--samples", "4"])
