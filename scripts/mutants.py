@@ -210,7 +210,17 @@ MUTANTS = (
            "if False:",
            ("tests/test_cli.py::test_malformed_scenario_fields_exit_3_with_a_message",)),
     Mutant("writer-takes-any-sampler", "report.py",
-           "isinstance(scenario.sampler, ScalingSampler)",
+           "isinstance(sampler, ScalingSampler)",
+           "True",
+           ("tests/test_cli.py::test_the_writer_refuses_what_the_reader_cannot_give_back",)),
+    Mutant("moment-map-sign-flipped", "actions.py",
+           "QI(0, Fraction(-1, 2))",
+           "QI(0, Fraction(1, 2))",
+           ("tests/test_actions.py::test_standard_moment_map_identity_symbolic",
+            "tests/test_actions.py::"
+            "test_the_generators_give_the_fields_the_moment_map_and_the_central_level")),
+    Mutant("writer-takes-any-moment-map", "report.py",
+           "scenario.moment == standard_moment_map(action)",
            "True",
            ("tests/test_cli.py::test_the_writer_refuses_what_the_reader_cannot_give_back",)),
 )

@@ -12,8 +12,7 @@ from .deformation import DeformationBivector, LMultivector, schouten_bracket
 from .linear import (BiHermitianData, ComplexSubspace, KahlerPairNum, LinearGC,
                      ValidationError, deform_gcs, deform_pair, eta,
                      extract_bihermitian, pairing, reduce_gcs, reduce_pair)
-from .actions import (MomentMapPoly, TorusAction, UnitaryAction,
-                      grassmannian_moment_map, shift_by_bfield,
+from .actions import (MomentMapPoly, TorusAction, UnitaryAction, shift_by_bfield,
                       standard_moment_map)
 from .polytope import PolytopeSpec, find_alpha
 from .pipeline import (Scenario, quotient_at_point, realify, sample_level_set,

@@ -1,5 +1,11 @@
 """Group actions on C^N, fundamental fields, moment maps, realification.
 
+Every action is linear and unitary: it exposes its exact skew-Hermitian
+Lie-algebra generators A_a on C^N (``generators()``, each {(row, col): QI}),
+and these give the rest.  The fundamental field of A_a is the linear field
+of z -> e^{t A_a} z, the standard moment map is mu^a = 1/2 z-dagger (-i A_a) z,
+and a central level is 1/2 tr(-i xi) per basis element xi.
+
 Conventions (fixed once, echoed in report headers): weight w rotates a
 coordinate counterclockwise, z -> e^{i w t} z, so the fundamental field is
 X_w = i w (z d/dz - zbar d/dzbar) = w (x d/dy - y d/dx), and the defining
@@ -12,11 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
-from .calculus import (GeneralizedSection, VectorField, euler_field, exterior_derivative,
-                       interior_product, standard_symplectic_form)
-from .poly import QI, QI_HALF, QI_I, ComplexPolynomial
+from .calculus import GeneralizedSection, VectorField, exterior_derivative, interior_product
+from .poly import QI, QI_I, ComplexPolynomial
 
 
 def linear_field(N: int, M: dict) -> VectorField:
@@ -55,39 +58,31 @@ class TorusAction:
     def n(self):
         return len(self.weights[0])
 
+    @property
+    def ambient_n(self):
+        return self.n
+
+    def generators(self) -> list:
+        """diag(i w) for each weight row w."""
+        return [{(j, j): QI_I * w for j, w in enumerate(row) if w} for row in self.weights]
+
     def fundamental_field(self, a: int) -> GeneralizedSection:
-        """The field of z -> e^{t diag(i w)} z, w the a-th weight row."""
-        diag = {(j, j): QI_I * w for j, w in enumerate(self.weights[a]) if w}
-        return GeneralizedSection.from_vector(linear_field(self.n, diag))
+        """The field of z -> e^{t A_a} z, A_a = diag(i w) for the a-th weight row."""
+        return GeneralizedSection.from_vector(linear_field(self.n, self.generators()[a]))
 
     def fundamental_fields(self):
         return [self.fundamental_field(a) for a in range(self.k)]
 
 
-def unitary_lie_basis(n: int):
-    """Elementary skew-Hermitian basis in fixed order:
-    i E_aa (a = 1..n), then for a<b: E_ab - E_ba, i(E_ab + E_ba)."""
-    out = []
-    for a in range(n):
-        H = np.zeros((n, n), dtype=complex)
-        H[a, a] = 1j
-        out.append(H)
+def unitary_lie_basis(n: int) -> list:
+    """Elementary skew-Hermitian basis of u(n) in fixed order, each element
+    {(row, col): QI}: i E_aa (a = 1..n), then for a<b: E_ab - E_ba, i(E_ab + E_ba)."""
+    out = [{(a, a): QI_I} for a in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            H = np.zeros((n, n), dtype=complex)
-            H[a, b] = 1.0
-            H[b, a] = -1.0
-            out.append(H)
-            H2 = np.zeros((n, n), dtype=complex)
-            H2[a, b] = 1j
-            H2[b, a] = 1j
-            out.append(H2)
+            out.append({(a, b): QI(1), (b, a): QI(-1)})
+            out.append({(a, b): QI_I, (b, a): QI_I})
     return out
-
-
-def _qi_of_entry(c: complex) -> QI:
-    # lie-basis entries are exact small Gaussian integers
-    return QI(Fraction(int(round(c.real))), Fraction(int(round(c.imag))))
 
 
 @dataclass(frozen=True)
@@ -105,20 +100,19 @@ class UnitaryAction:
     def flat(self, i, j):
         return i * self.m + j
 
-    def lie_basis(self):
-        return unitary_lie_basis(self.n)
-
     @property
     def k(self):
         return self.n * self.n
 
-    def fundamental_field(self, idx: int) -> GeneralizedSection:
-        """Linearization of Z -> e^{t xi} Z at t = 0: velocity xi Z, the
-        linear field of xi (x) I_m on the flattened coordinates."""
-        xi = self.lie_basis()[idx]
-        left = {(self.flat(i, j), self.flat(s, j)): _qi_of_entry(xi[i, s])
-                for i in range(self.n) for s in range(self.n) for j in range(self.m)}
-        return GeneralizedSection.from_vector(linear_field(self.ambient_n, left))
+    def generators(self) -> list:
+        """xi (x) I_m on the flattened coordinates (Z -> xi Z), per element xi
+        of ``unitary_lie_basis(n)``."""
+        return [{(self.flat(i, j), self.flat(s, j)): c for (i, s), c in xi.items()
+                 for j in range(self.m)} for xi in unitary_lie_basis(self.n)]
+
+    def fundamental_field(self, a: int) -> GeneralizedSection:
+        """Linearization of Z -> e^{t xi} Z at t = 0: velocity xi Z."""
+        return GeneralizedSection.from_vector(linear_field(self.ambient_n, self.generators()[a]))
 
     def fundamental_fields(self):
         return [self.fundamental_field(i) for i in range(self.k)]
@@ -174,52 +168,26 @@ class MomentMapPoly:
         return kept[action]
 
 
-def moment_from_hamiltonian_identity(fields) -> MomentMapPoly:
-    """mu^xi(z) = 1/2 omega(xi_M(z), z): the exact quadratic potential of a
-    linear Hamiltonian field w.r.t. omega_std."""
-    if not fields:
-        raise ValueError("need at least one fundamental field")
-    n = fields[0].n
-    omega = standard_symplectic_form(n)
-    pos = euler_field(n)
+def standard_moment_map(action) -> MomentMapPoly:
+    """mu^a = 1/2 z-dagger (-i A_a) z for each generator A_a of ``action``
+    (for a torus, 1/2 sum_j W[a][j] |z_j|^2): the exact quadratic potential
+    with dmu^a = iota_{xi_a} omega_std."""
+    N = action.ambient_n
     f = []
-    for s in fields:
-        w = interior_product(s.vec, omega)
-        val = interior_product(pos, w).comps.get((), ComplexPolynomial.zero(n))
-        f.append(val * QI_HALF)
-    return MomentMapPoly(tuple(f), tuple(ComplexPolynomial.zero(n) for _ in f))
-
-
-def standard_moment_map(action: TorusAction) -> MomentMapPoly:
-    """Phi^a = 1/2 sum_j W[a][j] |z_j|^2 with dPhi^a = iota_{xi_a} omega_std."""
-    n = action.n
-    f = []
-    for row in action.weights:
-        p = ComplexPolynomial.zero(n)
-        for j, w in enumerate(row):
-            if w:
-                zj = ComplexPolynomial.variable(n, j)
-                zbj = ComplexPolynomial.variable(n, j, conjugated=True)
-                p = p + zj * zbj * QI(Fraction(w, 2))
+    for A in action.generators():
+        p = ComplexPolynomial.zero(N)
+        for (r, c), entry in A.items():
+            p = p + (ComplexPolynomial.variable(N, r, conjugated=True)
+                     * ComplexPolynomial.variable(N, c) * (entry * QI(0, Fraction(-1, 2))))
         f.append(p)
-    h = tuple(ComplexPolynomial.zero(n) for _ in f)
-    return MomentMapPoly(tuple(f), h)
+    return MomentMapPoly(tuple(f), tuple(ComplexPolynomial.zero(N) for _ in f))
 
 
-def grassmannian_moment_map(action: UnitaryAction) -> MomentMapPoly:
-    """Real components 1/2 tr(H_xi Z Z-dagger) per skew-Hermitian basis
-    element xi = i H_xi; assembled so dmu^xi = iota_{xi_M} omega_std."""
-    return moment_from_hamiltonian_identity(action.fundamental_fields())
-
-
-def central_level(action: UnitaryAction) -> np.ndarray:
+def central_level(action: UnitaryAction) -> tuple:
     """Moment values of the central coadjoint point Z Z-dagger = I:
-    mu^xi = 1/2 tr(H_xi)."""
-    vals = []
-    for xi in action.lie_basis():
-        H = (xi / 1j)
-        vals.append(0.5 * float(np.trace(H).real))
-    return np.array(vals)
+    mu^xi = 1/2 tr(-i xi), exactly."""
+    return tuple(sum(c.im for (r, s), c in xi.items() if r == s) / Fraction(2)
+                 for xi in unitary_lie_basis(action.n))
 
 
 def shift_by_bfield(mm: MomentMapPoly, phi: MomentMapPoly) -> MomentMapPoly:

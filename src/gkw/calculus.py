@@ -469,11 +469,3 @@ def standard_symplectic_form(n) -> Form:
     from .frames import constant_two_form, omega_std_map   # frames imports calculus
     return constant_two_form(omega_std_map(n))
 
-
-def euler_field(n) -> VectorField:
-    """Position vector field sum_j (z_j d/dz_j + zbar_j d/dzbar_j)."""
-    comps = {}
-    for j in range(n):
-        comps[j] = ComplexPolynomial.variable(n, j)
-        comps[j + n] = ComplexPolynomial.variable(n, j, conjugated=True)
-    return VectorField(n, comps)

@@ -25,8 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import frames
-from .actions import (MomentMapPoly, TorusAction, UnitaryAction, _qi_of_entry,
-                      central_level, grassmannian_moment_map, linear_field,
+from .actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level, linear_field,
                       standard_moment_map, unitary_lie_basis)
 from .calculus import (GeneralizedSection, VectorField, exterior_derivative,
                        interior_product, standard_symplectic_form)
@@ -206,8 +205,8 @@ def build_grassmannian(n: int, m: int, t: Fraction | None = None) -> CatalogCase
         raise ValueError("need m >= 3 and n >= 1")
     action = UnitaryAction(n, m)
     N = action.ambient_n
-    moment = grassmannian_moment_map(action)
-    level = tuple(Fraction(x).limit_denominator(4) for x in central_level(action))
+    moment = standard_moment_map(action)
+    level = central_level(action)
     Y = VectorField(N, {action.flat(i, 1): ComplexPolynomial.variable(N, action.flat(i, 0))
                         for i in range(n)})
     Z = VectorField(N, {action.flat(i, 2): ComplexPolynomial.variable(N, action.flat(i, 0))
@@ -371,11 +370,9 @@ def _unitary_df_perp_fields(action: UnitaryAction):
     """Real right-multiplication fields Z -> Z e^{tA}, A skew-Hermitian m x m
     (the first basis elements); these preserve the left-U(n) moment map
     identically."""
-    n, m = action.n, action.m
-    return [linear_field(action.ambient_n,
-                         {(action.flat(i, j), action.flat(i, s)): _qi_of_entry(A[s, j])
-                          for i in range(n) for j in range(m) for s in range(m)})
-            for A in unitary_lie_basis(m)[:DF_PERP_FIELDS]]
+    return [linear_field(action.ambient_n, {(action.flat(i, j), action.flat(i, s)): c
+                                            for (s, j), c in A.items() for i in range(action.n)})
+            for A in unitary_lie_basis(action.m)[:DF_PERP_FIELDS]]
 
 
 def _invariant_gm_perp_sections(scenario):

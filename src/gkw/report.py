@@ -218,14 +218,19 @@ def scenario_from_dict(doc) -> Scenario:
 def scenario_to_dict(scenario: Scenario) -> dict:
     """The scenario file that ``scenario_from_dict`` reads back as
     ``scenario``; a ValueError names the field that a file cannot hold."""
-    action, recipe = scenario.action, scenario.recipe
-    for field, holds, what in (
-            ("action", isinstance(action, TorusAction), "torus actions"),
-            ("level", action.k == 1, "rank-one levels"),
-            ("structure", isinstance(recipe, (GenuineKahlerRecipe, DeformedKahlerRecipe)),
+    action, recipe, sampler = scenario.action, scenario.recipe, scenario.sampler
+    for field, holds, what in (   # in this order: each check may read what those before it hold
+            ("action", lambda: isinstance(action, TorusAction), "torus actions"),
+            ("level", lambda: action.k == 1, "rank-one levels"),
+            ("structure", lambda: isinstance(recipe, (GenuineKahlerRecipe, DeformedKahlerRecipe)),
              "genuine or deformed Kahler pairs"),
-            ("sampler", isinstance(scenario.sampler, ScalingSampler), "the scaling sampler")):
-        if not holds:
+            ("sampler", lambda: isinstance(sampler, ScalingSampler), "the scaling sampler"),
+            ("moment", lambda: scenario.moment == standard_moment_map(action),
+             "the standard moment map"),
+            ("sampler", lambda: (sampler.moment, sampler.level)
+             == (scenario.moment, float(scenario.level[0])),
+             "a scaling sampler at the scenario's moment map and level")):
+        if not holds():
             raise ValueError(f"scenario field {field!r}: scenario files support {what} only")
     doc = {
         "name": scenario.name,

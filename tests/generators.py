@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from gkw.actions import TorusAction, standard_moment_map
-from gkw.calculus import Form, GeneralizedSection, LMultivector, VectorField
+from gkw.actions import MomentMapPoly, TorusAction, standard_moment_map
+from gkw.calculus import (Form, GeneralizedSection, LMultivector, VectorField,
+                          interior_product, standard_symplectic_form)
 from gkw.frames import _frame_rows, one_form_at, section_at
 from gkw.linear import (ANTISYMMETRY_TOL, RANK_TOL, ComplexSubspace, KahlerPairNum,
                         LinearGC, ValidationError, _Outcomes, _real_structures, b_conjugate,
                         b_field_matrix, eta, numerical_rank, orthonormal_columns)
 from gkw.pipeline import (ConstantPairRecipe, SampleBatch, Scenario, ScalingSampler,
                           _standard_pair, pairs_once, sample_level_set, type_table)
-from gkw.poly import QI, QI_I, ComplexPolynomial
+from gkw.poly import QI, QI_HALF, QI_I, ComplexPolynomial
 from gkw.polytope import PolytopeSpec
 
 
@@ -382,6 +383,40 @@ def grassmannian_matrix_polynomials(action):
                          * ComplexPolynomial.variable(N, action.flat(b, j), conjugated=True))
             out[a][b] = p
     return out
+
+
+def as_matrix(A: dict, n: int) -> np.ndarray:
+    """The complex n x n matrix of an exact {(row, col): QI} matrix."""
+    out = np.zeros((n, n), dtype=complex)
+    for (r, c), entry in A.items():
+        out[r, c] = entry.to_complex()
+    return out
+
+
+def euler_field(n) -> VectorField:
+    """Position vector field sum_j (z_j d/dz_j + zbar_j d/dzbar_j)."""
+    comps = {}
+    for j in range(n):
+        comps[j] = ComplexPolynomial.variable(n, j)
+        comps[j + n] = ComplexPolynomial.variable(n, j, conjugated=True)
+    return VectorField(n, comps)
+
+
+def moment_from_hamiltonian_identity(fields) -> MomentMapPoly:
+    """mu^xi(z) = 1/2 omega(xi_M(z), z): the exact quadratic potential of a
+    linear Hamiltonian field w.r.t. omega_std, from the fields alone (the
+    oracle for ``actions.standard_moment_map``)."""
+    if not fields:
+        raise ValueError("need at least one fundamental field")
+    n = fields[0].n
+    omega = standard_symplectic_form(n)
+    pos = euler_field(n)
+    f = []
+    for s in fields:
+        w = interior_product(s.vec, omega)
+        val = interior_product(pos, w).comps.get((), ComplexPolynomial.zero(n))
+        f.append(val * QI_HALF)
+    return MomentMapPoly(tuple(f), tuple(ComplexPolynomial.zero(n) for _ in f))
 
 
 def group_element_exact(action, params):

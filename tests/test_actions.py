@@ -6,12 +6,11 @@ import pytest
 
 from gkw import frames
 from gkw.actions import (MomentMapPoly, TorusAction, UnitaryAction, central_level,
-                         grassmannian_moment_map, linear_field,
-                         moment_from_hamiltonian_identity, shift_by_bfield,
-                         standard_moment_map, unitary_lie_basis)
+                         linear_field, shift_by_bfield, standard_moment_map,
+                         unitary_lie_basis)
 from gkw.calculus import (Form, VectorField, exterior_derivative, interior_product,
                           standard_symplectic_form)
-from gkw.catalog import build_case
+from gkw.catalog import build_case, catalog_names
 from gkw.frames import real_coordinates
 from gkw.linear import LinearGC, ValidationError
 from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
@@ -19,8 +18,8 @@ from gkw.pipeline import (BShiftedRecipe, GenuineKahlerRecipe,
                           verify_moment_map)
 from gkw.poly import QI, ComplexPolynomial
 
-from generators import (batch_at, grassmannian_matrix_polynomials, group_element_exact,
-                        real_coframe)
+from generators import (as_matrix, batch_at, grassmannian_matrix_polynomials,
+                        group_element_exact, moment_from_hamiltonian_identity, real_coframe)
 
 
 def test_fundamental_field_real_frame():
@@ -87,13 +86,41 @@ def test_diagonal_moment_is_half_norm():
     assert mm.f[0] == want
 
 
+@pytest.mark.parametrize(
+    "source", [*catalog_names(), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5), (3, 6)],
+    ids=lambda s: s if isinstance(s, str) else "unitary-%d-%d" % s)
+def test_the_generators_give_the_fields_the_moment_map_and_the_central_level(source):
+    # a catalog case's action, or U(n) on C^{n x m} for source (n, m)
+    if isinstance(source, tuple):
+        act = UnitaryAction(*source)
+    else:
+        act = build_case(source).scenario.action
+    N = act.ambient_n
+    omega = standard_symplectic_form(N)
+    mm = standard_moment_map(act)
+    gens = act.generators()
+    assert len(gens) == act.k == mm.k
+    for a, A in enumerate(gens):
+        for r, c in set(A) | {(c, r) for r, c in A}:
+            assert A.get((r, c), QI(0)) == -A.get((c, r), QI(0)).conjugate()
+        assert act.fundamental_field(a).vec == linear_field(N, A)
+        assert exterior_derivative(mm.f[a]) == interior_product(
+            act.fundamental_field(a).vec, omega)
+    oracle = moment_from_hamiltonian_identity(act.fundamental_fields())
+    assert (mm.f, mm.h) == (oracle.f, oracle.h)
+    if isinstance(act, UnitaryAction):
+        level = central_level(act)
+        assert all(type(x) is Fraction for x in level)
+        assert level == (Fraction(1, 2),) * act.n + (Fraction(0),) * (act.k - act.n)
+
+
 def test_unitary_fundamental_fields_match_linearization():
     act = UnitaryAction(2, 3)
     rng = np.random.default_rng(3)
     Z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     z = Z.reshape(-1)
-    for idx, xi in enumerate(act.lie_basis()):
-        vel = (xi @ Z).reshape(-1)
+    for idx, xi in enumerate(unitary_lie_basis(2)):
+        vel = (as_matrix(xi, 2) @ Z).reshape(-1)
         got = act.fundamental_field(idx).vec.evaluate(z)
         assert np.allclose(got[:6], vel) and np.allclose(got[6:], vel.conj())
 
@@ -122,14 +149,14 @@ def test_unitary_df_perp_fields_are_right_multiplication():
     fields = _unitary_df_perp_fields(act)
     assert len(fields) == 4
     for X, A in zip(fields, unitary_lie_basis(3)):
-        vel = (Z @ A).reshape(-1)
+        vel = (Z @ as_matrix(A, 3)).reshape(-1)
         got = X.evaluate(Z.reshape(-1))
         assert np.allclose(got[:6], vel) and np.allclose(got[6:], vel.conj())
 
 
 def test_grassmannian_moment_identity_and_matrix():
     act = UnitaryAction(2, 3)
-    mm = grassmannian_moment_map(act)
+    mm = standard_moment_map(act)
     omega = standard_symplectic_form(act.ambient_n)
     for a in range(act.k):
         assert exterior_derivative(mm.f[a]) == interior_product(
@@ -148,7 +175,7 @@ def test_grassmannian_moment_identity_and_matrix():
     Z[1] -= (Z[0].conj() @ Z[1]) * Z[0]
     Z[1] /= np.linalg.norm(Z[1])
     vals = np.array([f.evaluate(Z.reshape(-1)).real for f in mm.f])
-    assert np.abs(vals - central_level(act)).max() < 1e-12
+    assert np.abs(vals - np.array(central_level(act), dtype=float)).max() < 1e-12
 
 
 def test_n1_grassmannian_is_scalar_norm():
@@ -229,7 +256,7 @@ def test_a_second_action_on_one_moment_map_gets_its_own_contractions():
     # actions' contractions differ
     u = UnitaryAction(2, 1)
     torus = TorusAction(((1, 0), (0, 1), (1, 1), (1, -1)))
-    mm = grassmannian_moment_map(u)
+    mm = standard_moment_map(u)
     first, second = mm.contractions(u), mm.contractions(torus)
     assert first == MomentMapPoly(mm.f, mm.h).contractions(u)
     assert second == MomentMapPoly(mm.f, mm.h).contractions(torus)

@@ -205,9 +205,21 @@ def test_scenario_strata_roundtrip():
     ("cpn-2", None), ("cpn-3", None), ("cpn-4", None), ("kahler-c3", None),
     ("grassmann-1-3", "action"), ("grassmann-2-3", "action"),
     ("hirzebruch-1", "level"), ("hirzebruch-2", "level"), ("toric-blowup1", "level"),
-    ("hyperkahler-flat", "structure"), ("toric-cp2", "sampler")])
+    ("hyperkahler-flat", "structure"), ("toric-cp2", "sampler"),
+    ("kahler-c3/moment-and-level-x2", "moment"), ("kahler-c3/level-x2", "sampler")])
 def test_the_writer_refuses_what_the_reader_cannot_give_back(name, field):
+    name, _, doubled = name.partition("/")
     scenario = build_case(name).scenario
+    if doubled:
+        # the case's level doubled, and its moment map too when named (the
+        # scenario of test_a_moment_map_off_by_a_factor_fails_the_type_table);
+        # the sampler stays the case's own
+        moment = scenario.moment
+        if doubled.startswith("moment"):
+            moment = MomentMapPoly(tuple(f * 2 for f in moment.f),
+                                   tuple(h * 2 for h in moment.h))
+        scenario = dataclasses.replace(scenario, moment=moment,
+                                       level=tuple(2 * x for x in scenario.level))
     if field is not None:
         with pytest.raises(ValueError, match=f"^scenario field '{field}': "):
             scenario_to_dict(scenario)
