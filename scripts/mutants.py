@@ -84,9 +84,15 @@ MUTANTS = (
            ("tests/test_known_dimensions.py::"
             "test_a_deformed_structure_keeps_the_orthonormal_eigenbundle_it_was_built_from",)),
     Mutant("quotient-dual-block-scaled", "linear.py",
-           "C = np.kron(np.eye(2), Vc)",
-           "C = np.kron(np.diag([1.0, 2.0]), Vc)",
+           "C[m:, k:] = Vc",
+           "C[m:, k:] = 2 * Vc",
            ("tests/test_linear.py::test_quotient_basis_pairs_as_the_standard_eta",)),
+    Mutant("quotient-reads-J-on-C", "linear.py",
+           "qb.C.T @ (J @ reps)",
+           "qb.C.T @ (J @ qb.C)",
+           ("tests/test_linear.py::test_reduce_pair_type_formula_100_random",
+            "tests/test_linear.py::test_reduction_matches_the_complex_detour_on_catalog_rows",
+            "tests/test_linear.py::test_quotient_matrices_match_least_squares_on_catalog_rows")),
     Mutant("moment-condition-bound-x1e30", "report.py",
            'r["moment_condition"] < MOMENT_CONDITION_TOL',
            'r["moment_condition"] < MOMENT_CONDITION_TOL * 1e30',

@@ -413,6 +413,12 @@ class QuotientBasis:
     basis of ker [J(Q), Q]^T, the complement of Q in ann(J(Q)), and
     beta_i = v_i, which lies in ann(Q) with beta_i(v_j) = delta_ij; so the
     induced pairing in this basis is exactly the standard eta.
+
+    C = diag(V_c, V_c) reads coordinates off P-perp = span[C, P] exactly:
+    C^T C = 1 as V_c is orthonormal, and C^T P = 0 as P = diag(Q, J(Q))
+    and V_c is orthogonal to Q and J(Q); so C^T (C a + P b) = a.  In the
+    pairing's terms, C^T X = eta(k)^{-1} C^T eta X for every X, and
+    C^T eta C = eta(k), C^T eta P = 0 (C lies in P-perp) give the same.
     """
 
     Q: np.ndarray          # m x q, real, subspace of V
@@ -441,17 +447,21 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
         raise ValidationError(f"P = Q + J(Q) is not isotropic: residual {iso:.3e}")
     k = m - 2 * q
     Vc = nullspace(np.hstack([JQ, Q]).T, k)
-    C = np.kron(np.eye(2), Vc)    # diag(Vc, Vc)
+    C = np.zeros((2 * m, 2 * k))
+    C[:m, :k] = Vc
+    C[m:, k:] = Vc
     return QuotientBasis(Q=Q, P=P, C=C, k=k, isotropy=iso)
 
 
 def _quotient_matrices(W, qb: QuotientBasis, *Js):
-    """Lift the C-basis to representatives in W, a complement of P inside
-    P-perp, then express each J's image of them back in the C-basis mod P."""
+    """Lift the C-basis to representatives r in W, a complement of P inside
+    P-perp, then read each J's image of them back in the C-basis mod P:
+    J r lies in P-perp = span[C, P], say J r = C a + P b, and
+    C^T (C a + P b) = a (see ``QuotientBasis``), so the quotient matrix is
+    C^T J r, a projection and not a fit."""
     sol, *_ = np.linalg.lstsq(np.hstack([W, qb.P]), qb.C, rcond=None)
     reps = W @ sol[:W.shape[1], :]
-    CP = np.hstack([qb.C, qb.P])
-    return [np.linalg.lstsq(CP, J @ reps, rcond=None)[0][:qb.C.shape[1], :] for J in Js]
+    return [qb.C.T @ (J @ reps) for J in Js]
 
 
 def reduce_gcs(J: LinearGC, Q) -> tuple[LinearGC, QuotientBasis]:

@@ -5,10 +5,11 @@ the real nullspaces the reduction now takes are checked against an
 independent copy.  Every subspace is found in C^{2m} and its real span
 taken back; W-hat is the intersection of two complex nullspaces; the dual
 basis of the quotient frame is a least-squares solve whose pairing is
-checked afterwards; C+- come from an eigendecomposition of G, split at a
-window around +-1.  Each of these subspaces is a nullspace thresholded at
-RANK_TOL, and its dimension is checked against the one the mathematics
-fixes.
+checked afterwards; the quotient matrices are least-squares fits in both
+stages (``quotient_matrices``); C+- come from an eigendecomposition of G,
+split at a window around +-1.  Each of these subspaces is a nullspace
+thresholded at RANK_TOL, and its dimension is checked against the one the
+mathematics fixes.
 
 The structure check is the earlier one too (``structure``): after J^2 = -1
 and eta-orthogonality, the +i eigenbundle L, a thresholded nullspace of
@@ -24,7 +25,7 @@ import numpy as np
 
 from gkw.linear import (ISOTROPY_TOL, RANK_TOL, BiHermitianData, ComplexSubspace,
                         KahlerPairNum, LinearGC, QuotientBasis, ValidationError,
-                        _quotient_matrices, eta, numerical_rank, orthonormal_columns)
+                        eta, numerical_rank, orthonormal_columns)
 
 from generators import complex_nullspace, from_eigenbundle, intersect
 
@@ -101,13 +102,24 @@ def quotient_basis(J1: LinearGC, Q) -> QuotientBasis:
     return QuotientBasis(Q=Q, P=P, C=C, k=k, isotropy=iso)
 
 
+def quotient_matrices(W, qb: QuotientBasis, *Js):
+    """Each J on the quotient, in the C-basis, by two least-squares fits:
+    the representatives r of C in W, a complement of P inside P-perp, are
+    the W-part of the solution of [W, P] x = C; then J r = C a + P b is
+    solved for (a, b) and a kept."""
+    sol, *_ = np.linalg.lstsq(np.hstack([W, qb.P]), qb.C, rcond=None)
+    reps = W @ sol[:W.shape[1], :]
+    CP = np.hstack([qb.C, qb.P])
+    return [np.linalg.lstsq(CP, J @ reps, rcond=None)[0][:qb.C.shape[1], :] for J in Js]
+
+
 def reduce_gcs(J: LinearGC, Q):
     qb = quotient_basis(J, Q)
     if qb.k == J.m:
         return J, qb
     Pperp = real_span(complex_nullspace(qb.P.T @ eta(J.m)))
     W0 = orthonormal_columns(Pperp - qb.P @ np.linalg.lstsq(qb.P, Pperp, rcond=None)[0])
-    (Jq,) = _quotient_matrices(W0, qb, J.J)
+    (Jq,) = quotient_matrices(W0, qb, J.J)
     return structure(Jq), qb
 
 
@@ -122,7 +134,7 @@ def reduce_pair(pair: KahlerPairNum, Q):
     if What.shape[1] != 2 * qb.k:
         raise ValidationError(
             f"W-hat has dimension {What.shape[1]}, expected {2 * qb.k}")
-    J1q, J2q = _quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
+    J1q, J2q = quotient_matrices(What, qb, pair.J1.J, pair.J2.J)
     return KahlerPairNum(structure(J1q), structure(J2q)), qb
 
 

@@ -498,7 +498,15 @@ def test_quotient_basis_pairs_as_the_standard_eta():
         for _ in range(10):
             J, Q = rand_gc_with_admissible_q(rng, m, int(rng.integers(1, m // 2)))
             qb = linear.quotient_basis(J, Q)
-            assert np.linalg.norm(qb.C.T @ eta(m) @ qb.C - eta(qb.k)) < 1e-12
+            k = qb.k
+            assert np.linalg.norm(qb.C.T @ eta(m) @ qb.C - eta(k)) < 1e-12
+            # what the quotient matrices C^T J r read: C^T P = 0, and
+            # C = diag(V_c, V_c) with V_c orthonormal, of dimension m - 2q
+            assert np.abs(qb.C.T @ qb.P).max() < 1e-12
+            assert k == m - 2 * qb.Q.shape[1]
+            assert np.array_equal(qb.C[m:, k:], qb.C[:m, :k])
+            assert not qb.C[:m, k:].any() and not qb.C[m:, :k].any()
+            assert np.abs(qb.C.T @ qb.C - np.eye(2 * k)).max() < 1e-12
 
 
 def _reduced(reduction, *args):
@@ -543,7 +551,31 @@ def _same_bihermitian(pair):
             assert _close(getattr(new, field)[0], getattr(old, field))
 
 
-def test_reduction_matches_the_complex_detour_on_seeded_generators():
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """Every call the reductions make of ``linear._quotient_matrices``: its
+    W, basis, structures and result."""
+    calls = []
+    inner = linear._quotient_matrices
+
+    def recording(W, qb, *Js):
+        result = inner(W, qb, *Js)
+        calls.append((W, qb, Js, result))
+        return result
+    monkeypatch.setattr(linear, "_quotient_matrices", recording)
+    return calls
+
+
+def _same_as_least_squares(calls):
+    """Each recorded result is, to 1e-12, the oracle's two-stage least
+    squares on the same W and basis."""
+    assert calls
+    for W, qb, Js, result in calls:
+        for a, b in zip(result, naive.quotient_matrices(W, qb, *Js), strict=True):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+
+def test_reduction_matches_the_complex_detour_on_seeded_generators(quotient_calls):
     rng = np.random.default_rng(161804)
     compared = 0
     for _ in range(60):
@@ -562,6 +594,7 @@ def test_reduction_matches_the_complex_detour_on_seeded_generators():
         _same_reduction(_reduced(reduce_gcs, J, Q), _reduced(naive.reduce_gcs, J, Q),
                         lambda J: (J,))
     assert compared >= 50
+    _same_as_least_squares(quotient_calls)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -573,3 +606,17 @@ def test_reduction_matches_the_complex_detour_on_catalog_rows(name):
         new = _reduced(reduce_pair, pair, Q)
         assert _same_reduction(new, _reduced(naive.reduce_pair, pair, Q), _pair_structures)
         _same_bihermitian(new[0])
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_quotient_matrices_match_least_squares_on_catalog_rows(name, quotient_calls):
+    """reduce_pair, and reduce_gcs on J1, on 60 sampled rows of every
+    catalog case."""
+    scenario = build_case(name).scenario
+    batch = sample_level_set(scenario, 60, 11)
+    for z, Q in zip(batch.points, batch.Q):
+        pair = scenario.recipe.pair_at(z)
+        reduce_pair(pair, Q)
+        reduce_gcs(pair.J1, Q)
+    assert len(quotient_calls) == 2 * len(batch.points)
+    _same_as_least_squares(quotient_calls)
